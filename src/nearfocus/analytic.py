@@ -29,17 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .csvio import format_number
 from .geometry import CylinderSpec
-from .specfun import (
-    complete_elliptic_k,
-    sinc,
-    sine_integral,
-    spherical_j1_over_x,
-    struve_h,
-)
 
 __all__ = [
     "AxisProfile",
@@ -58,6 +51,11 @@ __all__ = [
     "TRANSVERSE_TR_Z_LIMIT",
     "EX_LONG_PROFILE_PEAK",
     "PROFILE_CSV_HEADER",
+    "sinc",
+    "spherical_j1_over_x",
+    "struve_h",
+    "sine_integral",
+    "complete_elliptic_k",
     "kernel_point",
     "kernel_dipole",
     "ez_cp_axis",
@@ -186,6 +184,42 @@ def profile_rows(profile: AxisProfile, wavelength_m: float):
         raise ValueError("wavelength must be positive")
     for off, val in zip(profile.offsets_m, profile.values):
         yield [format_number(off / wavelength_m), format_number(val)]
+
+
+# ---------------------------------------------------------------------------
+# Special functions: scipy.special with this module's conventions pinned
+
+
+def sinc(x):
+    """Unnormalized cardinal sine sin(x)/x, with sinc(0) = 1."""
+    return np.sinc(x / math.pi)
+
+
+def spherical_j1_over_x(x):
+    """j1(x)/x, limit 1/3 at x = 0.
+
+    Below |x| = 1e-3 a short series replaces scipy's quotient, which loses
+    digits for tiny x and is NaN for subnormal x.
+    """
+    x2 = np.square(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x2 < 1e-6, 1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0,
+                        special.spherical_jn(1, x) / x)[()]
+
+
+def struve_h(order, x):
+    """Struve function H_order(x); orders -1 and 0 are used here."""
+    return special.struve(order, x)
+
+
+def sine_integral(x):
+    """Sine integral Si(x), the integral of sin(t)/t from 0 to x."""
+    return special.sici(x)[0]
+
+
+def complete_elliptic_k(m):
+    """Complete elliptic integral of the first kind, parameter convention m < 1."""
+    return special.ellipk(m)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +373,10 @@ def ex_cp_radial_y(yf: float, spec: CylinderSpec) -> float:
 _PROFILE_KINDS = ("ez_long", "ez_trans", "ex_long", "ex_trans_x", "ex_trans_y")
 
 
-def resolution_profiles(kind: str, delta_wl: float, spec: CylinderSpec) -> float:
+def resolution_profiles(kind: str, delta_wl, spec: CylinderSpec):
     """Normalized field vs focal displacement ``delta_wl`` (in wavelengths).
 
+    ``delta_wl`` may be a scalar or an array; the result has its shape.
     ``ez_long`` depends on the aspect ratio: finite length stretches the
     profile by sqrt(1 + 4a^2/L^2) relative to the ideal sinc.  The other
     kinds are long-cylinder limits and use the geometry only for validation.
@@ -349,9 +384,9 @@ def resolution_profiles(kind: str, delta_wl: float, spec: CylinderSpec) -> float
     a, length = _require_cylinder(spec)
     if kind not in _PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {_PROFILE_KINDS}")
-    if delta_wl < 0.0:
+    x = 2.0 * math.pi * np.asarray(delta_wl, dtype=float)
+    if np.any(x < 0.0):
         raise ValueError("delta_wl must be non-negative; profiles are even")
-    x = 2.0 * math.pi * delta_wl
     if kind == "ez_long":
         stretch = math.sqrt(1.0 + 4.0 * a * a / (length * length))
         return math.pi / stretch * sinc(x / stretch)
@@ -359,13 +394,13 @@ def resolution_profiles(kind: str, delta_wl: float, spec: CylinderSpec) -> float
         return math.pi * sinc(x)
     if kind == "ex_long":
         return 2.0 * struve_h(-1, x)
-    if kind == "ex_trans_x":
-        if x == 0.0:
-            return 2.0
-        return math.pi * struve_h(0, x) / x
-    if x == 0.0:  # ex_trans_y
-        return 2.0
-    return 2.0 * sine_integral(x) / x
+    # ex_trans_x and ex_trans_y both tend to 2 at the origin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "ex_trans_x":
+            ratio = math.pi * struve_h(0, x) / x
+        else:
+            ratio = 2.0 * sine_integral(x) / x
+    return np.where(x == 0.0, 2.0, ratio)[()]
 
 
 # ---------------------------------------------------------------------------

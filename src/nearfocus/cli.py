@@ -10,7 +10,7 @@ Every artifact lands in the output directory: CSV files are written
 with 17 significant digits and '\\n' line endings so reruns of the same
 scenario are byte-identical, and manifest.json records the fully
 resolved scenario (defaults included), the conventions the numbers rest
-on, tool version, seed, and wall-clock time.
+on, tool version, and wall-clock time.
 
 Exit codes: 0 success (for validate: comparison passed), 1 validate
 comparison failed, 2 usage or scenario errors.  Errors print one
@@ -154,7 +154,6 @@ _SCHEMA = {
     "amplitude_cap_a": ("pos", 0.02),
     "power_budget_w": ("pos", 1.0),
     "port_resistance_ohm": ("pos", 50.0),
-    "bisection_tol_w": ("pos", AUTO),
     "kernel": ("enum", "full"),
     "grid": ("enum", "cut"),
     "cut_axis": ("enum", "x"),
@@ -272,7 +271,6 @@ def load_scenario(path) -> tuple[dict, list[str]]:
         "mesh_azimuthal_n": (max(3, math.ceil(2.0 * math.pi * s["radius_m"] / half_lam))
                              if s["radius_m"] is not None else None),
         "patch_target_m": 0.25 * wl.lam,
-        "bisection_tol_w": 1e-10 * s["power_budget_w"],
         "cut_half_span_m": 1.1 * wl.lam,
         "cut_step_m": wl.lam / 64.0,
         "plane_half_span_a_m": 0.45 * wl.lam,
@@ -375,7 +373,7 @@ def _solve_weights(s: dict, h: ChannelVector):
         return cp_weights(h, pc)
     if s["method"] == "tr":
         return tr_weights(h, pc)
-    return hybrid_weights(h, pc, tol=s["bisection_tol_w"])
+    return hybrid_weights(h, pc)
 
 
 def _cut_offsets(s: dict) -> np.ndarray:
@@ -525,8 +523,7 @@ def _cmd_validate_profile(s: dict, outdir: Path, wl: Wavelength,
     offsets = _cut_offsets(s)
     fm = _evaluate(s, sources, weights, _cut_points(s, axis, offsets), wl, threads)
     numeric = np.abs(fm.component(component))
-    ana = np.array([analytic.resolution_profiles(kind, abs(d) / wl.lam, spec)
-                    for d in offsets])
+    ana = analytic.resolution_profiles(kind, np.abs(offsets) / wl.lam, spec)
 
     write_csv(outdir / "cut.csv", CUT_CSV_HEADER,
               ((offsets[i], *row) for i, row in enumerate(fm.rows())))
@@ -620,8 +617,7 @@ def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
     axis, _ = _REFERENCE_GEOMETRY[kind]
     spec = _geometry_spec(s)
     offsets = _cut_offsets(s)
-    values = np.array([analytic.resolution_profiles(kind, abs(d) / wl.lam, spec)
-                       for d in offsets])
+    values = analytic.resolution_profiles(kind, np.abs(offsets) / wl.lam, spec)
     curve = analytic.AxisProfile(axis=axis, offsets_m=offsets, values=values,
                                  normalization="closed-form reference, "
                                                "see module analytic")
@@ -661,8 +657,6 @@ def _parse_args(argv):
                                      "default nearfocus-out)")
         p.add_argument("--threads", help="parallelism over grid points "
                                          "(env NEARFOCUS_THREADS, default 1)")
-        p.add_argument("--seed", help="random seed, reserved for optimality-oracle "
-                                      "restarts (env NEARFOCUS_SEED)")
     return parser.parse_args(argv)
 
 
@@ -677,8 +671,6 @@ def _setting(cli_value, env_name: str, default):
 
 def _int_setting(cli_value, env_name: str, default, minimum: int, label: str):
     raw = _setting(cli_value, env_name, default)
-    if raw is default and not isinstance(raw, str):
-        return raw
     try:
         value = int(raw)
     except (TypeError, ValueError):
@@ -698,7 +690,6 @@ def main(argv=None) -> int:
                                          "or set NEARFOCUS_SCENARIO")
         outdir = Path(_setting(args.out, "NEARFOCUS_OUT", "nearfocus-out"))
         threads = _int_setting(args.threads, "NEARFOCUS_THREADS", 1, 1, "--threads")
-        seed = _int_setting(args.seed, "NEARFOCUS_SEED", None, 0, "--seed")
 
         scenario, filled = load_scenario(scenario_path)
         wl = _wavelength(scenario)
@@ -732,7 +723,6 @@ def main(argv=None) -> int:
             "defaults_filled": filled,
             "derived": {"wavelength_m": wl.lam, "wavenumber_rad_per_m": wl.k},
             "threads": threads,
-            "seed": seed,
             "resolved_conventions": RESOLVED_CONVENTIONS,
             "artifacts": sorted(artifacts + ["manifest.json"]),
             "wall_time_s": time.perf_counter() - started,

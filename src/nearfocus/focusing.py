@@ -7,7 +7,7 @@ Three solvers for max |E(focus)| over complex drive weights:
   * tr_weights: total-power cap only; amplitudes taper with channel
     strength (conjugate channel over port resistance).
   * hybrid_weights: both caps; a water-level amplitude clip(beta*v, cap)
-    with beta bisected until the power budget is met.
+    with beta solved exactly so the power budget is met.
 
 All scalar channels are the projection of the vector channel entries on
 the target polarization.  Port resistances are R0 times the channel's
@@ -50,7 +50,7 @@ class ExcitationWeights:
 class FocalReport:
     E_focus: complex
     active_constraint: str  # local | global | both
-    beta: float             # water level scale; 0 when no bisection ran
+    beta: float             # water level scale; 0 when no level was solved
 
 
 class OracleReport:
@@ -110,19 +110,37 @@ def tr_weights(h: ChannelVector, pc: PowerConstraints):
             FocalReport(E_focus=e_focus, active_constraint="global", beta=d_r))
 
 
-def hybrid_weights(h: ChannelVector, pc: PowerConstraints,
-                   tol: float | None = None, max_iters: int = 200):
-    """Water-level solution under both caps via bisection on the level.
+def _water_level(v: np.ndarray, R: np.ndarray, pc: PowerConstraints) -> float:
+    """Level beta at which sum(R/2 * min(beta*v, w_max)^2) equals P0.
+
+    Needs a budget below the all-clipped power, so at least the weakest
+    element stays unclipped.
+    """
+    order = np.argsort(-v, kind="stable")
+    v_desc, r_desc = v[order], R[order]
+    # spent[j]: power of the j+1 strongest elements at the cap;
+    # rest[j]: power of elements j.. per unit level squared.
+    spent = np.cumsum(0.5 * r_desc * pc.w_max ** 2)
+    rest = np.cumsum((0.5 * r_desc * v_desc ** 2)[::-1])[::-1]
+    # power at the level where element j reaches the cap, for all but the
+    # weakest
+    breakpoint_power = spent[:-1] + (pc.w_max / v_desc[:-1]) ** 2 * rest[1:]
+    k = int(np.count_nonzero(breakpoint_power <= pc.P0))
+    return math.sqrt((pc.P0 - (spent[k - 1] if k else 0.0)) / rest[k])
+
+
+def hybrid_weights(h: ChannelVector, pc: PowerConstraints):
+    """Exact water-level solution under both caps.
 
     Amplitudes are min(beta*v_n, w_max) with v the power-weighted
-    channel direction (conjugate channel over resistance, normalized);
-    beta is raised by doubling and then bisected until the total power
-    sits within tol of the budget, unless every element clips first.
+    channel direction (conjugate channel over resistance, normalized).
+    The KKT conditions fix beta in closed form (Palomar & Fonollosa,
+    IEEE TSP 2005): with v sorted in descending order, the k strongest
+    elements clip, where k is the number of breakpoints beta = w_max/v_j
+    whose power stays within the budget, and beta spends the remaining
+    budget on the unclipped rest.  If every element clips before the
+    budget binds, the solution is the CP one.
     """
-    if tol is None:
-        tol = 1e-10 * pc.P0
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     g, absg, live, R = _channel_arrays(h, pc)
     phase = np.ones_like(g)
     phase[live] = np.conj(g[live]) / absg[live]
@@ -140,38 +158,10 @@ def hybrid_weights(h: ChannelVector, pc: PowerConstraints,
     v[live] = absg[live] / R[live]
     v /= float(np.linalg.norm(v))
 
-    def clipped_power(beta: float) -> float:
-        amp = np.minimum(beta * v, pc.w_max)
-        return float(np.sum(0.5 * R * amp * amp))
-
-    # unclipped solve underestimates the level, so it seeds the bracket
-    lo = math.sqrt(2.0 * pc.P0 / float(np.sum(R * v * v)))
-    hi = lo
-    doublings = 0
-    while clipped_power(hi) < pc.P0 - tol:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 64:
-            raise RuntimeError("water-level bracket did not reach the power budget")
-    beta = hi
-    power = clipped_power(beta)
-    iters = 0
-    while abs(power - pc.P0) > tol:
-        iters += 1
-        if iters > max_iters:
-            raise RuntimeError(
-                f"bisection did not reach |power - P0| <= {tol} in {max_iters} "
-                f"iterations; tolerance may be below float resolution")
-        mid = 0.5 * (lo + hi)
-        if clipped_power(mid) < pc.P0:
-            lo = mid
-        else:
-            hi = mid
-        beta = hi
-        power = clipped_power(beta)
-
+    beta = _water_level(v[live], R[live], pc)
     amp = np.minimum(beta * v, pc.w_max)
     w = amp * phase
+    power = _total_power(R, w)
     clipped = (beta * v >= pc.w_max) & live
     if np.all(clipped[live]):
         regime, active = "CP", "both"

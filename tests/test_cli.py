@@ -7,10 +7,12 @@ min(w_max, sqrt(2*P0/R0)), and the finite-geometry co/cross ratios from
 the closed-form axis curves.
 """
 
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +57,7 @@ class TestRun:
         scn = scenario(tmp_path, **MESH, amplitude_cap_a=0.008)
         out = tmp_path / "out"
         code, summary = run_cli(capsys, "run", "--scenario", scn,
-                                "--out", str(out), "--seed", "7")
+                                "--out", str(out))
         assert code == 0 and summary["status"] == "ok"
         for name in ("weights.csv", "weights.json", "cut.csv",
                      "metrics.json", "manifest.json"):
@@ -65,7 +67,6 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tool"] == "nearfocus"
         assert manifest["version"] == nearfocus.__version__
-        assert manifest["seed"] == 7
         assert manifest["threads"] == 1
         assert manifest["wall_time_s"] > 0.0
         # every filled default is explicit in the resolved scenario
@@ -326,6 +327,21 @@ class TestAnalyticSubcommand:
         assert data[mid, 1] == pytest.approx(
             analytic.resolution_profiles("ez_long", 0.0, spec), rel=1e-15)
         np.testing.assert_allclose(data[:, 1], data[::-1, 1], rtol=1e-12)
+
+    def test_benchmark_tracer_sees_special_functions(self, tmp_path, capsys):
+        # the benchmark's tracer rebinds analytic's special-function names;
+        # renaming or bypassing them would silently zero its specfun metrics
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        scn = scenario(tmp_path, analytic_reference="ex_long")
+        with tracing.installed(tracing.Tracer()) as tracer:
+            code, _ = run_cli(capsys, "analytic", "--scenario", scn,
+                              "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert tracer.counts["analytic.profile.calls"] > 0
+        assert tracer.counts["specfun.calls"] > 0
 
     def test_profile_reference_required(self, tmp_path, capsys):
         scn = scenario(tmp_path, length_m=100.0, method="cp",

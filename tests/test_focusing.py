@@ -152,16 +152,6 @@ def test_hybrid_two_element_water_level():
     assert weights.total_power == pytest.approx(1.0, rel=1e-9)
 
 
-def test_hybrid_tolerance_validation_and_nonconvergence():
-    g = np.array([2.0, 1.0, 0.5j])
-    pc = PowerConstraints(w_max=0.8, P0=1.0, R0_per_port=2.0)
-    with pytest.raises(ValueError):
-        hybrid_weights(channel_from_g(g), pc, tol=0.0)
-    with pytest.raises(RuntimeError):
-        hybrid_weights(channel_from_g(np.array([2.0, 1.37, 0.55j])), pc,
-                       tol=1e-300, max_iters=2)
-
-
 @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=60, deadline=None)
 def test_hybrid_properties(n, seed):
