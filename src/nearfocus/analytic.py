@@ -208,7 +208,11 @@ def spherical_j1_over_x(x):
 
 
 def struve_h(order, x):
-    """Struve function H_order(x); orders -1 and 0 are used here."""
+    """Struve function H_order(x) for orders -1 and 0 and x >= 0."""
+    if order not in (-1, 0):
+        raise ValueError("struve_h supports orders -1 and 0 only")
+    if np.any(np.asarray(x) < 0.0):
+        raise ValueError("struve_h requires x >= 0")
     return special.struve(order, x)
 
 
@@ -219,6 +223,8 @@ def sine_integral(x):
 
 def complete_elliptic_k(m):
     """Complete elliptic integral of the first kind, parameter convention m < 1."""
+    if np.any(np.asarray(m) >= 1.0):
+        raise ValueError("complete_elliptic_k requires parameter m < 1")
     return special.ellipk(m)
 
 

@@ -1,10 +1,8 @@
-"""Tests for the closed-form focal curves and their special functions.
+"""Tests for the closed-form focal curves.
 
 Frozen reference values come from 40-digit mpmath root solves and direct
 scipy integration of the amplitude densities, computed independently of
-this package before the module was written.  The special functions are
-checked against 40-digit frozen values and adaptive-quadrature oracles
-built from integral representations.
+this package before the module was written.
 """
 
 import math
@@ -32,7 +30,6 @@ from nearfocus.analytic import (
     TRANSVERSE_TR_Z_LIMIT,
     AxisProfile,
     GeometryAngles,
-    complete_elliptic_k,
     ex_cp_axis,
     ex_cp_radial_x,
     ex_cp_radial_y,
@@ -45,10 +42,6 @@ from nearfocus.analytic import (
     kernel_point,
     profile_rows,
     resolution_profiles,
-    sinc,
-    sine_integral,
-    spherical_j1_over_x,
-    struve_h,
     transverse_pol_cp,
     transverse_pol_cp_quadrature,
     transverse_pol_tr,
@@ -485,79 +478,3 @@ class TestAxisProfileType:
     def test_header_names(self):
         assert PROFILE_CSV_HEADER == ("offset_wl", "value")
 
-
-# ---------------------------------------------------------------------------
-# Special functions: frozen values and quadrature oracles
-
-def struve0_quadrature(x: float) -> float:
-    val, _ = integrate.quad(lambda t: math.sin(x * math.cos(t)), 0.0, 0.5 * math.pi,
-                            limit=400, epsabs=1e-13, epsrel=1e-13)
-    return 2.0 * val / math.pi
-
-
-def struve1_quadrature(x: float) -> float:
-    val, _ = integrate.quad(lambda t: math.sin(x * math.cos(t)) * math.sin(t) ** 2,
-                            0.0, 0.5 * math.pi, limit=400, epsabs=1e-13, epsrel=1e-13)
-    return 2.0 * x * val / math.pi
-
-
-def si_quadrature(x: float) -> float:
-    val, _ = integrate.quad(lambda t: math.sin(t) / t if t != 0 else 1.0, 0.0, x,
-                            limit=800, epsabs=1e-13, epsrel=1e-13)
-    return val
-
-
-def ellipk_quadrature(m: float) -> float:
-    val, _ = integrate.quad(lambda t: 1.0 / math.sqrt(1.0 - m * math.sin(t) ** 2),
-                            0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-13)
-    return val
-
-
-def j1_over_x_quadrature(x: float) -> float:
-    val, _ = integrate.quad(lambda t: t * math.sin(x * t), 0.0, 1.0,
-                            limit=400, epsabs=1e-14, epsrel=1e-14)
-    return val / x
-
-
-def test_frozen_reference_values():
-    assert sinc(0.0) == 1.0
-    assert sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
-    assert spherical_j1_over_x(0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert spherical_j1_over_x(math.pi) == pytest.approx(0.10132118364233777, abs=1e-14)
-    assert spherical_j1_over_x(10.0) == pytest.approx(0.0078466941798751547, abs=1e-14)
-    assert struve_h(-1, 0.0) == pytest.approx(2.0 / math.pi, abs=1e-15)
-    assert struve_h(0, 0.0) == 0.0
-    assert struve_h(0, 1.0) == pytest.approx(0.56865662704828795, abs=1e-11)
-    assert struve_h(-1, 1.0) == pytest.approx(0.43816243616563694, abs=1e-11)
-    assert sine_integral(0.0) == 0.0
-    assert sine_integral(1.0) == pytest.approx(0.94608307036718301, abs=1e-12)
-    assert sine_integral(math.pi) == pytest.approx(1.8519370519824662, abs=1e-12)
-    assert complete_elliptic_k(0.0) == pytest.approx(0.5 * math.pi, rel=1e-15)
-    assert complete_elliptic_k(0.5) == pytest.approx(1.8540746773013719, rel=1e-12)
-    assert complete_elliptic_k(-1.0) == pytest.approx(1.3110287771460599, rel=1e-12)
-
-
-@pytest.mark.parametrize("x", np.linspace(0.05, 40.0, 21).tolist() + [18.9, 19.1])
-def test_struve0_against_quadrature(x):
-    assert struve_h(0, x) == pytest.approx(struve0_quadrature(x), abs=1e-9)
-
-
-@pytest.mark.parametrize("x", np.linspace(0.05, 40.0, 17).tolist() + [18.9, 19.1])
-def test_struve_m1_against_quadrature(x):
-    # H_{-1}(x) = 2/pi - H_1(x) gives an independent quadrature route
-    assert struve_h(-1, x) == pytest.approx(2.0 / math.pi - struve1_quadrature(x), abs=1e-9)
-
-
-@pytest.mark.parametrize("x", np.linspace(0.1, 40.0, 19).tolist() + [13.9, 14.1])
-def test_si_against_quadrature(x):
-    assert sine_integral(x) == pytest.approx(si_quadrature(x), abs=1e-10)
-
-
-@pytest.mark.parametrize("m", [-25.0, -5.0, -1.0, -0.25, 0.0, 0.3, 0.5, 0.9, 0.99])
-def test_ellipk_against_quadrature(m):
-    assert complete_elliptic_k(m) == pytest.approx(ellipk_quadrature(m), rel=1e-10)
-
-
-@pytest.mark.parametrize("x", [0.3, 0.49, 0.51, 1.0, 4.0, 10.0, 31.4])
-def test_j1_over_x_against_quadrature(x):
-    assert spherical_j1_over_x(x) == pytest.approx(j1_over_x_quadrature(x), abs=1e-12)
