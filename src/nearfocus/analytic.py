@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .csvio import format_number
 from .geometry import CylinderSpec
 
 __all__ = [
@@ -178,12 +177,11 @@ class AxisProfile:
 PROFILE_CSV_HEADER = ("offset_wl", "value")
 
 
-def profile_rows(profile: AxisProfile, wavelength_m: float):
-    """Yield CSV rows (offset in wavelengths, normalized value)."""
+def profile_rows(profile: AxisProfile, wavelength_m: float) -> np.ndarray:
+    """(n, 2) CSV table: offset in wavelengths, normalized value."""
     if not wavelength_m > 0.0:
         raise ValueError("wavelength must be positive")
-    for off, val in zip(profile.offsets_m, profile.values):
-        yield [format_number(off / wavelength_m), format_number(val)]
+    return np.column_stack([profile.offsets_m / wavelength_m, profile.values])
 
 
 # ---------------------------------------------------------------------------

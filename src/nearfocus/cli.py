@@ -435,7 +435,7 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list,
         fm = _evaluate(s, sources, weights, _cut_points(s, s["cut_axis"], offsets),
                        wl, threads)
         write_csv(outdir / "cut.csv", CUT_CSV_HEADER,
-                  ((offsets[i], *row) for i, row in enumerate(fm.rows())))
+                  np.column_stack([offsets, fm.rows()]))
         artifacts.append("cut.csv")
         metrics_payload["kind"] = "cut"
         metrics_payload["axis"] = s["cut_axis"]
@@ -526,7 +526,7 @@ def _cmd_validate_profile(s: dict, outdir: Path, wl: Wavelength,
     ana = analytic.resolution_profiles(kind, np.abs(offsets) / wl.lam, spec)
 
     write_csv(outdir / "cut.csv", CUT_CSV_HEADER,
-              ((offsets[i], *row) for i, row in enumerate(fm.rows())))
+              np.column_stack([offsets, fm.rows()]))
     curve = analytic.AxisProfile(axis=axis, offsets_m=offsets, values=ana,
                                  normalization="closed-form reference, "
                                                "see module analytic")

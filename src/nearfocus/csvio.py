@@ -2,33 +2,31 @@
 
 Numbers are written with 17 significant digits, '.' decimal separator,
 and '\\n' line endings regardless of platform, so identical inputs
-produce byte-identical files.
+produce byte-identical files.  Integers below 1e17 print as integers.
 """
 
 from __future__ import annotations
 
-import io
+import numpy as np
 
-
-def format_number(x) -> str:
-    if isinstance(x, bool):
-        raise TypeError("bool is not a CSV number")
-    if isinstance(x, int):
-        return str(x)
-    v = float(x)
-    if v != v or v in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value in CSV output: {v}")
-    s = f"{v:.17g}"
-    # normalize negative zero so reruns are byte-identical
-    return "0" if s == "-0" else s
+# rows formatted per template application
+_BLOCK_ROWS = 65536
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header))
-    buf.write("\n")
-    for row in rows:
-        buf.write(",".join(format_number(v) for v in row))
-        buf.write("\n")
+    """Write an (n, k) numeric table, k = len(header), one '%.17g' per cell."""
+    table = np.asarray(rows, dtype=float)
+    if table.size == 0:
+        table = table.reshape(0, len(header))
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"CSV table must be (n, {len(header)}), got {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite value in CSV output")
+    # adding 0.0 turns -0 into 0, so reruns are byte-identical
+    table = table + 0.0
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="ascii", newline="") as f:
-        f.write(buf.getvalue())
+        f.write(",".join(header) + "\n")
+        for lo in range(0, table.shape[0], _BLOCK_ROWS):
+            block = table[lo:lo + _BLOCK_ROWS]
+            f.write(line * block.shape[0] % tuple(block.ravel().tolist()))

@@ -1,9 +1,9 @@
 """Vector E-field evaluation for impressed currents and Hertzian dipoles.
 
-Implements the closed-form point-source kernels (electric-current kernel
-with all reactive terms, magnetic-current curl kernel, and the radiating
-1/r dipole approximation), assembles per-source focal channel vectors,
-and superposes weighted source fields over evaluation grids.
+One routine, _dyadic, evaluates the closed-form point-source kernels
+(electric current with all reactive terms, magnetic-current curl, and
+the radiating 1/r dipole approximation) for the 3x3 tensors, the focal
+channel vectors and the superposition of weighted sources over grids.
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -23,19 +23,12 @@ from .geometry import FREE_SPACE_IMPEDANCE, ArrayLayout, SurfaceMesh, Wavelength
 
 FOUR_PI = 4.0 * math.pi
 
-# points per vectorized chunk are sized so the (chunk, N, 3) complex
-# intermediate stays around 100 MB even for large meshes
-_CHUNK_BUDGET = 2_000_000
-
-
-@dataclass(frozen=True)
-class ComplexField3:
-    Ex: complex
-    Ey: complex
-    Ez: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.Ex, self.Ey, self.Ez], dtype=complex)
+# (point, source) pairs per work unit: 15 float arrays of this size per
+# thread (8 MB), large enough that two threads seldom wait on the GIL
+_CHUNK_BUDGET = 65_536
+# sources per matmul when the grid fills a unit: BLAS adds a block's products
+# one after another, so short blocks keep a focal sum's rounding small
+_SOURCE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -101,70 +94,145 @@ class FieldMap:
     def component(self, axis: str) -> np.ndarray:
         return self.E[:, "xyz".index(axis)]
 
-    def rows(self):
-        for i in range(len(self)):
-            p, e = self.points[i], self.E[i]
-            yield (p[0], p[1], p[2], e[0].real, e[0].imag,
-                   e[1].real, e[1].imag, e[2].real, e[2].imag)
+    def rows(self) -> np.ndarray:
+        """(n, 9) CSV table in FIELDMAP_CSV_HEADER order."""
+        return np.hstack([self.points, np.ascontiguousarray(self.E).view(float)])
 
 
 FIELDMAP_CSV_HEADER = ["x", "y", "z", "re_ex", "im_ex", "re_ey", "im_ey",
                        "re_ez", "im_ez"]
 
 
-# ------------------------------------------------------------ point kernels
+# ------------------------------------------------------------------ kernel
+
+def _dyadic(points, src, moments, k, kernel, source_kind, scratch, standoff=0.0,
+            rhs=None):
+    """The dyadic kernel on one work unit, and each point's nearest-source distance.
+
+    points (P, 3) and src (N, 3) share an origin near the points; with r = p - s,
+    moment m gives A*m + C*r, C = B*(m.r) (electric) or C*(r x m) (magnetic) for
+    (P, N) complex scalars A, C.  Given _reduction_rhs the weighted source sum is
+    a matmul, E = A@wm + p*(C@w) - C@(wS) or p x (C@wm) - C@(w S x m); without,
+    the one point's per-source fields come back as (N, 3).  The (P, N) arrays
+    are views of scratch, which a thread reuses from unit to unit.
+    """
+    x, y, z, R, sin, cos, q, md, tb, u, tmp, Ar, Ai, Cr, Ci = (
+        b[:points.shape[0] * src.shape[0]].reshape(points.shape[0], -1) for b in scratch)
+    for i, v in enumerate((x, y, z)):
+        np.subtract(points[:, i, None], src[:, i], out=v)
+    np.multiply(x, x, out=R)
+    R += np.multiply(y, y, out=u)
+    R += np.multiply(z, z, out=u)
+    dmin = np.sqrt(R, out=R).min(axis=1)
+    if not np.all(dmin > 0.0):
+        raise ValueError("grid point coincides with a source")
+    if np.any(dmin < standoff):
+        raise ValueError(f"a point lies {dmin.min()} m from a source, inside the "
+                         f"quarter-wavelength standoff {standoff} m")
+    # exp(-jkR) = (cos - j sin) / (1 + h^2) with cos = 1 - h^2, sin = 2h and
+    # h = tan(kR/2): one vectorized tan in place of scalar libm sin and cos;
+    # q carries the 1/(1 + h^2)
+    np.tan(np.multiply(R, 0.5 * k, out=sin), out=sin)
+    np.add(np.multiply(sin, sin, out=cos), 1.0, out=q)
+    np.subtract(1.0, cos, out=cos)
+    sin *= 2.0
+    inv = np.divide(1.0, R, out=R)
+    np.divide(inv, q, out=q)
+    if source_kind == "magnetic":
+        # C = (jk + 1/R) exp(-jkR) / (4 pi R^2)
+        q *= inv
+        q *= 1.0 / FOUR_PI
+        _phasor(sin, cos, k, inv, q, Cr, Ci, tmp)
+    else:
+        # A = j k eta0 exp(-jkR) / (4 pi R) * (a - jt) and C = the same times
+        # (b + 3jt) (m.r) / R^2, where a = 1 - t^2, b = 3t^2 - 1, t = 1/(kR);
+        # the radiating approximation keeps a = 1, b = -1, t = 0
+        q *= k * FREE_SPACE_IMPEDANCE / FOUR_PI
+        np.multiply(x, moments[:, 0], out=md)
+        md += np.multiply(y, moments[:, 1], out=u)
+        md += np.multiply(z, moments[:, 2], out=u)
+        a, t = 1.0, 0.0
+        if kernel == "full":
+            t = np.multiply(inv, 1.0 / k, out=tb)
+            a = np.subtract(1.0, np.multiply(t, t, out=u), out=u)
+        _phasor(sin, cos, a, t, q, Ar, Ai, tmp)
+        a *= -3.0
+        a += 2.0
+        t *= -3.0
+        q *= md
+        q *= inv
+        q *= inv
+        _phasor(sin, cos, a, t, q, Cr, Ci, tmp)
+    if rhs is None:
+        r = np.stack([x[0], y[0], z[0]], axis=1)
+        c = (Cr[0] + 1j * Ci[0])[:, None]
+        if source_kind == "magnetic":
+            return c * np.cross(r, moments), dmin
+        return (Ar[0] + 1j * Ai[0])[:, None] * moments + c * r, dmin
+    if source_kind == "magnetic":
+        xy = _cmatmul(Cr, Ci, rhs[0])
+        return np.cross(points, xy[:, :3]) - xy[:, 3:], dmin
+    cw = _cmatmul(Cr, Ci, rhs[1])
+    return _cmatmul(Ar, Ai, rhs[0]) + points * cw[:, :1] - cw[:, 1:], dmin
+
+
+def _phasor(sin, cos, x, y, q, re, im, tmp):
+    """re + j im = (sin + j cos) * (x - j y) * q, written in place."""
+    np.multiply(sin, x, out=re)
+    re += np.multiply(cos, y, out=tmp)
+    re *= q
+    np.multiply(cos, x, out=im)
+    im -= np.multiply(sin, y, out=tmp)
+    im *= q
+
+
+def _cmatmul(re, im, M):
+    """(re + j im) @ (Mr + j Mi) by real matmuls, M stacked as [Mr | Mi]."""
+    q = M.shape[1] // 2
+    a, b = re @ M, im @ M
+    return a[:, :q] - b[:, q:] + 1j * (a[:, q:] + b[:, :q])
+
+
+def _reduction_rhs(src, moments, w, source_kind):
+    """Right-hand sides of the sums over sources, each stacked as [re | im]."""
+    wm = w[:, None] * moments
+    if source_kind == "magnetic":
+        rhs = [np.hstack([wm, w[:, None] * np.cross(src, moments)])]
+    else:
+        rhs = [wm, np.column_stack([w, w[:, None] * src])]
+    return [np.hstack([M.real, M.imag]) for M in rhs]
+
+
+def _units(n_points, n_src):
+    """(point slice, source slice) units cut by problem size, and the scratch shape."""
+    block = min(n_src, max(_SOURCE_BLOCK, _CHUNK_BUDGET // max(1, n_points)))
+    per = max(1, _CHUNK_BUDGET // block)
+    units = [(slice(p, p + per), slice(s, s + block))
+             for p in range(0, n_points, per) for s in range(0, n_src, block)]
+    return units, (15, min(per, n_points) * block)
+
+
+def _point_tensor(r, r_src, wl, source_kind):
+    src = np.tile(np.asarray(r_src, dtype=float) - np.asarray(r, dtype=float), (3, 1))
+    entries, _ = _dyadic(np.zeros((1, 3)), src, np.eye(3), wl.k, "full", source_kind,
+                         np.empty(_units(1, 3)[1]))
+    return entries.T
+
 
 def green_electric(r: np.ndarray, r_src: np.ndarray, wl: Wavelength) -> np.ndarray:
     """Electric-current kernel: 3x3 tensor with all 1/R..1/R^3 terms."""
-    rv = np.asarray(r, dtype=float) - np.asarray(r_src, dtype=float)
-    R = float(np.linalg.norm(rv))
-    if R <= 0.0:
-        raise ValueError("coincident observation and source points")
-    rhat = rv / R
-    kR = wl.k * R
-    t = 1.0 / kR
-    g = np.exp(-1j * kR) / (FOUR_PI * R)
-    pref = 1j * wl.k * FREE_SPACE_IMPEDANCE * g
-    c_iso = 1.0 - 1j * t - t * t
-    c_rad = -1.0 + 3j * t + 3.0 * t * t
-    return pref * (c_iso * np.eye(3) + c_rad * np.outer(rhat, rhat))
+    return _point_tensor(r, r_src, wl, "electric")
 
 
 def green_magnetic(r: np.ndarray, r_src: np.ndarray, wl: Wavelength) -> np.ndarray:
     """Magnetic-current curl kernel: antisymmetric 3x3 tensor."""
-    rv = np.asarray(r, dtype=float) - np.asarray(r_src, dtype=float)
-    R = float(np.linalg.norm(rv))
-    if R <= 0.0:
-        raise ValueError("coincident observation and source points")
-    rhat = rv / R
-    g = np.exp(-1j * wl.k * R) / (FOUR_PI * R)
-    s = (1j * wl.k + 1.0 / R) * g
-    # cross-product matrix of rhat: G @ v == s * (rhat x v)
-    return s * np.array([[0.0, -rhat[2], rhat[1]],
-                         [rhat[2], 0.0, -rhat[0]],
-                         [-rhat[1], rhat[0], 0.0]], dtype=complex)
-
-
-def dipole_field_approx(element, drive: complex, r: np.ndarray,
-                        wl: Wavelength) -> ComplexField3:
-    """Radiating-term dipole field: R_e*I*exp(-jkr)/r * (p - (r.p)r)."""
-    rv = np.asarray(r, dtype=float) - np.asarray(element.position, dtype=float)
-    R = float(np.linalg.norm(rv))
-    if R < 0.25 * wl.lam:
-        raise ValueError(
-            f"observation point {R} m from the element is inside the "
-            f"quarter-wavelength exclusion radius {0.25 * wl.lam} m")
-    rhat = rv / R
-    p = np.asarray(element.orientation_p, dtype=float)
-    re_const = DipoleConstants.for_dipole(element.length_l, wl).Re_const
-    vec = (re_const * drive * np.exp(-1j * wl.k * R) / R) * (p - np.dot(rhat, p) * rhat)
-    return ComplexField3(Ex=vec[0], Ey=vec[1], Ez=vec[2])
+    return _point_tensor(r, r_src, wl, "magnetic")
 
 
 # -------------------------------------------------------- vectorized fields
 
 def _source_arrays(sources, mesh_current: str):
-    """Positions, unit-drive moment vectors, and moment magnitudes."""
+    """Positions and unit-drive moment vectors."""
     if isinstance(sources, ArrayLayout):
         return sources.positions, sources.orientations * sources.length_l
     if isinstance(sources, SurfaceMesh):
@@ -178,50 +246,13 @@ def _source_arrays(sources, mesh_current: str):
     raise TypeError(f"unsupported source container {type(sources).__name__}")
 
 
-def _accumulate(points, src_pos, moments, weights, k, kernel, source_kind):
-    """Weighted field sum over sources, chunked over grid points.
-
-    Summation over sources happens in fixed index order per grid point,
-    so repeated runs are bit-identical.
-    """
-    n_src = src_pos.shape[0]
-    out = np.zeros((points.shape[0], 3), dtype=complex)
-    wm = moments * weights[:, None] if weights is not None else moments
-    chunk = max(1, _CHUNK_BUDGET // max(1, n_src))
-    for lo in range(0, points.shape[0], chunk):
-        pts = points[lo:lo + chunk]
-        rv = pts[:, None, :] - src_pos[None, :, :]
-        R = np.linalg.norm(rv, axis=2)
-        rhat = rv / R[:, :, None]
-        g = np.exp(-1j * k * R) / (FOUR_PI * R)
-        if source_kind == "electric":
-            pref = 1j * k * FREE_SPACE_IMPEDANCE * g
-            mdotr = np.einsum("nj,pnj->pn", wm, rhat)
-            if kernel == "full":
-                t = 1.0 / (k * R)
-                c_iso = 1.0 - 1j * t - t * t
-                c_rad = -1.0 + 3j * t + 3.0 * t * t
-                contrib = pref[:, :, None] * (
-                    c_iso[:, :, None] * wm[None, :, :]
-                    + (c_rad * mdotr)[:, :, None] * rhat)
-            else:
-                contrib = pref[:, :, None] * (wm[None, :, :] - mdotr[:, :, None] * rhat)
-        else:
-            s = (1j * k + 1.0 / R) * g
-            cross = np.cross(rhat, wm[None, :, :])
-            contrib = s[:, :, None] * cross
-        out[lo:lo + chunk] = np.sum(contrib, axis=1)
-    return out
-
-
-def _min_source_distance(points, src_pos):
-    n_src = src_pos.shape[0]
-    dmin = np.full(points.shape[0], np.inf)
-    chunk = max(1, _CHUNK_BUDGET // max(1, n_src))
-    for lo in range(0, points.shape[0], chunk):
-        d = np.linalg.norm(points[lo:lo + chunk, None, :] - src_pos[None, :, :], axis=2)
-        dmin[lo:lo + chunk] = d.min(axis=1)
-    return dmin
+def _check_kernel(kernel: str, source_kind: str) -> None:
+    if kernel not in ("full", "dipole-approx"):
+        raise ValueError(f"unknown kernel {kernel!r}")
+    if source_kind not in ("electric", "magnetic"):
+        raise ValueError(f"unknown source kind {source_kind!r}")
+    if kernel == "dipole-approx" and source_kind == "magnetic":
+        raise ValueError("the dipole approximation applies to electric sources only")
 
 
 def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Wavelength,
@@ -234,56 +265,25 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     point must keep the quarter-wavelength standoff from every source
     and sit inside the aperture's bounding region.
     """
-    if kernel not in ("full", "dipole-approx"):
-        raise ValueError(f"unknown kernel {kernel!r}")
-    if source_kind not in ("electric", "magnetic"):
-        raise ValueError(f"unknown source kind {source_kind!r}")
-    if kernel == "dipole-approx" and source_kind == "magnetic":
-        raise ValueError("the dipole approximation applies to electric sources only")
+    _check_kernel(kernel, source_kind)
     focal = np.asarray(focal, dtype=float)
-    e_hat = np.asarray(e_hat, dtype=float)
     src_pos, moments = _source_arrays(sources, mesh_current)
 
     lo, hi = src_pos.min(axis=0), src_pos.max(axis=0)
     if np.any(focal < lo - 1e-12) or np.any(focal > hi + 1e-12):
         raise ValueError("focal point lies outside the aperture region")
-    dmin = float(_min_source_distance(focal[None, :], src_pos)[0])
-    if dmin < 0.25 * wl.lam:
-        raise ValueError(
-            f"focal point is {dmin} m from the nearest source, inside the "
-            f"quarter-wavelength standoff {0.25 * wl.lam} m")
-
-    n = src_pos.shape[0]
+    src = src_pos - focal
+    n = src.shape[0]
     entries = np.empty((n, 3), dtype=complex)
-    # one source per evaluation: reuse the chunked path with roles swapped
-    for start in range(0, n, 200000):
-        stop = min(n, start + 200000)
-        rv = focal[None, :] - src_pos[start:stop]
-        R = np.linalg.norm(rv, axis=1)
-        rhat = rv / R[:, None]
-        g = np.exp(-1j * wl.k * R) / (FOUR_PI * R)
-        m = moments[start:stop]
-        if source_kind == "electric":
-            pref = 1j * wl.k * FREE_SPACE_IMPEDANCE * g
-            mdotr = np.einsum("nj,nj->n", m, rhat)
-            if kernel == "full":
-                t = 1.0 / (wl.k * R)
-                c_iso = 1.0 - 1j * t - t * t
-                c_rad = -1.0 + 3j * t + 3.0 * t * t
-                entries[start:stop] = pref[:, None] * (
-                    c_iso[:, None] * m + (c_rad * mdotr)[:, None] * rhat)
-            else:
-                entries[start:stop] = pref[:, None] * (m - mdotr[:, None] * rhat)
-        else:
-            s = (1j * wl.k + 1.0 / R) * g
-            entries[start:stop] = s[:, None] * np.cross(rhat, m)
+    units, shape = _units(1, n)
+    scratch = np.empty(shape)
+    for _, s in units:
+        entries[s], _ = _dyadic(np.zeros((1, 3)), src[s], moments[s], wl.k, kernel,
+                                source_kind, scratch, standoff=0.25 * wl.lam)
 
     if isinstance(sources, SurfaceMesh):
-        a_ref = (0.5 * wl.lam) ** 2
-        resistance_scale = sources.areas / a_ref
-    else:
-        resistance_scale = np.ones(n)
-    return ChannelVector(entries, focal, e_hat, resistance_scale)
+        return ChannelVector(entries, focal, e_hat, sources.areas / (0.5 * wl.lam) ** 2)
+    return ChannelVector(entries, focal, e_hat, np.ones(n))
 
 
 def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
@@ -293,38 +293,37 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
 
     The approximate kernel refuses points inside the quarter-wavelength
     standoff; the full kernel evaluates them (it is finite anywhere off
-    the source) but flags them near_singular.
+    the source) but flags them near_singular.  Points and sources are
+    shifted to the grid centroid, so p*(C@w) - C@(wS) keeps its digits.
     """
-    if kernel not in ("full", "dipole-approx"):
-        raise ValueError(f"unknown kernel {kernel!r}")
-    if source_kind not in ("electric", "magnetic"):
-        raise ValueError(f"unknown source kind {source_kind!r}")
-    if kernel == "dipole-approx" and source_kind == "magnetic":
-        raise ValueError("the dipole approximation applies to electric sources only")
+    _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     src_pos, moments = _source_arrays(sources, mesh_current)
     w = np.asarray(getattr(weights, "w", weights), dtype=complex)
     if w.shape != (src_pos.shape[0],):
         raise ValueError("need one weight per source")
 
-    dmin = _min_source_distance(grid, src_pos)
-    if np.any(dmin <= 0.0):
-        raise ValueError("grid point coincides with a source")
-    standoff = 0.25 * wl.lam
-    if kernel == "dipole-approx" and np.any(dmin < standoff):
-        raise ValueError("grid violates the quarter-wavelength standoff")
-    near_singular = dmin < standoff
+    origin = grid.mean(axis=0) if grid.shape[0] else np.zeros(3)
+    pts, src = grid - origin, src_pos - origin
+    rhs = _reduction_rhs(src, moments, w, source_kind)
+    standoff = 0.25 * wl.lam if kernel == "dipole-approx" else 0.0
+    units, scratch_shape = _units(pts.shape[0], src.shape[0])
+    workers = max(1, min(threads, len(units)))
+    parts = [None] * len(units)
 
-    if threads <= 1 or grid.shape[0] < 4:
-        E = _accumulate(grid, src_pos, moments, w, wl.k, kernel, source_kind)
-    else:
-        E = np.zeros((grid.shape[0], 3), dtype=complex)
-        bounds = np.linspace(0, grid.shape[0], threads + 1).astype(int)
-        def work(i):
-            lo, hi = bounds[i], bounds[i + 1]
-            if hi > lo:
-                E[lo:hi] = _accumulate(grid[lo:hi], src_pos, moments, w,
-                                       wl.k, kernel, source_kind)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(threads)))
-    return FieldMap(grid, E, near_singular)
+    def work(first):
+        # each worker takes every workers-th unit and keeps one scratch
+        scratch = np.empty(scratch_shape)
+        for i in range(first, len(units), workers):
+            p, s = units[i]
+            parts[i] = _dyadic(pts[p], src[s], moments[s], wl.k, kernel, source_kind,
+                               scratch, standoff, [m[s] for m in rhs])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, range(workers)))
+    E = np.zeros(pts.shape, dtype=complex)
+    dmin = np.full(pts.shape[0], np.inf)
+    for (p, _), (e, d) in zip(units, parts):
+        E[p] += e
+        np.minimum(dmin[p], d, out=dmin[p])
+    return FieldMap(grid, E, dmin < 0.25 * wl.lam)

@@ -247,9 +247,13 @@ def optimality_oracle(h: ChannelVector, pc: PowerConstraints,
 WEIGHTS_CSV_HEADER = ["index", "amplitude_a", "phase_rad"]
 
 
-def weights_rows(weights: ExcitationWeights):
-    for i, wi in enumerate(np.asarray(weights.w)):
-        yield (i, abs(wi), math.atan2(wi.imag, wi.real))
+def weights_rows(weights: ExcitationWeights) -> np.ndarray:
+    """(n, 3) CSV table: port index, |w| and arg w."""
+    w = np.asarray(weights.w, dtype=complex)
+    # libm atan2, as math.atan2 calls it: numpy's SIMD arctan2 can round
+    # the last bit differently, which would change weights.csv bytes
+    phase = list(map(math.atan2, w.imag.tolist(), w.real.tolist()))
+    return np.column_stack([np.arange(w.size), np.hypot(w.real, w.imag), phase])
 
 
 def weights_sidecar(weights: ExcitationWeights, report: FocalReport) -> dict:

@@ -292,19 +292,13 @@ def build_rect_corridor_mesh(spec: RectCorridorSpec, patch_target: float,
     return SurfaceMesh(centroids, areas, tangents_phi, tangents_z)
 
 
-def layout_rows(layout: ArrayLayout):
-    """Yield CSV rows (x, y, z, px, py, pz, length) per element."""
-    for i in range(len(layout)):
-        p = layout.positions[i]
-        o = layout.orientations[i]
-        yield (p[0], p[1], p[2], o[0], o[1], o[2], layout.length_l)
+def layout_rows(layout: ArrayLayout) -> np.ndarray:
+    """(n, 7) CSV table: x, y, z, px, py, pz, length per element."""
+    return np.column_stack([layout.positions, layout.orientations,
+                            np.full(len(layout), layout.length_l)])
 
 
-def mesh_rows(mesh: SurfaceMesh):
-    """Yield CSV rows (x, y, z, tphi_x..z, tz_x..z, area) per patch."""
-    for i in range(len(mesh)):
-        c = mesh.centroids[i]
-        tp = mesh.tangents_phi[i]
-        tz = mesh.tangents_z[i]
-        yield (c[0], c[1], c[2], tp[0], tp[1], tp[2], tz[0], tz[1], tz[2],
-               float(mesh.areas[i]))
+def mesh_rows(mesh: SurfaceMesh) -> np.ndarray:
+    """(n, 10) CSV table: x, y, z, tphi_x..z, tz_x..z, area per patch."""
+    return np.column_stack([mesh.centroids, mesh.tangents_phi, mesh.tangents_z,
+                            mesh.areas])

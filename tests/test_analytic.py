@@ -504,8 +504,8 @@ class TestAxisProfileType:
             values=[1.0, 0.5],
             normalization="peak-normalized",
         )
-        rows = list(profile_rows(profile, wavelength_m=0.3))
-        assert rows == [["0", "1"], ["0.5", "0.5"]]
+        rows = profile_rows(profile, wavelength_m=0.3)
+        assert rows.tolist() == [[0.0, 1.0], [0.5, 0.5]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -518,7 +518,7 @@ class TestAxisProfileType:
             AxisProfile(axis="x", offsets_m=[0.0], values=[1.0], normalization="")
         profile = AxisProfile(axis="x", offsets_m=[0.0], values=[1.0], normalization="n")
         with pytest.raises(ValueError):
-            list(profile_rows(profile, wavelength_m=0.0))
+            profile_rows(profile, wavelength_m=0.0)
 
     def test_header_names(self):
         assert PROFILE_CSV_HEADER == ("offset_wl", "value")

@@ -47,6 +47,15 @@ def run_cli(capsys, *args):
     return code, json.loads(lines[-1])
 
 
+def load_benchmark_tracer():
+    """perfbench/tracing.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def read_amplitudes(outdir):
     data = np.loadtxt(outdir / "weights.csv", delimiter=",", skiprows=1)
     return data[:, 1]
@@ -331,10 +340,7 @@ class TestAnalyticSubcommand:
     def test_benchmark_tracer_sees_special_functions(self, tmp_path, capsys):
         # the benchmark's tracer rebinds analytic's special-function names;
         # renaming or bypassing them would silently zero its specfun metrics
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_benchmark_tracer()
         scn = scenario(tmp_path, analytic_reference="ex_long")
         with tracing.installed(tracing.Tracer()) as tracer:
             code, _ = run_cli(capsys, "analytic", "--scenario", scn,
@@ -342,6 +348,15 @@ class TestAnalyticSubcommand:
         assert code == 0
         assert tracer.counts["analytic.profile.calls"] > 0
         assert tracer.counts["specfun.calls"] > 0
+
+    def test_benchmark_tracer_targets_exist(self):
+        # the tracer rebinds these names with a strict getattr, so a removed
+        # cli.green_* or cli.write_csv would otherwise fail only when traced
+        tracing = load_benchmark_tracer()
+        missing = [f"{module.__name__}.{attr}"
+                   for module, attrs in tracing._TARGETS.values()
+                   for attr in attrs if not hasattr(module, attr)]
+        assert missing == []
 
     def test_profile_reference_required(self, tmp_path, capsys):
         scn = scenario(tmp_path, length_m=100.0, method="cp",

@@ -1,29 +1,31 @@
 """Field kernels and superposition against finite-difference oracles.
 
-The closed-form tensors are checked against high-order central
-differences of the scalar spherical wave, the approximate dipole kernel
-against the full one in its validity regime, and the superposition layer
-for linearity, symmetry, and determinism.
+All fields come from one kernel.  Its 3x3 tensors (green_electric and
+green_magnetic) are checked against high-order central differences of
+the scalar spherical wave, its radiating approximation against the full
+form in its validity regime, and the superposition layer for linearity,
+symmetry, chunking, thread count and determinism.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from nearfocus import fields
 from nearfocus.fields import (
     ChannelVector,
     DipoleConstants,
     assemble_channel,
-    dipole_field_approx,
     evaluate_field,
     green_electric,
     green_magnetic,
 )
 from nearfocus.geometry import (
     FREE_SPACE_IMPEDANCE,
+    ArrayLayout,
     CylinderSpec,
-    DipoleElement,
     Wavelength,
     build_cylinder_mesh,
     build_ring_array,
@@ -145,49 +147,58 @@ def test_magnetic_on_axis_null():
 
 # --------------------------------------------------------- dipole approx
 
-def element_at_origin():
-    return DipoleElement(position=np.zeros(3),
-                         orientation_p=np.array([0.0, 0.0, 1.0]),
-                         length_l=LAM / 100.0)
+def single_element(orientation=(0.0, 0.0, 1.0), position=(0.0, 0.0, 0.0)):
+    """One dipole of length wavelength/100, at the origin along z by default."""
+    return ArrayLayout(np.array([position]), np.array([orientation]), rings=1,
+                       per_ring=1, spacing_d=0.5 * LAM, length_l=LAM / 100.0)
+
+
+def one_element_field(el, r, kernel="dipole-approx"):
+    """Field of the one-element layout at r for a 1 A drive."""
+    return evaluate_field(el, np.ones(1), np.asarray(r, float)[None, :], WL,
+                          kernel=kernel).E[0]
 
 
 def test_dipole_axis_null_and_broadside_magnitude():
-    el = element_at_origin()
-    on_axis = dipole_field_approx(el, 1.0, np.array([0.0, 0.0, LAM]), WL)
-    assert np.max(np.abs(on_axis.as_array())) == 0.0
+    el = single_element()
+    on_axis = one_element_field(el, [0.0, 0.0, LAM])
     r = 2.0 * LAM
-    broadside = dipole_field_approx(el, 1.0, np.array([r, 0.0, 0.0]), WL)
+    broadside = one_element_field(el, [r, 0.0, 0.0])
     re = abs(DipoleConstants.for_dipole(el.length_l, WL).Re_const)
-    assert np.linalg.norm(broadside.as_array()) == pytest.approx(re / r, rel=1e-12)
+    assert np.linalg.norm(broadside) == pytest.approx(re / r, rel=1e-12)
+    # the transverse components vanish identically; the axial one is the
+    # difference A*m + C*r of two equal terms, zero to their rounding
+    assert np.max(np.abs(on_axis[:2])) == 0.0
+    assert abs(on_axis[2]) <= 2.0 * np.finfo(float).eps * re / LAM
 
 
 def test_dipole_standoff_enforced():
-    el = element_at_origin()
+    el = single_element()
     with pytest.raises(ValueError):
-        dipole_field_approx(el, 1.0, np.array([0.2 * LAM, 0.0, 0.0]), WL)
+        one_element_field(el, [0.2 * LAM, 0.0, 0.0])
 
 
 def test_dipole_approx_vs_full_kernel_at_2lam():
     # amplitude agreement away from the dipole axis, where the
     # approximate pattern is not passing through its null
-    el = element_at_origin()
-    moment = el.orientation_p * el.length_l
+    el = single_element()
+    moment = el.orientations[0] * el.length_l
     for theta in np.radians([45, 60, 90, 120, 135]):
         obs = 2.0 * LAM * np.array([math.sin(theta), 0.0, math.cos(theta)])
-        full = green_electric(obs, el.position, WL) @ moment
-        approx = dipole_field_approx(el, 1.0, obs, WL).as_array()
+        full = green_electric(obs, el.positions[0], WL) @ moment
+        approx = one_element_field(el, obs)
         dev = abs(np.linalg.norm(full) - np.linalg.norm(approx)) / np.linalg.norm(full)
         assert dev < 0.02
 
 
 def test_dipole_approx_vs_full_kernel_beyond_1lam():
-    el = element_at_origin()
-    moment = el.orientation_p * el.length_l
+    el = single_element()
+    moment = el.orientations[0] * el.length_l
     for dist in (1.0, 1.5, 3.0, 10.0):
         for theta in np.radians([45, 70, 90, 110, 135]):
             obs = dist * LAM * np.array([math.sin(theta), 0.0, math.cos(theta)])
-            full = green_electric(obs, el.position, WL) @ moment
-            approx = dipole_field_approx(el, 1.0, obs, WL).as_array()
+            full = green_electric(obs, el.positions[0], WL) @ moment
+            approx = one_element_field(el, obs)
             dev = abs(np.linalg.norm(full) - np.linalg.norm(approx)) / np.linalg.norm(full)
             assert dev < 0.05
 
@@ -196,15 +207,19 @@ def test_dipole_approx_vs_full_kernel_beyond_1lam():
 
 def test_channel_single_element_consistency():
     focal = np.array([0.0, 5.0 * LAM, 0.0])
-    el = element_at_origin()
+    el = single_element()
     layout_like = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.1), WL, "axial")
     # direct one-element check without ring scaffolding
+    field = one_element_field(el, focal)
     ch = ChannelVector(
-        entries=dipole_field_approx(el, 1.0, focal, WL).as_array()[None, :],
+        entries=field[None, :],
         focal_point=focal, polarization_e=np.array([0.0, 0.0, 1.0]),
         resistance_scale=np.ones(1))
-    ref = dipole_field_approx(el, 1.0, focal, WL).as_array()
-    assert np.allclose(ch.entries[0], ref, rtol=0, atol=0)
+    assert np.allclose(ch.entries[0], field, rtol=0, atol=0)
+    # the CLI's one-element channel (tensor times moment) is the same kernel
+    full = one_element_field(el, focal, kernel="full")
+    ref = green_electric(focal, el.positions[0], WL) @ (el.orientations[0] * el.length_l)
+    assert np.max(np.abs(full - ref)) <= 1e-15 * np.max(np.abs(ref))
     assert len(layout_like) >= 42
 
 
@@ -363,6 +378,69 @@ def test_determinism_and_thread_equivalence():
     e4 = evaluate_field(layout, w, grid, WL, threads=4).E
     assert np.array_equal(e1, e2)
     assert np.array_equal(e1, e4)
+
+
+def brute_force_field(sources, w, grid, source_kind, mesh_current="z"):
+    """Per-point, per-source sum of the 3x3 tensors, in index order."""
+    pos, moments = fields._source_arrays(sources, mesh_current)
+    green = green_electric if source_kind == "electric" else green_magnetic
+    return np.array([sum(wn * (green(p, s, WL) @ m) for wn, s, m in zip(w, pos, moments))
+                     for p in grid])
+
+
+@pytest.mark.parametrize("source_kind", ["electric", "magnetic"])
+def test_chunk_invariance_across_threads(monkeypatch, source_kind):
+    if source_kind == "electric":
+        sources = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.5), WL, "axial")
+    else:
+        sources = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 8, 12)
+    mesh_current = "phi"
+    pos = fields._source_arrays(sources, mesh_current)[0]
+    n = len(sources)
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # a line from 0.1 wavelength inside the wall at source 0 across the
+    # axis: its first points are inside the quarter-wavelength standoff
+    start = pos[0] * (1.0 - 0.1 * LAM / np.linalg.norm(pos[0]))
+    grid = start + np.linspace(0.0, 1.0, 64)[:, None] * (np.array([0.0, 0.0, 0.1]) - start)
+    ref = brute_force_field(sources, w, grid, source_kind, mesh_current)
+    # units of 20 points and every source, then of 3 points and a third of them
+    for budget, block in ((20 * n, n), (n, n // 3)):
+        monkeypatch.setattr(fields, "_CHUNK_BUDGET", budget)
+        monkeypatch.setattr(fields, "_SOURCE_BLOCK", block)
+        units, _ = fields._units(len(grid), n)
+        assert units[0] == (slice(0, budget // block), slice(0, block))
+        maps = [evaluate_field(sources, w, grid, WL, source_kind=source_kind,
+                               mesh_current=mesh_current, threads=t) for t in (1, 2, 3)]
+        for fm in maps[1:]:
+            assert np.array_equal(fm.E, maps[0].E)
+            assert np.array_equal(fm.near_singular, maps[0].near_singular)
+        assert np.max(np.abs(maps[0].E - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert maps[0].near_singular.any() and not maps[0].near_singular.all()
+
+
+def test_accuracy_far_from_origin():
+    direction = np.array([-0.48, 0.6, 0.64])
+    el = single_element(orientation=(0.6, 0.0, 0.8), position=(60.0, 0.0, 0.0))
+    obs = el.positions[0] + 0.26 * LAM * direction
+    ref = green_electric(obs, el.positions[0], WL) @ (el.orientations[0] * el.length_l)
+    E = one_element_field(el, obs, kernel="full")
+    assert np.max(np.abs(E - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_coincident_point_raises_before_dividing():
+    layout = small_layout()
+    w = np.ones(len(layout), dtype=complex)
+    grid = np.vstack([np.zeros(3), layout.positions[5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kernel in ("full", "dipole-approx"):
+            with pytest.raises(ValueError, match="coincides"):
+                evaluate_field(layout, w, grid, WL, kernel=kernel)
+        with pytest.raises(ValueError, match="coincides"):
+            green_electric(layout.positions[5], layout.positions[5], WL)
+        with pytest.raises(ValueError, match="coincides"):
+            green_magnetic(layout.positions[5], layout.positions[5], WL)
 
 
 def test_magnetic_source_field_antisymmetry_use():

@@ -228,4 +228,5 @@ def test_csv_format_determinism(tmp_path):
     assert b"-0\n" not in p1.read_bytes()
     assert b"0.33333333333333331" in p1.read_bytes()
     with pytest.raises(ValueError):
-        csvio.format_number(float("nan"))
+        csvio.write_csv(tmp_path / "nan.csv", ["a"], [[float("nan")]])
+    assert not (tmp_path / "nan.csv").exists()
