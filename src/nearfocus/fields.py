@@ -109,15 +109,17 @@ def _dyadic(points, src, moments, k, kernel, source_kind, scratch, standoff=0.0,
             rhs=None):
     """The dyadic kernel on one work unit, and each point's nearest-source distance.
 
-    points (P, 3) and src (N, 3) share an origin near the points; with r = p - s,
-    moment m gives A*m + C*r, C = B*(m.r) (electric) or C*(r x m) (magnetic) for
-    (P, N) complex scalars A, C.  Given _reduction_rhs the weighted source sum is
-    a matmul, E = A@wm + p*(C@w) - C@(wS) or p x (C@wm) - C@(w S x m); without,
-    the one point's per-source fields come back as (N, 3).  The (P, N) arrays
-    are views of scratch, which a thread reuses from unit to unit.
+    With r_hat the unit vector from source to point, moment m gives A*m + C*g
+    for (P, N) complex scalars A and C: g = r_hat and C = B*(m.r_hat) for
+    electric currents, g = r_hat x m and A = 0 for magnetic ones.  Given
+    rhs = [wm, w] as [re | im] columns, the weighted sum over sources is
+    E = A@wm + sum_i ((C*g_i)@w) e_i in real matmuls; without, the point's
+    per-source fields come back as (N, 3).  The (P, N) arrays are consecutive
+    slices of scratch, which a thread reuses from unit to unit.
     """
-    x, y, z, R, sin, cos, q, md, tb, u, tmp, Ar, Ai, Cr, Ci = (
-        b[:points.shape[0] * src.shape[0]].reshape(points.shape[0], -1) for b in scratch)
+    P, n = points.shape[0], points.shape[0] * src.shape[0]
+    x, y, z, R, Ar, Ai, Cr, Ci, sin, cos, q, md, tb, u, tmp = (
+        scratch[i * n:(i + 1) * n].reshape(P, -1) for i in range(15))
     for i, v in enumerate((x, y, z)):
         np.subtract(points[:, i, None], src[:, i], out=v)
     np.multiply(x, x, out=R)
@@ -129,6 +131,10 @@ def _dyadic(points, src, moments, k, kernel, source_kind, scratch, standoff=0.0,
     if np.any(dmin < standoff):
         raise ValueError(f"a point lies {dmin.min()} m from a source, inside the "
                          f"quarter-wavelength standoff {standoff} m")
+    # r_hat by division: on a source's axis it is exactly a unit axis, so the
+    # radiating kernel's A*m and C*r_hat cancel to 0
+    for v in (x, y, z):
+        np.divide(v, R, out=v)
     # exp(-jkR) = (cos - j sin) / (1 + h^2) with cos = 1 - h^2, sin = 2h and
     # h = tan(kR/2): one vectorized tan in place of scalar libm sin and cos;
     # q carries the 1/(1 + h^2)
@@ -139,13 +145,17 @@ def _dyadic(points, src, moments, k, kernel, source_kind, scratch, standoff=0.0,
     inv = np.divide(1.0, R, out=R)
     np.divide(inv, q, out=q)
     if source_kind == "magnetic":
-        # C = (jk + 1/R) exp(-jkR) / (4 pi R^2)
-        q *= inv
+        # C = (jk + 1/R) exp(-jkR) / (4 pi R)
         q *= 1.0 / FOUR_PI
         _phasor(sin, cos, k, inv, q, Cr, Ci, tmp)
+        mx, my, mz = moments.T
+        np.subtract(np.multiply(y, mz, out=Ar), np.multiply(z, my, out=u), out=Ar)
+        np.subtract(np.multiply(z, mx, out=Ai), np.multiply(x, mz, out=u), out=Ai)
+        np.subtract(np.multiply(x, my, out=z), np.multiply(y, mx, out=u), out=z)
+        g = (Ar, Ai, z)
     else:
         # A = j k eta0 exp(-jkR) / (4 pi R) * (a - jt) and C = the same times
-        # (b + 3jt) (m.r) / R^2, where a = 1 - t^2, b = 3t^2 - 1, t = 1/(kR);
+        # (b + 3jt) (m.r_hat), where a = 1 - t^2, b = 3t^2 - 1, t = 1/(kR);
         # the radiating approximation keeps a = 1, b = -1, t = 0
         q *= k * FREE_SPACE_IMPEDANCE / FOUR_PI
         np.multiply(x, moments[:, 0], out=md)
@@ -159,21 +169,24 @@ def _dyadic(points, src, moments, k, kernel, source_kind, scratch, standoff=0.0,
         a *= -3.0
         a += 2.0
         t *= -3.0
-        q *= md
-        q *= inv
-        q *= inv
         _phasor(sin, cos, a, t, q, Cr, Ci, tmp)
+        Cr *= md
+        Ci *= md
+        g = (x, y, z)
+    # C*g in the six slices after Ci: real x, y, z, then imaginary x, y, z
+    G = scratch[8 * n:14 * n].reshape(6, P, -1)
+    for i, v in enumerate(g):
+        np.multiply(Cr, v, out=G[i])
+        np.multiply(Ci, v, out=G[3 + i])
     if rhs is None:
-        r = np.stack([x[0], y[0], z[0]], axis=1)
-        c = (Cr[0] + 1j * Ci[0])[:, None]
-        if source_kind == "magnetic":
-            return c * np.cross(r, moments), dmin
-        return (Ar[0] + 1j * Ai[0])[:, None] * moments + c * r, dmin
-    if source_kind == "magnetic":
-        xy = _cmatmul(Cr, Ci, rhs[0])
-        return np.cross(points, xy[:, :3]) - xy[:, 3:], dmin
-    cw = _cmatmul(Cr, Ci, rhs[1])
-    return _cmatmul(Ar, Ai, rhs[0]) + points * cw[:, :1] - cw[:, 1:], dmin
+        E = (G[:3, 0] + 1j * G[3:, 0]).T
+        if source_kind == "electric":
+            E += (Ar[0] + 1j * Ai[0])[:, None] * moments
+        return E, dmin
+    E = _cmatmul(G.reshape(6 * P, -1), rhs[1]).reshape(3, P).T
+    if source_kind == "electric":
+        E += _cmatmul(scratch[4 * n:6 * n].reshape(2 * P, -1), rhs[0])
+    return E, dmin
 
 
 def _phasor(sin, cos, x, y, q, re, im, tmp):
@@ -186,35 +199,26 @@ def _phasor(sin, cos, x, y, q, re, im, tmp):
     im *= q
 
 
-def _cmatmul(re, im, M):
-    """(re + j im) @ (Mr + j Mi) by real matmuls, M stacked as [Mr | Mi]."""
-    q = M.shape[1] // 2
-    a, b = re @ M, im @ M
+def _cmatmul(stacked, M):
+    """(re + j im) @ (Mr + j Mi) by one real matmul, stacked = [re; im], M = [Mr | Mi]."""
+    h, q = stacked.shape[0] // 2, M.shape[1] // 2
+    out = stacked @ M
+    a, b = out[:h], out[h:]
     return a[:, :q] - b[:, q:] + 1j * (a[:, q:] + b[:, :q])
 
 
-def _reduction_rhs(src, moments, w, source_kind):
-    """Right-hand sides of the sums over sources, each stacked as [re | im]."""
-    wm = w[:, None] * moments
-    if source_kind == "magnetic":
-        rhs = [np.hstack([wm, w[:, None] * np.cross(src, moments)])]
-    else:
-        rhs = [wm, np.column_stack([w, w[:, None] * src])]
-    return [np.hstack([M.real, M.imag]) for M in rhs]
-
-
 def _units(n_points, n_src):
-    """(point slice, source slice) units cut by problem size, and the scratch shape."""
+    """(point slice, source slice) units cut by problem size, and the scratch size."""
     block = min(n_src, max(_SOURCE_BLOCK, _CHUNK_BUDGET // max(1, n_points)))
     per = max(1, _CHUNK_BUDGET // block)
     units = [(slice(p, p + per), slice(s, s + block))
              for p in range(0, n_points, per) for s in range(0, n_src, block)]
-    return units, (15, min(per, n_points) * block)
+    return units, 15 * min(per, n_points) * block
 
 
 def _point_tensor(r, r_src, wl, source_kind):
-    src = np.tile(np.asarray(r_src, dtype=float) - np.asarray(r, dtype=float), (3, 1))
-    entries, _ = _dyadic(np.zeros((1, 3)), src, np.eye(3), wl.k, "full", source_kind,
+    point, src = np.atleast_2d(np.asarray(r, dtype=float)), np.tile(r_src, (3, 1))
+    entries, _ = _dyadic(point, src.astype(float), np.eye(3), wl.k, "full", source_kind,
                          np.empty(_units(1, 3)[1]))
     return entries.T
 
@@ -272,13 +276,12 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     lo, hi = src_pos.min(axis=0), src_pos.max(axis=0)
     if np.any(focal < lo - 1e-12) or np.any(focal > hi + 1e-12):
         raise ValueError("focal point lies outside the aperture region")
-    src = src_pos - focal
-    n = src.shape[0]
+    n = src_pos.shape[0]
     entries = np.empty((n, 3), dtype=complex)
-    units, shape = _units(1, n)
-    scratch = np.empty(shape)
+    units, size = _units(1, n)
+    scratch = np.empty(size)
     for _, s in units:
-        entries[s], _ = _dyadic(np.zeros((1, 3)), src[s], moments[s], wl.k, kernel,
+        entries[s], _ = _dyadic(focal[None, :], src_pos[s], moments[s], wl.k, kernel,
                                 source_kind, scratch, standoff=0.25 * wl.lam)
 
     if isinstance(sources, SurfaceMesh):
@@ -293,8 +296,7 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
 
     The approximate kernel refuses points inside the quarter-wavelength
     standoff; the full kernel evaluates them (it is finite anywhere off
-    the source) but flags them near_singular.  Points and sources are
-    shifted to the grid centroid, so p*(C@w) - C@(wS) keeps its digits.
+    the source) but flags them near_singular.
     """
     _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -303,26 +305,24 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     if w.shape != (src_pos.shape[0],):
         raise ValueError("need one weight per source")
 
-    origin = grid.mean(axis=0) if grid.shape[0] else np.zeros(3)
-    pts, src = grid - origin, src_pos - origin
-    rhs = _reduction_rhs(src, moments, w, source_kind)
+    rhs = [np.hstack([M.real, M.imag]) for M in (w[:, None] * moments, w[:, None])]
     standoff = 0.25 * wl.lam if kernel == "dipole-approx" else 0.0
-    units, scratch_shape = _units(pts.shape[0], src.shape[0])
+    units, size = _units(grid.shape[0], src_pos.shape[0])
     workers = max(1, min(threads, len(units)))
     parts = [None] * len(units)
 
     def work(first):
         # each worker takes every workers-th unit and keeps one scratch
-        scratch = np.empty(scratch_shape)
+        scratch = np.empty(size)
         for i in range(first, len(units), workers):
             p, s = units[i]
-            parts[i] = _dyadic(pts[p], src[s], moments[s], wl.k, kernel, source_kind,
-                               scratch, standoff, [m[s] for m in rhs])
+            parts[i] = _dyadic(grid[p], src_pos[s], moments[s], wl.k, kernel,
+                               source_kind, scratch, standoff, [M[s] for M in rhs])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, range(workers)))
-    E = np.zeros(pts.shape, dtype=complex)
-    dmin = np.full(pts.shape[0], np.inf)
+    E = np.zeros(grid.shape, dtype=complex)
+    dmin = np.full(grid.shape[0], np.inf)
     for (p, _), (e, d) in zip(units, parts):
         E[p] += e
         np.minimum(dmin[p], d, out=dmin[p])

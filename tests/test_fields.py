@@ -162,14 +162,22 @@ def one_element_field(el, r, kernel="dipole-approx"):
 def test_dipole_axis_null_and_broadside_magnitude():
     el = single_element()
     on_axis = one_element_field(el, [0.0, 0.0, LAM])
+    assert np.max(np.abs(on_axis)) == 0.0
     r = 2.0 * LAM
     broadside = one_element_field(el, [r, 0.0, 0.0])
     re = abs(DipoleConstants.for_dipole(el.length_l, WL).Re_const)
     assert np.linalg.norm(broadside) == pytest.approx(re / r, rel=1e-12)
-    # the transverse components vanish identically; the axial one is the
-    # difference A*m + C*r of two equal terms, zero to their rounding
-    assert np.max(np.abs(on_axis[:2])) == 0.0
-    assert abs(on_axis[2]) <= 2.0 * np.finfo(float).eps * re / LAM
+
+
+def test_dipole_axis_null_off_origin_in_a_grid():
+    # an x-directed element away from the origin: every grid point on its
+    # axis gets exactly 0 whatever the rest of the grid and the unit cuts
+    el = single_element(orientation=(1.0, 0.0, 0.0), position=(0.3, -0.2, 1.7))
+    axis = [[0.3 + d * LAM, -0.2, 1.7] for d in (-3.0, -0.7, 0.4, 2.5)]
+    grid = np.array(axis + [[0.3, 0.5, 1.7], [1.1, -0.2, 2.2]])
+    E = evaluate_field(el, np.ones(1), grid, WL, kernel="dipole-approx").E
+    assert np.max(np.abs(E[:4])) == 0.0
+    assert np.all(np.abs(E[4:]).max(axis=1) > 0.0)
 
 
 def test_dipole_standoff_enforced():
