@@ -12,15 +12,19 @@ simulations after peak normalization:
 * time-reversal (channel-proportional) curves report |E| divided by
   ``amplitude_scale * beta / wavelength**2``,
 
-where ``amplitude_scale`` is the dipole far-field constant available from
-``fields.DipoleConstants`` and ``beta`` is the time-reversal drive level
+where ``amplitude_scale`` is the dipole far-field constant
+|R_e| = eta0*l*k/(4*pi) and ``beta`` is the time-reversal drive level
 reported by ``focusing.tr_weights``.  On these scales the long-cylinder
 limits are pure numbers (pi, 2, 3*pi**2/16, ...), exposed below as named
 constants so tests can assert against a single definition.
 
-Each closed form whose printed source had an ambiguous convention ships
-with a direct-integration fallback (``*_quadrature``); the quadrature is
-the ground truth and the closed forms are validated against it.
+Each closed form whose printed source had an ambiguous convention is
+checked in the test suite against a direct integration of its amplitude
+density (``tests/oracles.py``); the quadrature is the ground truth.
+
+The special-function wrappers import ``scipy.special`` when first called,
+so importing this module, as ``run`` and ``layout`` do for its types and
+constants, loads no scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .geometry import CylinderSpec
 
@@ -62,14 +65,11 @@ __all__ = [
     "ex_cp_axis",
     "ex_tr_axis",
     "ez_cp_radial",
-    "ez_cp_radial_quadrature",
     "ex_cp_radial_x",
     "ex_cp_radial_y",
     "resolution_profiles",
     "transverse_pol_cp",
-    "transverse_pol_cp_quadrature",
     "transverse_pol_tr",
-    "transverse_pol_tr_quadrature",
     "profile_rows",
 ]
 
@@ -98,8 +98,6 @@ TRANSVERSE_TR_Z_LIMIT = math.pi**2 / 32.0
 # the profile shape is asserted against simulations; the offset is recorded
 # here rather than patched.
 EX_LONG_PROFILE_PEAK = 4.0 / math.pi
-
-_QUAD_OPTS = {"epsabs": 1.0e-12, "epsrel": 1.0e-12, "limit": 200}
 
 
 def _require_cylinder(spec: CylinderSpec) -> tuple[float, float]:
@@ -199,6 +197,8 @@ def spherical_j1_over_x(x):
     Below |x| = 1e-3 a short series replaces scipy's quotient, which loses
     digits for tiny x and is NaN for subnormal x.
     """
+    from scipy import special
+
     x2 = np.square(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(x2 < 1e-6, 1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0,
@@ -211,11 +211,15 @@ def struve_h(order, x):
         raise ValueError("struve_h supports orders -1 and 0 only")
     if np.any(np.asarray(x) < 0.0):
         raise ValueError("struve_h requires x >= 0")
+    from scipy import special
+
     return special.struve(order, x)
 
 
 def sine_integral(x):
     """Sine integral Si(x), the integral of sin(t)/t from 0 to x."""
+    from scipy import special
+
     return special.sici(x)[0]
 
 
@@ -223,6 +227,8 @@ def complete_elliptic_k(m):
     """Complete elliptic integral of the first kind, parameter convention m < 1."""
     if np.any(np.asarray(m) >= 1.0):
         raise ValueError("complete_elliptic_k requires parameter m < 1")
+    from scipy import special
+
     return special.ellipk(m)
 
 
@@ -324,8 +330,8 @@ def ez_cp_radial(xf: float, spec: CylinderSpec) -> float:
 
     The two elliptic terms are mathematically equal (a negative-parameter
     identity maps one onto the other); the doubled two-term form below is
-    exactly the continuum surface integral, which ``ez_cp_radial_quadrature``
-    verifies, and reduces to ``ez_cp_axis(0, spec)`` at ``xf = 0``.
+    exactly the continuum surface integral, which the tests verify by direct
+    integration, and reduces to ``ez_cp_axis(0, spec)`` at ``xf = 0``.
     """
     a, length = _require_in_radius(xf, spec)
     l2 = length * length
@@ -334,22 +340,6 @@ def ez_cp_radial(xf: float, spec: CylinderSpec) -> float:
     term_minus = complete_elliptic_k(-16.0 * a * xf / delta_minus) / math.sqrt(delta_minus)
     term_plus = complete_elliptic_k(16.0 * a * xf / delta_plus) / math.sqrt(delta_plus)
     return length * (term_minus + term_plus)
-
-
-def ez_cp_radial_quadrature(xf: float, spec: CylinderSpec) -> float:
-    """Direct surface integration of the co-polarized amplitude density."""
-    a, length = _require_in_radius(xf, spec)
-
-    def integrand(l: float, phi: float) -> float:
-        rho2 = a * a + xf * xf - 2.0 * a * xf * math.cos(phi)
-        return rho2 / (rho2 + l * l) ** 1.5
-
-    value, _ = integrate.dblquad(
-        integrand, 0.0, 2.0 * math.pi,
-        lambda _: -length / 2.0, lambda _: length / 2.0,
-        epsabs=1.0e-11, epsrel=1.0e-11,
-    )
-    return 0.25 * value
 
 
 def ex_cp_radial_x(xf: float, spec: CylinderSpec) -> float:
@@ -462,53 +452,3 @@ def transverse_pol_tr(component: str, zf: float, spec: CylinderSpec) -> float:
     if primitive is None:
         raise ValueError(f"component must be one of x, y, z, got {component!r}")
     return _tr_span_difference(primitive, zf, spec)
-
-
-def _transverse_azimuthal_cp(component: str, u: float, a: float) -> float:
-    # Exact azimuthal integral of the |amplitude| geometric factor.
-    if component == "x":
-        return 2.0 * math.pi * u * u + math.pi * a * a
-    if component == "y":
-        return 2.0 * a * a
-    return 4.0 * a * abs(u)
-
-
-def _transverse_azimuthal_tr(component: str, u: float, a: float) -> float:
-    # Exact azimuthal integral of the squared geometric factor.
-    if component == "x":
-        return 2.0 * math.pi * u**4 + 2.0 * math.pi * a * a * u * u + 0.75 * math.pi * a**4
-    if component == "y":
-        return 0.25 * math.pi * a**4
-    return math.pi * a * a * u * u
-
-
-def _transverse_quadrature(component: str, zf: float, spec: CylinderSpec,
-                           azimuthal, power: float, scale: float) -> float:
-    a, length = _require_in_span(zf, spec)
-    if component not in ("x", "y", "z"):
-        raise ValueError(f"component must be one of x, y, z, got {component!r}")
-
-    def integrand(l: float) -> float:
-        u = l - zf
-        return azimuthal(component, u, a) / (a * a + u * u) ** power
-
-    value, _ = integrate.quad(
-        integrand, -length / 2.0, length / 2.0, points=[zf], **_QUAD_OPTS
-    )
-    return scale * value
-
-
-def transverse_pol_cp_quadrature(component: str, zf: float, spec: CylinderSpec) -> float:
-    """Direct integration of the transverse-element |amplitude| density.
-
-    The azimuthal integral is exact; only the axial integral is numerical.
-    """
-    return _transverse_quadrature(component, zf, spec, _transverse_azimuthal_cp, 1.5, 0.25)
-
-
-def transverse_pol_tr_quadrature(component: str, zf: float, spec: CylinderSpec) -> float:
-    """Direct integration of the transverse-element squared-amplitude density."""
-    a, _ = _require_in_span(zf, spec)
-    return _transverse_quadrature(
-        component, zf, spec, _transverse_azimuthal_tr, 3.0, 0.25 * a
-    )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +28,6 @@ _CHUNK_BUDGET = 65_536
 # sources per matmul when the grid fills a unit: BLAS adds a block's products
 # one after another, so short blocks keep a focal sum's rounding small
 _SOURCE_BLOCK = 512
-
-
-@dataclass(frozen=True)
-class DipoleConstants:
-    """Field constant bundle for a Hertzian dipole of length l."""
-
-    eta0: float
-    Re_const: complex  # j * eta0 * l * k / (4*pi)
-
-    @staticmethod
-    def for_dipole(length_l: float, wl: Wavelength) -> "DipoleConstants":
-        return DipoleConstants(
-            eta0=FREE_SPACE_IMPEDANCE,
-            Re_const=1j * FREE_SPACE_IMPEDANCE * length_l * wl.k / FOUR_PI)
 
 
 class ChannelVector:

@@ -36,18 +36,21 @@ from nearfocus.analytic import (
     ex_tr_axis,
     ez_cp_axis,
     ez_cp_radial,
-    ez_cp_radial_quadrature,
     ez_tr_axis,
     kernel_dipole,
     kernel_point,
     profile_rows,
     resolution_profiles,
     transverse_pol_cp,
-    transverse_pol_cp_quadrature,
     transverse_pol_tr,
-    transverse_pol_tr_quadrature,
 )
 from nearfocus.geometry import CylinderSpec
+
+from oracles import (
+    ez_cp_radial_quadrature,
+    transverse_pol_cp_quadrature,
+    transverse_pol_tr_quadrature,
+)
 
 BASE = CylinderSpec(radius_a=1.0, length_L=10.0)
 LONG = CylinderSpec(radius_a=1.0, length_L=1000.0)

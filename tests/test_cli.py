@@ -10,6 +10,7 @@ the closed-form axis curves.
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,14 @@ def load_benchmark_tracer():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    fresh interpreters, which do not see the test process's sys.path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def read_amplitudes(outdir):
@@ -479,12 +488,39 @@ class TestEnvironment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == 2
 
+    def test_run_and_layout_load_no_scipy(self, tmp_path):
+        # a fresh interpreter: this process has scipy loaded by other tests
+        scn = scenario(tmp_path, length_m=1.0)
+        script = f"""if True:
+            import json, sys
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            from nearfocus import analytic, cli
+            seen = {{"import": scipy_modules()}}
+            for sub in ("run", "layout"):
+                code = cli.main([sub, "--scenario", {scn!r},
+                                 "--out", {str(tmp_path / "out")!r} + sub])
+                seen[sub] = [code, scipy_modules()]
+            analytic.sine_integral(1.0)
+            seen["analytic"] = scipy_modules()
+            print(json.dumps(seen))
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen["import"] == []
+        assert seen["run"] == [0, []]
+        assert seen["layout"] == [0, []]
+        assert "scipy.special" in seen["analytic"]
+        assert not any(m.startswith("scipy.integrate") for m in seen["analytic"])
+
     def test_module_entry_point(self, tmp_path):
         scn = scenario(tmp_path)
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "nearfocus.cli", "layout",
              "--scenario", scn, "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert (out / "manifest.json").exists()
