@@ -13,8 +13,8 @@ resolved scenario (defaults included), the conventions the numbers rest
 on, tool version, and wall-clock time.
 
 Exit codes: 0 success (for validate: comparison passed), 1 validate
-comparison failed, 2 usage or scenario errors.  Errors print one
-machine-readable JSON object to stdout.
+comparison failed, 2 usage or scenario errors, or a problem too large
+to allocate.  Errors print one machine-readable JSON object to stdout.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .fields import (
     evaluate_field,
     green_electric,
     green_magnetic,
+    project,
 )
 from .focusing import (
     WEIGHTS_CSV_HEADER,
@@ -355,8 +356,8 @@ def _channel(s: dict, sources, e_hat: np.ndarray, wl: Wavelength) -> ChannelVect
                            "of the single element")
         moment = sources.orientations[0] * sources.length_l
         green = green_electric if s["source_kind"] == "electric" else green_magnetic
-        entries = (green(focal, position, wl) @ moment.astype(complex)).reshape(1, 3)
-        return ChannelVector(entries, focal, e_hat, np.ones(1))
+        field = (green(focal, position, wl) @ moment.astype(complex)).reshape(1, 3)
+        return ChannelVector(project(field, e_hat), focal, e_hat, np.ones(1))
     return assemble_channel(sources, focal, e_hat, wl, kernel=s["kernel"],
                             source_kind=s["source_kind"],
                             mesh_current=_mesh_current(s))
@@ -418,8 +419,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list, int]:
     sources = _aperture(s, wl)
-    h = _channel(s, sources, _AXIS_UNIT[s["target_polarization"]], wl)
-    weights, report = _solve_weights(s, h)
+    # the channel is freed as soon as the weights are solved
+    weights, report = _solve_weights(
+        s, _channel(s, sources, _AXIS_UNIT[s["target_polarization"]], wl))
 
     write_csv(outdir / "weights.csv", WEIGHTS_CSV_HEADER, weights_rows(weights))
     sidecar = weights_sidecar(weights, report)
@@ -743,6 +745,11 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, TypeError) as e:
         print(json.dumps({"error": {"code": "run-failed", "message": str(e)}},
+                         sort_keys=True))
+        return 2
+    except MemoryError as e:
+        # numpy refuses an array larger than the machine before touching memory
+        print(json.dumps({"error": {"code": "out-of-memory", "message": str(e)}},
                          sort_keys=True))
         return 2
 

@@ -20,13 +20,13 @@ def write_csv(path, header: list[str], rows) -> None:
         table = table.reshape(0, len(header))
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"CSV table must be (n, {len(header)}), got {table.shape}")
+    # checked before the file is opened, so a NaN writes no file
     if not np.isfinite(table).all():
         raise ValueError("non-finite value in CSV output")
-    # adding 0.0 turns -0 into 0, so reruns are byte-identical
-    table = table + 0.0
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, table.shape[0], _BLOCK_ROWS):
-            block = table[lo:lo + _BLOCK_ROWS]
+            # adding 0.0 turns -0 into 0, so reruns are byte-identical
+            block = table[lo:lo + _BLOCK_ROWS] + 0.0
             f.write(line * block.shape[0] % tuple(block.ravel().tolist()))

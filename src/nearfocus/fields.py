@@ -2,8 +2,8 @@
 
 One routine, _dyadic, evaluates the closed-form point-source kernels
 (electric current with all reactive terms, magnetic-current curl, and
-the radiating 1/r dipole approximation) for the 3x3 tensors, the focal
-channel vectors and the superposition of weighted sources over grids.
+the radiating 1/r dipole approximation) for the 3x3 tensors, the scalar
+focal channel and the superposition of weighted sources over grids.
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -31,36 +31,41 @@ _SOURCE_BLOCK = 512
 
 
 class ChannelVector:
-    """Per-source complex vector field coefficients at one focal point.
+    """Scalar channel of every source at one focal point.
 
-    entries[n] is the E-field vector a unit drive of source n produces at
-    the focal point.  The scalar channel used by the weight solvers is
-    the projection of each entry onto polarization_e.  resistance_scale
-    carries the per-port resistance multiplier (patch area over the
-    half-wavelength-square reference area for meshes, 1 for dipoles).
+    g[n] is the component along polarization_e of the E-field that a unit
+    drive of source n produces at focal_point; it is all the weight
+    solvers read.  resistance_scale carries the per-port resistance
+    multiplier (patch area over the half-wavelength-square reference area
+    for meshes, 1 for dipoles).
     """
 
-    def __init__(self, entries: np.ndarray, focal_point: np.ndarray,
+    def __init__(self, g: np.ndarray, focal_point: np.ndarray,
                  polarization_e: np.ndarray, resistance_scale: np.ndarray):
-        self.entries = np.asarray(entries, dtype=complex)
+        self.g = np.asarray(g, dtype=complex)
         self.focal_point = np.asarray(focal_point, dtype=float)
         self.polarization_e = np.asarray(polarization_e, dtype=float)
         self.resistance_scale = np.asarray(resistance_scale, dtype=float)
-        if self.entries.ndim != 2 or self.entries.shape[1] != 3:
-            raise ValueError("entries must be (N, 3)")
+        if self.g.ndim != 1:
+            raise ValueError("g must be (N,)")
         if abs(float(np.linalg.norm(self.polarization_e)) - 1.0) > 1e-12:
             raise ValueError("polarization_e must be a unit vector")
-        if self.resistance_scale.shape != (self.entries.shape[0],):
+        if self.resistance_scale.shape != self.g.shape:
             raise ValueError("resistance_scale must have one value per source")
         if np.any(self.resistance_scale <= 0.0):
             raise ValueError("resistance scales must be positive")
 
     def __len__(self) -> int:
-        return self.entries.shape[0]
+        return self.g.shape[0]
 
     def projected(self) -> np.ndarray:
-        """Scalar channel: entries projected on the target polarization."""
-        return self.entries @ self.polarization_e.astype(complex)
+        """Scalar channel g."""
+        return self.g
+
+
+def project(fields: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
+    """(N, 3) complex field vectors projected on the unit polarization e_hat."""
+    return fields @ np.asarray(e_hat, dtype=float).astype(complex)
 
 
 class FieldMap:
@@ -221,9 +226,12 @@ def green_magnetic(r: np.ndarray, r_src: np.ndarray, wl: Wavelength) -> np.ndarr
 # -------------------------------------------------------- vectorized fields
 
 def _source_arrays(sources, mesh_current: str):
-    """Positions and unit-drive moment vectors."""
+    """Positions, and the unit-drive moment vectors of a slice of sources.
+
+    Moments are formed per slice, so no (N, 3) moment array is ever held.
+    """
     if isinstance(sources, ArrayLayout):
-        return sources.positions, sources.orientations * sources.length_l
+        return sources.positions, lambda s: sources.orientations[s] * sources.length_l
     if isinstance(sources, SurfaceMesh):
         if mesh_current == "z":
             tang = sources.tangents_z
@@ -231,7 +239,7 @@ def _source_arrays(sources, mesh_current: str):
             tang = sources.tangents_phi
         else:
             raise ValueError(f"unknown mesh current direction {mesh_current!r}")
-        return sources.centroids, tang * sources.areas[:, None]
+        return sources.centroids, lambda s: tang[s] * sources.areas[s, None]
     raise TypeError(f"unsupported source container {type(sources).__name__}")
 
 
@@ -247,12 +255,13 @@ def _check_kernel(kernel: str, source_kind: str) -> None:
 def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Wavelength,
                      kernel: str = "full", source_kind: str = "electric",
                      mesh_current: str = "z") -> ChannelVector:
-    """Per-source field vectors at the focal point for unit drives.
+    """Per-source scalar channel at the focal point for unit drives.
 
     Unit drive means 1 A for a dipole element and a unit surface-current
     density (1 A/m times the patch area) for a mesh patch.  The focal
     point must keep the quarter-wavelength standoff from every source
-    and sit inside the aperture's bounding region.
+    and sit inside the aperture's bounding region.  Each work unit's field
+    vectors are projected on e_hat as soon as they are computed.
     """
     _check_kernel(kernel, source_kind)
     focal = np.asarray(focal, dtype=float)
@@ -262,16 +271,17 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     if np.any(focal < lo - 1e-12) or np.any(focal > hi + 1e-12):
         raise ValueError("focal point lies outside the aperture region")
     n = src_pos.shape[0]
-    entries = np.empty((n, 3), dtype=complex)
+    g = np.empty(n, dtype=complex)
     units, size = _units(1, n)
     scratch = np.empty(size)
     for _, s in units:
-        entries[s], _ = _dyadic(focal[None, :], src_pos[s], moments[s], wl.k, kernel,
-                                source_kind, scratch, standoff=0.25 * wl.lam)
+        E, _ = _dyadic(focal[None, :], src_pos[s], moments(s), wl.k, kernel,
+                       source_kind, scratch, standoff=0.25 * wl.lam)
+        g[s] = project(E, e_hat)
 
     if isinstance(sources, SurfaceMesh):
-        return ChannelVector(entries, focal, e_hat, sources.areas / (0.5 * wl.lam) ** 2)
-    return ChannelVector(entries, focal, e_hat, np.ones(n))
+        return ChannelVector(g, focal, e_hat, sources.areas / (0.5 * wl.lam) ** 2)
+    return ChannelVector(g, focal, e_hat, np.ones(n))
 
 
 def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
@@ -290,7 +300,6 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     if w.shape != (src_pos.shape[0],):
         raise ValueError("need one weight per source")
 
-    rhs = [np.hstack([M.real, M.imag]) for M in (w[:, None] * moments, w[:, None])]
     standoff = 0.25 * wl.lam if kernel == "dipole-approx" else 0.0
     units, size = _units(grid.shape[0], src_pos.shape[0])
     workers = max(1, min(threads, len(units)))
@@ -301,8 +310,10 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
         scratch = np.empty(size)
         for i in range(first, len(units), workers):
             p, s = units[i]
-            parts[i] = _dyadic(grid[p], src_pos[s], moments[s], wl.k, kernel,
-                               source_kind, scratch, standoff, [M[s] for M in rhs])
+            m, ws = moments(s), w[s, None]
+            rhs = [np.hstack([M.real, M.imag]) for M in (ws * m, ws)]
+            parts[i] = _dyadic(grid[p], src_pos[s], m, wl.k, kernel, source_kind,
+                               scratch, standoff, rhs)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, range(workers)))

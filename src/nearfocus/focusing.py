@@ -9,8 +9,8 @@ Three solvers for max |E(focus)| over complex drive weights:
   * hybrid_weights: both caps; a water-level amplitude clip(beta*v, cap)
     with beta solved exactly so the power budget is met.
 
-All scalar channels are the projection of the vector channel entries on
-the target polarization.  Port resistances are R0 times the channel's
+The scalar channel is each source's focal field projected on the target
+polarization.  Port resistances are R0 times the channel's
 per-port scale (patch area over the reference area for meshes).
 An independent projected-ascent oracle certifies optimality on small
 instances.
@@ -26,6 +26,8 @@ import numpy as np
 from .fields import ChannelVector
 
 ZERO_CHANNEL_CUTOFF = 1e-15  # relative to max |g|; below this an element is idle
+# ports per block of weights_rows: its Python float lists stay this short
+_ROW_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,11 @@ def _channel_arrays(h: ChannelVector, pc: PowerConstraints):
     return g, absg, live, R
 
 
+def _live(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """x on the live ports: x itself, not a masked copy, when every port is live."""
+    return x if live.all() else x[live]
+
+
 def _total_power(R: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(0.5 * R * np.abs(w) ** 2))
 
@@ -83,8 +90,10 @@ def cp_weights(h: ChannelVector, pc: PowerConstraints):
     get one common downscale, which preserves the optimal phases.
     """
     g, absg, live, R = _channel_arrays(h, pc)
-    w = np.zeros_like(g)
-    w[live] = pc.w_max * np.conj(g[live]) / absg[live]
+    w = np.conj(g)
+    w *= pc.w_max
+    np.divide(w, absg, out=w, where=live)
+    w[~live] = 0.0
     power = _total_power(R, w)
     active = "local"
     if power > pc.P0:
@@ -99,10 +108,12 @@ def cp_weights(h: ChannelVector, pc: PowerConstraints):
 def tr_weights(h: ChannelVector, pc: PowerConstraints):
     """Power-capped optimum: conjugate channel over port resistance."""
     g, absg, live, R = _channel_arrays(h, pc)
-    s = float(np.sum(absg[live] ** 2 / R[live]))
+    s = float(np.sum(_live(absg, live) ** 2 / _live(R, live)))
     d_r = math.sqrt(2.0 * pc.P0 / s)
-    w = np.zeros_like(g)
-    w[live] = d_r * np.conj(g[live]) / R[live]
+    w = np.conj(g)
+    w *= d_r
+    np.divide(w, R, out=w, where=live)
+    w[~live] = 0.0
     # pin the budget exactly against accumulated roundoff
     w *= math.sqrt(pc.P0 / _total_power(R, w))
     e_focus = complex(np.sum(w * g))
@@ -117,14 +128,23 @@ def _water_level(v: np.ndarray, R: np.ndarray, pc: PowerConstraints) -> float:
     element stays unclipped.
     """
     order = np.argsort(-v, kind="stable")
-    v_desc, r_desc = v[order], R[order]
+    v_desc, half_r = v[order], R[order]
+    del order
+    half_r *= 0.5
     # spent[j]: power of the j+1 strongest elements at the cap;
     # rest[j]: power of elements j.. per unit level squared.
-    spent = np.cumsum(0.5 * r_desc * pc.w_max ** 2)
-    rest = np.cumsum((0.5 * r_desc * v_desc ** 2)[::-1])[::-1]
+    spent = np.cumsum(half_r * pc.w_max ** 2)
+    rest = v_desc ** 2
+    rest *= half_r
+    del half_r
+    np.cumsum(rest[::-1], out=rest[::-1])
     # power at the level where element j reaches the cap, for all but the
     # weakest
-    breakpoint_power = spent[:-1] + (pc.w_max / v_desc[:-1]) ** 2 * rest[1:]
+    breakpoint_power = np.divide(pc.w_max, v_desc[:-1])
+    del v_desc
+    np.square(breakpoint_power, out=breakpoint_power)
+    breakpoint_power *= rest[1:]
+    breakpoint_power += spent[:-1]
     k = int(np.count_nonzero(breakpoint_power <= pc.P0))
     return math.sqrt((pc.P0 - (spent[k - 1] if k else 0.0)) / rest[k])
 
@@ -142,28 +162,32 @@ def hybrid_weights(h: ChannelVector, pc: PowerConstraints):
     budget binds, the solution is the CP one.
     """
     g, absg, live, R = _channel_arrays(h, pc)
-    phase = np.ones_like(g)
-    phase[live] = np.conj(g[live]) / absg[live]
+    phase = np.conj(g)
+    np.divide(phase, absg, out=phase, where=live)
+    phase[~live] = 1.0
 
-    cap_power = float(np.sum(0.5 * R[live] * pc.w_max ** 2))
+    cap_power = float(np.sum(0.5 * _live(R, live) * pc.w_max ** 2))
     if cap_power <= pc.P0 * (1.0 + 1e-12):
         # every element clips before the budget binds: CP regime
-        w = np.zeros_like(g)
-        w[live] = pc.w_max * phase[live]
+        w = pc.w_max * phase
+        w[~live] = 0.0
         return (ExcitationWeights(w=w, regime="CP", total_power=cap_power),
                 FocalReport(E_focus=complex(np.sum(w * g)),
                             active_constraint="local", beta=0.0))
 
-    v = np.zeros_like(absg)
-    v[live] = absg[live] / R[live]
+    # |g| is not needed again, so v takes its place
+    v = np.divide(absg, R, out=absg, where=live)
+    v[~live] = 0.0
     v /= float(np.linalg.norm(v))
 
-    beta = _water_level(v[live], R[live], pc)
-    amp = np.minimum(beta * v, pc.w_max)
-    w = amp * phase
+    beta = _water_level(_live(v, live), _live(R, live), pc)
+    amp = np.multiply(v, beta, out=v)
+    np.minimum(amp, pc.w_max, out=amp)
+    # idle ports have v = 0, so they never clip
+    clipped = amp >= pc.w_max
+    w = np.multiply(amp, phase, out=phase)
     power = _total_power(R, w)
-    clipped = (beta * v >= pc.w_max) & live
-    if np.all(clipped[live]):
+    if np.all(_live(clipped, live)):
         regime, active = "CP", "both"
     elif not np.any(clipped):
         regime, active = "TR", "global"
@@ -250,10 +274,16 @@ WEIGHTS_CSV_HEADER = ["index", "amplitude_a", "phase_rad"]
 def weights_rows(weights: ExcitationWeights) -> np.ndarray:
     """(n, 3) CSV table: port index, |w| and arg w."""
     w = np.asarray(weights.w, dtype=complex)
-    # libm atan2, as math.atan2 calls it: numpy's SIMD arctan2 can round
-    # the last bit differently, which would change weights.csv bytes
-    phase = list(map(math.atan2, w.imag.tolist(), w.real.tolist()))
-    return np.column_stack([np.arange(w.size), np.hypot(w.real, w.imag), phase])
+    table = np.empty((w.size, 3))
+    for lo in range(0, w.size, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, w.size)
+        wr, wi = w.real[lo:hi], w.imag[lo:hi]
+        table[lo:hi, 0] = np.arange(lo, hi)
+        np.hypot(wr, wi, out=table[lo:hi, 1])
+        # libm atan2, as math.atan2 calls it: numpy's SIMD arctan2 can round
+        # the last bit differently, which would change weights.csv bytes
+        table[lo:hi, 2] = list(map(math.atan2, wi.tolist(), wr.tolist()))
+    return table
 
 
 def weights_sidecar(weights: ExcitationWeights, report: FocalReport) -> dict:

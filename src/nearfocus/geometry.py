@@ -4,8 +4,8 @@ Builds the two source descriptions used everywhere downstream: discrete
 rings of Hertzian dipoles wrapped around a cylindrical corridor, and
 rectangular-patch meshes of the corridor wall itself (cylinder or
 four-wall rectangular cross section).  Layouts and meshes store their
-data as flat numpy arrays; element/patch views are materialized on
-demand so that a 720k-patch mesh stays cheap.
+data as flat (N,) and (N, 3) numpy arrays; a tangent that is the same
+for every patch is a read-only broadcast of one vector, not N copies.
 """
 
 from __future__ import annotations
@@ -66,37 +66,12 @@ class RectCorridorSpec:
         return 0.5 * math.hypot(self.width_La, self.height_Lb)
 
 
-@dataclass(frozen=True)
-class DipoleElement:
-    position: np.ndarray       # (3,) m
-    orientation_p: np.ndarray  # (3,) unit
-    length_l: float            # m
-
-    def __post_init__(self):
-        if abs(float(np.linalg.norm(self.orientation_p)) - 1.0) > 1e-12:
-            raise ValueError("orientation must be a unit vector")
-
-
-@dataclass(frozen=True)
-class SurfacePatch:
-    centroid: np.ndarray     # (3,) m
-    area: float              # m^2
-    tangent_phi: np.ndarray  # (3,) unit, along the cross-section perimeter
-    tangent_z: np.ndarray    # (3,) unit, along the corridor axis
-
-    def __post_init__(self):
-        if self.area <= 0.0:
-            raise ValueError("patch area must be positive")
-        if abs(float(np.dot(self.tangent_phi, self.tangent_z))) > 1e-12:
-            raise ValueError("patch tangents must be orthogonal")
-
-
 class ArrayLayout:
     """Ordered collection of dipole elements arranged in stacked rings.
 
     Index order is ring-major: element i sits in ring i // per_ring at
     azimuthal slot i % per_ring.  positions and orientations are (N, 3)
-    float arrays; iteration yields DipoleElement views.
+    float arrays.
     """
 
     def __init__(self, positions: np.ndarray, orientations: np.ndarray,
@@ -122,21 +97,13 @@ class ArrayLayout:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def __getitem__(self, i: int) -> DipoleElement:
-        return DipoleElement(position=self.positions[i],
-                             orientation_p=self.orientations[i],
-                             length_l=self.length_l)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
 
 class SurfaceMesh:
     """Flat-patch mesh of a corridor wall.
 
-    centroids (N, 3), areas (N,), tangents_phi/tangents_z (N, 3).
-    Behaves as a read-only sequence of SurfacePatch.
+    centroids (N, 3), areas (N,), tangents_phi/tangents_z (N, 3), all
+    read-only.  tangents_phi runs along the cross-section perimeter and
+    tangents_z along the corridor axis.
     """
 
     def __init__(self, centroids: np.ndarray, areas: np.ndarray,
@@ -160,17 +127,13 @@ class SurfaceMesh:
     def __len__(self) -> int:
         return self.centroids.shape[0]
 
-    def __getitem__(self, i: int) -> SurfacePatch:
-        return SurfacePatch(centroid=self.centroids[i], area=float(self.areas[i]),
-                            tangent_phi=self.tangents_phi[i],
-                            tangent_z=self.tangents_z[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def total_area(self) -> float:
         return float(np.sum(self.areas))
+
+
+def _axial(n: int) -> np.ndarray:
+    """The unit z vector for each of n sources, as one read-only broadcast row."""
+    return np.broadcast_to(np.array([0.0, 0.0, 1.0]), (n, 3))
 
 
 def _ring_z_planes(length_L: float, half_lam: float) -> np.ndarray:
@@ -246,8 +209,7 @@ def build_cylinder_mesh(spec: CylinderSpec, n_axial: int, n_azimuthal: int) -> S
     tangents_phi[:, 0] = np.tile(-sinp, n_axial)
     tangents_phi[:, 1] = np.tile(cosp, n_axial)
     tangents_phi[:, 2] = 0.0
-    tangents_z = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
-    return SurfaceMesh(centroids, areas, tangents_phi, tangents_z)
+    return SurfaceMesh(centroids, areas, tangents_phi, _axial(n))
 
 
 def build_rect_corridor_mesh(spec: RectCorridorSpec, patch_target: float,
@@ -264,9 +226,6 @@ def build_rect_corridor_mesh(spec: RectCorridorSpec, patch_target: float,
             f"patch_target {patch_target} m exceeds quarter wavelength {0.25 * wl.lam} m")
 
     nz = max(2, int(math.ceil(spec.length_L / patch_target)))
-    dz = spec.length_L / nz
-    zc = (np.arange(nz) + 0.5) * dz - 0.5 * spec.length_L
-
     # walls ordered +x, +y, -x, -y; perimeter tangent is counterclockwise
     # as seen from +z, playing the role of the cylinder's phi direction
     walls = [
@@ -275,21 +234,26 @@ def build_rect_corridor_mesh(spec: RectCorridorSpec, patch_target: float,
         (np.array([-0.5 * spec.width_La, 0.0, 0.0]), np.array([0.0, -1.0, 0.0]), spec.height_Lb),
         (np.array([0.0, -0.5 * spec.height_Lb, 0.0]), np.array([1.0, 0.0, 0.0]), spec.width_La),
     ]
-    cents, areas, tphis = [], [], []
-    for origin, tphi, extent in walls:
-        nt = max(1, int(math.ceil(extent / patch_target)))
+    nts = [max(1, int(math.ceil(extent / patch_target))) for _, _, extent in walls]
+    n = nz * sum(nts)
+    # sized before any other array, so that an impossible mesh fails at once
+    centroids = np.empty((n, 3))
+    areas = np.empty(n)
+    tangents_phi = np.empty((n, 3))
+    dz = spec.length_L / nz
+    z_offsets = ((np.arange(nz) + 0.5) * dz - 0.5 * spec.length_L)[:, None] \
+        * np.array([0.0, 0.0, 1.0])
+    lo = 0
+    for (origin, tphi, extent), nt in zip(walls, nts):
+        hi = lo + nz * nt
         dt = extent / nt
         tc = (np.arange(nt) + 0.5) * dt - 0.5 * extent
-        cw = origin[None, None, :] + tc[None, :, None] * tphi[None, None, :] \
-            + zc[:, None, None] * np.array([0.0, 0.0, 1.0])[None, None, :]
-        cents.append(cw.reshape(-1, 3))
-        areas.append(np.full(nz * nt, dt * dz))
-        tphis.append(np.tile(tphi, (nz * nt, 1)))
-    centroids = np.concatenate(cents)
-    areas = np.concatenate(areas)
-    tangents_phi = np.concatenate(tphis)
-    tangents_z = np.tile(np.array([0.0, 0.0, 1.0]), (centroids.shape[0], 1))
-    return SurfaceMesh(centroids, areas, tangents_phi, tangents_z)
+        np.add(origin + tc[:, None] * tphi, z_offsets[:, None, :],
+               out=centroids[lo:hi].reshape(nz, nt, 3))
+        areas[lo:hi] = dt * dz
+        tangents_phi[lo:hi] = tphi
+        lo = hi
+    return SurfaceMesh(centroids, areas, tangents_phi, _axial(n))
 
 
 def layout_rows(layout: ArrayLayout) -> np.ndarray:

@@ -205,9 +205,8 @@ def test_03_water_level_matches_oracle():
     worst = 0.0
     for i in range(100):
         n_el = (4, 16, 64)[i % 3]
-        entries = np.zeros((n_el, 3), dtype=complex)
-        entries[:, 2] = rng.normal(size=n_el) + 1j * rng.normal(size=n_el)
-        h = ChannelVector(entries, np.zeros(3), Z_HAT, np.ones(n_el))
+        g = rng.normal(size=n_el) + 1j * rng.normal(size=n_el)
+        h = ChannelVector(g, np.zeros(3), Z_HAT, np.ones(n_el))
         w_max = 10.0 ** rng.uniform(-2.0, 0.0)
         budget_fraction = rng.uniform(0.05, 2.0)
         pc = PowerConstraints(w_max,

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,9 @@ BASE = {
 
 MESH = dict(BASE, aperture="mesh", mesh_axial_n=60, mesh_azimuthal_n=18,
             method="hybrid", power_budget_w=1.0, port_resistance_ohm=50.0)
+
+CORRIDOR = {"geometry": "rectangle", "width_m": 12.0, "height_m": 10.5,
+            "length_m": 126.0, "frequency_hz": 1.0e9, "aperture": "mesh"}
 
 
 def scenario(tmp_path, name="scenario.json", **entries):
@@ -457,6 +461,44 @@ class TestErrors:
                                 "--threads", "many")
         assert code == 2
         assert payload["error"]["code"] == "usage"
+
+    @pytest.mark.parametrize("subcommand", ["layout", "run"])
+    def test_mesh_too_large_to_allocate(self, tmp_path, capsys, subcommand):
+        # 5.7e13 patches: numpy refuses the petabyte mesh arrays before
+        # touching any memory
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(CORRIDOR, patch_target_m=1e-5)))
+        code, payload = run_cli(capsys, subcommand, "--scenario", str(path),
+                                "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert payload["error"]["code"] == "out-of-memory"
+
+
+class TestMemory:
+    # Traced bytes per source at the peak of a run.  The arrays a run must
+    # hold at full length take 56 B per patch for the mesh, 16 for the
+    # scalar channel, 8 for the port resistances and 16 for the weights;
+    # measured 172 B/source here, 289 when full-length (N, 3) temporaries
+    # were built at each stage.
+    PEAK_BYTES_PER_SOURCE = 200
+
+    def test_run_peak_bytes_per_source(self, tmp_path, capsys):
+        path = tmp_path / "corridor.json"
+        path.write_text(json.dumps(dict(
+            CORRIDOR, length_m=25.2, method="hybrid", amplitude_cap_a=0.02,
+            power_budget_w=1000.0, cut_half_span_m=0.01)))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(capsys, "run", "--scenario", str(path),
+                              "--out", str(out), "--threads", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        n = json.loads((out / "weights.json").read_text())["n_sources"]
+        assert n == 203548
+        assert peak / n < self.PEAK_BYTES_PER_SOURCE
 
 
 class TestEnvironment:

@@ -20,6 +20,7 @@ from nearfocus.fields import (
     evaluate_field,
     green_electric,
     green_magnetic,
+    project,
 )
 from nearfocus.geometry import (
     FREE_SPACE_IMPEDANCE,
@@ -218,11 +219,12 @@ def test_channel_single_element_consistency():
     layout_like = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.1), WL, "axial")
     # direct one-element check without ring scaffolding
     field = one_element_field(el, focal)
+    z_hat = np.array([0.0, 0.0, 1.0])
     ch = ChannelVector(
-        entries=field[None, :],
-        focal_point=focal, polarization_e=np.array([0.0, 0.0, 1.0]),
+        g=project(field[None, :], z_hat),
+        focal_point=focal, polarization_e=z_hat,
         resistance_scale=np.ones(1))
-    assert np.allclose(ch.entries[0], field, rtol=0, atol=0)
+    assert ch.projected()[0] == field[2]
     # the CLI's one-element channel (tensor times moment) is the same kernel
     full = one_element_field(el, focal, kernel="full")
     ref = green_electric(focal, el.positions[0], WL) @ (el.orientations[0] * el.length_l)
@@ -391,7 +393,8 @@ def brute_force_field(sources, w, grid, source_kind, mesh_current="z"):
     """Per-point, per-source sum of the 3x3 tensors, in index order."""
     pos, moments = fields._source_arrays(sources, mesh_current)
     green = green_electric if source_kind == "electric" else green_magnetic
-    return np.array([sum(wn * (green(p, s, WL) @ m) for wn, s, m in zip(w, pos, moments))
+    return np.array([sum(wn * (green(p, s, WL) @ m)
+                         for wn, s, m in zip(w, pos, moments(slice(None))))
                      for p in grid])
 
 
@@ -440,7 +443,8 @@ def longdouble_field(sources, w, grid, kernel, source_kind, mesh_current):
     summed over sources: E = A m + C (m.r_hat) r_hat for electric
     currents, E = C r_hat x m for magnetic ones."""
     ld = np.longdouble
-    pos, m = (np.asarray(v, ld) for v in fields._source_arrays(sources, mesh_current))
+    pos, moments = fields._source_arrays(sources, mesh_current)
+    pos, m = np.asarray(pos, ld), np.asarray(moments(slice(None)), ld)
     d = np.asarray(grid, ld)[:, None, :] - pos[None]
     R = np.sqrt(np.sum(d * d, axis=-1))
     r_hat = d / R[..., None]

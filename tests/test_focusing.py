@@ -22,10 +22,8 @@ from nearfocus.focusing import (
 
 def channel_from_g(g, resistance_scale=None):
     g = np.asarray(g, dtype=complex)
-    entries = np.zeros((g.size, 3), dtype=complex)
-    entries[:, 2] = g
     rs = np.ones(g.size) if resistance_scale is None else np.asarray(resistance_scale, float)
-    return ChannelVector(entries, np.zeros(3), np.array([0.0, 0.0, 1.0]), rs)
+    return ChannelVector(g, np.zeros(3), np.array([0.0, 0.0, 1.0]), rs)
 
 
 def power_of(w, R):
