@@ -23,8 +23,8 @@ checked in the test suite against a direct integration of its amplitude
 density (``tests/oracles.py``); the quadrature is the ground truth.
 
 The special-function wrappers import ``scipy.special`` when first called,
-so importing this module, as ``run`` and ``layout`` do for its types and
-constants, loads no scipy.
+so importing this module, as ``run`` and ``layout`` do for its constants,
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from .geometry import CylinderSpec
 
 __all__ = [
-    "AxisProfile",
     "GeometryAngles",
     "CP_EZ_AXIS_LIMIT",
     "CP_EX_AXIS_LIMIT",
@@ -52,7 +51,6 @@ __all__ = [
     "TRANSVERSE_TR_Y_LIMIT",
     "TRANSVERSE_TR_Z_LIMIT",
     "EX_LONG_PROFILE_PEAK",
-    "PROFILE_CSV_HEADER",
     "sinc",
     "spherical_j1_over_x",
     "struve_h",
@@ -70,7 +68,6 @@ __all__ = [
     "resolution_profiles",
     "transverse_pol_cp",
     "transverse_pol_tr",
-    "profile_rows",
 ]
 
 # Long-cylinder limits of the normalized peak curves.
@@ -146,40 +143,6 @@ class GeometryAngles:
             phi_plus=math.atan2(a, length / 2.0 + zf),
             phi_minus=math.atan2(a, length / 2.0 - zf),
         )
-
-
-@dataclass(frozen=True)
-class AxisProfile:
-    """A sampled 1D field cut: offsets along one axis plus normalized values."""
-
-    axis: str
-    offsets_m: np.ndarray
-    values: np.ndarray
-    normalization: str
-
-    def __post_init__(self) -> None:
-        if self.axis not in ("x", "y", "z"):
-            raise ValueError(f"axis must be one of x, y, z, got {self.axis!r}")
-        offsets = np.asarray(self.offsets_m, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if offsets.ndim != 1 or offsets.shape != values.shape:
-            raise ValueError("offsets and values must be 1D arrays of equal length")
-        if not (np.isfinite(offsets).all() and np.isfinite(values).all()):
-            raise ValueError("profile offsets and values must be finite")
-        if not self.normalization:
-            raise ValueError("normalization note must be non-empty")
-        object.__setattr__(self, "offsets_m", offsets)
-        object.__setattr__(self, "values", values)
-
-
-PROFILE_CSV_HEADER = ("offset_wl", "value")
-
-
-def profile_rows(profile: AxisProfile, wavelength_m: float) -> np.ndarray:
-    """(n, 2) CSV table: offset in wavelengths, normalized value."""
-    if not wavelength_m > 0.0:
-        raise ValueError("wavelength must be positive")
-    return np.column_stack([profile.offsets_m / wavelength_m, profile.values])
 
 
 # ---------------------------------------------------------------------------

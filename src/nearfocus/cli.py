@@ -30,10 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic
-from .csvio import write_csv
+from .csvio import angle, write_csv
 from .fields import (
-    FIELDMAP_CSV_HEADER,
     ChannelVector,
+    FieldMap,
     assemble_channel,
     evaluate_field,
     green_electric,
@@ -41,12 +41,10 @@ from .fields import (
     project,
 )
 from .focusing import (
-    WEIGHTS_CSV_HEADER,
     PowerConstraints,
     cp_weights,
     hybrid_weights,
     tr_weights,
-    weights_rows,
     weights_sidecar,
 )
 from .geometry import (
@@ -58,17 +56,10 @@ from .geometry import (
     build_cylinder_mesh,
     build_rect_corridor_mesh,
     build_ring_array,
-    layout_rows,
-    mesh_rows,
 )
 from .metrics import contour_3db, cut_metrics, metrics_flat_dict
 
 __all__ = ["main", "load_scenario", "ScenarioError"]
-
-LAYOUT_CSV_HEADER = ["x", "y", "z", "px", "py", "pz", "length_m"]
-MESH_CSV_HEADER = ["x", "y", "z", "tphi_x", "tphi_y", "tphi_z",
-                   "tz_x", "tz_y", "tz_z", "area_m2"]
-CUT_CSV_HEADER = ["offset_m"] + FIELDMAP_CSV_HEADER
 
 PROFILE_REFERENCES = ("ez_long", "ez_trans", "ex_long", "ex_trans_x", "ex_trans_y")
 RATIO_REFERENCES = ("ratio_cp", "ratio_tr")
@@ -357,7 +348,7 @@ def _channel(s: dict, sources, e_hat: np.ndarray, wl: Wavelength) -> ChannelVect
         moment = sources.orientations[0] * sources.length_l
         green = green_electric if s["source_kind"] == "electric" else green_magnetic
         field = (green(focal, position, wl) @ moment.astype(complex)).reshape(1, 3)
-        return ChannelVector(project(field, e_hat), focal, e_hat, np.ones(1))
+        return ChannelVector(project(field, e_hat), np.ones(1))
     return assemble_channel(sources, focal, e_hat, wl, kernel=s["kernel"],
                             source_kind=s["source_kind"],
                             mesh_current=_mesh_current(s))
@@ -414,6 +405,29 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
+def _xyz(prefix: str, vectors: np.ndarray) -> dict:
+    """The x, y and z columns of (N, 3) vectors, named prefix + axis, as views."""
+    return {prefix + axis: vectors[:, i] for i, axis in enumerate("xyz")}
+
+
+def _field_columns(fm: FieldMap) -> dict:
+    """Point coordinates, then the real and imaginary part of each E component."""
+    columns = _xyz("", fm.points)
+    for i, axis in enumerate("xyz"):
+        columns["re_e" + axis] = fm.E[:, i].real
+        columns["im_e" + axis] = fm.E[:, i].imag
+    return columns
+
+
+def _write_cut(path: Path, offsets: np.ndarray, fm: FieldMap) -> None:
+    write_csv(path, {"offset_m": offsets, **_field_columns(fm)})
+
+
+def _write_curve(path: Path, offsets: np.ndarray, values: np.ndarray,
+                 wl: Wavelength) -> None:
+    write_csv(path, {"offset_wl": offsets / wl.lam, "value": values})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -423,7 +437,10 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list,
     weights, report = _solve_weights(
         s, _channel(s, sources, _AXIS_UNIT[s["target_polarization"]], wl))
 
-    write_csv(outdir / "weights.csv", WEIGHTS_CSV_HEADER, weights_rows(weights))
+    w = weights.w
+    write_csv(outdir / "weights.csv", {"index": np.arange(w.size),
+                                       "amplitude_a": np.hypot(w.real, w.imag),
+                                       "phase_rad": angle(w)})
     sidecar = weights_sidecar(weights, report)
     sidecar["n_sources"] = len(weights.w)
     sidecar["method"] = s["method"]
@@ -436,8 +453,7 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list,
         offsets = _cut_offsets(s)
         fm = _evaluate(s, sources, weights, _cut_points(s, s["cut_axis"], offsets),
                        wl, threads)
-        write_csv(outdir / "cut.csv", CUT_CSV_HEADER,
-                  np.column_stack([offsets, fm.rows()]))
+        _write_cut(outdir / "cut.csv", offsets, fm)
         artifacts.append("cut.csv")
         metrics_payload["kind"] = "cut"
         metrics_payload["axis"] = s["cut_axis"]
@@ -454,7 +470,7 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list,
     else:
         points, shape = _plane_grid(s)
         fm = _evaluate(s, sources, weights, points, wl, threads)
-        write_csv(outdir / "fieldmap.csv", FIELDMAP_CSV_HEADER, fm.rows())
+        write_csv(outdir / "fieldmap.csv", _field_columns(fm))
         artifacts.append("fieldmap.csv")
         metrics_payload["kind"] = "plane"
         metrics_payload["plane_axes"] = s["plane_axes"]
@@ -527,13 +543,8 @@ def _cmd_validate_profile(s: dict, outdir: Path, wl: Wavelength,
     numeric = np.abs(fm.component(component))
     ana = analytic.resolution_profiles(kind, np.abs(offsets) / wl.lam, spec)
 
-    write_csv(outdir / "cut.csv", CUT_CSV_HEADER,
-              np.column_stack([offsets, fm.rows()]))
-    curve = analytic.AxisProfile(axis=axis, offsets_m=offsets, values=ana,
-                                 normalization="closed-form reference, "
-                                               "see module analytic")
-    write_csv(outdir / "curve.csv", list(analytic.PROFILE_CSV_HEADER),
-              analytic.profile_rows(curve, wl.lam))
+    _write_cut(outdir / "cut.csv", offsets, fm)
+    _write_curve(outdir / "curve.csv", offsets, ana, wl)
 
     num_n, ana_n = _normalized(numeric), _normalized(ana)
     lo, hi = _main_lobe_window(num_n)
@@ -616,24 +627,22 @@ def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
                        f"one of {list(PROFILE_REFERENCES)}")
     if s["geometry"] != "cylinder":
         raise _invalid(f"analytic reference {kind} requires cylinder geometry")
-    axis, _ = _REFERENCE_GEOMETRY[kind]
-    spec = _geometry_spec(s)
     offsets = _cut_offsets(s)
-    values = analytic.resolution_profiles(kind, np.abs(offsets) / wl.lam, spec)
-    curve = analytic.AxisProfile(axis=axis, offsets_m=offsets, values=values,
-                                 normalization="closed-form reference, "
-                                               "see module analytic")
-    write_csv(outdir / "curve.csv", list(analytic.PROFILE_CSV_HEADER),
-              analytic.profile_rows(curve, wl.lam))
+    values = analytic.resolution_profiles(kind, np.abs(offsets) / wl.lam,
+                                          _geometry_spec(s))
+    _write_curve(outdir / "curve.csv", offsets, values, wl)
     return ["curve.csv"], 0
 
 
 def _cmd_layout(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
     sources = _aperture(s, wl)
     if isinstance(sources, SurfaceMesh):
-        write_csv(outdir / "layout.csv", MESH_CSV_HEADER, mesh_rows(sources))
+        columns = {**_xyz("", sources.centroids), **_xyz("tphi_", sources.tangents_phi),
+                   **_xyz("tz_", sources.tangents_z), "area_m2": sources.areas}
     else:
-        write_csv(outdir / "layout.csv", LAYOUT_CSV_HEADER, layout_rows(sources))
+        columns = {**_xyz("", sources.positions), **_xyz("p", sources.orientations),
+                   "length_m": np.broadcast_to(sources.length_l, len(sources))}
+    write_csv(outdir / "layout.csv", columns)
     return ["layout.csv"], 0
 
 

@@ -33,23 +33,18 @@ _SOURCE_BLOCK = 512
 class ChannelVector:
     """Scalar channel of every source at one focal point.
 
-    g[n] is the component along polarization_e of the E-field that a unit
-    drive of source n produces at focal_point; it is all the weight
-    solvers read.  resistance_scale carries the per-port resistance
+    g[n] is the component along the target polarization of the E-field
+    that a unit drive of source n produces at the focus; it is all the
+    weight solvers read.  resistance_scale carries the per-port resistance
     multiplier (patch area over the half-wavelength-square reference area
     for meshes, 1 for dipoles).
     """
 
-    def __init__(self, g: np.ndarray, focal_point: np.ndarray,
-                 polarization_e: np.ndarray, resistance_scale: np.ndarray):
+    def __init__(self, g: np.ndarray, resistance_scale: np.ndarray):
         self.g = np.asarray(g, dtype=complex)
-        self.focal_point = np.asarray(focal_point, dtype=float)
-        self.polarization_e = np.asarray(polarization_e, dtype=float)
         self.resistance_scale = np.asarray(resistance_scale, dtype=float)
         if self.g.ndim != 1:
             raise ValueError("g must be (N,)")
-        if abs(float(np.linalg.norm(self.polarization_e)) - 1.0) > 1e-12:
-            raise ValueError("polarization_e must be a unit vector")
         if self.resistance_scale.shape != self.g.shape:
             raise ValueError("resistance_scale must have one value per source")
         if np.any(self.resistance_scale <= 0.0):
@@ -57,10 +52,6 @@ class ChannelVector:
 
     def __len__(self) -> int:
         return self.g.shape[0]
-
-    def projected(self) -> np.ndarray:
-        """Scalar channel g."""
-        return self.g
 
 
 def project(fields: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
@@ -83,14 +74,6 @@ class FieldMap:
 
     def component(self, axis: str) -> np.ndarray:
         return self.E[:, "xyz".index(axis)]
-
-    def rows(self) -> np.ndarray:
-        """(n, 9) CSV table in FIELDMAP_CSV_HEADER order."""
-        return np.hstack([self.points, np.ascontiguousarray(self.E).view(float)])
-
-
-FIELDMAP_CSV_HEADER = ["x", "y", "z", "re_ex", "im_ex", "re_ey", "im_ey",
-                       "re_ez", "im_ez"]
 
 
 # ------------------------------------------------------------------ kernel
@@ -265,6 +248,8 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     """
     _check_kernel(kernel, source_kind)
     focal = np.asarray(focal, dtype=float)
+    if abs(float(np.linalg.norm(e_hat)) - 1.0) > 1e-12:
+        raise ValueError("e_hat must be a unit vector")
     src_pos, moments = _source_arrays(sources, mesh_current)
 
     lo, hi = src_pos.min(axis=0), src_pos.max(axis=0)
@@ -280,8 +265,8 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
         g[s] = project(E, e_hat)
 
     if isinstance(sources, SurfaceMesh):
-        return ChannelVector(g, focal, e_hat, sources.areas / (0.5 * wl.lam) ** 2)
-    return ChannelVector(g, focal, e_hat, np.ones(n))
+        return ChannelVector(g, sources.areas / (0.5 * wl.lam) ** 2)
+    return ChannelVector(g, np.ones(n))
 
 
 def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,

@@ -26,8 +26,6 @@ import numpy as np
 from .fields import ChannelVector
 
 ZERO_CHANNEL_CUTOFF = 1e-15  # relative to max |g|; below this an element is idle
-# ports per block of weights_rows: its Python float lists stay this short
-_ROW_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class OracleReport:
 
 
 def _channel_arrays(h: ChannelVector, pc: PowerConstraints):
-    g = h.projected()
+    g = h.g
     absg = np.abs(g)
     gmax = float(np.max(absg)) if absg.size else 0.0
     if gmax == 0.0:
@@ -244,7 +242,7 @@ def optimality_oracle(h: ChannelVector, pc: PowerConstraints,
     """
     if len(h) > 256:
         raise ValueError("oracle is limited to 256 ports")
-    g = h.projected()
+    g = h.g
     absg = np.abs(g)
     if float(np.max(absg)) == 0.0:
         raise ValueError("channel is zero for the requested polarization")
@@ -267,24 +265,6 @@ def optimality_oracle(h: ChannelVector, pc: PowerConstraints,
 
 
 # ----------------------------------------------------------------- exports
-
-WEIGHTS_CSV_HEADER = ["index", "amplitude_a", "phase_rad"]
-
-
-def weights_rows(weights: ExcitationWeights) -> np.ndarray:
-    """(n, 3) CSV table: port index, |w| and arg w."""
-    w = np.asarray(weights.w, dtype=complex)
-    table = np.empty((w.size, 3))
-    for lo in range(0, w.size, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, w.size)
-        wr, wi = w.real[lo:hi], w.imag[lo:hi]
-        table[lo:hi, 0] = np.arange(lo, hi)
-        np.hypot(wr, wi, out=table[lo:hi, 1])
-        # libm atan2, as math.atan2 calls it: numpy's SIMD arctan2 can round
-        # the last bit differently, which would change weights.csv bytes
-        table[lo:hi, 2] = list(map(math.atan2, wi.tolist(), wr.tolist()))
-    return table
-
 
 def weights_sidecar(weights: ExcitationWeights, report: FocalReport) -> dict:
     return {

@@ -254,15 +254,3 @@ def build_rect_corridor_mesh(spec: RectCorridorSpec, patch_target: float,
         tangents_phi[lo:hi] = tphi
         lo = hi
     return SurfaceMesh(centroids, areas, tangents_phi, _axial(n))
-
-
-def layout_rows(layout: ArrayLayout) -> np.ndarray:
-    """(n, 7) CSV table: x, y, z, px, py, pz, length per element."""
-    return np.column_stack([layout.positions, layout.orientations,
-                            np.full(len(layout), layout.length_l)])
-
-
-def mesh_rows(mesh: SurfaceMesh) -> np.ndarray:
-    """(n, 10) CSV table: x, y, z, tphi_x..z, tz_x..z, area per patch."""
-    return np.column_stack([mesh.centroids, mesh.tangents_phi, mesh.tangents_z,
-                            mesh.areas])

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AxisProfile
 from .fields import FieldMap
 
 __all__ = [
@@ -72,12 +71,9 @@ def metrics_flat_dict(metrics: CutMetrics, wavelength_m: float) -> dict:
 
 
 def _unpack_cut(profile) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(profile, AxisProfile):
-        offsets, values = profile.offsets_m, profile.values
-    elif isinstance(profile, (tuple, list)) and len(profile) == 2:
-        offsets, values = profile
-    else:
-        raise TypeError("profile must be an AxisProfile or an (offsets, values) pair")
+    if not (isinstance(profile, (tuple, list)) and len(profile) == 2):
+        raise TypeError("profile must be an (offsets, values) pair")
+    offsets, values = profile
     offsets = np.asarray(offsets, dtype=float)
     values = np.abs(np.asarray(values))
     if offsets.ndim != 1 or offsets.shape != values.shape:

@@ -206,7 +206,7 @@ def test_03_water_level_matches_oracle():
     for i in range(100):
         n_el = (4, 16, 64)[i % 3]
         g = rng.normal(size=n_el) + 1j * rng.normal(size=n_el)
-        h = ChannelVector(g, np.zeros(3), Z_HAT, np.ones(n_el))
+        h = ChannelVector(g, np.ones(n_el))
         w_max = 10.0 ** rng.uniform(-2.0, 0.0)
         budget_fraction = rng.uniform(0.05, 2.0)
         pc = PowerConstraints(w_max,

@@ -18,7 +18,6 @@ from nearfocus.analytic import (
     CP_EZ_AXIS_LIMIT,
     CP_FIELD_RATIO_LIMIT,
     EX_LONG_PROFILE_PEAK,
-    PROFILE_CSV_HEADER,
     TR_EX_AXIS_LIMIT,
     TR_EZ_AXIS_LIMIT,
     TR_FIELD_RATIO_LIMIT,
@@ -28,7 +27,6 @@ from nearfocus.analytic import (
     TRANSVERSE_TR_X_LIMIT_ALTERNATE,
     TRANSVERSE_TR_Y_LIMIT,
     TRANSVERSE_TR_Z_LIMIT,
-    AxisProfile,
     GeometryAngles,
     ex_cp_axis,
     ex_cp_radial_x,
@@ -39,7 +37,6 @@ from nearfocus.analytic import (
     ez_tr_axis,
     kernel_dipole,
     kernel_point,
-    profile_rows,
     resolution_profiles,
     transverse_pol_cp,
     transverse_pol_tr,
@@ -497,32 +494,4 @@ class TestTransversePolarization:
             assert transverse_pol_tr(comp, zf, BASE) == pytest.approx(
                 transverse_pol_tr(comp, -zf, BASE), rel=1e-12
             )
-
-
-class TestAxisProfileType:
-    def test_construction_and_rows(self):
-        profile = AxisProfile(
-            axis="x",
-            offsets_m=[0.0, 0.15],
-            values=[1.0, 0.5],
-            normalization="peak-normalized",
-        )
-        rows = profile_rows(profile, wavelength_m=0.3)
-        assert rows.tolist() == [[0.0, 1.0], [0.5, 0.5]]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AxisProfile(axis="r", offsets_m=[0.0], values=[1.0], normalization="n")
-        with pytest.raises(ValueError):
-            AxisProfile(axis="x", offsets_m=[0.0, 1.0], values=[1.0], normalization="n")
-        with pytest.raises(ValueError):
-            AxisProfile(axis="x", offsets_m=[0.0], values=[math.nan], normalization="n")
-        with pytest.raises(ValueError):
-            AxisProfile(axis="x", offsets_m=[0.0], values=[1.0], normalization="")
-        profile = AxisProfile(axis="x", offsets_m=[0.0], values=[1.0], normalization="n")
-        with pytest.raises(ValueError):
-            profile_rows(profile, wavelength_m=0.0)
-
-    def test_header_names(self):
-        assert PROFILE_CSV_HEADER == ("offset_wl", "value")
 

@@ -232,6 +232,28 @@ class TestRun:
         for name in ("weights.csv", "cut.csv", "metrics.json", "weights.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_csv_headers(self, tmp_path, capsys):
+        field = "x,y,z,re_ex,im_ex,re_ey,im_ey,re_ez,im_ez"
+        for subcommand, name, entries in (
+                ("run", "cut", {}),
+                ("run", "plane", dict(grid="plane", plane_half_span_a_m=0.02,
+                                      plane_half_span_b_m=0.02)),
+                ("layout", "layout", {})):
+            scn = scenario(tmp_path, f"{name}.json", **MESH, **entries)
+            code, _ = run_cli(capsys, subcommand, "--scenario", scn,
+                              "--out", str(tmp_path / name))
+            assert code == 0
+
+        def header(path):
+            with open(path) as f:
+                return f.readline()
+
+        assert header(tmp_path / "cut" / "weights.csv") == "index,amplitude_a,phase_rad\n"
+        assert header(tmp_path / "cut" / "cut.csv") == f"offset_m,{field}\n"
+        assert header(tmp_path / "plane" / "fieldmap.csv") == f"{field}\n"
+        assert header(tmp_path / "layout" / "layout.csv") == \
+            "x,y,z,tphi_x,tphi_y,tphi_z,tz_x,tz_y,tz_z,area_m2\n"
+
     def test_magnetic_azimuthal_run(self, tmp_path, capsys):
         scn = scenario(tmp_path, **dict(MESH, source_kind="magnetic",
                                         element_polarization="azimuthal"),
@@ -362,6 +384,19 @@ class TestAnalyticSubcommand:
         assert tracer.counts["analytic.profile.calls"] > 0
         assert tracer.counts["specfun.calls"] > 0
 
+    def test_benchmark_tracer_counts_layout_rows(self, tmp_path, capsys):
+        # the tracer wraps cli.write_csv and counts the lines of the file its
+        # first argument names
+        tracing = load_benchmark_tracer()
+        out = tmp_path / "out"
+        with tracing.installed(tracing.Tracer()) as tracer:
+            code, _ = run_cli(capsys, "layout", "--scenario", scenario(tmp_path),
+                              "--out", str(out))
+        assert code == 0
+        assert tracer.counts["csvio.write.calls"] == 1
+        rows = len((out / "layout.csv").read_text().splitlines()) - 1
+        assert tracer.counts["csvio.rows"] == rows == 42 * 67
+
     def test_benchmark_tracer_targets_exist(self):
         # the tracer rebinds these names with a strict getattr, so a removed
         # cli.green_* or cli.write_csv would otherwise fail only when traced
@@ -481,24 +516,40 @@ class TestMemory:
     # measured 172 B/source here, 289 when full-length (N, 3) temporaries
     # were built at each stage.
     PEAK_BYTES_PER_SOURCE = 200
+    # The same for a layout of the same mesh: the 56 B per patch of the mesh
+    # arrays, and about 36 MB for one formatted block of 65,536 rows;
+    # measured 235 B/source here, 315 when the whole (N, 10) table was
+    # built before writing.
+    LAYOUT_PEAK_BYTES_PER_SOURCE = 275
 
-    def test_run_peak_bytes_per_source(self, tmp_path, capsys):
+    @staticmethod
+    def traced_peak(tmp_path, capsys, subcommand, **entries):
         path = tmp_path / "corridor.json"
-        path.write_text(json.dumps(dict(
-            CORRIDOR, length_m=25.2, method="hybrid", amplitude_cap_a=0.02,
-            power_budget_w=1000.0, cut_half_span_m=0.01)))
-        out = tmp_path / "out"
+        path.write_text(json.dumps(dict(CORRIDOR, length_m=25.2, **entries)))
         tracemalloc.start()
         try:
-            code, _ = run_cli(capsys, "run", "--scenario", str(path),
-                              "--out", str(out), "--threads", "1")
+            code, _ = run_cli(capsys, subcommand, "--scenario", str(path),
+                              "--out", str(tmp_path / "out"), "--threads", "1")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        n = json.loads((out / "weights.json").read_text())["n_sources"]
+        return peak
+
+    def test_run_peak_bytes_per_source(self, tmp_path, capsys):
+        peak = self.traced_peak(tmp_path, capsys, "run", method="hybrid",
+                                amplitude_cap_a=0.02, power_budget_w=1000.0,
+                                cut_half_span_m=0.01)
+        n = json.loads((tmp_path / "out" / "weights.json").read_text())["n_sources"]
         assert n == 203548
         assert peak / n < self.PEAK_BYTES_PER_SOURCE
+
+    def test_layout_peak_bytes_per_source(self, tmp_path, capsys):
+        peak = self.traced_peak(tmp_path, capsys, "layout")
+        with open(tmp_path / "out" / "layout.csv", "rb") as f:
+            n = sum(1 for _ in f) - 1
+        assert n == 203548
+        assert peak / n < self.LAYOUT_PEAK_BYTES_PER_SOURCE
 
 
 class TestEnvironment:

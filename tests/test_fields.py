@@ -220,11 +220,8 @@ def test_channel_single_element_consistency():
     # direct one-element check without ring scaffolding
     field = one_element_field(el, focal)
     z_hat = np.array([0.0, 0.0, 1.0])
-    ch = ChannelVector(
-        g=project(field[None, :], z_hat),
-        focal_point=focal, polarization_e=z_hat,
-        resistance_scale=np.ones(1))
-    assert ch.projected()[0] == field[2]
+    ch = ChannelVector(g=project(field[None, :], z_hat), resistance_scale=np.ones(1))
+    assert ch.g[0] == field[2]
     # the CLI's one-element channel (tensor times moment) is the same kernel
     full = one_element_field(el, focal, kernel="full")
     ref = green_electric(focal, el.positions[0], WL) @ (el.orientations[0] * el.length_l)
@@ -236,7 +233,7 @@ def test_channel_ring_symmetry_on_axis():
     layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.16), WL, "axial")
     assert layout.rings == 2
     ch = assemble_channel(layout, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL)
-    g = ch.projected()
+    g = ch.g
     ring = g[:layout.per_ring]
     assert np.max(np.abs(ring - ring[0])) < 1e-12 * abs(ring[0])
 
@@ -246,7 +243,7 @@ def test_channel_ring_cosphi_weighting():
     layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.16), WL, "axial")
     ch = assemble_channel(layout, np.zeros(3), np.array([1.0, 0.0, 0.0]), WL,
                           kernel="dipole-approx")
-    ring = np.abs(ch.projected()[:layout.per_ring])
+    ring = np.abs(ch.g[:layout.per_ring])
     a, z0 = 1.0, 0.5 * layout.spacing_d
     r = math.hypot(a, z0)
     re = FREE_SPACE_IMPEDANCE * layout.length_l * WL.k / FOUR_PI
@@ -263,6 +260,8 @@ def test_channel_standoff_and_region_checks():
         assemble_channel(layout, np.array([0.99, 0.0, 0.0]), e_z, WL)  # standoff
     with pytest.raises(ValueError):
         assemble_channel(layout, np.array([0.0, 0.0, 5.0]), e_z, WL)   # outside
+    with pytest.raises(ValueError):
+        assemble_channel(layout, np.zeros(3), 2.0 * e_z, WL)           # not a unit
     with pytest.raises(ValueError):
         assemble_channel(layout, np.zeros(3), e_z, WL, kernel="nearest")
     with pytest.raises(ValueError):
@@ -285,7 +284,7 @@ def small_layout():
 
 def cp_phases(layout, focal, e_hat):
     ch = assemble_channel(layout, focal, e_hat, WL)
-    g = ch.projected()
+    g = ch.g
     return np.conj(g) / np.abs(g)
 
 
@@ -325,7 +324,7 @@ def test_cp_phase_coherence_at_focus():
     focal = np.zeros(3)
     e_hat = np.array([0.0, 0.0, 1.0])
     ch = assemble_channel(layout, focal, e_hat, WL)
-    g = ch.projected()
+    g = ch.g
     w = np.conj(g) / np.abs(g)
     contrib = w * g
     assert np.all(contrib.real >= 0.0)
@@ -524,7 +523,7 @@ def test_mesh_refinement_convergence():
     for (na, nph) in [(100, 18), (200, 36)]:
         mesh = build_cylinder_mesh(spec, na, nph)
         ch = assemble_channel(mesh, np.zeros(3), e_hat, WL)
-        g = ch.projected()
+        g = ch.g
         w = np.conj(g) / np.abs(g)  # unit-amplitude phase conjugation
         # focal field per unit total drive area keeps refinements comparable
         vals.append(abs(np.sum(w * g)) / np.sum(mesh.areas))

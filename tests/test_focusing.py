@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearfocus import csvio
 from nearfocus.fields import ChannelVector
 from nearfocus.focusing import (
     ExcitationWeights,
@@ -15,7 +16,6 @@ from nearfocus.focusing import (
     hybrid_weights,
     optimality_oracle,
     tr_weights,
-    weights_rows,
     weights_sidecar,
 )
 
@@ -23,7 +23,7 @@ from nearfocus.focusing import (
 def channel_from_g(g, resistance_scale=None):
     g = np.asarray(g, dtype=complex)
     rs = np.ones(g.size) if resistance_scale is None else np.asarray(resistance_scale, float)
-    return ChannelVector(g, np.zeros(3), np.array([0.0, 0.0, 1.0]), rs)
+    return ChannelVector(g, rs)
 
 
 def power_of(w, R):
@@ -229,11 +229,14 @@ def test_oracle_certifies_hybrid_on_random_instances():
 
 # ------------------------------------------------------------------ export
 
-def test_weights_rows_and_sidecar():
+def test_weights_rows_and_sidecar(tmp_path):
     g = np.array([2.0 * np.exp(0.3j), 1.0 * np.exp(-1.1j)])
     pc = PowerConstraints(w_max=0.8, P0=1.0, R0_per_port=2.0)
     weights, report = hybrid_weights(channel_from_g(g), pc)
-    rows = list(weights_rows(weights))
+    path = tmp_path / "weights.csv"
+    csvio.write_csv(path, {"index": np.arange(2), "amplitude_a": np.abs(weights.w),
+                           "phase_rad": csvio.angle(weights.w)})
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows[0][0] == 0 and rows[1][0] == 1
     assert rows[0][1] == pytest.approx(0.8, abs=1e-9)
     assert rows[0][2] == pytest.approx(-0.3, abs=1e-9)

@@ -16,8 +16,6 @@ from nearfocus.geometry import (
     build_cylinder_mesh,
     build_rect_corridor_mesh,
     build_ring_array,
-    layout_rows,
-    mesh_rows,
 )
 
 WL_1GHZ = Wavelength.from_frequency(1.0e9)
@@ -197,11 +195,16 @@ def test_mesh_patch_views_validate():
 
 # ----------------------------------------------------------------- exports
 
+def xyz_columns(prefix, vectors):
+    return {prefix + axis: vectors[:, i] for i, axis in enumerate("xyz")}
+
+
 def test_layout_csv_roundtrip(tmp_path):
     layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.4), WL_1GHZ, "axial")
     path = tmp_path / "layout.csv"
-    csvio.write_csv(path, ["x", "y", "z", "px", "py", "pz", "length"],
-                    layout_rows(layout))
+    columns = {**xyz_columns("", layout.positions), **xyz_columns("p", layout.orientations),
+               "length": np.broadcast_to(layout.length_l, len(layout))}
+    csvio.write_csv(path, columns)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + len(layout)
     first = [float(v) for v in lines[1].split(",")]
@@ -211,8 +214,9 @@ def test_layout_csv_roundtrip(tmp_path):
 def test_mesh_csv_roundtrip(tmp_path):
     mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 2, 4)
     path = tmp_path / "mesh.csv"
-    csvio.write_csv(path, ["x", "y", "z", "tphi_x", "tphi_y", "tphi_z",
-                           "tz_x", "tz_y", "tz_z", "area"], mesh_rows(mesh))
+    columns = {**xyz_columns("", mesh.centroids), **xyz_columns("tphi_", mesh.tangents_phi),
+               **xyz_columns("tz_", mesh.tangents_z), "area": mesh.areas}
+    csvio.write_csv(path, columns)
     lines = path.read_text().splitlines()
     assert len(lines) == 9
     areas = [float(line.split(",")[-1]) for line in lines[1:]]
@@ -220,13 +224,30 @@ def test_mesh_csv_roundtrip(tmp_path):
 
 
 def test_csv_format_determinism(tmp_path):
-    rows = [(1.0 / 3.0, 2, -0.0), (1e-300, 1e300, math.pi)]
+    columns = {"a": [1.0 / 3.0, 1e-300], "b": [2, 1e300], "c": [-0.0, math.pi]}
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    csvio.write_csv(p1, ["a", "b", "c"], rows)
-    csvio.write_csv(p2, ["a", "b", "c"], rows)
+    csvio.write_csv(p1, columns)
+    csvio.write_csv(p2, columns)
     assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_bytes().startswith(b"a,b,c\n")
     assert b"-0\n" not in p1.read_bytes()
     assert b"0.33333333333333331" in p1.read_bytes()
     with pytest.raises(ValueError):
-        csvio.write_csv(tmp_path / "nan.csv", ["a"], [[float("nan")]])
+        csvio.write_csv(tmp_path / "nan.csv", {"a": [float("nan")]})
     assert not (tmp_path / "nan.csv").exists()
+    with pytest.raises(ValueError):
+        csvio.write_csv(tmp_path / "ragged.csv", {"a": [1.0, 2.0], "b": [1.0]})
+    assert not (tmp_path / "ragged.csv").exists()
+
+
+def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch):
+    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 3, 5)
+    w = np.exp(1j * np.linspace(-3.0, 3.0, len(mesh))) * mesh.areas
+    columns = {**xyz_columns("tz_", mesh.tangents_z), "area": mesh.areas,
+               "phase": csvio.angle(w)}
+    csvio.write_csv(tmp_path / "one.csv", columns)
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 4)
+    columns["phase"] = csvio.angle(w)
+    csvio.write_csv(tmp_path / "blocks.csv", columns)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert list(columns["phase"]) == [math.atan2(v.imag, v.real) for v in w]

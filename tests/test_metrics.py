@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearfocus.analytic import AxisProfile, kernel_dipole, kernel_point
+from nearfocus.analytic import kernel_dipole, kernel_point
 from nearfocus.fields import FieldMap
 from nearfocus.metrics import (
     CutMetrics,
@@ -110,11 +110,6 @@ class TestCutMetrics:
         assert m.width_3db is None
         assert m.first_null is None
         assert m.max_sidelobe_ratio is None
-
-    def test_axisprofile_input_equivalent(self):
-        x, v = sinc_cut()
-        profile = AxisProfile(axis="z", offsets_m=x, values=v, normalization="test")
-        assert cut_metrics(profile, LAM) == cut_metrics((x, v), LAM)
 
     def test_magnitudes_taken(self):
         x, v = sinc_cut()
