@@ -13,8 +13,9 @@ simulations after peak normalization:
   ``amplitude_scale * beta / wavelength**2``,
 
 where ``amplitude_scale`` is the dipole far-field constant
-|R_e| = eta0*l*k/(4*pi) and ``beta`` is the time-reversal drive level
-reported by ``focusing.tr_weights``.  On these scales the long-cylinder
+|R_e| = eta0*l*k/(4*pi) and ``beta`` is the drive level in
+|w| = min(beta*|g|/R, cap), which ``focusing.tr_weights`` and
+``focusing.hybrid_weights`` report alike.  On these scales the long-cylinder
 limits are pure numbers (pi, 2, 3*pi**2/16, ...), exposed below as named
 constants so tests can assert against a single definition.
 

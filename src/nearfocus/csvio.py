@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-# rows formatted per template application
+# rows of a 3-column table formatted per template application; wider
+# tables take fewer rows, so a block always holds 3 * _BLOCK_ROWS cells
 _BLOCK_ROWS = 65536
 
 
@@ -19,8 +20,9 @@ def write_csv(path, columns) -> None:
     """Write named 1-D columns, in mapping order, one '%.17g' per cell.
 
     columns maps each header name to a numeric 1-D array, all of one
-    length; views are read in place.  Rows are stacked _BLOCK_ROWS at a
-    time, so no full-length table is built.
+    length; views are read in place.  Rows are stacked in blocks of
+    3 * _BLOCK_ROWS cells, so no full-length table is built and the
+    formatted text of a block does not grow with the column count.
     """
     names = list(columns)
     data = [np.asarray(c) for c in columns.values()]
@@ -32,11 +34,12 @@ def write_csv(path, columns) -> None:
     if not all(np.isfinite(c).all() for c in data):
         raise ValueError("non-finite value in CSV output")
     line = ",".join(["%.17g"] * len(names)) + "\n"
-    block = np.empty((min(n, _BLOCK_ROWS), len(names)))
+    step = max(1, 3 * _BLOCK_ROWS // len(names))
+    block = np.empty((min(n, step), len(names)))
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write(",".join(names) + "\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            rows = block[:min(_BLOCK_ROWS, n - lo)]
+        for lo in range(0, n, step):
+            rows = block[:min(step, n - lo)]
             for j, c in enumerate(data):
                 rows[:, j] = c[lo:lo + rows.shape[0]]
             # adding 0.0 turns -0 into 0, so reruns are byte-identical

@@ -1,19 +1,22 @@
 """Power-constrained excitation synthesis at a single focal point.
 
-Three solvers for max |E(focus)| over complex drive weights:
+The drive that maximizes |E(focus)| under a per-element amplitude cap
+w_max and a total power budget P0 = sum(R_n/2 |w_n|^2) is, by the KKT
+conditions (Palomar & Fonollosa, IEEE TSP 2005),
 
-  * cp_weights: per-element amplitude cap only; every element runs at
-    the cap with the channel phase conjugated.
-  * tr_weights: total-power cap only; amplitudes taper with channel
-    strength (conjugate channel over port resistance).
-  * hybrid_weights: both caps; a water-level amplitude clip(beta*v, cap)
-    with beta solved exactly so the power budget is met.
+    w_n = min(beta * |g_n|/R_n, w_max) * conj(g_n)/|g_n|,
 
-The scalar channel is each source's focal field projected on the target
-polarization.  Port resistances are R0 times the channel's
-per-port scale (patch area over the reference area for meshes).
-An independent projected-ascent oracle certifies optimality on small
-instances.
+the conjugate channel phase with the time-reversal (TR) taper clipped
+at the cap, beta being the level that meets the budget.  cp_weights
+(cap only, uniform drive), tr_weights (budget only, nothing clips) and
+hybrid_weights (both) are the cases of that one formula, and all report
+beta with that one meaning: 0 when every element runs at the cap, and
+for the uniform drive.
+
+g is each source's focal field projected on the target polarization;
+port resistances are R0 times the channel's per-port scale (patch area
+over the reference area for meshes).  An independent projected-ascent
+oracle certifies optimality on small instances.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class ExcitationWeights:
 class FocalReport:
     E_focus: complex
     active_constraint: str  # local | global | both
-    beta: float             # water level scale; 0 when no level was solved
+    beta: float             # level in |w| = min(beta*|g|/R, cap); 0 for CP drives
 
 
 class OracleReport:
@@ -61,69 +64,19 @@ class OracleReport:
         self.relative_gap = (oracle_objective - weight_objective) / denom
 
 
-def _channel_arrays(h: ChannelVector, pc: PowerConstraints):
-    g = h.g
-    absg = np.abs(g)
-    gmax = float(np.max(absg)) if absg.size else 0.0
-    if gmax == 0.0:
-        raise ValueError("channel is zero for the requested polarization")
-    live = absg >= ZERO_CHANNEL_CUTOFF * gmax
-    R = pc.R0_per_port * h.resistance_scale
-    return g, absg, live, R
-
-
 def _live(x: np.ndarray, live: np.ndarray) -> np.ndarray:
     """x on the live ports: x itself, not a masked copy, when every port is live."""
     return x if live.all() else x[live]
 
 
-def _total_power(R: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(0.5 * R * np.abs(w) ** 2))
-
-
-def cp_weights(h: ChannelVector, pc: PowerConstraints):
-    """Amplitude-capped optimum: full drive, conjugated phases.
-
-    If the resulting total power also exceeds the budget, all weights
-    get one common downscale, which preserves the optimal phases.
-    """
-    g, absg, live, R = _channel_arrays(h, pc)
-    w = np.conj(g)
-    w *= pc.w_max
-    np.divide(w, absg, out=w, where=live)
-    w[~live] = 0.0
-    power = _total_power(R, w)
-    active = "local"
-    if power > pc.P0:
-        w *= math.sqrt(pc.P0 / power)
-        power = pc.P0
-        active = "both"
-    e_focus = complex(np.sum(w * g))
-    return (ExcitationWeights(w=w, regime="CP", total_power=power),
-            FocalReport(E_focus=e_focus, active_constraint=active, beta=0.0))
-
-
-def tr_weights(h: ChannelVector, pc: PowerConstraints):
-    """Power-capped optimum: conjugate channel over port resistance."""
-    g, absg, live, R = _channel_arrays(h, pc)
-    s = float(np.sum(_live(absg, live) ** 2 / _live(R, live)))
-    d_r = math.sqrt(2.0 * pc.P0 / s)
-    w = np.conj(g)
-    w *= d_r
-    np.divide(w, R, out=w, where=live)
-    w[~live] = 0.0
-    # pin the budget exactly against accumulated roundoff
-    w *= math.sqrt(pc.P0 / _total_power(R, w))
-    e_focus = complex(np.sum(w * g))
-    return (ExcitationWeights(w=w, regime="TR", total_power=pc.P0),
-            FocalReport(E_focus=e_focus, active_constraint="global", beta=d_r))
-
-
-def _water_level(v: np.ndarray, R: np.ndarray, pc: PowerConstraints) -> float:
-    """Level beta at which sum(R/2 * min(beta*v, w_max)^2) equals P0.
+def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
+    """Level beta at which sum(R/2 * min(beta*v, cap)^2) equals P0.
 
     Needs a budget below the all-clipped power, so at least the weakest
-    element stays unclipped.
+    element stays unclipped.  With v sorted in descending order, the k
+    strongest elements clip, where k is the number of breakpoints
+    beta = cap/v_j whose power stays within the budget, and beta spends
+    the remaining budget on the unclipped rest.
     """
     order = np.argsort(-v, kind="stable")
     v_desc, half_r = v[order], R[order]
@@ -131,69 +84,86 @@ def _water_level(v: np.ndarray, R: np.ndarray, pc: PowerConstraints) -> float:
     half_r *= 0.5
     # spent[j]: power of the j+1 strongest elements at the cap;
     # rest[j]: power of elements j.. per unit level squared.
-    spent = np.cumsum(half_r * pc.w_max ** 2)
+    spent = np.cumsum(half_r * cap ** 2)
     rest = v_desc ** 2
     rest *= half_r
     del half_r
     np.cumsum(rest[::-1], out=rest[::-1])
     # power at the level where element j reaches the cap, for all but the
     # weakest
-    breakpoint_power = np.divide(pc.w_max, v_desc[:-1])
+    breakpoint_power = np.divide(cap, v_desc[:-1])
     del v_desc
     np.square(breakpoint_power, out=breakpoint_power)
     breakpoint_power *= rest[1:]
     breakpoint_power += spent[:-1]
-    k = int(np.count_nonzero(breakpoint_power <= pc.P0))
-    return math.sqrt((pc.P0 - (spent[k - 1] if k else 0.0)) / rest[k])
+    k = int(np.count_nonzero(breakpoint_power <= P0))
+    return math.sqrt((P0 - (spent[k - 1] if k else 0.0)) / rest[k])
+
+
+def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
+    """|w_n| = min(beta*v_n, cap) with the conjugate channel phase.
+
+    v = |g|/R, or 1 on every live port for the uniform drive.  The first
+    of three cases that holds decides the regime:
+
+      1. every live port at the cap fits the budget: CP, beta = 0;
+      2. the budget-only level beta0 = sqrt(2*P0 / sum(R*v^2)) keeps
+         beta0*max(v) within the cap: TR, or CP for the uniform drive;
+      3. otherwise the exact water level clips the strongest ports.
+    """
+    g = h.g
+    v = np.abs(g)
+    gmax = float(np.max(v)) if v.size else 0.0
+    if gmax == 0.0:
+        raise ValueError("channel is zero for the requested polarization")
+    live = v >= ZERO_CHANNEL_CUTOFF * gmax
+    R = pc.R0_per_port * h.resistance_scale
+    w = np.conj(g)
+    np.divide(w, v, out=w, where=live)
+    # |g| is not needed again, so v takes its place
+    if uniform:
+        v.fill(1.0)
+    else:
+        np.divide(v, R, out=v, where=live)
+    w[~live] = 0.0
+    v[~live] = 0.0
+
+    R_live = _live(R, live)
+    if 0.5 * cap ** 2 * float(np.sum(R_live)) <= pc.P0 * (1.0 + 1e-12):
+        w *= cap
+        beta, regime, active = 0.0, "CP", "local"
+    else:
+        v_live = _live(v, live)
+        beta = math.sqrt(2.0 * pc.P0 / float(np.sum(R_live * v_live ** 2)))
+        if beta * float(np.max(v)) <= cap:
+            regime, active = ("CP", "both") if uniform else ("TR", "global")
+        else:
+            beta = _water_level(v_live, R_live, cap, pc.P0)
+            regime, active = "hybrid", "both"
+        del v_live, R_live
+        w *= np.minimum(np.multiply(v, beta, out=v), cap, out=v)
+        if uniform:
+            beta = 0.0
+    power = float(np.sum(0.5 * R * np.abs(w) ** 2))
+    return (ExcitationWeights(w=w, regime=regime, total_power=power),
+            FocalReport(E_focus=complex(np.sum(w * g)), active_constraint=active,
+                        beta=beta))
+
+
+def cp_weights(h: ChannelVector, pc: PowerConstraints):
+    """Amplitude-capped optimum: every port at the cap, conjugated phases,
+    all scaled down together if that overruns the budget."""
+    return _drive(h, pc, pc.w_max, uniform=True)
+
+
+def tr_weights(h: ChannelVector, pc: PowerConstraints):
+    """Power-capped optimum: conjugate channel over port resistance."""
+    return _drive(h, pc, math.inf, uniform=False)
 
 
 def hybrid_weights(h: ChannelVector, pc: PowerConstraints):
-    """Exact water-level solution under both caps.
-
-    Amplitudes are min(beta*v_n, w_max) with v the power-weighted
-    channel direction (conjugate channel over resistance, normalized).
-    The KKT conditions fix beta in closed form (Palomar & Fonollosa,
-    IEEE TSP 2005): with v sorted in descending order, the k strongest
-    elements clip, where k is the number of breakpoints beta = w_max/v_j
-    whose power stays within the budget, and beta spends the remaining
-    budget on the unclipped rest.  If every element clips before the
-    budget binds, the solution is the CP one.
-    """
-    g, absg, live, R = _channel_arrays(h, pc)
-    phase = np.conj(g)
-    np.divide(phase, absg, out=phase, where=live)
-    phase[~live] = 1.0
-
-    cap_power = float(np.sum(0.5 * _live(R, live) * pc.w_max ** 2))
-    if cap_power <= pc.P0 * (1.0 + 1e-12):
-        # every element clips before the budget binds: CP regime
-        w = pc.w_max * phase
-        w[~live] = 0.0
-        return (ExcitationWeights(w=w, regime="CP", total_power=cap_power),
-                FocalReport(E_focus=complex(np.sum(w * g)),
-                            active_constraint="local", beta=0.0))
-
-    # |g| is not needed again, so v takes its place
-    v = np.divide(absg, R, out=absg, where=live)
-    v[~live] = 0.0
-    v /= float(np.linalg.norm(v))
-
-    beta = _water_level(_live(v, live), _live(R, live), pc)
-    amp = np.multiply(v, beta, out=v)
-    np.minimum(amp, pc.w_max, out=amp)
-    # idle ports have v = 0, so they never clip
-    clipped = amp >= pc.w_max
-    w = np.multiply(amp, phase, out=phase)
-    power = _total_power(R, w)
-    if np.all(_live(clipped, live)):
-        regime, active = "CP", "both"
-    elif not np.any(clipped):
-        regime, active = "TR", "global"
-    else:
-        regime, active = "hybrid", "both"
-    return (ExcitationWeights(w=w, regime=regime, total_power=power),
-            FocalReport(E_focus=complex(np.sum(w * g)),
-                        active_constraint=active, beta=beta))
+    """Exact optimum under both caps: the TR taper clipped at the cap."""
+    return _drive(h, pc, pc.w_max, uniform=False)
 
 
 # --------------------------------------------------------- optimality oracle

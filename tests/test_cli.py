@@ -52,13 +52,15 @@ def run_cli(capsys, *args):
     return code, json.loads(lines[-1])
 
 
-def load_benchmark_tracer():
-    """perfbench/tracing.py, loaded by path: perfbench is not a package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def load_benchmark(name="tracing"):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def src_env():
@@ -375,7 +377,7 @@ class TestAnalyticSubcommand:
     def test_benchmark_tracer_sees_special_functions(self, tmp_path, capsys):
         # the benchmark's tracer rebinds analytic's special-function names;
         # renaming or bypassing them would silently zero its specfun metrics
-        tracing = load_benchmark_tracer()
+        tracing = load_benchmark()
         scn = scenario(tmp_path, analytic_reference="ex_long")
         with tracing.installed(tracing.Tracer()) as tracer:
             code, _ = run_cli(capsys, "analytic", "--scenario", scn,
@@ -387,7 +389,7 @@ class TestAnalyticSubcommand:
     def test_benchmark_tracer_counts_layout_rows(self, tmp_path, capsys):
         # the tracer wraps cli.write_csv and counts the lines of the file its
         # first argument names
-        tracing = load_benchmark_tracer()
+        tracing = load_benchmark()
         out = tmp_path / "out"
         with tracing.installed(tracing.Tracer()) as tracer:
             code, _ = run_cli(capsys, "layout", "--scenario", scenario(tmp_path),
@@ -397,10 +399,32 @@ class TestAnalyticSubcommand:
         rows = len((out / "layout.csv").read_text().splitlines()) - 1
         assert tracer.counts["csvio.rows"] == rows == 42 * 67
 
+    def test_benchmark_tracer_counts_solver_ports(self, tmp_path, capsys):
+        # the tracer counts clipped and idle ports and the power residual
+        # from the solver's (weights, report) result
+        tracing = load_benchmark()
+        inv = next(i for i in load_benchmark("workloads").scenario_mix(0).invocations
+                   if i.name == "run-rect-mesh")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(inv.scenario))
+        out = tmp_path / "out"
+        with tracing.installed(tracing.Tracer()) as tracer:
+            code, _ = run_cli(capsys, "run", "--scenario", str(path), "--out", str(out))
+        assert code == 0
+        assert json.loads((out / "weights.json").read_text())["regime"] == "hybrid"
+        cap = json.loads((out / "manifest.json").read_text())["scenario"]["amplitude_cap_a"]
+        amp = read_amplitudes(out)
+        at_cap = int(np.count_nonzero(np.isclose(amp, cap, rtol=1e-12, atol=0.0)))
+        assert tracer.counts["focusing.solve.calls"] == 1
+        assert tracer.counts["focusing.clipped_ports"] == at_cap > 0
+        assert tracer.counts["focusing.idle_ports"] == np.count_nonzero(amp == 0.0)
+        assert "focusing.power_residual_rel" in tracer.counts
+        assert tracer.counts["focusing.power_residual_rel"] < 1e-12
+
     def test_benchmark_tracer_targets_exist(self):
         # the tracer rebinds these names with a strict getattr, so a removed
         # cli.green_* or cli.write_csv would otherwise fail only when traced
-        tracing = load_benchmark_tracer()
+        tracing = load_benchmark()
         missing = [f"{module.__name__}.{attr}"
                    for module, attrs in tracing._TARGETS.values()
                    for attr in attrs if not hasattr(module, attr)]
@@ -517,10 +541,11 @@ class TestMemory:
     # were built at each stage.
     PEAK_BYTES_PER_SOURCE = 200
     # The same for a layout of the same mesh: the 56 B per patch of the mesh
-    # arrays, and about 36 MB for one formatted block of 65,536 rows;
-    # measured 235 B/source here, 315 when the whole (N, 10) table was
-    # built before writing.
-    LAYOUT_PEAK_BYTES_PER_SOURCE = 275
+    # arrays, and about 11 MB for one formatted block of 3 x 65,536 cells;
+    # measured 111 B/source here, 235 when a block was 65,536 rows of all
+    # 10 columns, and 315 when the whole (N, 10) table was built before
+    # writing.
+    LAYOUT_PEAK_BYTES_PER_SOURCE = 150
 
     @staticmethod
     def traced_peak(tmp_path, capsys, subcommand, **entries):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearfocus import csvio
-from nearfocus.fields import ChannelVector
+from nearfocus.fields import ChannelVector, assemble_channel
 from nearfocus.focusing import (
+    ZERO_CHANNEL_CUTOFF,
     ExcitationWeights,
     PowerConstraints,
     cp_weights,
@@ -18,6 +19,7 @@ from nearfocus.focusing import (
     tr_weights,
     weights_sidecar,
 )
+from nearfocus.geometry import CylinderSpec, Wavelength, build_ring_array
 
 
 def channel_from_g(g, resistance_scale=None):
@@ -122,18 +124,21 @@ def test_hybrid_no_clip_matches_tr():
     w_t, rep_t = tr_weights(channel_from_g(g), pc)
     assert w_h.regime == "TR"
     assert rep_h.active_constraint == "global"
-    assert np.max(np.abs(w_h.w - w_t.w)) < 1e-9 * np.max(np.abs(w_t.w))
-    assert abs(rep_h.E_focus - rep_t.E_focus) < 1e-9 * abs(rep_t.E_focus)
+    # one solver path: the same drive, level and focal field, bit for bit
+    assert np.array_equal(w_h.w, w_t.w)
+    assert rep_h.beta == rep_t.beta
+    assert rep_h.E_focus == rep_t.E_focus
 
 
 def test_hybrid_all_clip_matches_cp():
-    g = np.exp(1j * np.linspace(0.2, 4.0, 16))
+    # unequal |g|, so the cap times the unit phasor is not a trivial product
+    g = np.exp(1j * np.linspace(0.2, 4.0, 16)) * np.linspace(0.5, 2.0, 16)
     pc = PowerConstraints(w_max=1e-3, P0=1e9, R0_per_port=50.0)
     w_h, rep_h = hybrid_weights(channel_from_g(g), pc)
     w_c, _ = cp_weights(channel_from_g(g), pc)
     assert w_h.regime == "CP"
     assert rep_h.active_constraint == "local"
-    assert np.allclose(w_h.w, w_c.w, atol=1e-15)
+    assert np.array_equal(w_h.w, w_c.w)
 
 
 def test_hybrid_two_element_water_level():
@@ -145,8 +150,8 @@ def test_hybrid_two_element_water_level():
     assert report.active_constraint == "both"
     assert abs(weights.w[0]) == pytest.approx(0.8, abs=1e-9)
     assert abs(weights.w[1]) == pytest.approx(0.6, abs=1e-9)
-    v2 = 0.5 / math.sqrt(1.25)
-    assert report.beta == pytest.approx(0.6 / v2, rel=1e-8)
+    # the level in |w| = min(beta*|g|/R, cap): 0.6 A over |g_2|/R = 0.5
+    assert report.beta == pytest.approx(0.6 / 0.5, rel=1e-8)
     assert weights.total_power == pytest.approx(1.0, rel=1e-9)
 
 
@@ -181,6 +186,40 @@ def test_hybrid_properties(n, seed):
     prof1 = absw / np.linalg.norm(absw)
     prof2 = np.abs(w2.w) / np.linalg.norm(w2.w)
     assert np.max(np.abs(prof1 - prof2)) < 1e-10
+
+
+@pytest.mark.parametrize("frequency", [1.0e9, 3.0e9, 6.0e9])
+@pytest.mark.parametrize("polarization, target", [("axial", 2), ("azimuthal", 0)])
+def test_hybrid_stronger_channel_gets_larger_drive(frequency, polarization, target):
+    """When both constraints bind, the ports with the larger |g|/R clip and
+    the rest follow the TR taper, on the 10 m x 1 m ring at any frequency
+    and for either element polarization."""
+    wl = Wavelength.from_frequency(frequency)
+    layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=10.0), wl,
+                              polarization=polarization)
+    h = assemble_channel(layout, np.zeros(3), np.eye(3)[target], wl)
+    R = 50.0 * h.resistance_scale
+    v = np.abs(h.g) / R
+    live = np.abs(h.g) >= ZERO_CHANNEL_CUTOFF * np.max(np.abs(h.g))
+    # a cap between the all-clipped drive that meets the 1 W budget and
+    # the largest TR amplitude, so both constraints bind
+    all_clipped = math.sqrt(2.0 / np.sum(R[live]))
+    tr_peak = math.sqrt(2.0 / np.sum(R[live] * v[live] ** 2)) * np.max(v)
+    cap = math.sqrt(all_clipped * tr_peak)
+    weights, report = hybrid_weights(h, PowerConstraints(w_max=cap, P0=1.0,
+                                                         R0_per_port=50.0))
+    assert weights.regime == "hybrid"
+    amp = np.abs(weights.w)
+    assert np.all(amp[~live] == 0.0)
+    assert np.max(amp) <= cap * (1.0 + 1e-12)
+    clipped = amp >= cap * (1.0 - 1e-12)
+    unclipped = live & ~clipped
+    assert clipped.any() and unclipped.any()
+    # the clipped set is the top of the |g|/R order (safe with ties) ...
+    assert np.min(v[clipped]) >= np.max(v[unclipped])
+    # ... and below it the drive is the TR taper at the reported level
+    np.testing.assert_allclose(amp[unclipped], report.beta * v[unclipped], rtol=1e-12)
+    assert weights.total_power == pytest.approx(1.0, rel=1e-12)
 
 
 # ------------------------------------------------------------------ oracle
