@@ -2,8 +2,17 @@
 
 One routine, _dyadic, evaluates the closed-form point-source kernels
 (electric current with all reactive terms, magnetic-current curl, and
-the radiating 1/r dipole approximation) for the 3x3 tensors, the scalar
-focal channel and the superposition of weighted sources over grids.
+the radiating 1/r dipole approximation) on one work unit of points and
+sources.  Per (point, source) pair it forms the unit vector, one phasor
+F = j exp(-jkR)/(kR) from a single tan, and from F the few real arrays
+the kernel needs: A and C = 2F - 3A for electric currents (C = -A for
+the radiating form), C alone for magnetic ones.  The constant
+k^2 eta0/(4 pi) (k^2/(4 pi) for magnetic currents) scales each unit's
+result, and only the moment components that are nonzero in a unit are
+formed.  It has two output modes: the weighted sum over sources at each
+point, reduced by real matmuls (evaluate_field), and each source's field
+projected on one polarization by real dot products (assemble_channel,
+and green_electric and green_magnetic as the three axis projections).
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -14,6 +23,7 @@ are unaffected by this choice.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,9 +32,10 @@ from .geometry import FREE_SPACE_IMPEDANCE, ArrayLayout, SurfaceMesh, Wavelength
 
 FOUR_PI = 4.0 * math.pi
 
-# (point, source) pairs per work unit: 15 float arrays of this size per
-# thread (8 MB), large enough that two threads seldom wait on the GIL
+# (point, source) pairs per work unit: _BUFFERS float arrays of this size
+# per thread (5.2 MB), large enough that two threads seldom wait on the GIL
 _CHUNK_BUDGET = 65_536
+_BUFFERS = 10
 # sources per matmul when the grid fills a unit: BLAS adds a block's products
 # one after another, so short blocks keep a focal sum's rounding small
 _SOURCE_BLOCK = 512
@@ -78,26 +89,40 @@ class FieldMap:
 
 # ------------------------------------------------------------------ kernel
 
-def _dyadic(points, src, moments, k, kernel, source_kind, scratch, standoff=0.0,
-            rhs=None):
+def _dyadic(points, src, m, k, kernel, source_kind, scratch, standoff=0.0, w=None,
+            e_hat=None):
     """The dyadic kernel on one work unit, and each point's nearest-source distance.
 
-    With r_hat the unit vector from source to point, moment m gives A*m + C*g
-    for (P, N) complex scalars A and C: g = r_hat and C = B*(m.r_hat) for
-    electric currents, g = r_hat x m and A = 0 for magnetic ones.  Given
-    rhs = [wm, w] as [re | im] columns, the weighted sum over sources is
-    E = A@wm + sum_i ((C*g_i)@w) e_i in real matmuls; without, the point's
-    per-source fields come back as (N, 3).  The (P, N) arrays are consecutive
-    slices of scratch, which a thread reuses from unit to unit.
+    points is (P, 3); src and m hold the unit's N source positions and
+    unit-drive moments as contiguous (3, N) columns.  With r_hat the unit
+    vector from source to point, t = 1/(kR) and F = j exp(-jkR)/(kR), moment
+    m gives A*m + C*(m.r_hat)*r_hat for electric currents, where
+    A = F*(a - jt), a = 1 - t^2 and C = 2F - 3A (the radiating approximation
+    keeps a = 1 and t = 0, so C = -A), and C*(r_hat x m) with C = F*(1 - jt)
+    for magnetic ones.  The constant k^2 eta0/(4 pi), or k^2/(4 pi),
+    multiplies the unit's result, not every pair.
+
+    Given the unit's weights w, returns the weighted sum over sources at each
+    point, (P, 3), by real matmuls: E = A@(w m) + sum_i ((C md r_i)@w) e_i with
+    md = m.r_hat for electric currents, E_i = eps_ijk (C r_j)@(w m_k) for
+    magnetic ones.  Given e_hat instead, returns each pair's field projected
+    on it, (P, N), by real dot products.  Only the moment components that are
+    nonzero in the unit enter md and the matmuls.  The (P, N) arrays are
+    consecutive slices of scratch, which a thread reuses from unit to unit.
     """
-    P, n = points.shape[0], points.shape[0] * src.shape[0]
-    x, y, z, R, Ar, Ai, Cr, Ci, sin, cos, q, md, tb, u, tmp = (
-        scratch[i * n:(i + 1) * n].reshape(P, -1) for i in range(15))
-    for i, v in enumerate((x, y, z)):
-        np.subtract(points[:, i, None], src[:, i], out=v)
-    np.multiply(x, x, out=R)
-    R += np.multiply(y, y, out=u)
-    R += np.multiply(z, z, out=u)
+    P, N = points.shape[0], src.shape[1]
+    n = P * N
+    X, Y, Z, B3, B4, B5, Ci, Cr, Ar, Ai = (
+        scratch[i * n:(i + 1) * n].reshape(P, N) for i in range(_BUFFERS))
+    r = (X, Y, Z)
+    # p - s with the row s copied in first: numpy subtracts a full array from
+    # a column faster than it broadcasts a column and a row into a third
+    for i, v in enumerate(r):
+        np.copyto(v, src[i])
+        np.subtract(points[:, i, None], v, out=v)
+    R = np.multiply(X, X, out=B3)
+    R += np.multiply(Y, Y, out=B4)
+    R += np.multiply(Z, Z, out=B4)
     dmin = np.sqrt(R, out=R).min(axis=1)
     if not np.all(dmin > 0.0):
         raise ValueError("grid point coincides with a source")
@@ -106,70 +131,98 @@ def _dyadic(points, src, moments, k, kernel, source_kind, scratch, standoff=0.0,
                          f"quarter-wavelength standoff {standoff} m")
     # r_hat by division: on a source's axis it is exactly a unit axis, so the
     # radiating kernel's A*m and C*r_hat cancel to 0
-    for v in (x, y, z):
+    for v in r:
         np.divide(v, R, out=v)
-    # exp(-jkR) = (cos - j sin) / (1 + h^2) with cos = 1 - h^2, sin = 2h and
-    # h = tan(kR/2): one vectorized tan in place of scalar libm sin and cos;
-    # q carries the 1/(1 + h^2)
-    np.tan(np.multiply(R, 0.5 * k, out=sin), out=sin)
-    np.add(np.multiply(sin, sin, out=cos), 1.0, out=q)
-    np.subtract(1.0, cos, out=cos)
-    sin *= 2.0
-    inv = np.divide(1.0, R, out=R)
-    np.divide(inv, q, out=q)
+    # F = S + jCo = (sin kR + j cos kR) t, with sin = 2hq and cos = 2q - 1,
+    # q = 1/(1 + h^2) and h = tan(kR/2): one vectorized tan in place of
+    # scalar libm sin and cos
+    h = np.tan(np.multiply(R, 0.5 * k, out=B4), out=B4)
+    t = np.divide(1.0 / k, R, out=R)
+    tq2 = np.divide(t, np.add(np.multiply(h, h, out=B5), 1.0, out=B5), out=Ci)
+    tq2 += tq2
+    radiating = kernel == "dipole-approx"
+    S, Co = (Ar, Ai) if radiating else (B4, B5)
+    np.subtract(tq2, t, out=Co)
+    np.multiply(h, tq2, out=S)
     if source_kind == "magnetic":
-        # C = (jk + 1/R) exp(-jkR) / (4 pi R)
-        q *= 1.0 / FOUR_PI
-        _phasor(sin, cos, k, inv, q, Cr, Ci, tmp)
-        mx, my, mz = moments.T
-        np.subtract(np.multiply(y, mz, out=Ar), np.multiply(z, my, out=u), out=Ar)
-        np.subtract(np.multiply(z, mx, out=Ai), np.multiply(x, mz, out=u), out=Ai)
-        np.subtract(np.multiply(x, my, out=z), np.multiply(y, mx, out=u), out=z)
-        g = (Ar, Ai, z)
+        scale = k * k / FOUR_PI
+        np.add(np.multiply(Co, t, out=Cr), S, out=Cr)
+        np.subtract(Co, np.multiply(S, t, out=Ci), out=Ci)
     else:
-        # A = j k eta0 exp(-jkR) / (4 pi R) * (a - jt) and C = the same times
-        # (b + 3jt) (m.r_hat), where a = 1 - t^2, b = 3t^2 - 1, t = 1/(kR);
-        # the radiating approximation keeps a = 1, b = -1, t = 0
-        q *= k * FREE_SPACE_IMPEDANCE / FOUR_PI
-        np.multiply(x, moments[:, 0], out=md)
-        md += np.multiply(y, moments[:, 1], out=u)
-        md += np.multiply(z, moments[:, 2], out=u)
-        a, t = 1.0, 0.0
-        if kernel == "full":
-            t = np.multiply(inv, 1.0 / k, out=tb)
-            a = np.subtract(1.0, np.multiply(t, t, out=u), out=u)
-        _phasor(sin, cos, a, t, q, Ar, Ai, tmp)
-        a *= -3.0
-        a += 2.0
-        t *= -3.0
-        _phasor(sin, cos, a, t, q, Cr, Ci, tmp)
-        Cr *= md
-        Ci *= md
-        g = (x, y, z)
-    # C*g in the six slices after Ci: real x, y, z, then imaginary x, y, z
-    G = scratch[8 * n:14 * n].reshape(6, P, -1)
-    for i, v in enumerate(g):
-        np.multiply(Cr, v, out=G[i])
-        np.multiply(Ci, v, out=G[3 + i])
-    if rhs is None:
-        E = (G[:3, 0] + 1j * G[3:, 0]).T
-        if source_kind == "electric":
-            E += (Ar[0] + 1j * Ai[0])[:, None] * moments
-        return E, dmin
-    E = _cmatmul(G.reshape(6 * P, -1), rhs[1]).reshape(3, P).T
-    if source_kind == "electric":
-        E += _cmatmul(scratch[4 * n:6 * n].reshape(2 * P, -1), rhs[0])
+        scale = k * k * FREE_SPACE_IMPEDANCE / FOUR_PI
+        if not radiating:
+            a = np.subtract(1.0, np.multiply(t, t, out=Ci), out=Ci)
+            np.multiply(S, a, out=Ar)
+            Ar += np.multiply(Co, t, out=Cr)
+            np.multiply(Co, a, out=Ai)
+            Ai -= np.multiply(S, t, out=Cr)
+        # C*md as (S - 1.5 Ar)*(2 md), or -S*md when C = -A, into Cr and Ci
+        md = _dot(r, m * (-1.0 if radiating else 2.0), Ci, B3)
+        if radiating:
+            np.multiply(S, md, out=Cr)
+            md *= Co
+        else:
+            np.multiply(Ar, -1.5, out=Cr)
+            Cr += S
+            Cr *= md
+            md *= np.add(np.multiply(Ai, -1.5, out=B3), Co, out=B3)
+    if e_hat is not None:
+        if source_kind == "magnetic":
+            # e.(r_hat x m) = r_hat.(m x e)
+            d = _dot(r, np.ascontiguousarray(np.cross(m, e_hat, axis=0)), B3, B4)
+            Cr *= d
+            Ci *= d
+        else:
+            d = _dot(r, e_hat, B3, B4)
+            em = e_hat @ m
+            Cr *= d
+            Cr += np.multiply(Ar, em, out=B4)
+            Ci *= d
+            Ci += np.multiply(Ai, em, out=B4)
+        g = np.empty((P, N), dtype=complex)
+        np.multiply(Cr, scale, out=g.real)
+        np.multiply(Ci, scale, out=g.imag)
+        return g, dmin
+    # C*r_hat in the six slices from X: real x, y, z, then imaginary x, y, z
+    for v, out in zip(r, (B3, B4, B5)):
+        np.multiply(Ci, v, out=out)
+    for v in r:
+        v *= Cr
+    G = scratch[:6 * n].reshape(6 * P, N)
+    nz = [i for i in range(3) if np.any(m[i])]
+    wm = _re_im((w * m[nz]).T)
+    if source_kind == "magnetic":
+        M = _cmatmul(G, wm).reshape(3, P, len(nz))
+        E = np.zeros((P, 3), dtype=complex)
+        # moment component c adds to E_(c+1) and E_(c+2) with eps = +1 and -1
+        for i, c in enumerate(nz):
+            E[:, (c + 1) % 3] += M[(c + 2) % 3, :, i]
+            E[:, (c + 2) % 3] -= M[(c + 1) % 3, :, i]
+    else:
+        E = _cmatmul(G, _re_im(w)).reshape(3, P).T
+        E[:, nz] += _cmatmul(scratch[8 * n:10 * n].reshape(2 * P, N), wm)
+    E *= scale
     return E, dmin
 
 
-def _phasor(sin, cos, x, y, q, re, im, tmp):
-    """re + j im = (sin + j cos) * (x - j y) * q, written in place."""
-    np.multiply(sin, x, out=re)
-    re += np.multiply(cos, y, out=tmp)
-    re *= q
-    np.multiply(cos, x, out=im)
-    im -= np.multiply(sin, y, out=tmp)
-    im *= q
+def _dot(r, v, out, tmp):
+    """out = sum_i r_i v_i over the components i where v is not all zero."""
+    nz = [i for i in range(3) if np.any(v[i])]
+    if not nz:
+        out.fill(0.0)
+        return out
+    np.multiply(r[nz[0]], v[nz[0]], out=out)
+    for i in nz[1:]:
+        out += np.multiply(r[i], v[i], out=tmp)
+    return out
+
+
+def _re_im(z):
+    """Complex columns z, (N, c) or (N,), as the real right-hand side [re | im].
+
+    The result is C-ordered: BLAS reads a transposed one several times slower.
+    """
+    return np.column_stack([z.real, z.imag])
 
 
 def _cmatmul(stacked, M):
@@ -180,20 +233,35 @@ def _cmatmul(stacked, M):
     return a[:, :q] - b[:, q:] + 1j * (a[:, q:] + b[:, :q])
 
 
+def _columns(a):
+    """(N, 3) rows as contiguous (3, N) columns."""
+    return np.ascontiguousarray(a.T)
+
+
 def _units(n_points, n_src):
     """(point slice, source slice) units cut by problem size, and the scratch size."""
     block = min(n_src, max(_SOURCE_BLOCK, _CHUNK_BUDGET // max(1, n_points)))
     per = max(1, _CHUNK_BUDGET // block)
     units = [(slice(p, p + per), slice(s, s + block))
              for p in range(0, n_points, per) for s in range(0, n_src, block)]
-    return units, 15 * min(per, n_points) * block
+    return units, _BUFFERS * min(per, n_points) * block
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _point_tensor(r, r_src, wl, source_kind):
-    point, src = np.atleast_2d(np.asarray(r, dtype=float)), np.tile(r_src, (3, 1))
-    entries, _ = _dyadic(point, src.astype(float), np.eye(3), wl.k, "full", source_kind,
-                         np.empty(_units(1, 3)[1]))
-    return entries.T
+    """The 3x3 tensor as three axis projections of the fields of unit x, y and z moments."""
+    point = np.atleast_2d(np.asarray(r, dtype=float))
+    src = np.repeat(np.asarray(r_src, dtype=float).reshape(3, 1), 3, axis=1)
+    scratch = np.empty(_units(1, 3)[1])
+    eye = np.eye(3)
+    return np.vstack([_dyadic(point, src, eye, wl.k, "full", source_kind, scratch,
+                              e_hat=e)[0] for e in eye])
 
 
 def green_electric(r: np.ndarray, r_src: np.ndarray, wl: Wavelength) -> np.ndarray:
@@ -209,12 +277,14 @@ def green_magnetic(r: np.ndarray, r_src: np.ndarray, wl: Wavelength) -> np.ndarr
 # -------------------------------------------------------- vectorized fields
 
 def _source_arrays(sources, mesh_current: str):
-    """Positions, and the unit-drive moment vectors of a slice of sources.
+    """Positions (N, 3), and the unit-drive moments of a slice of sources as
+    contiguous (3, n) columns.
 
-    Moments are formed per slice, so no (N, 3) moment array is ever held.
+    Moments are formed per slice, so no full-length moment array is ever held.
     """
     if isinstance(sources, ArrayLayout):
-        return sources.positions, lambda s: sources.orientations[s] * sources.length_l
+        return sources.positions, lambda s: np.multiply(
+            sources.orientations[s].T, sources.length_l, order="C")
     if isinstance(sources, SurfaceMesh):
         if mesh_current == "z":
             tang = sources.tangents_z
@@ -222,7 +292,7 @@ def _source_arrays(sources, mesh_current: str):
             tang = sources.tangents_phi
         else:
             raise ValueError(f"unknown mesh current direction {mesh_current!r}")
-        return sources.centroids, lambda s: tang[s] * sources.areas[s, None]
+        return sources.centroids, lambda s: np.multiply(tang[s].T, sources.areas[s], order="C")
     raise TypeError(f"unsupported source container {type(sources).__name__}")
 
 
@@ -243,8 +313,8 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     Unit drive means 1 A for a dipole element and a unit surface-current
     density (1 A/m times the patch area) for a mesh patch.  The focal
     point must keep the quarter-wavelength standoff from every source
-    and sit inside the aperture's bounding region.  Each work unit's field
-    vectors are projected on e_hat as soon as they are computed.
+    and sit inside the aperture's bounding region.  The kernel projects
+    each source's focal field on e_hat as it computes it.
     """
     _check_kernel(kernel, source_kind)
     focal = np.asarray(focal, dtype=float)
@@ -252,7 +322,9 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
         raise ValueError("e_hat must be a unit vector")
     src_pos, moments = _source_arrays(sources, mesh_current)
 
-    lo, hi = src_pos.min(axis=0), src_pos.max(axis=0)
+    # column by column: numpy reduces an (N, 3) array over axis 0 eight times slower
+    lo = np.array([c.min() for c in src_pos.T])
+    hi = np.array([c.max() for c in src_pos.T])
     if np.any(focal < lo - 1e-12) or np.any(focal > hi + 1e-12):
         raise ValueError("focal point lies outside the aperture region")
     n = src_pos.shape[0]
@@ -260,9 +332,8 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     units, size = _units(1, n)
     scratch = np.empty(size)
     for _, s in units:
-        E, _ = _dyadic(focal[None, :], src_pos[s], moments(s), wl.k, kernel,
-                       source_kind, scratch, standoff=0.25 * wl.lam)
-        g[s] = project(E, e_hat)
+        g[s] = _dyadic(focal[None, :], _columns(src_pos[s]), moments(s), wl.k,
+                       kernel, source_kind, scratch, 0.25 * wl.lam, e_hat=e_hat)[0][0]
 
     if isinstance(sources, SurfaceMesh):
         return ChannelVector(g, sources.areas / (0.5 * wl.lam) ** 2)
@@ -276,7 +347,9 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
 
     The approximate kernel refuses points inside the quarter-wavelength
     standoff; the full kernel evaluates them (it is finite anywhere off
-    the source) but flags them near_singular.
+    the source) but flags them near_singular.  At most threads workers
+    run, and no more than the CPUs this process may use; the result is
+    the same bytes for every worker count.
     """
     _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -287,7 +360,8 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
 
     standoff = 0.25 * wl.lam if kernel == "dipole-approx" else 0.0
     units, size = _units(grid.shape[0], src_pos.shape[0])
-    workers = max(1, min(threads, len(units)))
+    # more workers than CPUs would only add scratch buffers
+    workers = max(1, min(threads, len(units), _usable_cpus()))
     parts = [None] * len(units)
 
     def work(first):
@@ -295,10 +369,8 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
         scratch = np.empty(size)
         for i in range(first, len(units), workers):
             p, s = units[i]
-            m, ws = moments(s), w[s, None]
-            rhs = [np.hstack([M.real, M.imag]) for M in (ws * m, ws)]
-            parts[i] = _dyadic(grid[p], src_pos[s], m, wl.k, kernel, source_kind,
-                               scratch, standoff, rhs)
+            parts[i] = _dyadic(grid[p], _columns(src_pos[s]), moments(s), wl.k,
+                               kernel, source_kind, scratch, standoff, w=w[s])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, range(workers)))

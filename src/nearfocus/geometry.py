@@ -118,8 +118,9 @@ class SurfaceMesh:
             raise ValueError("inconsistent mesh array shapes")
         if np.any(self.areas <= 0.0):
             raise ValueError("patch areas must be positive")
+        # one (N,) temporary, made absolute in place
         dots = np.einsum("ij,ij->i", self.tangents_phi, self.tangents_z)
-        if np.max(np.abs(dots)) > 1e-12:
+        if np.max(np.abs(dots, out=dots)) > 1e-12:
             raise ValueError("patch tangents must be orthogonal")
         for a in (self.centroids, self.areas, self.tangents_phi, self.tangents_z):
             a.setflags(write=False)

@@ -409,28 +409,27 @@ def test_07_crosspolarized_focal_size(baseline_array):
             f" (y want {want_y:.4f}), discrete {d_long:.4f}/{d_x:.4f}/{d_y:.4f} wl")
 
 
+def _cylinder_mesh(radius, length, patch):
+    """A cylinder wall meshed with patches no larger than patch on a side."""
+    spec = CylinderSpec(radius_a=radius, length_L=length)
+    return build_cylinder_mesh(spec, int(np.ceil(length / patch)),
+                               int(np.ceil(2.0 * math.pi * radius / patch)))
+
+
 def test_08_rectangle_bounded_by_cylinders():
     """Focal amplitude from a rectangular corridor sits strictly between
     its inscribed and circumscribed cylinders at every sampled focus.
 
-    Checked at reduced scale (8 x 7 wavelength cross-section, 20 long).
-    The full-size 40 x 35 wavelength corridor, 1,015,928 patches, runs end
-    to end as the benchmark's ``corridor_weights`` workload (hybrid drive,
-    a 5-point cut); the bounding itself is not checked at that scale.
+    Checked here at reduced scale (8 x 7 wavelength cross-section, 20
+    long) at six foci; check 12 checks the full-size 40 x 35 x 420
+    wavelength corridor, 1,015,928 patches, at the origin.
     """
     rect = RectCorridorSpec(width_La=8 * LAM, height_Lb=7 * LAM,
                             length_L=20 * LAM)
     patch = 0.25 * LAM
     mesh_rect = build_rect_corridor_mesh(rect, patch, WL)
-
-    def cylinder(radius):
-        spec = CylinderSpec(radius_a=radius, length_L=rect.length_L)
-        n_axial = int(np.ceil(spec.length_L / patch))
-        n_azimuthal = int(np.ceil(2.0 * math.pi * radius / patch))
-        return build_cylinder_mesh(spec, n_axial, n_azimuthal)
-
-    mesh_in = cylinder(rect.inscribed_radius())
-    mesh_out = cylinder(rect.circumscribed_radius())
+    mesh_in = _cylinder_mesh(rect.inscribed_radius(), rect.length_L, patch)
+    mesh_out = _cylinder_mesh(rect.circumscribed_radius(), rect.length_L, patch)
     foci = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 3.0],
                      [-1.0, 0.5, -5.0], [1.5, -1.0, 2.0],
                      [0.0, 2.0, 7.0]]) * LAM
@@ -551,3 +550,84 @@ def test_11_special_function_oracles():
     worst = max(err / tol for _, err, tol in checks)
     _report(11, "special function oracles", failures,
             f"worst error at {worst:.1e} of tolerance; {elapsed:.2f}s")
+
+
+def test_12_full_scale_rectangle_bounded_by_cylinders():
+    """Under CP, the full-size corridor's focal amplitude sits between its
+    inscribed and circumscribed cylinders.
+
+    The 12 x 10.5 x 126 m corridor (40 x 35 x 420 wavelengths at 1 GHz,
+    1,015,928 quarter-wavelength patches) and cylinders of radius 5.25 m and
+    hypot(12, 10.5)/2 m meshed at the same patch size are built one at a
+    time.  Each drives every port at the 0.02 A cap with the conjugate phase
+    of its z channel at the origin.  The time-reversal amplitudes at 1 W are
+    shown, not asserted: with area-scaled port resistance the long
+    cylinder's does not depend on the radius, so bounding holds under CP
+    only.
+    """
+    t0 = time.perf_counter()
+    rect = RectCorridorSpec(width_La=12.0, height_Lb=10.5, length_L=126.0)
+    patch = 0.25 * LAM
+    builds = (
+        ("inscribed", lambda: _cylinder_mesh(rect.inscribed_radius(), rect.length_L, patch)),
+        ("rectangle", lambda: build_rect_corridor_mesh(rect, patch, WL)),
+        ("circumscribed",
+         lambda: _cylinder_mesh(rect.circumscribed_radius(), rect.length_L, patch)),
+    )
+    failures, cp, tr, sizes = [], [], [], []
+    for name, build in builds:
+        mesh = build()
+        h = assemble_channel(mesh, np.zeros(3), Z_HAT, WL, mesh_current="z")
+        w, rep = cp_weights(h, PC_CP)
+        if rep.active_constraint != "local":
+            failures.append(f"{name}: CP solve is {w.regime}/{rep.active_constraint},"
+                            " not CP/local")
+        cp.append(abs(rep.E_focus))
+        tr.append(abs(tr_weights(h, PC_TR)[1].E_focus))
+        sizes.append(len(mesh))
+        del mesh, h, w
+    e_in, e_rect, e_out = cp
+    if sizes[1] != 1_015_928:
+        failures.append(f"rectangle has {sizes[1]} patches, not 1,015,928")
+    if not e_in < e_rect < e_out:
+        failures.append(f"CP amplitudes {e_in:.1f} / {e_rect:.1f} / {e_out:.1f} V/m"
+                        " not ordered inscribed < rectangle < circumscribed")
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 30.0:
+        failures.append(f"runtime {elapsed:.2f}s not under 30s")
+    _report(12, "full-scale rectangle bounded by cylinders", failures,
+            f"CP {e_in:.1f}/{e_rect:.1f}/{e_out:.1f} V/m, TR"
+            f" {tr[0]:.2f}/{tr[1]:.2f}/{tr[2]:.2f} V/m over"
+            f" {'/'.join(f'{n:,}' for n in sizes)} patches; {elapsed:.2f}s")
+
+
+def test_13_resolution_by_drive(baseline_array):
+    """Under CP the co-polarized focal spot of the discrete baseline is as
+    long as it is wide, up to the finite span's stretch; under TR its two
+    widths differ.
+
+    CP: the longitudinal 3-dB width equals the transverse one times
+    sqrt(1 + 4a^2/L^2), within acceptance 05's 0.01 wl.  TR: the
+    longitudinal width departs from the stretched transverse one by more
+    than ten times that tolerance.
+    """
+    layout, h_z, _ = baseline_array
+    a, length = BASELINE.radius_a, BASELINE.length_L
+    stretch = math.sqrt(1.0 + 4.0 * a * a / (length * length))
+    widths = {}
+    for drive, (w, _) in (("CP", cp_weights(h_z, PC_CP)), ("TR", tr_weights(h_z, PC_TR))):
+        widths[drive] = (_width_wl(*_cut(layout, w, Z_HAT, "z")),
+                         _width_wl(*_cut(layout, w, X_HAT, "z")))
+    failures = []
+    cp_l, cp_t = widths["CP"]
+    tr_l, tr_t = widths["TR"]
+    if abs(cp_l - stretch * cp_t) > 0.01:
+        failures.append(f"CP longitudinal {cp_l:.4f} wl not {stretch:.4f} x transverse"
+                        f" {cp_t:.4f} wl +- 0.01")
+    if abs(tr_l - stretch * tr_t) <= 0.1:
+        failures.append(f"TR longitudinal {tr_l:.4f} wl within 0.1 of {stretch:.4f} x"
+                        f" transverse {tr_t:.4f} wl")
+    _report(13, "resolution by drive", failures,
+            f"longitudinal/transverse CP {cp_l:.4f}/{cp_t:.4f} wl (ratio"
+            f" {cp_l / cp_t:.4f}, stretch {stretch:.4f}), TR {tr_l:.4f}/{tr_t:.4f} wl"
+            f" (ratio {tr_l / tr_t:.4f})")

@@ -537,7 +537,8 @@ class TestMemory:
     # Traced bytes per source at the peak of a run.  The arrays a run must
     # hold at full length take 56 B per patch for the mesh, 16 for the
     # scalar channel, 8 for the port resistances and 16 for the weights;
-    # measured 172 B/source here, 289 when full-length (N, 3) temporaries
+    # measured 156 B/source here (172 when the field kernel held fifteen
+    # scratch arrays per block), 289 when full-length (N, 3) temporaries
     # were built at each stage.
     PEAK_BYTES_PER_SOURCE = 200
     # The same for a layout of the same mesh: the 56 B per patch of the mesh

@@ -8,6 +8,7 @@ symmetry, chunking, thread count and determinism.
 """
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -269,6 +270,24 @@ def test_channel_standoff_and_region_checks():
                          source_kind="magnetic")
 
 
+@pytest.mark.parametrize("source_kind, mesh_current", [
+    ("electric", "z"), ("electric", "phi"), ("magnetic", "phi"), ("magnetic", "z"),
+])
+def test_channel_matches_projected_tensors(source_kind, mesh_current):
+    # the kernel's in-place projection against the 3x3 tensor of each
+    # source times its moment, projected afterwards
+    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 16, 24)
+    focal = np.array([0.1, -0.2, 0.3])
+    e_hat = np.array([0.48, -0.6, 0.64])
+    g = assemble_channel(mesh, focal, e_hat, WL, source_kind=source_kind,
+                         mesh_current=mesh_current).g
+    pos, moments = fields._source_arrays(mesh, mesh_current)
+    green = green_electric if source_kind == "electric" else green_magnetic
+    ref = np.array([project((green(focal, s, WL) @ m)[None, :], e_hat)[0]
+                    for s, m in zip(pos, moments(slice(None)).T)])
+    assert np.max(np.abs(g - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_channel_mesh_resistance_scale():
     mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=10.0), 50, 12)
     ch = assemble_channel(mesh, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL)
@@ -388,12 +407,45 @@ def test_determinism_and_thread_equivalence():
     assert np.array_equal(e1, e4)
 
 
+def test_workers_capped_at_usable_cpus(monkeypatch):
+    # an inline executor records the worker count and starts no thread
+    layout = small_layout()
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=len(layout)) + 1j * rng.normal(size=len(layout))
+    grid = np.stack([np.linspace(-0.3, 0.3, 64), np.zeros(64), np.zeros(64)], axis=1)
+    monkeypatch.setattr(fields, "_CHUNK_BUDGET", len(layout))
+    ref = evaluate_field(layout, w, grid, WL, threads=1).E
+    requested = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(fields, "ThreadPoolExecutor", InlineExecutor)
+    units, _ = fields._units(len(grid), len(layout))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    assert len(units) > cpus
+    E = evaluate_field(layout, w, grid, WL, threads=4000).E
+    assert requested == [cpus]
+    assert np.array_equal(E, ref)
+
+
 def brute_force_field(sources, w, grid, source_kind, mesh_current="z"):
     """Per-point, per-source sum of the 3x3 tensors, in index order."""
     pos, moments = fields._source_arrays(sources, mesh_current)
     green = green_electric if source_kind == "electric" else green_magnetic
     return np.array([sum(wn * (green(p, s, WL) @ m)
-                         for wn, s, m in zip(w, pos, moments(slice(None))))
+                         for wn, s, m in zip(w, pos, moments(slice(None)).T))
                      for p in grid])
 
 
@@ -443,7 +495,7 @@ def longdouble_field(sources, w, grid, kernel, source_kind, mesh_current):
     currents, E = C r_hat x m for magnetic ones."""
     ld = np.longdouble
     pos, moments = fields._source_arrays(sources, mesh_current)
-    pos, m = np.asarray(pos, ld), np.asarray(moments(slice(None)), ld)
+    pos, m = np.asarray(pos, ld), np.asarray(moments(slice(None)).T, ld)
     d = np.asarray(grid, ld)[:, None, :] - pos[None]
     R = np.sqrt(np.sum(d * d, axis=-1))
     r_hat = d / R[..., None]
@@ -467,15 +519,30 @@ def longdouble_field(sources, w, grid, kernel, source_kind, mesh_current):
     ("ring", "dipole-approx", "electric", "z"),
     ("mesh", "full", "electric", "z"),
     ("mesh", "full", "magnetic", "phi"),
+    ("azimuthal_ring", "full", "electric", "z"),
+    ("azimuthal_ring", "dipole-approx", "electric", "z"),
+    ("oblique_ring", "full", "electric", "z"),
+    ("mesh", "full", "magnetic", "z"),
 ])
 def test_fused_kernel_accuracy_against_long_double(aperture, kernel, source_kind,
                                                    mesh_current):
     # random-phase drives, so no coherent focus hides the rounding; a cut
-    # through the aperture plus scattered interior points.  Measured on
-    # x86-64 (80-bit long double): 1.4e-15 to 2.0e-15 of the peak field,
-    # at most 2.7e-15 over five drive seeds.
+    # through the aperture plus scattered interior points.  The rings cover
+    # one (axial), two (azimuthal) and three (oblique: random unit
+    # orientations) nonzero moment components.  Measured on x86-64 (80-bit
+    # long double): 1.4e-15 to 2.0e-15 of the peak field, at most 2.7e-15
+    # over five drive seeds.
+    spec = CylinderSpec(radius_a=1.0, length_L=1.0)
     if aperture == "ring":
-        sources = build_ring_array(CylinderSpec(radius_a=1.0, length_L=1.0), WL, "axial")
+        sources = build_ring_array(spec, WL, "axial")
+    elif aperture == "azimuthal_ring":
+        sources = build_ring_array(spec, WL, "azimuthal")
+    elif aperture == "oblique_ring":
+        ring = build_ring_array(spec, WL, "axial")
+        o = np.random.default_rng(4).normal(size=(len(ring), 3))
+        sources = ArrayLayout(ring.positions, o / np.linalg.norm(o, axis=1)[:, None],
+                              rings=ring.rings, per_ring=ring.per_ring,
+                              spacing_d=ring.spacing_d, length_l=ring.length_l)
     else:
         sources = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 16, 24)
     rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 """Layout and mesh construction: counts, symmetry, areas, exports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ def test_mesh_patch_views_validate():
     with pytest.raises(ValueError):
         SurfaceMesh(np.zeros((2, 3)), np.array([1.0, 1.0]),
                     np.tile([0.0, 0.0, 1.0], (2, 1)), np.tile([0.0, 0.0, 1.0], (2, 1)))
+
+
+def test_mesh_orthogonality_check_holds_one_temporary():
+    # the check's one (N,) float temporary: 8 B per patch, where two took 16
+    n = 200_000
+    tangents_phi = np.zeros((n, 3))
+    tangents_phi[:, 0] = 1.0
+    args = (np.zeros((n, 3)), np.ones(n), tangents_phi,
+            np.broadcast_to(np.array([0.0, 0.0, 1.0]), (n, 3)))
+    tracemalloc.start()
+    try:
+        SurfaceMesh(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * n
 
 
 # ----------------------------------------------------------------- exports
