@@ -10,7 +10,8 @@ Every artifact lands in the output directory: CSV files are written
 with 17 significant digits and '\\n' line endings so reruns of the same
 scenario are byte-identical, and manifest.json records the fully
 resolved scenario (defaults included), the conventions the numbers rest
-on, tool version, and wall-clock time.
+on, tool version, the requested threads and the field workers that ran,
+and wall-clock time.
 
 Exit codes: 0 success (for validate: comparison passed), 1 validate
 comparison failed, 2 usage or scenario errors, or a problem too large
@@ -25,6 +26,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -392,11 +394,21 @@ def _plane_grid(s: dict):
     return points, (ua.size, vb.size)
 
 
+@dataclass
+class _Threads:
+    """--threads as requested, and the most workers one evaluate_field
+    call ran: at most the usable CPUs, and 0 when no field was evaluated."""
+    requested: int
+    used: int = 0
+
+
 def _evaluate(s: dict, sources, weights, points: np.ndarray, wl: Wavelength,
-              threads: int):
-    return evaluate_field(sources, weights, points, wl, kernel=s["kernel"],
-                          source_kind=s["source_kind"],
-                          mesh_current=_mesh_current(s), threads=threads)
+              threads: _Threads):
+    fm = evaluate_field(sources, weights, points, wl, kernel=s["kernel"],
+                        source_kind=s["source_kind"],
+                        mesh_current=_mesh_current(s), threads=threads.requested)
+    threads.used = max(threads.used, fm.workers)
+    return fm
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -431,7 +443,7 @@ def _write_curve(path: Path, offsets: np.ndarray, values: np.ndarray,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list, int]:
+def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: _Threads) -> tuple[list, int]:
     sources = _aperture(s, wl)
     # the channel is freed as soon as the weights are solved
     weights, report = _solve_weights(
@@ -523,7 +535,7 @@ def _delta(numeric, ana, key: str):
 
 
 def _cmd_validate_profile(s: dict, outdir: Path, wl: Wavelength,
-                          threads: int) -> tuple[list, int, dict]:
+                          threads: _Threads) -> tuple[list, int, dict]:
     kind = s["analytic_reference"]
     if s["geometry"] != "cylinder":
         raise _invalid(f"analytic reference {kind} requires cylinder geometry")
@@ -700,7 +712,7 @@ def main(argv=None) -> int:
             raise ScenarioError("usage", "a scenario is required: pass --scenario "
                                          "or set NEARFOCUS_SCENARIO")
         outdir = Path(_setting(args.out, "NEARFOCUS_OUT", "nearfocus-out"))
-        threads = _int_setting(args.threads, "NEARFOCUS_THREADS", 1, 1, "--threads")
+        threads = _Threads(_int_setting(args.threads, "NEARFOCUS_THREADS", 1, 1, "--threads"))
 
         scenario, filled = load_scenario(scenario_path)
         wl = _wavelength(scenario)
@@ -733,7 +745,8 @@ def main(argv=None) -> int:
             "scenario": scenario,
             "defaults_filled": filled,
             "derived": {"wavelength_m": wl.lam, "wavenumber_rad_per_m": wl.k},
-            "threads": threads,
+            "threads": threads.requested,
+            "workers": threads.used,
             "resolved_conventions": RESOLVED_CONVENTIONS,
             "artifacts": sorted(artifacts + ["manifest.json"]),
             "wall_time_s": time.perf_counter() - started,

@@ -1,8 +1,23 @@
 """Deterministic CSV serialization shared by all export paths.
 
-Numbers are written with 17 significant digits, '.' decimal separator,
-and '\\n' line endings regardless of platform, so identical inputs
-produce byte-identical files.  Integers below 1e17 print as integers.
+Numbers are written as '%.17g' writes them (17 significant digits,
+trailing zeros and a bare point dropped, exponent form below 1e-4 and
+from 1e17), with -0 written as 0, '.' decimal separator and '\\n' line
+endings regardless of platform, so identical inputs produce
+byte-identical files.  Integers below 1e17 print as integers.
+
+The digits come from exact numpy arithmetic, not from one CPython
+format call per cell.  For 1e-5 <= |x| < 1e16, E = floor(log10|x|),
+corrected by one where the 17-digit integer falls outside
+[1e16, 1e17), gives s = 16 - E in [0, 22], so 10**s is an exact double.
+Dekker's product (Veltkamp split at 2**27 + 1) writes |x| * 10**s as
+p + err with no rounding, and p >= 2**53 is an even integer, so
+D = p + rint(err) is |x| * 10**s rounded half to even: printf's digits,
+ties included.  Each cell is laid out in fixed slots (sign, "0.000",
+the 17 digits with the point, "e-05", separator), unused slots hold a
+0 byte, and the block's 0 bytes are dropped.  Zeros take the same path;
+every other value (below 1e-5 or from 1e16, subnormals included) goes
+through the '%.17g' template, one call per block.
 """
 
 from __future__ import annotations
@@ -11,18 +26,219 @@ import math
 
 import numpy as np
 
-# rows of a 3-column table formatted per template application; wider
-# tables take fewer rows, so a block always holds 3 * _BLOCK_ROWS cells
+# angle() converts _BLOCK_ROWS values at a time; write_csv formats
+# _BLOCK_ROWS // 16 cells at a time, in 0.6 MB of work arrays: larger
+# blocks run little faster, and their memory would show in the peak
+# resident size of runs that write mid-sized tables
 _BLOCK_ROWS = 65536
+
+_POW10 = 10.0 ** np.arange(23)
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+# slots of a cell: sign, "0.000", 17 digits and the point, "e-05", separator
+_WIDTH = 29
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
+_PREFIX_MAX_X = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]
+_EXP = np.frombuffer(b"e-05", np.uint8)[:, None]
+_SLOT = np.arange(18, dtype=np.int8)[:, None]
+
+
+def _exact_digits(a, s, D, f, t) -> None:
+    """D = a * 10**s rounded half to even, exactly, for s in [0, 22].
+
+    f is five float work rows and t one int8 work row of a's length.
+    The result is exact wherever a * 10**s >= 2**53; smaller products
+    only show that s is one too small.
+    """
+    p, hi, lo, ph, err = f
+    np.take(_POW10, s, out=ph, mode="clip")
+    np.multiply(a, ph, out=p)
+    np.multiply(a, _SPLIT, out=hi)
+    np.subtract(hi, a, out=lo)
+    np.subtract(hi, lo, out=hi)
+    np.subtract(a, hi, out=lo)
+    np.take(_POW10_HI, s, out=ph, mode="clip")
+    # err = ((hi*ph - p) + hi*pl + lo*ph) + lo*pl, each step exact
+    np.multiply(hi, ph, out=err)
+    err -= p
+    D[...] = p
+    pl = np.take(_POW10_LO, s, out=p, mode="clip")
+    hi *= pl
+    err += hi
+    ph *= lo
+    err += ph
+    pl *= lo
+    err += pl
+    np.rint(err, out=err)
+    t[...] = err
+    D += t
+
+
+def _misfits(D) -> np.ndarray:
+    return np.flatnonzero((D < 10 ** 16) | (D >= 10 ** 17))
+
+
+class _Cells:
+    """Work arrays that format up to size cells of an ncols-column table.
+
+    They are allocated once per file: numpy arrays allocated afresh for
+    every block cost more in page faults than the arithmetic.  The
+    layout reuses the float rows' memory for its integers and masks.
+    """
+
+    def __init__(self, size: int, ncols: int):
+        self.f = np.empty((6, size))
+        self.s = np.empty(size, np.int64)
+        self.D = np.empty(size, np.int64)
+        self.x = np.empty((4, size), np.int8)
+        self.b = np.empty((3, size), bool)
+        self.z = np.zeros((19, size), np.uint8)
+        self.keep = np.zeros((18, size), bool)
+        self.slots = np.empty((_WIDTH, size), np.uint8)
+        self.sep = np.full(ncols, ord(","), np.uint8)
+        self.sep[-1] = ord("\n")
+
+    def format(self, block: np.ndarray) -> bytes:
+        """The CSV lines of a (rows, ncols) float block."""
+        v = block.ravel()
+        n = v.size
+        a, f = self.f[0, :n], self.f[1:, :n]
+        s, D, X = self.s[:n], self.D[:n], self.x[0, :n]
+        other, neg = self.b[:2, :n]
+
+        # other: the cells outside [1e-5, 1e16)
+        np.abs(v, out=a)
+        np.less(a, 1e-5, out=other)
+        np.greater_equal(a, 1e16, out=neg)
+        other |= neg
+        slow = bool(other.any())
+        if slow:
+            a[other] = 1.0
+        np.log10(a, out=f[0])
+        np.floor(f[0], out=f[0])
+        np.subtract(16.0, f[0], out=f[0])
+        s[...] = f[0]
+        _exact_digits(a, s, D, f, X)
+        fix = _misfits(D)
+        while fix.size:
+            # a 16-digit D means E was one too large, an 18-digit D one too small
+            sf = s[fix] + np.where(D[fix] < 10 ** 16, 1, -1)
+            s[fix] = sf
+            Df = np.empty(fix.size, np.int64)
+            _exact_digits(a[fix], sf, Df, np.empty((5, fix.size)),
+                          np.empty(fix.size, np.int8))
+            D[fix] = Df
+            fix = fix[_misfits(Df)]
+        if slow:
+            # zeros print as the digit 0, and so, until marked below, do
+            # the cells the template writes
+            D[other] = 0
+            s[other] = 16
+        np.subtract(16, s, out=X, casting="unsafe")
+        np.less(v, 0.0, out=neg)
+        slots = self.slots[:, :n]
+        self._layout(n)
+        slots[-1].reshape(block.shape)[...] = self.sep
+        if slow:
+            other &= v != 0.0
+            cells = np.flatnonzero(other)
+            # laid out as a bare 0 so far; the 0 becomes a marker byte
+            slots[0, cells] = 0
+            slots[6, cells] = 1
+        text = slots.T.tobytes().translate(None, b"\0")
+        if slow and cells.size:
+            # one template call fills every marked cell
+            text = text.replace(b"\1", b"%.17g") % tuple(v[cells].tolist())
+        return text
+
+    def _layout(self, n) -> None:
+        """Fill the slots of n cells from their 17-digit D, exponent X and sign.
+
+        Fixed form puts the point after digit X (X >= 0) or writes
+        "0." and -X - 1 zeros first (-4 <= X < 0); X = -5 is exponent
+        form.  Trailing zeros after the point are blanked, and so is a
+        point with no digit after it.
+        """
+        size = self.f.shape[1]
+        D, slots, z, keep = self.D[:n], self.slots[:, :n], self.z[:, :n], self.keep[:, :n]
+        X, K, ps, last = self.x[:, :n]
+        neg, ex = self.b[1:, :n]
+        # masks and integers in the float rows, which are free now
+        cmp = self.f[:3].view(bool).reshape(24, size)[:18, :n]
+        t, u = self.f[:2, :n].view(np.int64)
+        u8 = np.uint8
+        np.multiply(neg.view(u8), ord("-"), out=slots[0])
+        np.less_equal(X, _PREFIX_MAX_X, out=cmp[:5])
+        cmp[:5] &= X >= -4
+        np.multiply(cmp[:5].view(u8), _PREFIX, out=slots[1:6])
+        np.equal(X, -5, out=ex)
+        np.multiply(ex.view(u8), _EXP, out=slots[24:28])
+        # K digits stand before the point; ps is the point's slot, 18
+        # (none) when "0." is written in front
+        np.add(X, 1, out=K)
+        np.maximum(K, 0, out=K)
+        K += ex.view(np.int8)
+        np.equal(K, 0, out=ex)
+        np.multiply(ex.view(np.int8), 18, out=ps)
+        ps += K
+
+        # D = d0 * 10**16 + hi * 10**8 + lo, and hi and lo split into
+        # 4-digit, then 2-digit, then 1-digit parts, digit k in z[k + 1]
+        halves = self.f[2].view(np.int32).reshape(2, size)[:, :n]
+        np.floor_divide(D, 10 ** 8, out=t)
+        np.multiply(t, 10 ** 8, out=u)
+        np.subtract(D, u, out=halves[1], casting="unsafe")
+        np.floor_divide(t, 10 ** 8, out=u)
+        z[1] = u
+        u *= 10 ** 8
+        np.subtract(t, u, out=halves[0], casting="unsafe")
+        quads = self.f[:2].view(np.int32).reshape(2, 2, size)[:, :, :n]
+        pairs = self.f[3:5].view(np.int16).reshape(4, 2, size)[:, :, :n]
+        for parts, split, div in ((halves, quads, 10000), (quads.reshape(4, n), pairs, 100)):
+            np.floor_divide(parts, div, out=split[:, 0], casting="unsafe")
+            np.multiply(split[:, 0], div, out=split[:, 1], dtype=split.dtype)
+            np.subtract(parts, split[:, 1], out=split[:, 1], casting="unsafe")
+        pairs = pairs.reshape(8, n)
+        tens = self.f[:2].view(np.int16).reshape(8, size)[:, :n]
+        np.floor_divide(pairs, 10, out=tens)
+        z[2:18:2] = tens
+        tens *= 10
+        pairs -= tens
+        z[3:19:2] = pairs
+        digits = z[1:18]
+        digits += ord("0")
+
+        # digit k prints while k <= max(last nonzero digit, K - 1)
+        nonzero_at = cmp[:17].view(u8)
+        np.not_equal(digits, ord("0"), out=cmp[:17])
+        nonzero_at *= _SLOT[:17].view(u8)
+        np.max(nonzero_at, axis=0, out=last.view(u8))
+        K -= 1
+        np.maximum(K, last, out=K)
+        np.less_equal(_SLOT[:17], K, out=keep[:17])
+        digits *= keep[:17].view(u8)
+        # slot k holds digit k before the point, digit k - 1 after it
+        region = slots[6:24]
+        np.greater(ps, _SLOT, out=cmp)
+        np.multiply(z[1:19], cmp.view(u8), out=region)
+        np.less(ps, _SLOT, out=cmp)
+        np.multiply(z[0:18], cmp.view(u8), out=cmp.view(u8))
+        region += cmp.view(u8)
+        np.equal(ps, _SLOT, out=cmp)
+        cmp &= keep
+        np.multiply(cmp.view(u8), ord("."), out=cmp.view(u8))
+        region += cmp.view(u8)
 
 
 def write_csv(path, columns) -> None:
-    """Write named 1-D columns, in mapping order, one '%.17g' per cell.
+    """Write named 1-D columns, in mapping order, as '%.17g' would.
 
     columns maps each header name to a numeric 1-D array, all of one
-    length; views are read in place.  Rows are stacked in blocks of
-    3 * _BLOCK_ROWS cells, so no full-length table is built and the
-    formatted text of a block does not grow with the column count.
+    length; views are read in place.  Rows are stacked and formatted
+    _BLOCK_ROWS // 16 cells at a time, so no full-length table is built
+    and the work arrays do not grow with the column count.
     """
     names = list(columns)
     data = [np.asarray(c) for c in columns.values()]
@@ -33,18 +249,16 @@ def write_csv(path, columns) -> None:
                          f"{[c.shape for c in data]}")
     if not all(np.isfinite(c).all() for c in data):
         raise ValueError("non-finite value in CSV output")
-    line = ",".join(["%.17g"] * len(names)) + "\n"
-    step = max(1, 3 * _BLOCK_ROWS // len(names))
+    step = max(1, _BLOCK_ROWS // 16 // len(names))
     block = np.empty((min(n, step), len(names)))
-    with open(path, "w", encoding="ascii", newline="") as f:
-        f.write(",".join(names) + "\n")
+    cells = _Cells(block.size, len(names))
+    with open(path, "wb") as f:
+        f.write((",".join(names) + "\n").encode("ascii"))
         for lo in range(0, n, step):
             rows = block[:min(step, n - lo)]
             for j, c in enumerate(data):
                 rows[:, j] = c[lo:lo + rows.shape[0]]
-            # adding 0.0 turns -0 into 0, so reruns are byte-identical
-            rows += 0.0
-            f.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
+            f.write(cells.format(rows))
 
 
 def angle(z: np.ndarray) -> np.ndarray:

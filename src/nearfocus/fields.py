@@ -71,12 +71,15 @@ def project(fields: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
 
 
 class FieldMap:
-    """Sampled complex vector E-field over an evaluation grid."""
+    """Sampled complex vector E-field over an evaluation grid, and the
+    number of worker threads that computed it."""
 
-    def __init__(self, points: np.ndarray, E: np.ndarray, near_singular: np.ndarray):
+    def __init__(self, points: np.ndarray, E: np.ndarray, near_singular: np.ndarray,
+                 workers: int = 1):
         self.points = np.asarray(points, dtype=float)
         self.E = np.asarray(E, dtype=complex)
         self.near_singular = np.asarray(near_singular, dtype=bool)
+        self.workers = workers
         if self.E.shape != self.points.shape or self.near_singular.shape != (self.points.shape[0],):
             raise ValueError("inconsistent field map shapes")
 
@@ -379,4 +382,4 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     for (p, _), (e, d) in zip(units, parts):
         E[p] += e
         np.minimum(dmin[p], d, out=dmin[p])
-    return FieldMap(grid, E, dmin < 0.25 * wl.lam)
+    return FieldMap(grid, E, dmin < 0.25 * wl.lam, workers)

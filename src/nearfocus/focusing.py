@@ -15,8 +15,9 @@ for the uniform drive.
 
 g is each source's focal field projected on the target polarization;
 port resistances are R0 times the channel's per-port scale (patch area
-over the reference area for meshes).  An independent projected-ascent
-oracle certifies optimality on small instances.
+over the reference area for meshes).  The tests certify optimality on
+small instances with an independent projected-ascent oracle
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -54,14 +55,6 @@ class FocalReport:
     E_focus: complex
     active_constraint: str  # local | global | both
     beta: float             # level in |w| = min(beta*|g|/R, cap); 0 for CP drives
-
-
-class OracleReport:
-    def __init__(self, oracle_objective: float, weight_objective: float):
-        self.oracle_objective = oracle_objective
-        self.weight_objective = weight_objective
-        denom = max(oracle_objective, weight_objective)
-        self.relative_gap = (oracle_objective - weight_objective) / denom
 
 
 def _live(x: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -164,74 +157,6 @@ def tr_weights(h: ChannelVector, pc: PowerConstraints):
 def hybrid_weights(h: ChannelVector, pc: PowerConstraints):
     """Exact optimum under both caps: the TR taper clipped at the cap."""
     return _drive(h, pc, pc.w_max, uniform=False)
-
-
-# --------------------------------------------------------- optimality oracle
-
-def _project_box_ball(x: np.ndarray, cap: np.ndarray, p0: float) -> np.ndarray:
-    """Exact projection of rows of x onto {0 <= u <= cap, sum u^2 <= p0}.
-
-    The projection alternates the two constraint actions, a uniform ball
-    scaling 1/(1+nu) and a box clip, with the scaling multiplier nu
-    bisected until both hold simultaneously.
-    """
-    y = np.clip(x, 0.0, cap)
-    need = np.sum(y * y, axis=1) > p0
-    if not np.any(need):
-        return y
-    xs = x[need]
-    lo = np.zeros(xs.shape[0])
-    hi = np.ones(xs.shape[0])
-    for _ in range(100):
-        yt = np.clip(xs / (1.0 + hi)[:, None], 0.0, cap)
-        bad = np.sum(yt * yt, axis=1) > p0
-        if not np.any(bad):
-            break
-        hi[bad] *= 2.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        yt = np.clip(xs / (1.0 + mid)[:, None], 0.0, cap)
-        over = np.sum(yt * yt, axis=1) > p0
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
-    y[need] = np.clip(xs / (1.0 + hi)[:, None], 0.0, cap)
-    return y
-
-
-def optimality_oracle(h: ChannelVector, pc: PowerConstraints,
-                      weights: ExcitationWeights, seed: int = 0,
-                      starts: int = 20) -> OracleReport:
-    """Certify weights by independent projected gradient ascent.
-
-    Works on the real reduced problem max sum(|g_n| a_n) over amplitude
-    vectors a in the box/power-ball intersection, in coordinates where
-    the power constraint is a Euclidean ball.  The step length grows
-    geometrically; with an exact projection the optimum is the fixed
-    point of the iteration at any step, so the iterates converge to it
-    from every start.
-    """
-    if len(h) > 256:
-        raise ValueError("oracle is limited to 256 ports")
-    g = h.g
-    absg = np.abs(g)
-    if float(np.max(absg)) == 0.0:
-        raise ValueError("channel is zero for the requested polarization")
-    R = pc.R0_per_port * h.resistance_scale
-
-    s = np.sqrt(0.5 * R)      # u = s * |w| turns the power cap into a ball
-    cap = s * pc.w_max
-    q = absg / s
-    p0 = pc.P0
-    rng = np.random.default_rng(seed)
-    u = _project_box_ball(rng.uniform(0.0, 1.0, size=(starts, absg.size)) * cap,
-                          cap, p0)
-    alpha = 0.25 * math.sqrt(p0) / float(np.linalg.norm(q))
-    for _ in range(48):
-        u = _project_box_ball(u + alpha * q, cap, p0)
-        alpha *= 2.0
-    oracle_best = float(np.max(np.sum(u * q, axis=1)))
-    achieved = abs(complex(np.sum(np.asarray(weights.w) * g)))
-    return OracleReport(oracle_objective=oracle_best, weight_objective=achieved)
 
 
 # ----------------------------------------------------------------- exports

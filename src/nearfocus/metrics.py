@@ -24,7 +24,6 @@ __all__ = [
     "cut_metrics",
     "metrics_flat_dict",
     "contour_3db",
-    "polarization_ratio",
 ]
 
 MIN_SAMPLES = 32
@@ -313,12 +312,3 @@ def contour_3db(field_map: FieldMap, component: str, grid_shape: tuple[int, int]
         if _point_in_polygon(peak_uv, poly):
             return poly
     raise ValueError("3-dB contour around the peak is not closed within the map")
-
-
-def polarization_ratio(e_long: float, e_trans: float) -> float:
-    """Ratio of the co-polarized to the cross-polarized field level."""
-    if not (math.isfinite(e_long) and e_long >= 0.0):
-        raise ValueError("e_long must be finite and non-negative")
-    if not (math.isfinite(e_trans) and e_trans > 0.0):
-        raise ValueError("e_trans must be finite and positive")
-    return e_long / e_trans

@@ -1,14 +1,23 @@
-"""Direct-integration oracles for the closed forms in ``nearfocus.analytic``.
+"""Independent reference implementations the tests compare the package with.
 
-Each function integrates the continuum amplitude density that a closed
-form claims to sum, with scipy's adaptive quadrature, so the tests can
-check the closed forms against an independent route.  They are test-only:
-the package itself never imports ``scipy.integrate``.
+- Direct-integration oracles for the closed forms in ``nearfocus.analytic``:
+  each integrates the continuum amplitude density that a closed form
+  claims to sum, with scipy's adaptive quadrature.  The package itself
+  never imports ``scipy.integrate``.
+- A projected-gradient oracle that certifies the drives of
+  ``nearfocus.focusing`` on small instances.
+- The co/cross-polarized level ratio, with its input checks.
+- The one-template CSV writer that ``nearfocus.csvio.write_csv`` must
+  match byte for byte.
 """
 
 import math
 
+import numpy as np
 from scipy import integrate
+
+from nearfocus.fields import ChannelVector
+from nearfocus.focusing import ExcitationWeights, PowerConstraints
 
 _QUAD_OPTS = {"epsabs": 1.0e-12, "epsrel": 1.0e-12, "limit": 200}
 
@@ -76,3 +85,124 @@ def transverse_pol_tr_quadrature(component, zf, spec):
     return _transverse_quadrature(
         component, zf, spec, _transverse_azimuthal_tr, 3.0, 0.25 * spec.radius_a
     )
+
+
+# --------------------------------------------------------- optimality oracle
+
+class OracleReport:
+    def __init__(self, oracle_objective: float, weight_objective: float):
+        self.oracle_objective = oracle_objective
+        self.weight_objective = weight_objective
+        denom = max(oracle_objective, weight_objective)
+        self.relative_gap = (oracle_objective - weight_objective) / denom
+
+
+def _project_box_ball(x: np.ndarray, cap: np.ndarray, p0: float) -> np.ndarray:
+    """Exact projection of rows of x onto {0 <= u <= cap, sum u^2 <= p0}.
+
+    The projection alternates the two constraint actions, a uniform ball
+    scaling 1/(1+nu) and a box clip, with the scaling multiplier nu
+    bisected until both hold simultaneously.
+    """
+    y = np.clip(x, 0.0, cap)
+    need = np.sum(y * y, axis=1) > p0
+    if not np.any(need):
+        return y
+    xs = x[need]
+    lo = np.zeros(xs.shape[0])
+    hi = np.ones(xs.shape[0])
+    for _ in range(100):
+        yt = np.clip(xs / (1.0 + hi)[:, None], 0.0, cap)
+        bad = np.sum(yt * yt, axis=1) > p0
+        if not np.any(bad):
+            break
+        hi[bad] *= 2.0
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        yt = np.clip(xs / (1.0 + mid)[:, None], 0.0, cap)
+        over = np.sum(yt * yt, axis=1) > p0
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+    y[need] = np.clip(xs / (1.0 + hi)[:, None], 0.0, cap)
+    return y
+
+
+def optimality_oracle(h: ChannelVector, pc: PowerConstraints,
+                      weights: ExcitationWeights, seed: int = 0,
+                      starts: int = 20) -> OracleReport:
+    """Certify weights by independent projected gradient ascent.
+
+    Works on the real reduced problem max sum(|g_n| a_n) over amplitude
+    vectors a in the box/power-ball intersection, in coordinates where
+    the power constraint is a Euclidean ball.  The step length grows
+    geometrically; with an exact projection the optimum is the fixed
+    point of the iteration at any step, so the iterates converge to it
+    from every start.
+    """
+    if len(h) > 256:
+        raise ValueError("oracle is limited to 256 ports")
+    g = h.g
+    absg = np.abs(g)
+    if float(np.max(absg)) == 0.0:
+        raise ValueError("channel is zero for the requested polarization")
+    R = pc.R0_per_port * h.resistance_scale
+
+    s = np.sqrt(0.5 * R)      # u = s * |w| turns the power cap into a ball
+    cap = s * pc.w_max
+    q = absg / s
+    p0 = pc.P0
+    rng = np.random.default_rng(seed)
+    u = _project_box_ball(rng.uniform(0.0, 1.0, size=(starts, absg.size)) * cap,
+                          cap, p0)
+    alpha = 0.25 * math.sqrt(p0) / float(np.linalg.norm(q))
+    for _ in range(48):
+        u = _project_box_ball(u + alpha * q, cap, p0)
+        alpha *= 2.0
+    oracle_best = float(np.max(np.sum(u * q, axis=1)))
+    achieved = abs(complex(np.sum(np.asarray(weights.w) * g)))
+    return OracleReport(oracle_objective=oracle_best, weight_objective=achieved)
+
+
+def polarization_ratio(e_long: float, e_trans: float) -> float:
+    """Ratio of the co-polarized to the cross-polarized field level."""
+    if not (math.isfinite(e_long) and e_long >= 0.0):
+        raise ValueError("e_long must be finite and non-negative")
+    if not (math.isfinite(e_trans) and e_trans > 0.0):
+        raise ValueError("e_trans must be finite and positive")
+    return e_long / e_trans
+
+
+# ------------------------------------------------------------- CSV writer
+
+_BLOCK_ROWS = 65536
+
+
+def template_write_csv(path, columns) -> None:
+    """Write named 1-D columns, in mapping order, one '%.17g' per cell.
+
+    columns maps each header name to a numeric 1-D array, all of one
+    length; views are read in place.  Rows are stacked in blocks of
+    3 * _BLOCK_ROWS cells, so no full-length table is built and the
+    formatted text of a block does not grow with the column count.
+    """
+    names = list(columns)
+    data = [np.asarray(c) for c in columns.values()]
+    n = data[0].size if data else 0
+    # checked before the file is opened, so a bad column writes no file
+    if any(c.shape != (n,) for c in data):
+        raise ValueError("CSV columns must be 1-D and of equal length, got "
+                         f"{[c.shape for c in data]}")
+    if not all(np.isfinite(c).all() for c in data):
+        raise ValueError("non-finite value in CSV output")
+    line = ",".join(["%.17g"] * len(names)) + "\n"
+    step = max(1, 3 * _BLOCK_ROWS // len(names))
+    block = np.empty((min(n, step), len(names)))
+    with open(path, "w", encoding="ascii", newline="") as f:
+        f.write(",".join(names) + "\n")
+        for lo in range(0, n, step):
+            rows = block[:min(step, n - lo)]
+            for j, c in enumerate(data):
+                rows[:, j] = c[lo:lo + rows.shape[0]]
+            # adding 0.0 turns -0 into 0, so reruns are byte-identical
+            rows += 0.0
+            f.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))

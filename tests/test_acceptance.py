@@ -33,14 +33,13 @@ from scipy import integrate, optimize, special
 
 from nearfocus import analytic, cli
 from nearfocus.fields import ChannelVector, assemble_channel, evaluate_field
-from nearfocus.focusing import (PowerConstraints, cp_weights, hybrid_weights,
-                                optimality_oracle, tr_weights)
+from nearfocus.focusing import PowerConstraints, cp_weights, hybrid_weights, tr_weights
 from nearfocus.geometry import (CylinderSpec, RectCorridorSpec, Wavelength,
                                 build_cylinder_mesh, build_rect_corridor_mesh,
                                 build_ring_array)
 from nearfocus.metrics import cut_metrics
 
-from oracles import transverse_pol_tr_quadrature
+from oracles import optimality_oracle, transverse_pol_tr_quadrature
 
 WL = Wavelength.from_frequency(1.0e9)
 LAM = WL.lam

@@ -537,15 +537,16 @@ class TestMemory:
     # Traced bytes per source at the peak of a run.  The arrays a run must
     # hold at full length take 56 B per patch for the mesh, 16 for the
     # scalar channel, 8 for the port resistances and 16 for the weights;
-    # measured 156 B/source here (172 when the field kernel held fifteen
+    # measured 129 B/source here (156 when weights.csv was formatted by one
+    # template call per block, 172 when the field kernel held fifteen
     # scratch arrays per block), 289 when full-length (N, 3) temporaries
     # were built at each stage.
     PEAK_BYTES_PER_SOURCE = 200
     # The same for a layout of the same mesh: the 56 B per patch of the mesh
-    # arrays, and about 11 MB for one formatted block of 3 x 65,536 cells;
-    # measured 111 B/source here, 235 when a block was 65,536 rows of all
-    # 10 columns, and 315 when the whole (N, 10) table was built before
-    # writing.
+    # arrays, and under 1 MB for the CSV writer's blocks of 4,096 cells;
+    # measured 64 B/source here, 111 when one template call formatted each
+    # block of 3 x 65,536 cells, 235 when a block was 65,536 rows of all 10 columns,
+    # and 315 when the whole (N, 10) table was built before writing.
     LAYOUT_PEAK_BYTES_PER_SOURCE = 150
 
     @staticmethod
@@ -606,6 +607,21 @@ class TestEnvironment:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == 2
+
+    def test_workers_recorded_within_usable_cpus(self, tmp_path, capsys):
+        # threads records the request; workers the field workers that ran,
+        # which evaluate_field caps at the CPUs this process may use
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        scn = scenario(tmp_path)
+        for subcommand, low, high in (("run", 1, cpus), ("layout", 0, 0)):
+            out = tmp_path / subcommand
+            code, _ = run_cli(capsys, subcommand, "--scenario", scn, "--out", str(out),
+                              "--threads", "4000")
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["threads"] == 4000
+            assert low <= manifest["workers"] <= high
 
     def test_run_and_layout_load_no_scipy(self, tmp_path):
         # a fresh interpreter: this process has scipy loaded by other tests

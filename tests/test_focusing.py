@@ -15,11 +15,12 @@ from nearfocus.focusing import (
     PowerConstraints,
     cp_weights,
     hybrid_weights,
-    optimality_oracle,
     tr_weights,
     weights_sidecar,
 )
 from nearfocus.geometry import CylinderSpec, Wavelength, build_ring_array
+
+from oracles import optimality_oracle
 
 
 def channel_from_g(g, resistance_scale=None):

@@ -20,8 +20,9 @@ from nearfocus.metrics import (
     contour_3db,
     cut_metrics,
     metrics_flat_dict,
-    polarization_ratio,
 )
+
+from oracles import polarization_ratio
 
 LAM = 0.3
 K = 2.0 * math.pi / LAM
