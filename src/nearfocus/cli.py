@@ -11,7 +11,8 @@ with 17 significant digits and '\\n' line endings so reruns of the same
 scenario are byte-identical, and manifest.json records the fully
 resolved scenario (defaults included), the conventions the numbers rest
 on, tool version, the requested threads and the field workers that ran,
-and wall-clock time.
+wall-clock time and, for run, the solver's diagnostics (regime, level,
+power, clipped and idle ports, power residual).
 
 Exit codes: 0 success (for validate: comparison passed), 1 validate
 comparison failed, 2 usage or scenario errors, or a problem too large
@@ -46,6 +47,7 @@ from .focusing import (
     PowerConstraints,
     cp_weights,
     hybrid_weights,
+    solver_diagnostics,
     tr_weights,
     weights_sidecar,
 )
@@ -443,7 +445,9 @@ def _write_curve(path: Path, offsets: np.ndarray, values: np.ndarray,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: _Threads) -> tuple[list, int]:
+def _cmd_run(s: dict, outdir: Path, wl: Wavelength,
+             threads: _Threads) -> tuple[list, int, dict]:
+    """The artifacts, exit code and solver diagnostics of a run."""
     sources = _aperture(s, wl)
     # the channel is freed as soon as the weights are solved
     weights, report = _solve_weights(
@@ -499,7 +503,7 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: _Threads) -> tuple[
 
     _write_json(outdir / "metrics.json", metrics_payload)
     artifacts.append("metrics.json")
-    return artifacts, 0
+    return artifacts, 0, solver_diagnostics(weights, report, _constraints(s))
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
@@ -718,9 +722,9 @@ def main(argv=None) -> int:
         wl = _wavelength(scenario)
         outdir.mkdir(parents=True, exist_ok=True)
 
-        report = None
+        report = solver = None
         if args.subcommand == "run":
-            artifacts, code = _cmd_run(scenario, outdir, wl, threads)
+            artifacts, code, solver = _cmd_run(scenario, outdir, wl, threads)
         elif args.subcommand == "validate":
             kind = scenario["analytic_reference"]
             if kind == "none":
@@ -751,6 +755,8 @@ def main(argv=None) -> int:
             "artifacts": sorted(artifacts + ["manifest.json"]),
             "wall_time_s": time.perf_counter() - started,
         }
+        if solver is not None:
+            manifest["solver"] = solver
         _write_json(outdir / "manifest.json", manifest)
 
         summary = {"status": "ok" if code == 0 else "failed",

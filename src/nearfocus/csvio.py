@@ -18,19 +18,26 @@ the 17 digits with the point, "e-05", separator), unused slots hold a
 0 byte, and the block's 0 bytes are dropped.  Zeros take the same path;
 every other value (below 1e-5 or from 1e16, subnormals included) goes
 through the '%.17g' template, one call per block.
+
+A block is a 32nd of the table's cells, but at least 4,096 and at most
+32,768: each block costs about 180 us whatever its size, and the block
+and its work arrays take 145 B per cell, so tables up to 131,072 cells
+are written in 0.6 MB of them and larger ones in at most 4.8 MB.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-# angle() converts _BLOCK_ROWS values at a time; write_csv formats
-# _BLOCK_ROWS // 16 cells at a time, in 0.6 MB of work arrays: larger
-# blocks run little faster, and their memory would show in the peak
-# resident size of runs that write mid-sized tables
+# angle() converts _BLOCK_ROWS values at a time; write_csv formats blocks
+# of _BLOCK_ROWS // 16 to _BLOCK_ROWS // 2 cells: smaller blocks keep the
+# work arrays of mid-sized tables out of a run's peak resident size, and
+# blocks beyond the larger bound ran slower
 _BLOCK_ROWS = 65536
+_BLOCKS_PER_TABLE = 32
 
 _POW10 = 10.0 ** np.arange(23)
 _SPLIT = 134217729.0  # 2**27 + 1
@@ -236,9 +243,9 @@ def write_csv(path, columns) -> None:
     """Write named 1-D columns, in mapping order, as '%.17g' would.
 
     columns maps each header name to a numeric 1-D array, all of one
-    length; views are read in place.  Rows are stacked and formatted
-    _BLOCK_ROWS // 16 cells at a time, so no full-length table is built
-    and the work arrays do not grow with the column count.
+    length; views are read in place.  Rows are stacked and formatted a
+    block at a time (_block_rows), so no full-length table is built and
+    the work arrays do not grow with the column count.
     """
     names = list(columns)
     data = [np.asarray(c) for c in columns.values()]
@@ -249,7 +256,7 @@ def write_csv(path, columns) -> None:
                          f"{[c.shape for c in data]}")
     if not all(np.isfinite(c).all() for c in data):
         raise ValueError("non-finite value in CSV output")
-    step = max(1, _BLOCK_ROWS // 16 // len(names))
+    step = _block_rows(n, len(names))
     block = np.empty((min(n, step), len(names)))
     cells = _Cells(block.size, len(names))
     with open(path, "wb") as f:
@@ -261,16 +268,30 @@ def write_csv(path, columns) -> None:
             f.write(cells.format(rows))
 
 
+def _block_rows(n: int, ncols: int) -> int:
+    """Rows per block of an n-row table: a _BLOCKS_PER_TABLE-th of its
+    cells, within [_BLOCK_ROWS // 16, _BLOCK_ROWS // 2], and at least one row."""
+    cells = -(-n * ncols // _BLOCKS_PER_TABLE)
+    cells = min(max(cells, _BLOCK_ROWS // 16), _BLOCK_ROWS // 2)
+    return max(1, cells // ncols)
+
+
 def angle(z: np.ndarray) -> np.ndarray:
     """arg z by libm atan2, as math.atan2 calls it, _BLOCK_ROWS at a time.
 
-    numpy's SIMD arctan2 can round the last bit differently, which would
-    change the bytes of a written phase; the blocks keep the Python float
-    lists short.
+    cmath.phase makes math.atan2's call, atan2(imag, real), with the same
+    answers for signed zeros, so the phases are math.atan2's bit for
+    bit; where atan2 underflows cmath.phase raises instead, and that
+    block is converted by math.atan2 itself.  numpy's SIMD arctan2 can
+    round the last bit differently, which would change the bytes of a
+    written phase.  The blocks keep the lists of Python numbers short.
     """
     out = np.empty(z.shape[0])
     for lo in range(0, z.shape[0], _BLOCK_ROWS):
         part = z[lo:lo + _BLOCK_ROWS]
-        out[lo:lo + part.shape[0]] = list(map(math.atan2, part.imag.tolist(),
-                                              part.real.tolist()))
+        try:
+            phases = np.fromiter(map(cmath.phase, part.tolist()), float, part.shape[0])
+        except OverflowError:
+            phases = list(map(math.atan2, part.imag.tolist(), part.real.tolist()))
+        out[lo:lo + part.shape[0]] = phases
     return out

@@ -71,8 +71,16 @@ def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
     beta = cap/v_j whose power stays within the budget, and beta spends
     the remaining budget on the unclipped rest.
     """
-    order = np.argsort(-v, kind="stable")
-    v_desc, half_r = v[order], R[order]
+    # the order among tied values of v orders their R in the sums below,
+    # which moves the last bits of beta: ties keep the stable order, and
+    # without ties the fast sort gives that same order
+    order = np.argsort(-v)
+    v_desc = v[order]
+    if np.equal(v_desc[1:], v_desc[:-1]).any():
+        del order, v_desc
+        order = np.argsort(-v, kind="stable")
+        v_desc = v[order]
+    half_r = R[order]
     del order
     half_r *= 0.5
     # spent[j]: power of the j+1 strongest elements at the cap;
@@ -169,4 +177,26 @@ def weights_sidecar(weights: ExcitationWeights, report: FocalReport) -> dict:
         "active_constraint": report.active_constraint,
         "e_focus_re": report.E_focus.real,
         "e_focus_im": report.E_focus.imag,
+    }
+
+
+def solver_diagnostics(weights: ExcitationWeights, report: FocalReport,
+                       pc: PowerConstraints) -> dict:
+    """Regime, level, power and port counts of a solved drive.
+
+    A clipped port runs at or above the cap w_max, an idle port not at
+    all; power_residual_rel is |P - P0|/P0 where the budget binds
+    (active constraint global or both), else None.
+    """
+    amplitude = np.abs(weights.w)
+    residual = None
+    if report.active_constraint in ("global", "both"):
+        residual = abs(weights.total_power - pc.P0) / pc.P0
+    return {
+        "regime": weights.regime,
+        "beta": report.beta,
+        "total_power_w": weights.total_power,
+        "clipped_ports": int(np.count_nonzero(amplitude >= pc.w_max * (1 - 1e-12))),
+        "idle_ports": int(np.count_nonzero(amplitude == 0.0)),
+        "power_residual_rel": residual,
     }

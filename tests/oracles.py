@@ -5,7 +5,9 @@
   claims to sum, with scipy's adaptive quadrature.  The package itself
   never imports ``scipy.integrate``.
 - A projected-gradient oracle that certifies the drives of
-  ``nearfocus.focusing`` on small instances.
+  ``nearfocus.focusing`` on small instances, and the water level with
+  the ports always in stable descending order, which the solver's level
+  must match bit for bit.
 - The co/cross-polarized level ratio, with its input checks.
 - The one-template CSV writer that ``nearfocus.csvio.write_csv`` must
   match byte for byte.
@@ -161,6 +163,21 @@ def optimality_oracle(h: ChannelVector, pc: PowerConstraints,
     oracle_best = float(np.max(np.sum(u * q, axis=1)))
     achieved = abs(complex(np.sum(np.asarray(weights.w) * g)))
     return OracleReport(oracle_objective=oracle_best, weight_objective=achieved)
+
+
+def stable_water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
+    """Level beta at which sum(R/2 * min(beta*v, cap)^2) equals P0.
+
+    The solver's arithmetic with the ports always sorted by a stable
+    descending sort, so tied values of v keep their input order.
+    """
+    order = np.argsort(-v, kind="stable")
+    v_desc, half_r = v[order], 0.5 * R[order]
+    spent = np.cumsum(half_r * cap ** 2)
+    rest = np.cumsum((v_desc ** 2 * half_r)[::-1])[::-1]
+    breakpoint_power = (cap / v_desc[:-1]) ** 2 * rest[1:] + spent[:-1]
+    k = int(np.count_nonzero(breakpoint_power <= P0))
+    return math.sqrt((P0 - (spent[k - 1] if k else 0.0)) / rest[k])
 
 
 def polarization_ratio(e_long: float, e_trans: float) -> float:

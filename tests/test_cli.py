@@ -114,6 +114,35 @@ class TestRun:
         assert metrics["metrics"]["peak"] > 0.0
         assert 0.3 < metrics["metrics"]["width_3db_lambda"] < 0.5
 
+    def test_manifest_solver_diagnostics(self, tmp_path, capsys):
+        # the cap that clips part of the mesh (hybrid) and one below the
+        # all-clipped drive that meets the budget (CP, budget slack)
+        solver = {}
+        for cap in (0.008, 0.002):
+            scn = scenario(tmp_path, f"s{cap}.json", **MESH, amplitude_cap_a=cap)
+            out = tmp_path / f"out{cap}"
+            code, _ = run_cli(capsys, "run", "--scenario", scn, "--out", str(out))
+            assert code == 0
+            solver[cap] = json.loads((out / "manifest.json").read_text())["solver"]
+            sidecar = json.loads((out / "weights.json").read_text())
+            for key in ("regime", "beta", "total_power_w"):
+                assert solver[cap][key] == sidecar[key]
+            amplitude = read_amplitudes(out)
+            assert solver[cap]["clipped_ports"] == np.count_nonzero(
+                amplitude >= cap * (1 - 1e-12))
+            assert solver[cap]["idle_ports"] == np.count_nonzero(amplitude == 0.0)
+
+        hybrid, cp = solver[0.008], solver[0.002]
+        assert hybrid["regime"] == "hybrid" and hybrid["beta"] > 0.0
+        assert 0 < hybrid["clipped_ports"] < 60 * 18
+        assert hybrid["idle_ports"] == 0
+        assert hybrid["power_residual_rel"] < 1e-9
+        assert cp["regime"] == "CP" and cp["beta"] == 0.0
+        assert cp["clipped_ports"] == 60 * 18
+        # the budget does not bind, so there is no residual to report
+        assert cp["power_residual_rel"] is None
+        assert cp["total_power_w"] < 1.0
+
     def test_regimes_flat_plateau_taper(self, tmp_path, capsys):
         amplitudes = {}
         regimes = {}
@@ -537,16 +566,17 @@ class TestMemory:
     # Traced bytes per source at the peak of a run.  The arrays a run must
     # hold at full length take 56 B per patch for the mesh, 16 for the
     # scalar channel, 8 for the port resistances and 16 for the weights;
-    # measured 129 B/source here (156 when weights.csv was formatted by one
-    # template call per block, 172 when the field kernel held fifteen
-    # scratch arrays per block), 289 when full-length (N, 3) temporaries
-    # were built at each stage.
+    # measured 130 B/source here, with the peak in the solve (156 when
+    # weights.csv was formatted by one template call per block, 172 when
+    # the field kernel held fifteen scratch arrays per block), 289 when
+    # full-length (N, 3) temporaries were built at each stage.
     PEAK_BYTES_PER_SOURCE = 200
     # The same for a layout of the same mesh: the 56 B per patch of the mesh
-    # arrays, and under 1 MB for the CSV writer's blocks of 4,096 cells;
-    # measured 64 B/source here, 111 when one template call formatted each
-    # block of 3 x 65,536 cells, 235 when a block was 65,536 rows of all 10 columns,
-    # and 315 when the whole (N, 10) table was built before writing.
+    # arrays, and 6.9 MB for the CSV writer's blocks of 32,768 cells, the
+    # largest it makes; measured 89 B/source here, 64 with blocks of 4,096
+    # cells, 111 when one template call formatted each block of 3 x 65,536
+    # cells, 235 when a block was 65,536 rows of all 10 columns, and 315
+    # when the whole (N, 10) table was built before writing.
     LAYOUT_PEAK_BYTES_PER_SOURCE = 150
 
     @staticmethod

@@ -1,6 +1,8 @@
 """write_csv against the one-template '%.17g' writer, byte for byte."""
 
 import math
+import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -90,3 +92,105 @@ def test_zeros_subnormals_and_integers(tmp_path, monkeypatch):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_any_finite_floats(tmp_path, values):
     assert_same_bytes(tmp_path, {"v": np.array(values), "w": np.array(values[::-1])})
+
+
+
+
+def mixed_columns(rows, ncols, seed):
+    """Columns of cells in and out of the fast range, in every layout form."""
+    rng = np.random.default_rng(seed)
+    return {f"c{j}": rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 20, rows)
+            for j in range(ncols)}
+
+
+def test_block_sizes():
+    # a 32nd of the cells, within 4,096 and 32,768 cells, in whole rows
+    assert csvio._block_rows(1, 3) == 1365
+    assert csvio._block_rows(3481, 9) == 455
+    assert csvio._block_rows(43_690, 3) == 1365
+    assert csvio._block_rows(50_000, 3) == 1562
+    assert csvio._block_rows(1_015_928, 3) == 10_922
+    assert csvio._block_rows(203_548, 10) == 3276
+    assert csvio._block_rows(10, 100_000) == 1
+
+
+@pytest.mark.parametrize("rows, block_rows, block_cells", [
+    (43_690, 1365, 4096),   # 131,070 cells: blocks at the small bound
+    (50_000, 1562, 4096),   # 150,000 cells: a 32nd of the table
+    (5000, 156, 64),        # the same at the large bound, scaled down
+    (6000, 170, 64),
+])
+def test_blocks_around_the_size_thresholds(tmp_path, monkeypatch, rows, block_rows,
+                                           block_cells):
+    # the bounds are _BLOCK_ROWS // 16 and // 2 cells; a last block is partial
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 16 * block_cells)
+    assert csvio._block_rows(rows, 3) == block_rows and rows % block_rows
+    assert_same_bytes(tmp_path, mixed_columns(rows, 3, rows))
+
+
+# Traced bytes per cell of a table's largest block: the block, its work
+# arrays (137 B per cell) and its text before and after the 0 bytes are
+# dropped; measured 207 B at 4,096 cells and 211 B at 32,768 cells.
+PEAK_BYTES_PER_BLOCK_CELL = 256
+
+
+def traced_write_peak(rows, ncols):
+    """Traced peak of writing normally distributed cells, which all take
+    the fast path but a few dozen per million."""
+    rng = np.random.default_rng(rows)
+    columns = {f"c{j}": rng.standard_normal(rows) for j in range(ncols)}
+    tracemalloc.start()
+    try:
+        csvio.write_csv(os.devnull, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mid_sized_table_keeps_small_blocks():
+    # ring_plane's fieldmap.csv: 3,481 x 9 cells in 4,096-cell blocks, 0.85 MB
+    peak = traced_write_peak(3481, 9)
+    assert peak < csvio._BLOCK_ROWS // 16 * PEAK_BYTES_PER_BLOCK_CELL
+
+
+def test_large_table_stays_within_the_largest_block():
+    # 3e6 cells in 32,768-cell blocks, 6.9 MB
+    peak = traced_write_peak(1_000_000, 3)
+    assert peak < csvio._BLOCK_ROWS // 2 * PEAK_BYTES_PER_BLOCK_CELL
+
+
+def assert_same_bits(z):
+    """csvio.angle(z) is math.atan2(imag, real) of each value, bit for bit."""
+    got = csvio.angle(z)
+    want = np.array([math.atan2(v.imag, v.real) for v in z.tolist()])
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, f"{bad.size} differ, the first at {z[bad[:3]]}"
+    return got
+
+
+def test_angle_is_math_atan2_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    n = 1_000_000
+    # magnitudes 1e-300 to 1e300 at any angle
+    r = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-300, 300, n).astype(float)
+    assert_same_bits(r * np.exp(1j * rng.uniform(-math.pi, math.pi, n)))
+    # real and imaginary parts of independent magnitudes: some quotients
+    # underflow, where atan2 returns a subnormal or 0
+    parts = (rng.choice([-1.0, 1.0], (2, n // 10)) * rng.uniform(1.0, 10.0, (2, n // 10))
+             * 10.0 ** rng.integers(-300, 300, (2, n // 10)).astype(float))
+    assert_same_bits(parts[0] + 1j * parts[1])
+
+
+def test_angle_signed_zeros_axes_and_subnormals():
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+             1.7976931348623157e308]
+    values = np.array(edges + [-x for x in edges])
+    # every (real, imag) pair: +-0 and the axes included
+    z = np.empty(values.size ** 2, complex)
+    z.real = np.repeat(values, values.size)
+    z.imag = np.tile(values, values.size)
+    got = assert_same_bits(z).reshape(values.size, values.size)
+    plus, minus = 0, len(edges)
+    assert math.copysign(1.0, got[plus, minus]) == -1.0
+    assert got[minus, plus] == math.pi
+    assert got[minus, minus] == -math.pi

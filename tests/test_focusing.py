@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearfocus import csvio
+from nearfocus import csvio, focusing
 from nearfocus.fields import ChannelVector, assemble_channel
 from nearfocus.focusing import (
     ZERO_CHANNEL_CUTOFF,
@@ -20,7 +20,7 @@ from nearfocus.focusing import (
 )
 from nearfocus.geometry import CylinderSpec, Wavelength, build_ring_array
 
-from oracles import optimality_oracle
+from oracles import optimality_oracle, stable_water_level
 
 
 def channel_from_g(g, resistance_scale=None):
@@ -221,6 +221,50 @@ def test_hybrid_stronger_channel_gets_larger_drive(frequency, polarization, targ
     # ... and below it the drive is the TR taper at the reported level
     np.testing.assert_allclose(amp[unclipped], report.beta * v[unclipped], rtol=1e-12)
     assert weights.total_power == pytest.approx(1.0, rel=1e-12)
+
+
+def assert_level_matches_stable_order(h, monkeypatch):
+    """The hybrid drive at 1 W and R0 = 1 ohm has the bits it has when the
+    water level always sorts the ports stably."""
+    # a cap between the all-clipped drive that meets the budget and the
+    # largest TR amplitude, so both constraints bind
+    R = h.resistance_scale
+    v = np.abs(h.g) / R
+    all_clipped = math.sqrt(2.0 / np.sum(R))
+    tr_peak = math.sqrt(2.0 / np.sum(R * v ** 2)) * np.max(v)
+    pc = PowerConstraints(w_max=math.sqrt(all_clipped * tr_peak), P0=1.0, R0_per_port=1.0)
+    weights, report = hybrid_weights(h, pc)
+    assert weights.regime == "hybrid"
+    monkeypatch.setattr(focusing, "_water_level", stable_water_level)
+    want_weights, want_report = hybrid_weights(h, pc)
+    assert report.beta == want_report.beta
+    assert weights.w.tobytes() == want_weights.w.tobytes()
+
+
+def test_water_level_ties_keep_the_stable_order(monkeypatch):
+    # |g| = level * R with R = scale and a power-of-two level, so |g|/R is
+    # exactly the level: eight values, each shared by ports of unequal R,
+    # whose order in the level's sums moves its last bits
+    rng = np.random.default_rng(3)
+    n = 4000
+    scale = rng.uniform(0.5, 2.0, n)
+    level = 2.0 ** -rng.integers(0, 8, n).astype(float)
+    g = level * scale * rng.choice([1.0, -1.0, 1j, -1j], n)
+    h = channel_from_g(g, scale)
+    v = np.abs(h.g) / h.resistance_scale
+    assert np.array_equal(v, level)
+    assert np.unique(scale[level == 1.0]).size > 100
+    assert_level_matches_stable_order(h, monkeypatch)
+
+
+def test_water_level_without_ties_matches_the_stable_order(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 4000
+    h = channel_from_g(rng.normal(size=n) + 1j * rng.normal(size=n),
+                       rng.uniform(0.5, 2.0, n))
+    v = np.abs(h.g) / h.resistance_scale
+    assert np.unique(v).size == n
+    assert_level_matches_stable_order(h, monkeypatch)
 
 
 # ------------------------------------------------------------------ oracle
