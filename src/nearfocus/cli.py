@@ -2,9 +2,17 @@
 
 A scenario is one flat JSON document whose keys carry their units
 (radius_m, frequency_hz, amplitude_cap_a); nothing is inferred from
-bare numbers.  Subcommands: run (weights, fields, metrics), validate
-(numeric against a named closed-form reference), analytic (closed-form
-curve only), layout (geometry only).  One scenario per process.
+bare numbers; _SCHEMA holds each key's kind (for an enumerated key, its
+allowed values) and default.  Subcommands: run (weights, fields,
+metrics), validate (numeric against a named closed-form reference),
+analytic (closed-form curve only), layout (geometry only).  One scenario
+per process.
+
+The closed-form references are the rows of _REFERENCES: five resolution
+profiles (a field component along a cut through an origin focus) and
+two co/cross focal ratios (anywhere on the axis), each with its drive
+method.  _reference checks what a row's closed form assumes of the
+scenario before validate or analytic does any work.
 
 Every artifact lands in the output directory: CSV files are written
 with 17 significant digits and '\\n' line endings so reruns of the same
@@ -65,13 +73,18 @@ from .metrics import contour_3db, cut_metrics, metrics_flat_dict
 
 __all__ = ["main", "load_scenario", "ScenarioError"]
 
-PROFILE_REFERENCES = ("ez_long", "ez_trans", "ex_long", "ex_trans_x", "ex_trans_y")
-RATIO_REFERENCES = ("ratio_cp", "ratio_tr")
-
-# axis the cut runs along, field component, and drive polarization per reference
-_REFERENCE_GEOMETRY = {
-    "ez_long": ("z", "z"), "ez_trans": ("x", "z"), "ex_long": ("z", "x"),
-    "ex_trans_x": ("x", "x"), "ex_trans_y": ("y", "x"),
+# analytic_reference -> (drive method, axis the cut runs along, field
+# component).  Profile rows compare a cut with analytic.resolution_profiles;
+# ratio rows, which have no cut, compare the co/cross focal ratio with the
+# on-axis closed forms analytic.e{z,x}_<method>_axis.
+_REFERENCES = {
+    "ez_long": ("cp", "z", "z"),
+    "ez_trans": ("cp", "x", "z"),
+    "ex_long": ("cp", "z", "x"),
+    "ex_trans_x": ("cp", "x", "x"),
+    "ex_trans_y": ("cp", "y", "x"),
+    "ratio_cp": ("cp", None, None),
+    "ratio_tr": ("tr", None, None),
 }
 
 _AXIS_UNIT = {
@@ -112,54 +125,42 @@ def _invalid(message: str) -> ScenarioError:
 # ---------------------------------------------------------------------------
 # scenario schema
 
-_ENUMS = {
-    "geometry": ("cylinder", "rectangle"),
-    "source_kind": ("electric", "magnetic"),
-    "element_polarization": ("axial", "azimuthal"),
-    "aperture": ("discrete", "mesh", "single"),
-    "target_polarization": ("x", "y", "z"),
-    "method": ("cp", "tr", "hybrid"),
-    "kernel": ("full", "dipole-approx"),
-    "grid": ("cut", "plane"),
-    "cut_axis": ("x", "y", "z"),
-    "plane_axes": ("xy", "xz", "yz"),
-    "analytic_reference": ("none",) + PROFILE_REFERENCES + RATIO_REFERENCES,
-}
-
-# key -> (kind, default); AUTO defaults are resolved against the wavelength
+# key -> (kind, default): kind is "pos", "nonneg", "num", "count" or, for
+# an enumerated key, the tuple of its allowed values; AUTO defaults are
+# resolved against the wavelength
 AUTO = object()
 _SCHEMA = {
-    "geometry": ("enum", None),             # required
-    "radius_m": ("pos", None),              # cylinder
-    "length_m": ("pos", None),              # required
-    "width_m": ("pos", None),               # rectangle
-    "height_m": ("pos", None),              # rectangle
-    "frequency_hz": ("pos", None),          # required
-    "source_kind": ("enum", "electric"),
-    "element_polarization": ("enum", "axial"),
-    "aperture": ("enum", "discrete"),
-    "dipole_length_m": ("pos", AUTO),       # discrete/single
-    "mesh_axial_n": ("count", AUTO),        # cylinder mesh
-    "mesh_azimuthal_n": ("count", AUTO),    # cylinder mesh
-    "patch_target_m": ("pos", AUTO),        # rectangle mesh
+    "geometry": (("cylinder", "rectangle"), None),           # required
+    "radius_m": ("pos", None),                               # cylinder
+    "length_m": ("pos", None),                               # required
+    "width_m": ("pos", None),                                # rectangle
+    "height_m": ("pos", None),                               # rectangle
+    "frequency_hz": ("pos", None),                           # required
+    "source_kind": (("electric", "magnetic"), "electric"),
+    "element_polarization": (("axial", "azimuthal"), "axial"),
+    "aperture": (("discrete", "mesh", "single"), "discrete"),
+    "dipole_length_m": ("pos", AUTO),                        # discrete/single
+    "mesh_axial_n": ("count", AUTO),                         # cylinder mesh
+    "mesh_azimuthal_n": ("count", AUTO),                     # cylinder mesh
+    "patch_target_m": ("pos", AUTO),                         # rectangle mesh
     "focus_x_m": ("num", 0.0),
     "focus_y_m": ("num", 0.0),
     "focus_z_m": ("num", 0.0),
-    "target_polarization": ("enum", "z"),
-    "method": ("enum", "cp"),
+    "target_polarization": (("x", "y", "z"), "z"),
+    "method": (("cp", "tr", "hybrid"), "cp"),
     "amplitude_cap_a": ("pos", 0.02),
     "power_budget_w": ("pos", 1.0),
     "port_resistance_ohm": ("pos", 50.0),
-    "kernel": ("enum", "full"),
-    "grid": ("enum", "cut"),
-    "cut_axis": ("enum", "x"),
+    "kernel": (("full", "dipole-approx"), "full"),
+    "grid": (("cut", "plane"), "cut"),
+    "cut_axis": (("x", "y", "z"), "x"),
     "cut_half_span_m": ("pos", AUTO),
     "cut_step_m": ("pos", AUTO),
-    "plane_axes": ("enum", "yz"),
+    "plane_axes": (("xy", "xz", "yz"), "yz"),
     "plane_half_span_a_m": ("pos", AUTO),
     "plane_half_span_b_m": ("pos", AUTO),
     "plane_step_m": ("pos", AUTO),
-    "analytic_reference": ("enum", "none"),
+    "analytic_reference": (("none",) + tuple(_REFERENCES), "none"),
     "tolerance_rel": ("nonneg", 0.02),
 }
 
@@ -177,10 +178,10 @@ _CONDITIONAL = {
 }
 
 
-def _check_value(key: str, kind: str, value):
-    if kind == "enum":
-        if not isinstance(value, str) or value not in _ENUMS[key]:
-            raise _invalid(f"{key} must be one of {list(_ENUMS[key])}, got {value!r}")
+def _check_value(key: str, kind: str | tuple, value):
+    if isinstance(kind, tuple):
+        if not isinstance(value, str) or value not in kind:
+            raise _invalid(f"{key} must be one of {list(kind)}, got {value!r}")
         return value
     if kind == "count":
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
@@ -437,9 +438,13 @@ def _write_cut(path: Path, offsets: np.ndarray, fm: FieldMap) -> None:
     write_csv(path, {"offset_m": offsets, **_field_columns(fm)})
 
 
-def _write_curve(path: Path, offsets: np.ndarray, values: np.ndarray,
-                 wl: Wavelength) -> None:
-    write_csv(path, {"offset_wl": offsets / wl.lam, "value": values})
+def _curve(s: dict, outdir: Path, offsets: np.ndarray, wl: Wavelength) -> np.ndarray:
+    """The reference's closed-form profile over the cut offsets, also
+    written to curve.csv."""
+    values = analytic.resolution_profiles(s["analytic_reference"],
+                                          np.abs(offsets) / wl.lam, _geometry_spec(s))
+    write_csv(outdir / "curve.csv", {"offset_wl": offsets / wl.lam, "value": values})
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -538,115 +543,102 @@ def _delta(numeric, ana, key: str):
     return a - b
 
 
-def _cmd_validate_profile(s: dict, outdir: Path, wl: Wavelength,
-                          threads: _Threads) -> tuple[list, int, dict]:
+def _reference(s: dict, subcommand: str) -> tuple:
+    """The _REFERENCES row of the scenario's analytic_reference, after
+    checking what its closed form assumes of the scenario.
+
+    Every closed form integrates over a cylinder wall.  validate also
+    compares it with the discrete path, which must then drive axial
+    elements (not one alone) by the reference's method, focused at the
+    origin for a profile or on the axis for a ratio.
+    """
     kind = s["analytic_reference"]
-    if s["geometry"] != "cylinder":
-        raise _invalid(f"analytic reference {kind} requires cylinder geometry")
-    if s["element_polarization"] != "axial":
-        raise _invalid(f"analytic reference {kind} requires axial element polarization")
-    if s["method"] != "cp":
-        raise _invalid(f"analytic reference {kind} is a conjugate-phase shape; "
-                       "set method to cp")
-    axis, component = _REFERENCE_GEOMETRY[kind]
-    spec = _geometry_spec(s)
+    choices = [k for k, (_, axis, _) in _REFERENCES.items()
+               if axis is not None or subcommand == "validate"]
+    if kind not in choices:
+        raise _invalid(f"{subcommand} requires analytic_reference to be one of "
+                       f"{choices}, got {kind!r}")
+    method, axis, component = _REFERENCES[kind]
+    required = {"geometry": ("cylinder",)}
+    if subcommand == "validate":
+        required.update(element_polarization=("axial",), aperture=("discrete", "mesh"),
+                        method=(method,), focus_x_m=(0.0,), focus_y_m=(0.0,))
+        if axis is not None:
+            required["focus_z_m"] = (0.0,)
+    for key, allowed in required.items():
+        if s[key] not in allowed:
+            raise _invalid(f"analytic_reference {kind} requires {key} to be one of "
+                           f"{list(allowed)}, got {s[key]!r}")
+    return method, axis, component
 
+
+def _cmd_validate(s: dict, outdir: Path, wl: Wavelength,
+                  threads: _Threads) -> tuple[list, int, dict]:
+    """The artifacts, exit code and report of a comparison of the numeric
+    path with the scenario's closed-form reference."""
+    method, axis, component = _reference(s, "validate")
     sources = _aperture(s, wl)
-    h = _channel(s, sources, _AXIS_UNIT[component], wl)
-    weights, _ = _solve_weights(s, h)
-    offsets = _cut_offsets(s)
-    fm = _evaluate(s, sources, weights, _cut_points(s, axis, offsets), wl, threads)
-    numeric = np.abs(fm.component(component))
-    ana = analytic.resolution_profiles(kind, np.abs(offsets) / wl.lam, spec)
-
-    _write_cut(outdir / "cut.csv", offsets, fm)
-    _write_curve(outdir / "curve.csv", offsets, ana, wl)
-
-    num_n, ana_n = _normalized(numeric), _normalized(ana)
-    lo, hi = _main_lobe_window(num_n)
-    linf = float(np.max(np.abs(num_n[lo:hi + 1] - ana_n[lo:hi + 1])))
-    num_metrics = _metrics_or_none(offsets, numeric, wl.lam)
-    ana_metrics = _metrics_or_none(offsets, ana, wl.lam)
-    passed = linf <= s["tolerance_rel"]
-    report = {
-        "kind": "profile",
-        "reference": kind,
-        "component": component,
-        "axis": axis,
-        "wavelength_m": wl.lam,
-        "n_samples": int(offsets.size),
-        "main_lobe_window_m": [float(offsets[lo]), float(offsets[hi])],
-        "main_lobe_linf_rel": linf,
-        "numeric_metrics": num_metrics,
-        "analytic_metrics": ana_metrics,
-        "metric_deltas": {
-            key: _delta(num_metrics, ana_metrics, key)
-            for key in ("width_3db_lambda", "first_null_lambda", "sidelobe_ratio")
-        },
-        "tolerance_rel": s["tolerance_rel"],
-        "passed": passed,
-    }
-    return ["cut.csv", "curve.csv"], (0 if passed else 1), report
-
-
-def _cmd_validate_ratio(s: dict, wl: Wavelength) -> tuple[list, int, dict]:
-    kind = s["analytic_reference"]
-    if s["geometry"] != "cylinder":
-        raise _invalid(f"analytic reference {kind} requires cylinder geometry")
-    if s["element_polarization"] != "axial":
-        raise _invalid(f"analytic reference {kind} requires axial element polarization")
-    if s["focus_x_m"] != 0.0 or s["focus_y_m"] != 0.0:
-        raise _invalid(f"analytic reference {kind} requires an on-axis focal point")
-    method = kind.split("_")[1]
-    if s["method"] != method:
-        raise _invalid(f"analytic reference {kind} requires method {method}")
-    spec = _geometry_spec(s)
-    zf = s["focus_z_m"]
-
-    sources = _aperture(s, wl)
-    pc = _constraints(s)
-    solver = cp_weights if method == "cp" else tr_weights
-    _, rep_co = solver(_channel(s, sources, _AXIS_UNIT["z"], wl), pc)
-    _, rep_cross = solver(_channel(s, sources, _AXIS_UNIT["x"], wl), pc)
-    if method == "cp":
-        numeric = abs(rep_co.E_focus) / abs(rep_cross.E_focus)
-        reference = analytic.ez_cp_axis(zf, spec) / analytic.ex_cp_axis(zf, spec)
-        constant = analytic.CP_FIELD_RATIO_LIMIT
-        definition = RESOLVED_CONVENTIONS["co_cross_ratio_cp"]
+    if axis is None:
+        # CP compares field amplitudes at equal caps, TR focal intensities at
+        # equal budgets; x ** 1 is exact
+        p = {"cp": 1, "tr": 2}[method]
+        spec, zf = _geometry_spec(s), s["focus_z_m"]
+        _, co = _solve_weights(s, _channel(s, sources, _AXIS_UNIT["z"], wl))
+        _, cross = _solve_weights(s, _channel(s, sources, _AXIS_UNIT["x"], wl))
+        numeric = abs(co.E_focus) ** p / abs(cross.E_focus) ** p
+        reference = (getattr(analytic, f"ez_{method}_axis")(zf, spec)
+                     / getattr(analytic, f"ex_{method}_axis")(zf, spec))
+        constant = getattr(analytic, f"{method.upper()}_FIELD_RATIO_LIMIT")
+        deviation = float(abs(numeric / reference - 1.0))
+        artifacts = []
+        report = {
+            "kind": "ratio",
+            "definition": RESOLVED_CONVENTIONS[f"co_cross_ratio_{method}"],
+            "numeric_ratio": float(numeric),
+            "analytic_ratio": float(reference),
+            "asymptotic_constant": constant,
+            "deviation_rel": deviation,
+            "deviation_vs_constant_rel": float(abs(numeric / constant - 1.0)),
+            "active_constraints": [co.active_constraint, cross.active_constraint],
+        }
     else:
-        numeric = abs(rep_co.E_focus) ** 2 / abs(rep_cross.E_focus) ** 2
-        reference = analytic.ez_tr_axis(zf, spec) / analytic.ex_tr_axis(zf, spec)
-        constant = analytic.TR_FIELD_RATIO_LIMIT
-        definition = RESOLVED_CONVENTIONS["co_cross_ratio_tr"]
-    deviation = abs(numeric / reference - 1.0)
+        weights, _ = _solve_weights(s, _channel(s, sources, _AXIS_UNIT[component], wl))
+        offsets = _cut_offsets(s)
+        fm = _evaluate(s, sources, weights, _cut_points(s, axis, offsets), wl, threads)
+        _write_cut(outdir / "cut.csv", offsets, fm)
+        numeric = np.abs(fm.component(component))
+        ana = _curve(s, outdir, offsets, wl)
+        num_n, ana_n = _normalized(numeric), _normalized(ana)
+        lo, hi = _main_lobe_window(num_n)
+        deviation = float(np.max(np.abs(num_n[lo:hi + 1] - ana_n[lo:hi + 1])))
+        num_metrics = _metrics_or_none(offsets, numeric, wl.lam)
+        ana_metrics = _metrics_or_none(offsets, ana, wl.lam)
+        artifacts = ["cut.csv", "curve.csv"]
+        report = {
+            "kind": "profile",
+            "component": component,
+            "axis": axis,
+            "wavelength_m": wl.lam,
+            "n_samples": int(offsets.size),
+            "main_lobe_window_m": [float(offsets[lo]), float(offsets[hi])],
+            "main_lobe_linf_rel": deviation,
+            "numeric_metrics": num_metrics,
+            "analytic_metrics": ana_metrics,
+            "metric_deltas": {
+                key: _delta(num_metrics, ana_metrics, key)
+                for key in ("width_3db_lambda", "first_null_lambda", "sidelobe_ratio")
+            },
+        }
     passed = deviation <= s["tolerance_rel"]
-    report = {
-        "kind": "ratio",
-        "reference": kind,
-        "definition": definition,
-        "numeric_ratio": float(numeric),
-        "analytic_ratio": float(reference),
-        "asymptotic_constant": constant,
-        "deviation_rel": float(deviation),
-        "deviation_vs_constant_rel": float(abs(numeric / constant - 1.0)),
-        "active_constraints": [rep_co.active_constraint, rep_cross.active_constraint],
-        "tolerance_rel": s["tolerance_rel"],
-        "passed": passed,
-    }
-    return [], (0 if passed else 1), report
+    report.update(reference=s["analytic_reference"], tolerance_rel=s["tolerance_rel"],
+                  passed=passed)
+    _write_json(outdir / "report.json", report)
+    return artifacts + ["report.json"], (0 if passed else 1), report
 
 
 def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
-    kind = s["analytic_reference"]
-    if kind not in PROFILE_REFERENCES:
-        raise _invalid("the analytic subcommand needs analytic_reference set to "
-                       f"one of {list(PROFILE_REFERENCES)}")
-    if s["geometry"] != "cylinder":
-        raise _invalid(f"analytic reference {kind} requires cylinder geometry")
-    offsets = _cut_offsets(s)
-    values = analytic.resolution_profiles(kind, np.abs(offsets) / wl.lam,
-                                          _geometry_spec(s))
-    _write_curve(outdir / "curve.csv", offsets, values, wl)
+    _reference(s, "analytic")
+    _curve(s, outdir, _cut_offsets(s), wl)
     return ["curve.csv"], 0
 
 
@@ -726,16 +718,7 @@ def main(argv=None) -> int:
         if args.subcommand == "run":
             artifacts, code, solver = _cmd_run(scenario, outdir, wl, threads)
         elif args.subcommand == "validate":
-            kind = scenario["analytic_reference"]
-            if kind == "none":
-                raise _invalid("validate requires analytic_reference")
-            if kind in RATIO_REFERENCES:
-                artifacts, code, report = _cmd_validate_ratio(scenario, wl)
-            else:
-                artifacts, code, report = _cmd_validate_profile(
-                    scenario, outdir, wl, threads)
-            _write_json(outdir / "report.json", report)
-            artifacts = artifacts + ["report.json"]
+            artifacts, code, report = _cmd_validate(scenario, outdir, wl, threads)
         elif args.subcommand == "analytic":
             artifacts, code = _cmd_analytic(scenario, outdir, wl)
         else:

@@ -40,9 +40,19 @@ CORRIDOR = {"geometry": "rectangle", "width_m": 12.0, "height_m": 10.5,
             "length_m": 126.0, "frequency_hz": 1.0e9, "aperture": "mesh"}
 
 
+# every analytic reference -> the (cut axis, field component) of its report;
+# ratio references have no cut
+REFERENCE_CUTS = {"ez_long": ("z", "z"), "ez_trans": ("x", "z"), "ex_long": ("z", "x"),
+                  "ex_trans_x": ("x", "x"), "ex_trans_y": ("y", "x"),
+                  "ratio_cp": None, "ratio_tr": None}
+PROFILES = [kind for kind, cut in REFERENCE_CUTS.items() if cut]
+
+
 def scenario(tmp_path, name="scenario.json", **entries):
+    """A scenario file of BASE with entries; entries set to None are left out."""
     path = tmp_path / name
-    path.write_text(json.dumps(dict(BASE, **entries)))
+    path.write_text(json.dumps({k: v for k, v in dict(BASE, **entries).items()
+                                if v is not None}))
     return str(path)
 
 
@@ -383,25 +393,87 @@ class TestValidate:
         assert code == 2
         assert "method" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("subcommand, entries, key", [
+        ("validate", dict(geometry="rectangle", radius_m=None, width_m=4.0, height_m=3.0,
+                          aperture="mesh", analytic_reference="ez_trans"), "geometry"),
+        ("analytic", dict(geometry="rectangle", radius_m=None, width_m=4.0, height_m=3.0,
+                          aperture="mesh", analytic_reference="ez_trans"), "geometry"),
+        ("validate", dict(element_polarization="azimuthal", analytic_reference="ratio_cp"),
+         "element_polarization"),
+        ("validate", dict(method="tr", analytic_reference="ez_long"), "method"),
+        ("validate", dict(focus_x_m=0.5, analytic_reference="ratio_cp"), "focus_x_m"),
+        ("validate", dict(aperture="single", analytic_reference="ez_trans"), "aperture"),
+        ("validate", dict(focus_z_m=3.0, analytic_reference="ez_trans"), "focus_z_m"),
+    ], ids=["rectangle-validate", "rectangle-analytic", "azimuthal", "profile-tr",
+            "ratio-off-axis", "single-element", "profile-off-origin"])
+    def test_reference_assumptions_rejected(self, tmp_path, capsys, subcommand, entries,
+                                            key):
+        # each scenario breaks one assumption of the reference's closed form
+        code, payload = run_cli(capsys, subcommand, "--scenario",
+                                scenario(tmp_path, **entries), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert payload["error"]["code"] == "scenario-invalid"
+        assert key in payload["error"]["message"]
+
+    @pytest.mark.parametrize("reference", list(REFERENCE_CUTS))
+    def test_every_reference_at_benchmark_baseline(self, tmp_path, capsys, reference):
+        # a swapped cut axis or field component in the reference table moves
+        # the key value that the benchmark froze for this reference
+        workloads = load_benchmark("workloads")
+        frozen = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                             / "frozen.json").read_text())[f"validate-{reference}"]
+        scn = scenario(tmp_path, analytic_reference=reference,
+                       method="tr" if reference == "ratio_tr" else "cp")
+        code, summary = run_cli(capsys, "validate", "--scenario", scn,
+                                "--out", str(tmp_path / "out"))
+        report = summary["report"]
+        assert report["reference"] == reference
+        assert code == workloads.PROFILE_EXIT_CODES.get(reference, 0)
+        if REFERENCE_CUTS[reference] is None:
+            assert "axis" not in report and "component" not in report
+            value = report["numeric_ratio"]
+        else:
+            assert (report["axis"], report["component"]) == REFERENCE_CUTS[reference]
+            value = report["main_lobe_linf_rel"]
+        assert value == pytest.approx(frozen, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("reference, counts", [
+        ("ratio_cp", {"focusing.solve.calls": 2, "analytic.closed_form.calls": 2}),
+        ("ratio_tr", {"focusing.solve.calls": 2, "analytic.closed_form.calls": 2}),
+        ("ex_trans_y", {"analytic.profile.calls": 1}),
+    ])
+    def test_benchmark_tracer_sees_validate(self, tmp_path, capsys, reference, counts):
+        # the tracer rebinds cli's solver names and analytic's closed forms;
+        # a function captured before it rebinds them would drop these spans
+        tracing = load_benchmark()
+        scn = scenario(tmp_path, analytic_reference=reference,
+                       method="tr" if reference == "ratio_tr" else "cp")
+        with tracing.installed(tracing.Tracer()) as tracer:
+            code, _ = run_cli(capsys, "validate", "--scenario", scn,
+                              "--out", str(tmp_path / "out"))
+        assert code in (0, 1)
+        assert {name: tracer.counts[name] for name in counts} == counts
+
 
 class TestAnalyticSubcommand:
     def test_curve_matches_closed_form(self, tmp_path, capsys):
-        scn = scenario(tmp_path, analytic_reference="ez_long")
-        out = tmp_path / "out"
-        code, summary = run_cli(capsys, "analytic", "--scenario", scn,
-                                "--out", str(out))
-        assert code == 0
-        assert summary["artifacts"] == ["curve.csv", "manifest.json"]
-        lines = (out / "curve.csv").read_text().splitlines()
-        assert lines[0] == "offset_wl,value"
-        data = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=1)
         from nearfocus.geometry import CylinderSpec
         spec = CylinderSpec(1.0, 10.0)
-        mid = data.shape[0] // 2
-        assert data[mid, 0] == 0.0
-        assert data[mid, 1] == pytest.approx(
-            analytic.resolution_profiles("ez_long", 0.0, spec), rel=1e-15)
-        np.testing.assert_allclose(data[:, 1], data[::-1, 1], rtol=1e-12)
+        for kind in PROFILES:
+            scn = scenario(tmp_path, f"{kind}.json", analytic_reference=kind)
+            out = tmp_path / kind
+            code, summary = run_cli(capsys, "analytic", "--scenario", scn,
+                                    "--out", str(out))
+            assert code == 0
+            assert summary["artifacts"] == ["curve.csv", "manifest.json"]
+            lines = (out / "curve.csv").read_text().splitlines()
+            assert lines[0] == "offset_wl,value"
+            data = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=1)
+            mid = data.shape[0] // 2
+            assert data[mid, 0] == 0.0
+            assert data[mid, 1] == pytest.approx(
+                analytic.resolution_profiles(kind, 0.0, spec), rel=1e-15), kind
+            np.testing.assert_allclose(data[:, 1], data[::-1, 1], rtol=1e-12)
 
     def test_benchmark_tracer_sees_special_functions(self, tmp_path, capsys):
         # the benchmark's tracer rebinds analytic's special-function names;
