@@ -19,8 +19,10 @@ with 17 significant digits and '\\n' line endings so reruns of the same
 scenario are byte-identical, and manifest.json records the fully
 resolved scenario (defaults included), the conventions the numbers rest
 on, tool version, the requested threads and the field workers that ran,
-wall-clock time and, for run, the solver's diagnostics (regime, level,
-power, clipped and idle ports, power residual).
+wall-clock time, the process's peak resident memory so far (null where
+the resource module does not exist) and, for run, the solver's
+diagnostics (regime, level, power, clipped and idle ports, power
+residual).
 
 Exit codes: 0 success (for validate: comparison passed), 1 validate
 comparison failed, 2 usage or scenario errors, or a problem too large
@@ -39,6 +41,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # no such module on Windows
+    resource = None
 
 from . import __version__, analytic
 from .csvio import angle, write_csv
@@ -60,6 +67,7 @@ from .focusing import (
     weights_sidecar,
 )
 from .geometry import (
+    AXIAL,
     ArrayLayout,
     CylinderSpec,
     RectCorridorSpec,
@@ -414,6 +422,16 @@ def _evaluate(s: dict, sources, weights, points: np.ndarray, wl: Wavelength,
     return fm
 
 
+def _peak_rss_mb():
+    """The peak resident memory of this process so far, in MB (2^20 bytes),
+    or None where the resource module does not exist."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return peak / (2.0 ** 20 if sys.platform == "darwin" else 1024.0)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="ascii", newline="") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
@@ -549,8 +567,8 @@ def _reference(s: dict, subcommand: str) -> tuple:
 
     Every closed form integrates over a cylinder wall.  validate also
     compares it with the discrete path, which must then drive axial
-    elements (not one alone) by the reference's method, focused at the
-    origin for a profile or on the axis for a ratio.
+    electric elements (not one alone) by the reference's method, focused
+    at the origin for a profile or on the axis for a ratio.
     """
     kind = s["analytic_reference"]
     choices = [k for k, (_, axis, _) in _REFERENCES.items()
@@ -561,8 +579,9 @@ def _reference(s: dict, subcommand: str) -> tuple:
     method, axis, component = _REFERENCES[kind]
     required = {"geometry": ("cylinder",)}
     if subcommand == "validate":
-        required.update(element_polarization=("axial",), aperture=("discrete", "mesh"),
-                        method=(method,), focus_x_m=(0.0,), focus_y_m=(0.0,))
+        required.update(source_kind=("electric",), element_polarization=("axial",),
+                        aperture=("discrete", "mesh"), method=(method,),
+                        focus_x_m=(0.0,), focus_y_m=(0.0,))
         if axis is not None:
             required["focus_z_m"] = (0.0,)
     for key, allowed in required.items():
@@ -645,8 +664,12 @@ def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
 def _cmd_layout(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
     sources = _aperture(s, wl)
     if isinstance(sources, SurfaceMesh):
-        columns = {**_xyz("", sources.centroids), **_xyz("tphi_", sources.tangents_phi),
-                   **_xyz("tz_", sources.tangents_z), "area_m2": sources.areas}
+        # the only full-length copy of the rows, as (3, N) columns
+        n = len(sources)
+        columns = {**_xyz("", sources.positions(0, n).T),
+                   **_xyz("tphi_", sources.tangents_phi(0, n).T),
+                   **_xyz("tz_", np.broadcast_to(AXIAL, (n, 3))),
+                   "area_m2": sources.areas(0, n)}
     else:
         columns = {**_xyz("", sources.positions), **_xyz("p", sources.orientations),
                    "length_m": np.broadcast_to(sources.length_l, len(sources))}
@@ -737,6 +760,7 @@ def main(argv=None) -> int:
             "resolved_conventions": RESOLVED_CONVENTIONS,
             "artifacts": sorted(artifacts + ["manifest.json"]),
             "wall_time_s": time.perf_counter() - started,
+            "peak_rss_mb": _peak_rss_mb(),
         }
         if solver is not None:
             manifest["solver"] = solver

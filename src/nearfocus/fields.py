@@ -236,16 +236,11 @@ def _cmatmul(stacked, M):
     return a[:, :q] - b[:, q:] + 1j * (a[:, q:] + b[:, :q])
 
 
-def _columns(a):
-    """(N, 3) rows as contiguous (3, N) columns."""
-    return np.ascontiguousarray(a.T)
-
-
 def _units(n_points, n_src):
     """(point slice, source slice) units cut by problem size, and the scratch size."""
     block = min(n_src, max(_SOURCE_BLOCK, _CHUNK_BUDGET // max(1, n_points)))
     per = max(1, _CHUNK_BUDGET // block)
-    units = [(slice(p, p + per), slice(s, s + block))
+    units = [(slice(p, p + per), slice(s, min(s + block, n_src)))
              for p in range(0, n_points, per) for s in range(0, n_src, block)]
     return units, _BUFFERS * min(per, n_points) * block
 
@@ -279,23 +274,18 @@ def green_magnetic(r: np.ndarray, r_src: np.ndarray, wl: Wavelength) -> np.ndarr
 
 # -------------------------------------------------------- vectorized fields
 
-def _source_arrays(sources, mesh_current: str):
-    """Positions (N, 3), and the unit-drive moments of a slice of sources as
-    contiguous (3, n) columns.
+def _source_columns(sources, mesh_current: str):
+    """A function of a row range [a, b) that makes the positions and the
+    unit-drive moments of those sources as contiguous (3, b - a) columns.
 
-    Moments are formed per slice, so no full-length moment array is ever held.
+    Each work unit makes its own, so no full-length source array is held.
     """
     if isinstance(sources, ArrayLayout):
-        return sources.positions, lambda s: np.multiply(
-            sources.orientations[s].T, sources.length_l, order="C")
+        return lambda a, b: (np.ascontiguousarray(sources.positions[a:b].T),
+                             np.multiply(sources.orientations[a:b].T, sources.length_l,
+                                         order="C"))
     if isinstance(sources, SurfaceMesh):
-        if mesh_current == "z":
-            tang = sources.tangents_z
-        elif mesh_current == "phi":
-            tang = sources.tangents_phi
-        else:
-            raise ValueError(f"unknown mesh current direction {mesh_current!r}")
-        return sources.centroids, lambda s: np.multiply(tang[s].T, sources.areas[s], order="C")
+        return lambda a, b: (sources.positions(a, b), sources.moments(a, b, mesh_current))
     raise TypeError(f"unsupported source container {type(sources).__name__}")
 
 
@@ -323,23 +313,23 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     focal = np.asarray(focal, dtype=float)
     if abs(float(np.linalg.norm(e_hat)) - 1.0) > 1e-12:
         raise ValueError("e_hat must be a unit vector")
-    src_pos, moments = _source_arrays(sources, mesh_current)
-
-    # column by column: numpy reduces an (N, 3) array over axis 0 eight times slower
-    lo = np.array([c.min() for c in src_pos.T])
-    hi = np.array([c.max() for c in src_pos.T])
+    columns = _source_columns(sources, mesh_current)
+    lo, hi = sources.bounds()
     if np.any(focal < lo - 1e-12) or np.any(focal > hi + 1e-12):
         raise ValueError("focal point lies outside the aperture region")
-    n = src_pos.shape[0]
+    n = len(sources)
     g = np.empty(n, dtype=complex)
     units, size = _units(1, n)
     scratch = np.empty(size)
     for _, s in units:
-        g[s] = _dyadic(focal[None, :], _columns(src_pos[s]), moments(s), wl.k,
+        g[s] = _dyadic(focal[None, :], *columns(s.start, s.stop), wl.k,
                        kernel, source_kind, scratch, 0.25 * wl.lam, e_hat=e_hat)[0][0]
 
     if isinstance(sources, SurfaceMesh):
-        return ChannelVector(g, sources.areas / (0.5 * wl.lam) ** 2)
+        # one scale per strip, repeated over its rows
+        ref = (0.5 * wl.lam) ** 2
+        return ChannelVector(g, np.repeat([s.area / ref for s in sources.strips],
+                                          [len(s) * sources.nz for s in sources.strips]))
     return ChannelVector(g, np.ones(n))
 
 
@@ -356,23 +346,24 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     """
     _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    src_pos, moments = _source_arrays(sources, mesh_current)
+    columns = _source_columns(sources, mesh_current)
     w = np.asarray(getattr(weights, "w", weights), dtype=complex)
-    if w.shape != (src_pos.shape[0],):
+    if w.shape != (len(sources),):
         raise ValueError("need one weight per source")
 
     standoff = 0.25 * wl.lam if kernel == "dipole-approx" else 0.0
-    units, size = _units(grid.shape[0], src_pos.shape[0])
+    units, size = _units(grid.shape[0], len(sources))
     # more workers than CPUs would only add scratch buffers
     workers = max(1, min(threads, len(units), _usable_cpus()))
     parts = [None] * len(units)
 
     def work(first):
-        # each worker takes every workers-th unit and keeps one scratch
+        # each worker takes every workers-th unit, makes its source columns
+        # and keeps one scratch
         scratch = np.empty(size)
         for i in range(first, len(units), workers):
             p, s = units[i]
-            parts[i] = _dyadic(grid[p], _columns(src_pos[s]), moments(s), wl.k,
+            parts[i] = _dyadic(grid[p], *columns(s.start, s.stop), wl.k,
                                kernel, source_kind, scratch, standoff, w=w[s])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -76,10 +76,20 @@ def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
     # without ties the fast sort gives that same order
     order = np.argsort(-v)
     v_desc = v[order]
-    if np.equal(v_desc[1:], v_desc[:-1]).any():
-        del order, v_desc
-        order = np.argsort(-v, kind="stable")
-        v_desc = v[order]
+    # key[j] is 1 where the j-th value of the fast order differs from the one
+    # before it
+    key = np.zeros(order.size, dtype=np.int64)
+    np.not_equal(v_desc[1:], v_desc[:-1], out=key[1:])
+    if not key[1:].all():
+        # tied values are runs of the fast order: sorting (run * N + index)
+        # puts each run in index order, in place in key
+        np.cumsum(key, out=key)
+        key *= key.size
+        key += order
+        del order
+        key.sort()
+        order = np.remainder(key, key.size, out=key)
+    del key
     half_r = R[order]
     del order
     half_r *= 0.5

@@ -11,6 +11,8 @@
 - The co/cross-polarized level ratio, with its input checks.
 - The one-template CSV writer that ``nearfocus.csvio.write_csv`` must
   match byte for byte.
+- Flat mesh builders, which make every patch row at full length, that
+  the rows of ``nearfocus.geometry.SurfaceMesh`` must match bit for bit.
 """
 
 import math
@@ -223,3 +225,57 @@ def template_write_csv(path, columns) -> None:
             # adding 0.0 turns -0 into 0, so reruns are byte-identical
             rows += 0.0
             f.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
+
+
+# ------------------------------------------------------------ flat meshes
+
+def flat_cylinder_mesh(spec, n_axial, n_azimuthal):
+    """Centroids (N, 3), areas (N,) and perimeter tangents (N, 3) of
+    build_cylinder_mesh's patches, every row at full length."""
+    dz = spec.length_L / n_axial
+    dphi = 2.0 * math.pi / n_azimuthal
+    z = (np.arange(n_axial) + 0.5) * dz - 0.5 * spec.length_L
+    phi = (np.arange(n_azimuthal) + 0.5) * dphi
+    cosp, sinp = np.cos(phi), np.sin(phi)
+    n = n_axial * n_azimuthal
+    centroids = np.empty((n, 3))
+    centroids[:, 0] = np.tile(spec.radius_a * cosp, n_axial)
+    centroids[:, 1] = np.tile(spec.radius_a * sinp, n_axial)
+    centroids[:, 2] = np.repeat(z, n_azimuthal)
+    areas = np.full(n, spec.radius_a * dphi * dz)
+    tangents_phi = np.empty((n, 3))
+    tangents_phi[:, 0] = np.tile(-sinp, n_axial)
+    tangents_phi[:, 1] = np.tile(cosp, n_axial)
+    tangents_phi[:, 2] = 0.0
+    return centroids, areas, tangents_phi
+
+
+def flat_rect_corridor_mesh(spec, patch_target):
+    """Centroids (N, 3), areas (N,) and perimeter tangents (N, 3) of
+    build_rect_corridor_mesh's patches, every row at full length."""
+    nz = max(2, int(math.ceil(spec.length_L / patch_target)))
+    walls = [
+        (np.array([0.5 * spec.width_La, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), spec.height_Lb),
+        (np.array([0.0, 0.5 * spec.height_Lb, 0.0]), np.array([-1.0, 0.0, 0.0]), spec.width_La),
+        (np.array([-0.5 * spec.width_La, 0.0, 0.0]), np.array([0.0, -1.0, 0.0]), spec.height_Lb),
+        (np.array([0.0, -0.5 * spec.height_Lb, 0.0]), np.array([1.0, 0.0, 0.0]), spec.width_La),
+    ]
+    nts = [max(1, int(math.ceil(extent / patch_target))) for _, _, extent in walls]
+    n = nz * sum(nts)
+    centroids = np.empty((n, 3))
+    areas = np.empty(n)
+    tangents_phi = np.empty((n, 3))
+    dz = spec.length_L / nz
+    z_offsets = ((np.arange(nz) + 0.5) * dz - 0.5 * spec.length_L)[:, None] \
+        * np.array([0.0, 0.0, 1.0])
+    lo = 0
+    for (origin, tphi, extent), nt in zip(walls, nts):
+        hi = lo + nz * nt
+        dt = extent / nt
+        tc = (np.arange(nt) + 0.5) * dt - 0.5 * extent
+        np.add(origin + tc[:, None] * tphi, z_offsets[:, None, :],
+               out=centroids[lo:hi].reshape(nz, nt, 3))
+        areas[lo:hi] = dt * dz
+        tangents_phi[lo:hi] = tphi
+        lo = hi
+    return centroids, areas, tangents_phi

@@ -124,6 +124,19 @@ class TestRun:
         assert metrics["metrics"]["peak"] > 0.0
         assert 0.3 < metrics["metrics"]["width_3db_lambda"] < 0.5
 
+    def test_manifest_peak_rss(self, tmp_path, capsys):
+        # the process's peak resident memory so far, recorded in the
+        # manifest only
+        out = tmp_path / "out"
+        code, _ = run_cli(capsys, "run", "--scenario", scenario(tmp_path, **MESH),
+                          "--out", str(out))
+        assert code == 0
+        peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        # at least the interpreter and numpy, at most the machine
+        assert 10.0 < peak < os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**20
+        for name in ("weights.json", "metrics.json"):
+            assert "peak_rss_mb" not in (out / name).read_text()
+
     def test_manifest_solver_diagnostics(self, tmp_path, capsys):
         # the cap that clips part of the mesh (hybrid) and one below the
         # all-clipped drive that meets the budget (CP, budget slack)
@@ -404,8 +417,10 @@ class TestValidate:
         ("validate", dict(focus_x_m=0.5, analytic_reference="ratio_cp"), "focus_x_m"),
         ("validate", dict(aperture="single", analytic_reference="ez_trans"), "aperture"),
         ("validate", dict(focus_z_m=3.0, analytic_reference="ez_trans"), "focus_z_m"),
+        ("validate", dict(source_kind="magnetic", analytic_reference="ratio_cp"),
+         "source_kind"),
     ], ids=["rectangle-validate", "rectangle-analytic", "azimuthal", "profile-tr",
-            "ratio-off-axis", "single-element", "profile-off-origin"])
+            "ratio-off-axis", "single-element", "profile-off-origin", "magnetic"])
     def test_reference_assumptions_rejected(self, tmp_path, capsys, subcommand, entries,
                                             key):
         # each scenario breaks one assumption of the reference's closed form
@@ -636,19 +651,22 @@ class TestErrors:
 
 class TestMemory:
     # Traced bytes per source at the peak of a run.  The arrays a run must
-    # hold at full length take 56 B per patch for the mesh, 16 for the
-    # scalar channel, 8 for the port resistances and 16 for the weights;
-    # measured 130 B/source here, with the peak in the solve (156 when
-    # weights.csv was formatted by one template call per block, 172 when
-    # the field kernel held fifteen scratch arrays per block), 289 when
-    # full-length (N, 3) temporaries were built at each stage.
-    PEAK_BYTES_PER_SOURCE = 200
-    # The same for a layout of the same mesh: the 56 B per patch of the mesh
-    # arrays, and 6.9 MB for the CSV writer's blocks of 32,768 cells, the
-    # largest it makes; measured 89 B/source here, 64 with blocks of 4,096
-    # cells, 111 when one template call formatted each block of 3 x 65,536
-    # cells, 235 when a block was 65,536 rows of all 10 columns, and 315
-    # when the whole (N, 10) table was built before writing.
+    # hold at full length take 16 B for the scalar channel, 8 for the port
+    # resistances and 16 for the weights; the mesh holds only its strips
+    # and makes its rows per block.  Measured 74 B/source here, with the
+    # peak in the solve (130 when the mesh held 56 B per patch of flat
+    # arrays, 156 when weights.csv was formatted by one template call per
+    # block, 172 when the field kernel held fifteen scratch arrays per
+    # block, 289 when full-length (N, 3) temporaries were built at each
+    # stage).
+    PEAK_BYTES_PER_SOURCE = 100
+    # The same for a layout of the same mesh: its rows made once at full
+    # length, 56 B per patch, and 6.9 MB for the CSV writer's blocks of
+    # 32,768 cells, the largest it makes; measured 89 B/source here, 64
+    # with blocks of 4,096 cells, 111 when one template call formatted each
+    # block of 3 x 65,536 cells, 235 when a block was 65,536 rows of all 10
+    # columns, and 315 when the whole (N, 10) table was built before
+    # writing.
     LAYOUT_PEAK_BYTES_PER_SOURCE = 150
 
     @staticmethod

@@ -281,10 +281,10 @@ def test_channel_matches_projected_tensors(source_kind, mesh_current):
     e_hat = np.array([0.48, -0.6, 0.64])
     g = assemble_channel(mesh, focal, e_hat, WL, source_kind=source_kind,
                          mesh_current=mesh_current).g
-    pos, moments = fields._source_arrays(mesh, mesh_current)
+    pos, moments = fields._source_columns(mesh, mesh_current)(0, len(mesh))
     green = green_electric if source_kind == "electric" else green_magnetic
     ref = np.array([project((green(focal, s, WL) @ m)[None, :], e_hat)[0]
-                    for s, m in zip(pos, moments(slice(None)).T)])
+                    for s, m in zip(pos.T, moments.T)])
     assert np.max(np.abs(g - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -292,7 +292,7 @@ def test_channel_mesh_resistance_scale():
     mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=10.0), 50, 12)
     ch = assemble_channel(mesh, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL)
     a_ref = (0.5 * LAM) ** 2
-    assert np.allclose(ch.resistance_scale, mesh.areas / a_ref, rtol=1e-12)
+    assert np.allclose(ch.resistance_scale, mesh.areas(0, len(mesh)) / a_ref, rtol=1e-12)
 
 
 # ------------------------------------------------------------- field maps
@@ -442,10 +442,10 @@ def test_workers_capped_at_usable_cpus(monkeypatch):
 
 def brute_force_field(sources, w, grid, source_kind, mesh_current="z"):
     """Per-point, per-source sum of the 3x3 tensors, in index order."""
-    pos, moments = fields._source_arrays(sources, mesh_current)
+    pos, moments = fields._source_columns(sources, mesh_current)(0, len(sources))
     green = green_electric if source_kind == "electric" else green_magnetic
     return np.array([sum(wn * (green(p, s, WL) @ m)
-                         for wn, s, m in zip(w, pos, moments(slice(None)).T))
+                         for wn, s, m in zip(w, pos.T, moments.T))
                      for p in grid])
 
 
@@ -456,8 +456,8 @@ def test_chunk_invariance_across_threads(monkeypatch, source_kind):
     else:
         sources = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 8, 12)
     mesh_current = "phi"
-    pos = fields._source_arrays(sources, mesh_current)[0]
     n = len(sources)
+    pos = fields._source_columns(sources, mesh_current)(0, n)[0].T
     rng = np.random.default_rng(11)
     w = rng.normal(size=n) + 1j * rng.normal(size=n)
     # a line from 0.1 wavelength inside the wall at source 0 across the
@@ -494,8 +494,8 @@ def longdouble_field(sources, w, grid, kernel, source_kind, mesh_current):
     summed over sources: E = A m + C (m.r_hat) r_hat for electric
     currents, E = C r_hat x m for magnetic ones."""
     ld = np.longdouble
-    pos, moments = fields._source_arrays(sources, mesh_current)
-    pos, m = np.asarray(pos, ld), np.asarray(moments(slice(None)).T, ld)
+    pos, moments = fields._source_columns(sources, mesh_current)(0, len(sources))
+    pos, m = np.asarray(pos.T, ld), np.asarray(moments.T, ld)
     d = np.asarray(grid, ld)[:, None, :] - pos[None]
     R = np.sqrt(np.sum(d * d, axis=-1))
     r_hat = d / R[..., None]
@@ -593,5 +593,5 @@ def test_mesh_refinement_convergence():
         g = ch.g
         w = np.conj(g) / np.abs(g)  # unit-amplitude phase conjugation
         # focal field per unit total drive area keeps refinements comparable
-        vals.append(abs(np.sum(w * g)) / np.sum(mesh.areas))
+        vals.append(abs(np.sum(w * g)) / mesh.total_area())
     assert abs(vals[1] - vals[0]) / vals[1] < 0.005

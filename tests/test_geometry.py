@@ -8,16 +8,19 @@ import pytest
 
 from nearfocus import csvio
 from nearfocus.geometry import (
+    AXIAL,
     SPEED_OF_LIGHT,
     ArrayLayout,
     CylinderSpec,
     RectCorridorSpec,
-    SurfaceMesh,
+    Strip,
     Wavelength,
     build_cylinder_mesh,
     build_rect_corridor_mesh,
     build_ring_array,
 )
+
+from oracles import flat_cylinder_mesh, flat_rect_corridor_mesh
 
 WL_1GHZ = Wavelength.from_frequency(1.0e9)
 WL_6GHZ = Wavelength.from_frequency(6.0e9)
@@ -142,9 +145,10 @@ def test_cylinder_mesh_baseline_counts_and_area():
 def test_cylinder_mesh_small():
     mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 2, 3)
     assert len(mesh) == 6
-    assert np.allclose(mesh.tangents_z, [0.0, 0.0, 1.0])
-    dots = np.einsum("ij,ij->i", mesh.tangents_phi, mesh.tangents_z)
-    assert np.all(dots == 0.0)
+    areas = mesh.areas(0, 6)
+    assert np.array_equal(mesh.moments(0, 6, "z"), AXIAL[:, None] * areas)
+    # perimeter tangents are orthogonal to the axial one
+    assert np.all(mesh.tangents_phi(0, 6)[2] == 0.0)
 
 
 def test_cylinder_mesh_preconditions():
@@ -176,38 +180,94 @@ def test_rect_mesh_patch_cap():
 def test_rect_mesh_walls_lie_on_boundary():
     spec = RectCorridorSpec(width_La=4.0, height_Lb=2.0, length_L=6.0)
     mesh = build_rect_corridor_mesh(spec, 0.07, WL_1GHZ)
-    on_x = np.abs(np.abs(mesh.centroids[:, 0]) - 2.0) < 1e-12
-    on_y = np.abs(np.abs(mesh.centroids[:, 1]) - 1.0) < 1e-12
+    centroids = mesh.positions(0, len(mesh)).T
+    tangents_phi = mesh.tangents_phi(0, len(mesh)).T
+    on_x = np.abs(np.abs(centroids[:, 0]) - 2.0) < 1e-12
+    on_y = np.abs(np.abs(centroids[:, 1]) - 1.0) < 1e-12
     assert np.all(on_x | on_y)
-    assert np.all(np.abs(mesh.centroids[:, 2]) <= 3.0)
+    assert np.all(np.abs(centroids[:, 2]) <= 3.0)
     # perimeter tangents stay tangent to their wall
     assert np.max(np.abs(np.einsum(
-        "ij,ij->i", mesh.tangents_phi, mesh.centroids * on_x[:, None] * [1, 0, 0]))) < 1e-9
+        "ij,ij->i", tangents_phi, centroids * on_x[:, None] * [1, 0, 0]))) < 1e-9
 
 
 def test_mesh_patch_views_validate():
     with pytest.raises(ValueError):
-        SurfaceMesh(np.zeros((2, 3)), np.array([1.0, -1.0]),
-                    np.tile([1.0, 0.0, 0.0], (2, 1)), np.tile([0.0, 0.0, 1.0], (2, 1)))
-    with pytest.raises(ValueError):
-        SurfaceMesh(np.zeros((2, 3)), np.array([1.0, 1.0]),
-                    np.tile([0.0, 0.0, 1.0], (2, 1)), np.tile([0.0, 0.0, 1.0], (2, 1)))
+        Strip(np.zeros((3, 2)), np.array([[1.0], [0.0], [0.0]]), -1.0)
+    with pytest.raises(ValueError):  # perimeter tangent along the axis
+        Strip(np.zeros((3, 2)), np.array([[0.0], [0.0], [1.0]]), 1.0)
+    with pytest.raises(ValueError):  # rows, not columns
+        Strip(np.zeros((2, 3)), np.array([[1.0], [0.0], [0.0]]), 1.0)
 
 
 def test_mesh_orthogonality_check_holds_one_temporary():
-    # the check's one (N,) float temporary: 8 B per patch, where two took 16
+    # the check's one (M,) float temporary over a strip's points: 8 B per
+    # point, where two took 16
     n = 200_000
-    tangents_phi = np.zeros((n, 3))
-    tangents_phi[:, 0] = 1.0
-    args = (np.zeros((n, 3)), np.ones(n), tangents_phi,
-            np.broadcast_to(np.array([0.0, 0.0, 1.0]), (n, 3)))
+    tangents_phi = np.zeros((3, n))
+    tangents_phi[0] = 1.0
+    positions = np.zeros((3, n))
     tracemalloc.start()
     try:
-        SurfaceMesh(*args)
+        Strip(positions, tangents_phi, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 9 * n
+
+
+def rows_bytes(mesh, a, b):
+    """Every row quantity of [a, b) as rows, for bitwise comparison."""
+    return [mesh.positions(a, b).T.tobytes(), mesh.tangents_phi(a, b).T.tobytes(),
+            mesh.areas(a, b).tobytes(), mesh.moments(a, b, "z").T.tobytes(),
+            mesh.moments(a, b, "phi").T.tobytes()]
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "rectangle"])
+def test_mesh_rows_match_flat_builders(kind):
+    # the flat builders make every row at full length; the strip rows of
+    # any slice must be the same bits
+    if kind == "cylinder":
+        spec = CylinderSpec(radius_a=1.3, length_L=2.7)
+        mesh = build_cylinder_mesh(spec, 9, 7)
+        centroids, areas, tangents_phi = flat_cylinder_mesh(spec, 9, 7)
+    else:
+        spec = RectCorridorSpec(width_La=1.1, height_Lb=0.7, length_L=1.9)
+        mesh = build_rect_corridor_mesh(spec, 0.07, WL_1GHZ)
+        centroids, areas, tangents_phi = flat_rect_corridor_mesh(spec, 0.07)
+    n = len(mesh)
+    assert n == centroids.shape[0]
+    moments_z = np.multiply(np.broadcast_to(AXIAL, (n, 3)), areas[:, None])
+    flat = [centroids, tangents_phi, areas, moments_z, tangents_phi * areas[:, None]]
+    m = len(mesh.strips[0])
+    wall = m * mesh.nz
+    slices = [(0, n), (0, 1), (n - 1, n), (3, m - 2), (m - 2, m + 3), (5, 3 * m + 4),
+              (m, 4 * m), (wall - m - 2, min(wall + 2, n)), (wall - 3, n - 1),
+              (2 * m + 1, 2 * m + 2)]
+    rng = np.random.default_rng(5)
+    slices += [tuple(sorted(rng.choice(n + 1, 2, replace=False))) for _ in range(20)]
+    for a, b in slices:
+        expected = [x[a:b].tobytes() for x in flat]
+        assert rows_bytes(mesh, a, b) == expected, (a, b)
+    # exact bounds, as the min and max over every row
+    lo, hi = mesh.bounds()
+    assert np.array_equal(lo, centroids.min(axis=0))
+    assert np.array_equal(hi, centroids.max(axis=0))
+    assert mesh.total_area() == pytest.approx(areas.sum(), rel=1e-13)
+
+
+def test_full_corridor_mesh_holds_no_full_length_array():
+    # 1,015,928 patches: the rows are made on request, so building the mesh
+    # allocates only its strips and axial grid (57 MB with flat arrays)
+    spec = RectCorridorSpec(width_La=12.0, height_Lb=10.5, length_L=126.0)
+    tracemalloc.start()
+    try:
+        mesh = build_rect_corridor_mesh(spec, 0.25 * WL_1GHZ.lam, WL_1GHZ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mesh) == 1_015_928
+    assert peak < 1_000_000
 
 
 # ----------------------------------------------------------------- exports
@@ -230,9 +290,11 @@ def test_layout_csv_roundtrip(tmp_path):
 
 def test_mesh_csv_roundtrip(tmp_path):
     mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 2, 4)
+    n = len(mesh)
     path = tmp_path / "mesh.csv"
-    columns = {**xyz_columns("", mesh.centroids), **xyz_columns("tphi_", mesh.tangents_phi),
-               **xyz_columns("tz_", mesh.tangents_z), "area": mesh.areas}
+    columns = {**xyz_columns("", mesh.positions(0, n).T),
+               **xyz_columns("tphi_", mesh.tangents_phi(0, n).T),
+               **xyz_columns("tz_", np.broadcast_to(AXIAL, (n, 3))), "area": mesh.areas(0, n)}
     csvio.write_csv(path, columns)
     lines = path.read_text().splitlines()
     assert len(lines) == 9
@@ -259,8 +321,10 @@ def test_csv_format_determinism(tmp_path):
 
 def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch):
     mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 3, 5)
-    w = np.exp(1j * np.linspace(-3.0, 3.0, len(mesh))) * mesh.areas
-    columns = {**xyz_columns("tz_", mesh.tangents_z), "area": mesh.areas,
+    n = len(mesh)
+    areas = mesh.areas(0, n)
+    w = np.exp(1j * np.linspace(-3.0, 3.0, n)) * areas
+    columns = {**xyz_columns("tz_", np.broadcast_to(AXIAL, (n, 3))), "area": areas,
                "phase": csvio.angle(w)}
     csvio.write_csv(tmp_path / "one.csv", columns)
     monkeypatch.setattr(csvio, "_BLOCK_ROWS", 4)
