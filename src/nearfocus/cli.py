@@ -22,7 +22,8 @@ on, tool version, the requested threads and the field workers that ran,
 wall-clock time, the process's peak resident memory so far (null where
 the resource module does not exist) and, for run, the solver's
 diagnostics (regime, level, power, clipped and idle ports, power
-residual).
+residual) and the relative gap between the focal field the solver
+predicts and the one evaluated at the focus.
 
 Exit codes: 0 success (for validate: comparison passed), 1 validate
 comparison failed, 2 usage or scenario errors, or a problem too large
@@ -68,10 +69,10 @@ from .focusing import (
 )
 from .geometry import (
     AXIAL,
-    ArrayLayout,
+    Aperture,
     CylinderSpec,
     RectCorridorSpec,
-    SurfaceMesh,
+    Strip,
     Wavelength,
     build_cylinder_mesh,
     build_rect_corridor_mesh,
@@ -318,53 +319,49 @@ def _geometry_spec(s: dict):
                             length_L=s["length_m"])
 
 
-def _single_layout(s: dict, wl: Wavelength) -> ArrayLayout:
-    position = np.array([[s["radius_m"], 0.0, 0.0]])
-    if s["element_polarization"] == "axial":
-        orientation = np.array([[0.0, 0.0, 1.0]])
-    else:
-        orientation = np.array([[0.0, 1.0, 0.0]])
-    return ArrayLayout(position, orientation, rings=1, per_ring=1,
-                       spacing_d=0.5 * wl.lam, length_l=s["dipole_length_m"])
+def _single_layout(s: dict) -> Aperture:
+    """One dipole on the wall at (radius, 0, 0): a one-point strip at z = 0."""
+    strip = Strip(np.array([[s["radius_m"]], [0.0], [0.0]]), np.array([[0.0], [1.0], [0.0]]),
+                  s["dipole_length_m"], 1.0)
+    return Aperture([strip], [0.0], s["element_polarization"])
 
 
-def _aperture(s: dict, wl: Wavelength):
-    spec = _geometry_spec(s)
+def _aperture(s: dict, wl: Wavelength) -> Aperture:
+    spec, polarization = _geometry_spec(s), s["element_polarization"]
     if s["aperture"] == "single":
-        return _single_layout(s, wl)
+        return _single_layout(s)
     if s["aperture"] == "discrete":
-        return build_ring_array(spec, wl, polarization=s["element_polarization"],
+        return build_ring_array(spec, wl, polarization=polarization,
                                 dipole_length=s["dipole_length_m"])
     if s["geometry"] == "cylinder":
-        return build_cylinder_mesh(spec, s["mesh_axial_n"], s["mesh_azimuthal_n"])
-    return build_rect_corridor_mesh(spec, s["patch_target_m"], wl)
-
-
-def _mesh_current(s: dict) -> str:
-    return "z" if s["element_polarization"] == "axial" else "phi"
+        return build_cylinder_mesh(spec, s["mesh_axial_n"], s["mesh_azimuthal_n"], wl,
+                                   polarization)
+    return build_rect_corridor_mesh(spec, s["patch_target_m"], wl, polarization)
 
 
 def _focus(s: dict) -> np.ndarray:
     return np.array([s["focus_x_m"], s["focus_y_m"], s["focus_z_m"]])
 
 
-def _channel(s: dict, sources, e_hat: np.ndarray, wl: Wavelength) -> ChannelVector:
+def _channel(s: dict, sources: Aperture, e_hat: np.ndarray,
+             wl: Wavelength) -> ChannelVector:
     focal = _focus(s)
-    if isinstance(sources, ArrayLayout) and len(sources) == 1:
+    if len(sources) == 1:
         # the general assembler requires the focus inside the source hull,
         # which a one-element aperture cannot provide
-        position = sources.positions[0]
+        position, moment = sources.positions(0, 1)[:, 0], sources.moments(0, 1)[:, 0]
         distance = float(np.linalg.norm(focal - position))
         if distance < 0.25 * wl.lam:
             raise _invalid("focal point is inside the quarter-wavelength standoff "
                            "of the single element")
-        moment = sources.orientations[0] * sources.length_l
-        green = green_electric if s["source_kind"] == "electric" else green_magnetic
-        field = (green(focal, position, wl) @ moment.astype(complex)).reshape(1, 3)
+        if s["source_kind"] == "electric":
+            tensor = green_electric(focal, position, wl, s["kernel"])
+        else:
+            tensor = green_magnetic(focal, position, wl)
+        field = (tensor @ moment.astype(complex)).reshape(1, 3)
         return ChannelVector(project(field, e_hat), np.ones(1))
     return assemble_channel(sources, focal, e_hat, wl, kernel=s["kernel"],
-                            source_kind=s["source_kind"],
-                            mesh_current=_mesh_current(s))
+                            source_kind=s["source_kind"])
 
 
 def _constraints(s: dict) -> PowerConstraints:
@@ -416,8 +413,7 @@ class _Threads:
 def _evaluate(s: dict, sources, weights, points: np.ndarray, wl: Wavelength,
               threads: _Threads):
     fm = evaluate_field(sources, weights, points, wl, kernel=s["kernel"],
-                        source_kind=s["source_kind"],
-                        mesh_current=_mesh_current(s), threads=threads.requested)
+                        source_kind=s["source_kind"], threads=threads.requested)
     threads.used = max(threads.used, fm.workers)
     return fm
 
@@ -526,7 +522,12 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength,
 
     _write_json(outdir / "metrics.json", metrics_payload)
     artifacts.append("metrics.json")
-    return artifacts, 0, solver_diagnostics(weights, report, _constraints(s))
+    diagnostics = solver_diagnostics(weights, report, _constraints(s))
+    # the middle sample of either grid, the cut's offset 0 or the plane's
+    # centre, is the focal point itself
+    gap = abs(fm.component(s["target_polarization"])[len(fm) // 2] - report.E_focus)
+    diagnostics["focus_gap_rel"] = gap / abs(report.E_focus) if report.E_focus else None
+    return artifacts, 0, diagnostics
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
@@ -663,16 +664,19 @@ def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
 
 def _cmd_layout(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
     sources = _aperture(s, wl)
-    if isinstance(sources, SurfaceMesh):
-        # the only full-length copy of the rows, as (3, N) columns
-        n = len(sources)
-        columns = {**_xyz("", sources.positions(0, n).T),
-                   **_xyz("tphi_", sources.tangents_phi(0, n).T),
-                   **_xyz("tz_", np.broadcast_to(AXIAL, (n, 3))),
-                   "area_m2": sources.areas(0, n)}
+    strips, n = sources.strips, len(sources)
+    # the only full-length copy of the rows, as (3, N) columns: positions,
+    # perimeter tangents, current directions and element sizes
+    tangents = sources.rows(0, n, [st.tangents for st in strips])
+    axial = np.broadcast_to(AXIAL[:, None], (3, n))
+    sizes = sources.rows(0, n, [np.array([[st.size]]) for st in strips])[0]
+    columns = _xyz("", sources.positions(0, n).T)
+    if s["aperture"] == "mesh":
+        columns.update({**_xyz("tphi_", tangents.T), **_xyz("tz_", axial.T),
+                        "area_m2": sizes})
     else:
-        columns = {**_xyz("", sources.positions), **_xyz("p", sources.orientations),
-                   "length_m": np.broadcast_to(sources.length_l, len(sources))}
+        direction = axial if sources.polarization == "axial" else tangents
+        columns.update({**_xyz("p", direction.T), "length_m": sizes})
     write_csv(outdir / "layout.csv", columns)
     return ["layout.csv"], 0
 

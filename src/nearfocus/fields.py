@@ -13,6 +13,9 @@ formed.  It has two output modes: the weighted sum over sources at each
 point, reduced by real matmuls (evaluate_field), and each source's field
 projected on one polarization by real dot products (assemble_channel,
 and green_electric and green_magnetic as the three axis projections).
+Sources are a geometry.Aperture, whatever its kind: each work unit makes
+its own slice of source positions and moments, and the port-resistance
+scales are each strip's scale repeated over its rows.
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -28,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .geometry import FREE_SPACE_IMPEDANCE, ArrayLayout, SurfaceMesh, Wavelength
+from .geometry import FREE_SPACE_IMPEDANCE, Wavelength
 
 FOUR_PI = 4.0 * math.pi
 
@@ -237,11 +240,12 @@ def _cmatmul(stacked, M):
 
 
 def _units(n_points, n_src):
-    """(point slice, source slice) units cut by problem size, and the scratch size."""
+    """(point slice, source slice) units cut by problem size, source-major, and
+    the scratch size."""
     block = min(n_src, max(_SOURCE_BLOCK, _CHUNK_BUDGET // max(1, n_points)))
     per = max(1, _CHUNK_BUDGET // block)
     units = [(slice(p, p + per), slice(s, min(s + block, n_src)))
-             for p in range(0, n_points, per) for s in range(0, n_src, block)]
+             for s in range(0, n_src, block) for p in range(0, n_points, per)]
     return units, _BUFFERS * min(per, n_points) * block
 
 
@@ -252,19 +256,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _point_tensor(r, r_src, wl, source_kind):
+def _point_tensor(r, r_src, wl, source_kind, kernel="full"):
     """The 3x3 tensor as three axis projections of the fields of unit x, y and z moments."""
     point = np.atleast_2d(np.asarray(r, dtype=float))
     src = np.repeat(np.asarray(r_src, dtype=float).reshape(3, 1), 3, axis=1)
     scratch = np.empty(_units(1, 3)[1])
     eye = np.eye(3)
-    return np.vstack([_dyadic(point, src, eye, wl.k, "full", source_kind, scratch,
+    return np.vstack([_dyadic(point, src, eye, wl.k, kernel, source_kind, scratch,
                               e_hat=e)[0] for e in eye])
 
 
-def green_electric(r: np.ndarray, r_src: np.ndarray, wl: Wavelength) -> np.ndarray:
-    """Electric-current kernel: 3x3 tensor with all 1/R..1/R^3 terms."""
-    return _point_tensor(r, r_src, wl, "electric")
+def green_electric(r: np.ndarray, r_src: np.ndarray, wl: Wavelength,
+                   kernel: str = "full") -> np.ndarray:
+    """Electric-current kernel: 3x3 tensor with all 1/R..1/R^3 terms, or
+    only the radiating 1/R term for the dipole-approx kernel."""
+    return _point_tensor(r, r_src, wl, "electric", kernel)
 
 
 def green_magnetic(r: np.ndarray, r_src: np.ndarray, wl: Wavelength) -> np.ndarray:
@@ -273,21 +279,6 @@ def green_magnetic(r: np.ndarray, r_src: np.ndarray, wl: Wavelength) -> np.ndarr
 
 
 # -------------------------------------------------------- vectorized fields
-
-def _source_columns(sources, mesh_current: str):
-    """A function of a row range [a, b) that makes the positions and the
-    unit-drive moments of those sources as contiguous (3, b - a) columns.
-
-    Each work unit makes its own, so no full-length source array is held.
-    """
-    if isinstance(sources, ArrayLayout):
-        return lambda a, b: (np.ascontiguousarray(sources.positions[a:b].T),
-                             np.multiply(sources.orientations[a:b].T, sources.length_l,
-                                         order="C"))
-    if isinstance(sources, SurfaceMesh):
-        return lambda a, b: (sources.positions(a, b), sources.moments(a, b, mesh_current))
-    raise TypeError(f"unsupported source container {type(sources).__name__}")
-
 
 def _check_kernel(kernel: str, source_kind: str) -> None:
     if kernel not in ("full", "dipole-approx"):
@@ -299,8 +290,7 @@ def _check_kernel(kernel: str, source_kind: str) -> None:
 
 
 def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Wavelength,
-                     kernel: str = "full", source_kind: str = "electric",
-                     mesh_current: str = "z") -> ChannelVector:
+                     kernel: str = "full", source_kind: str = "electric") -> ChannelVector:
     """Per-source scalar channel at the focal point for unit drives.
 
     Unit drive means 1 A for a dipole element and a unit surface-current
@@ -313,7 +303,6 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     focal = np.asarray(focal, dtype=float)
     if abs(float(np.linalg.norm(e_hat)) - 1.0) > 1e-12:
         raise ValueError("e_hat must be a unit vector")
-    columns = _source_columns(sources, mesh_current)
     lo, hi = sources.bounds()
     if np.any(focal < lo - 1e-12) or np.any(focal > hi + 1e-12):
         raise ValueError("focal point lies outside the aperture region")
@@ -322,20 +311,18 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     units, size = _units(1, n)
     scratch = np.empty(size)
     for _, s in units:
-        g[s] = _dyadic(focal[None, :], *columns(s.start, s.stop), wl.k,
-                       kernel, source_kind, scratch, 0.25 * wl.lam, e_hat=e_hat)[0][0]
-
-    if isinstance(sources, SurfaceMesh):
-        # one scale per strip, repeated over its rows
-        ref = (0.5 * wl.lam) ** 2
-        return ChannelVector(g, np.repeat([s.area / ref for s in sources.strips],
-                                          [len(s) * sources.nz for s in sources.strips]))
-    return ChannelVector(g, np.ones(n))
+        g[s] = _dyadic(focal[None, :], sources.positions(s.start, s.stop),
+                       sources.moments(s.start, s.stop), wl.k, kernel, source_kind,
+                       scratch, 0.25 * wl.lam, e_hat=e_hat)[0][0]
+    # one scale per strip, repeated over its rows
+    strips = sources.strips
+    return ChannelVector(g, np.repeat([s.resistance_scale for s in strips],
+                                      [len(s) * sources.z.size for s in strips]))
 
 
 def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
                    kernel: str = "full", source_kind: str = "electric",
-                   mesh_current: str = "z", threads: int = 1) -> FieldMap:
+                   threads: int = 1) -> FieldMap:
     """Superpose weighted per-source fields over a grid of points.
 
     The approximate kernel refuses points inside the quarter-wavelength
@@ -346,7 +333,6 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     """
     _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    columns = _source_columns(sources, mesh_current)
     w = np.asarray(getattr(weights, "w", weights), dtype=complex)
     if w.shape != (len(sources),):
         raise ValueError("need one weight per source")
@@ -358,13 +344,17 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     parts = [None] * len(units)
 
     def work(first):
-        # each worker takes every workers-th unit, makes its source columns
-        # and keeps one scratch
+        # each worker takes every workers-th unit and keeps one scratch; units
+        # are source-major, so it makes a source slice's rows once for all
+        # of its units on that slice
         scratch = np.empty(size)
+        rows = None
         for i in range(first, len(units), workers):
             p, s = units[i]
-            parts[i] = _dyadic(grid[p], *columns(s.start, s.stop), wl.k,
-                               kernel, source_kind, scratch, standoff, w=w[s])
+            if rows is None or rows[0] != s:
+                rows = s, sources.positions(s.start, s.stop), sources.moments(s.start, s.stop)
+            parts[i] = _dyadic(grid[p], rows[1], rows[2], wl.k, kernel, source_kind,
+                               scratch, standoff, w=w[s])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, range(workers)))

@@ -1,12 +1,14 @@
 """Aperture geometry: dipole ring arrays and surface meshes.
 
-Builds the two source descriptions used everywhere downstream: discrete
-rings of Hertzian dipoles wrapped around a cylindrical corridor, and
+Every source description used downstream is one Aperture: cross-section
+strips repeated at axial offsets, with the current direction fixed when
+it is built.  Discrete rings of Hertzian dipoles wrapped around a
+cylindrical corridor are one strip of ring slots at the ring planes;
 rectangular-patch meshes of the corridor wall itself (cylinder or
-four-wall rectangular cross section).  Layouts store flat (N,) and
-(N, 3) numpy arrays.  A mesh stores one cross-section strip per wall and
-its axial grid, and makes the rows of any slice on request, so it holds
-no array of length N.
+four-wall rectangular cross section) are one strip per wall on a grid of
+patch rows; a single element is a one-point strip at z = 0.  An aperture
+makes the positions and moments of any slice of its rows on request, so
+it holds no array of length N.
 """
 
 from __future__ import annotations
@@ -67,171 +69,128 @@ class RectCorridorSpec:
         return 0.5 * math.hypot(self.width_La, self.height_Lb)
 
 
-class ArrayLayout:
-    """Ordered collection of dipole elements arranged in stacked rings.
-
-    Index order is ring-major: element i sits in ring i // per_ring at
-    azimuthal slot i % per_ring.  positions and orientations are (N, 3)
-    float arrays.
-    """
-
-    def __init__(self, positions: np.ndarray, orientations: np.ndarray,
-                 rings: int, per_ring: int, spacing_d: float, length_l: float):
-        positions = np.asarray(positions, dtype=float)
-        orientations = np.asarray(orientations, dtype=float)
-        if positions.shape != (rings * per_ring, 3):
-            raise ValueError("positions shape must be (rings*per_ring, 3)")
-        if orientations.shape != positions.shape:
-            raise ValueError("orientations shape must match positions")
-        norms = np.linalg.norm(orientations, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("all orientations must be unit vectors")
-        self.positions = positions
-        self.orientations = orientations
-        self.rings = rings
-        self.per_ring = per_ring
-        self.spacing_d = spacing_d
-        self.length_l = length_l
-        positions.setflags(write=False)
-        orientations.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Componentwise min and max over every element position."""
-        # column by column: numpy reduces an (N, 3) array over axis 0 eight
-        # times slower
-        return (np.array([c.min() for c in self.positions.T]),
-                np.array([c.max() for c in self.positions.T]))
-
-
-# the corridor axis: every mesh repeats its strips along it, so it is
-# every patch's axial tangent
+# the corridor axis: every aperture repeats its strips along it, so it is
+# every element's axial tangent
 AXIAL = np.array([0.0, 0.0, 1.0])
 AXIAL.setflags(write=False)
 
 
 class Strip:
-    """One wall's cross section: M patch centroids at z = 0 and their
-    perimeter tangents as (3, M) columns, and the area of its patches.
+    """One cross section of an aperture: M element positions at z = 0 and
+    their perimeter tangents (unit vectors across the axis) as (3, M)
+    columns, the size of each element (patch area or dipole length) and
+    the scale of its port resistance.
 
     A tangent that is the same for every point may be given as one (3, 1)
     column; it is kept as a read-only broadcast, not M copies.
     """
 
-    def __init__(self, positions: np.ndarray, tangents_phi: np.ndarray, area: float):
+    def __init__(self, positions: np.ndarray, tangents: np.ndarray, size: float,
+                 resistance_scale: float):
         self.positions = np.asarray(positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[0] != 3:
             raise ValueError("strip positions must be (3, M) columns")
-        self.tangents_phi = np.broadcast_to(np.asarray(tangents_phi, dtype=float),
-                                            self.positions.shape)
-        self.area = float(area)
-        if not self.area > 0.0:
-            raise ValueError("patch areas must be positive")
-        # the axial tangent is z, so the z component is the dot product;
-        # one (M,) temporary
-        if np.max(np.abs(self.tangents_phi[2]), initial=0.0) > 1e-12:
-            raise ValueError("patch tangents must be orthogonal")
+        tangents = np.asarray(tangents, dtype=float)
+        self.tangents = np.broadcast_to(tangents, self.positions.shape)
+        self.size = float(size)
+        self.resistance_scale = float(resistance_scale)
+        if not (self.size > 0.0 and self.resistance_scale > 0.0):
+            raise ValueError("element sizes and resistance scales must be positive")
+        # one (M,) temporary at a time: the squared norms, then the axial
+        # components, which are the dot products with the axial tangent
+        norm2 = np.einsum("ij,ij->j", tangents, tangents)
+        norm2 -= 1.0
+        if np.max(np.abs(norm2, out=norm2), initial=0.0) > 1e-12:
+            raise ValueError("perimeter tangents must be unit vectors")
+        del norm2
+        if np.max(np.abs(tangents[2]), initial=0.0) > 1e-12:
+            raise ValueError("perimeter tangents must be orthogonal to the axis")
         self.positions.setflags(write=False)
 
     def __len__(self) -> int:
         return self.positions.shape[1]
 
 
-class SurfaceMesh:
-    """Flat-patch mesh of a corridor wall: cross-section strips repeated
-    along the axis.
+class Aperture:
+    """Sources on a corridor wall: cross-section strips repeated at axial
+    offsets, with one current direction.
 
-    The length L is cut into nz rows at z_i = (i + 1/2) L/nz - L/2.  Strip
-    b's row lo_b + i*M_b + j is its point j moved by z_i along the axis:
-    centroid positions[:, j] with z_i added to its z, perimeter tangent
-    tangents_phi[:, j], axial tangent AXIAL and the strip's area, where
-    lo_b counts the rows of the strips before b.  The mesh holds only the
-    strips; the rows of any slice [a, b) are made on request as (3, b - a)
-    columns, whole z-rows at a time.
+    Strip b's row lo_b + i*M_b + j is its point j moved by z[i] along the
+    axis, where lo_b counts the rows of the strips before b.  A mesh's
+    strips are its walls' patch profiles and z its grid of patch rows; a
+    dipole ring array is one strip of ring slots, and z its ring planes.
+    Every element's current runs along AXIAL ("axial" polarization) or
+    along its strip's perimeter tangent ("azimuthal").  The aperture holds
+    only the strips and offsets; the rows of any slice [a, b) are made on
+    request as (3, b - a) columns, whole z-rows at a time.
     """
 
-    def __init__(self, strips, length_L: float, nz: int):
+    def __init__(self, strips, z, polarization: str):
         self.strips = tuple(strips)
-        self.length_L = float(length_L)
-        self.nz = int(nz)
-        if not (self.strips and self.nz >= 1 and self.length_L > 0.0):
-            raise ValueError("a mesh needs strips, axial rows and a positive length")
+        self.z = np.asarray(z, dtype=float)
+        if polarization not in ("axial", "azimuthal"):
+            raise ValueError(f"unknown polarization {polarization!r}")
+        self.polarization = polarization
+        if not (self.strips and self.z.ndim == 1 and self.z.size):
+            raise ValueError("an aperture needs strips and axial offsets")
+        self.z.setflags(write=False)
+        # each strip's unit-drive moment profile, its size times its direction
+        self._moments = [(AXIAL[:, None] if polarization == "axial" else s.tangents) * s.size
+                         for s in self.strips]
 
     def __len__(self) -> int:
-        return self.nz * sum(len(s) for s in self.strips)
-
-    def total_area(self) -> float:
-        return self.nz * sum(len(s) * s.area for s in self.strips)
-
-    def _z(self, rows: np.ndarray) -> np.ndarray:
-        """Axial offsets of the given z-rows."""
-        return (rows + 0.5) * (self.length_L / self.nz) - 0.5 * self.length_L
+        return self.z.size * sum(len(s) for s in self.strips)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Componentwise min and max over every centroid, exactly.
+        """Componentwise min and max over every position, exactly.
 
         Rounded addition is monotone in each operand, so the extremes are
         the profile's extremes plus the extreme axial offsets.
         """
         lo = np.min([s.positions.min(axis=1) for s in self.strips], axis=0)
         hi = np.max([s.positions.max(axis=1) for s in self.strips], axis=0)
-        z_first, z_last = self._z(np.array([0, self.nz - 1]))
-        lo[2] += z_first
-        hi[2] += z_last
+        lo[2] += self.z.min()
+        hi[2] += self.z.max()
         return lo, hi
 
     def _pieces(self, a: int, b: int):
-        """Rows [a, b) as rectangles of z-rows by strip points: (strip, first
-        z-row, z-rows, first point, points, offset in the slice)."""
-        lo = 0
-        for strip in self.strips:
+        """Rows [a, b) as rectangles of z-rows by strip points: (strip index,
+        first z-row, z-rows, first point, points, offset in the slice)."""
+        lo, nz = 0, self.z.size
+        for k, strip in enumerate(self.strips):
             m = len(strip)
-            u, v = max(a - lo, 0), min(b - lo, m * self.nz)
+            u, v = max(a - lo, 0), min(b - lo, m * nz)
             while u < v:
                 row, j = divmod(u, m)
                 # part of one z-row, or every whole z-row left
                 rows, n = (1, min(m - j, v - u)) if j or v - u < m else ((v - u) // m, m)
-                yield strip, row, rows, j, n, lo + u - a
+                yield k, row, rows, j, n, lo + u - a
                 u += rows * n
-            lo += m * self.nz
+            lo += m * nz
 
-    def _rows(self, a: int, b: int, k: int, profile, axial: bool = False) -> np.ndarray:
-        """Rows [a, b) of a per-strip (k, M) or (k, 1) profile, (k, b - a),
-        with z_i added to the third component if axial."""
+    def rows(self, a: int, b: int, profiles, axial: bool = False) -> np.ndarray:
+        """Rows [a, b) of one (k, M) or (k, 1) profile per strip, (k, b - a),
+        with z added to the third component if axial."""
         if not 0 <= a <= b <= len(self):
-            raise IndexError(f"rows [{a}, {b}) outside a mesh of {len(self)}")
-        out = np.empty((k, b - a))
-        for strip, row, rows, j, n, at in self._pieces(a, b):
+            raise IndexError(f"rows [{a}, {b}) outside an aperture of {len(self)}")
+        out = np.empty((len(profiles[0]), b - a))
+        for k, row, rows, j, n, at in self._pieces(a, b):
             # a view: the slice's rows are contiguous
-            dst = out[:, at:at + rows * n].reshape(k, rows, n)
-            src = profile(strip)
+            dst = out[:, at:at + rows * n].reshape(-1, rows, n)
+            src = profiles[k]
             np.copyto(dst, src[:, None, j:j + n] if src.shape[1] > 1 else src[:, None])
             if axial:
-                dst[2] += self._z(np.arange(row, row + rows))[:, None]
+                dst[2] += self.z[row:row + rows, None]
         return out
 
     def positions(self, a: int, b: int) -> np.ndarray:
-        """Centroids of rows [a, b), (3, b - a)."""
-        return self._rows(a, b, 3, lambda s: s.positions, axial=True)
+        """Element positions of rows [a, b), (3, b - a)."""
+        return self.rows(a, b, [s.positions for s in self.strips], axial=True)
 
-    def tangents_phi(self, a: int, b: int) -> np.ndarray:
-        """Perimeter tangents of rows [a, b), (3, b - a)."""
-        return self._rows(a, b, 3, lambda s: s.tangents_phi)
-
-    def areas(self, a: int, b: int) -> np.ndarray:
-        """Patch areas of rows [a, b), (b - a,)."""
-        return self._rows(a, b, 1, lambda s: np.array([[s.area]]))[0]
-
-    def moments(self, a: int, b: int, direction: str) -> np.ndarray:
-        """Each patch's area times its unit tangent along direction ("z" or
-        "phi") for rows [a, b), (3, b - a): the moment of a unit current."""
-        if direction == "z":
-            return self._rows(a, b, 3, lambda s: AXIAL[:, None] * s.area)
-        if direction == "phi":
-            return self._rows(a, b, 3, lambda s: s.tangents_phi * s.area)
-        raise ValueError(f"unknown mesh current direction {direction!r}")
+    def moments(self, a: int, b: int) -> np.ndarray:
+        """Each element's size times its unit current direction for rows
+        [a, b), (3, b - a): the moment of a unit drive."""
+        return self.rows(a, b, self._moments)
 
 
 def _ring_z_planes(length_L: float, half_lam: float) -> np.ndarray:
@@ -242,16 +201,15 @@ def _ring_z_planes(length_L: float, half_lam: float) -> np.ndarray:
 
 def build_ring_array(spec: CylinderSpec, wl: Wavelength,
                      polarization: str = "axial",
-                     dipole_length: float | None = None) -> ArrayLayout:
-    """Stack concentric dipole rings on the cylinder surface.
+                     dipole_length: float | None = None) -> Aperture:
+    """Stack concentric dipole rings on the cylinder surface: one strip of
+    ring slots, repeated at the ring planes.
 
     Each ring closes the circumference with equal arcs no longer than
     half a wavelength; rings are stacked at exactly half-wavelength
     pitch, centered on z=0.  Axial polarization orients every dipole
     along z, azimuthal along the local ring tangent.
     """
-    if polarization not in ("axial", "azimuthal"):
-        raise ValueError(f"unknown polarization {polarization!r}")
     half_lam = 0.5 * wl.lam
     if spec.radius_a < 0.25 * wl.lam:
         raise ValueError(
@@ -260,31 +218,33 @@ def build_ring_array(spec: CylinderSpec, wl: Wavelength,
     per_ring = int(math.ceil(2.0 * math.pi * spec.radius_a / half_lam))
     if per_ring < 3:
         raise ValueError(f"degenerate ring with {per_ring} elements")
-    z_planes = _ring_z_planes(spec.length_L, half_lam)
-    rings = z_planes.size
-
     phi = 2.0 * math.pi * np.arange(per_ring) / per_ring
     cosp, sinp = np.cos(phi), np.sin(phi)
-    ring_xy = np.stack([spec.radius_a * cosp, spec.radius_a * sinp], axis=1)
-
-    positions = np.empty((rings * per_ring, 3))
-    positions[:, 0] = np.tile(ring_xy[:, 0], rings)
-    positions[:, 1] = np.tile(ring_xy[:, 1], rings)
-    positions[:, 2] = np.repeat(z_planes, per_ring)
-
-    if polarization == "axial":
-        orientations = np.tile(np.array([0.0, 0.0, 1.0]), (rings * per_ring, 1))
-    else:
-        tangent = np.stack([-sinp, cosp, np.zeros(per_ring)], axis=1)
-        orientations = np.tile(tangent, (rings, 1))
-
+    zero = np.zeros(per_ring)
     if dipole_length is None:
         dipole_length = wl.lam / 100.0
-    return ArrayLayout(positions, orientations, rings=rings, per_ring=per_ring,
-                       spacing_d=half_lam, length_l=dipole_length)
+    strip = Strip(np.stack([spec.radius_a * cosp, spec.radius_a * sinp, zero]),
+                  np.stack([-sinp, cosp, zero]), dipole_length, 1.0)
+    return Aperture([strip], _ring_z_planes(spec.length_L, half_lam), polarization)
 
 
-def build_cylinder_mesh(spec: CylinderSpec, n_axial: int, n_azimuthal: int) -> SurfaceMesh:
+def _axial_grid(length_L: float, nz: int) -> np.ndarray:
+    """The centres of nz equal rows along a length L centred on z = 0,
+    (i + 1/2) L/nz - L/2, computed in place."""
+    z = np.arange(nz, dtype=float)
+    z += 0.5
+    z *= length_L / nz
+    z -= 0.5 * length_L
+    return z
+
+
+def _patch_resistance_scale(area: float, wl: Wavelength) -> float:
+    """A patch port's resistance over the base: its area over a half-wavelength square."""
+    return area / (0.5 * wl.lam) ** 2
+
+
+def build_cylinder_mesh(spec: CylinderSpec, n_axial: int, n_azimuthal: int,
+                        wl: Wavelength, polarization: str = "axial") -> Aperture:
     """Segment the cylinder wall into n_axial x n_azimuthal flat patches:
     one strip of n_azimuthal points."""
     if n_axial < 2:
@@ -298,12 +258,12 @@ def build_cylinder_mesh(spec: CylinderSpec, n_axial: int, n_azimuthal: int) -> S
     # exact arc area so the patch areas tile the wall
     area = spec.radius_a * dphi * (spec.length_L / n_axial)
     strip = Strip(np.stack([spec.radius_a * cosp, spec.radius_a * sinp, zero]),
-                  np.stack([-sinp, cosp, zero]), area)
-    return SurfaceMesh([strip], spec.length_L, n_axial)
+                  np.stack([-sinp, cosp, zero]), area, _patch_resistance_scale(area, wl))
+    return Aperture([strip], _axial_grid(spec.length_L, n_axial), polarization)
 
 
 def build_rect_corridor_mesh(spec: RectCorridorSpec, patch_target: float,
-                             wl: Wavelength) -> SurfaceMesh:
+                             wl: Wavelength, polarization: str = "axial") -> Aperture:
     """Mesh the four walls of a rectangular corridor with square-ish patches:
     one strip per wall.
 
@@ -333,5 +293,6 @@ def build_rect_corridor_mesh(spec: RectCorridorSpec, patch_target: float,
         tc = (np.arange(nt) + 0.5) * dt - 0.5 * extent
         positions = np.multiply.outer(tphi, tc)
         positions += origin[:, None]
-        strips.append(Strip(positions, tphi[:, None], dt * dz))
-    return SurfaceMesh(strips, spec.length_L, nz)
+        area = dt * dz
+        strips.append(Strip(positions, tphi[:, None], area, _patch_resistance_scale(area, wl)))
+    return Aperture(strips, _axial_grid(spec.length_L, nz), polarization)

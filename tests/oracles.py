@@ -11,8 +11,11 @@
 - The co/cross-polarized level ratio, with its input checks.
 - The one-template CSV writer that ``nearfocus.csvio.write_csv`` must
   match byte for byte.
-- Flat mesh builders, which make every patch row at full length, that
-  the rows of ``nearfocus.geometry.SurfaceMesh`` must match bit for bit.
+- Flat aperture builders, which make every row at full length, that the
+  rows of ``nearfocus.geometry.Aperture`` must match bit for bit: patch
+  meshes as arrays, and dipole rings and the single element as
+  ``FlatSources``, which also carries sources of arbitrary orientation
+  into ``nearfocus.fields``.
 """
 
 import math
@@ -227,7 +230,60 @@ def template_write_csv(path, columns) -> None:
             f.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
-# ------------------------------------------------------------ flat meshes
+# --------------------------------------------------------- flat apertures
+
+class FlatSources:
+    """Dipoles as full-length (N, 3) position and unit-orientation arrays and
+    one dipole length, with the row methods nearfocus.fields reads."""
+
+    def __init__(self, xyz, orientations, length):
+        self.xyz = np.asarray(xyz, dtype=float)
+        self.orientations = np.asarray(orientations, dtype=float)
+        self.length = float(length)
+        if self.xyz.ndim != 2 or self.xyz.shape[1] != 3:
+            raise ValueError("positions must be (N, 3)")
+        if self.orientations.shape != self.xyz.shape:
+            raise ValueError("orientations shape must match positions")
+        norms = np.linalg.norm(self.orientations, axis=1)
+        if np.max(np.abs(norms - 1.0)) > 1e-12:
+            raise ValueError("all orientations must be unit vectors")
+
+    def __len__(self):
+        return self.xyz.shape[0]
+
+    def positions(self, a, b):
+        return np.ascontiguousarray(self.xyz[a:b].T)
+
+    def moments(self, a, b):
+        return np.multiply(self.orientations[a:b].T, self.length, order="C")
+
+
+def flat_ring_array(spec, wl, polarization, dipole_length=None):
+    """build_ring_array's dipoles, ring-major, every row at full length."""
+    half_lam = 0.5 * wl.lam
+    per_ring = int(math.ceil(2.0 * math.pi * spec.radius_a / half_lam))
+    rings = int(math.floor(spec.length_L / half_lam)) + 1
+    z_planes = (np.arange(rings) - 0.5 * (rings - 1)) * half_lam
+    phi = 2.0 * math.pi * np.arange(per_ring) / per_ring
+    cosp, sinp = np.cos(phi), np.sin(phi)
+    positions = np.empty((rings * per_ring, 3))
+    positions[:, 0] = np.tile(spec.radius_a * cosp, rings)
+    positions[:, 1] = np.tile(spec.radius_a * sinp, rings)
+    positions[:, 2] = np.repeat(z_planes, per_ring)
+    if polarization == "axial":
+        orientations = np.tile(np.array([0.0, 0.0, 1.0]), (rings * per_ring, 1))
+    else:
+        tangent = np.stack([-sinp, cosp, np.zeros(per_ring)], axis=1)
+        orientations = np.tile(tangent, (rings, 1))
+    return FlatSources(positions, orientations,
+                       wl.lam / 100.0 if dipole_length is None else dipole_length)
+
+
+def flat_single_element(radius, polarization, length):
+    """The CLI's one-element aperture: a dipole at (radius, 0, 0) along z
+    (axial) or y (azimuthal)."""
+    orientation = [0.0, 0.0, 1.0] if polarization == "axial" else [0.0, 1.0, 0.0]
+    return FlatSources([[radius, 0.0, 0.0]], [orientation], length)
 
 def flat_cylinder_mesh(spec, n_axial, n_azimuthal):
     """Centroids (N, 3), areas (N,) and perimeter tangents (N, 3) of

@@ -161,8 +161,8 @@ def test_02_drive_regimes():
     water-level solution from flat clipping through a plateau to the
     channel-proportional taper."""
     t0 = time.perf_counter()
-    mesh = build_cylinder_mesh(BASELINE, 200, 36)
-    h = assemble_channel(mesh, np.zeros(3), Z_HAT, WL, mesh_current="z")
+    mesh = build_cylinder_mesh(BASELINE, 200, 36, WL)
+    h = assemble_channel(mesh, np.zeros(3), Z_HAT, WL)
     w_tr, _ = tr_weights(h, PowerConstraints(1.0e9, 1.0, 50.0))
     a_tr = np.abs(w_tr.w)
     failures, shown = [], []
@@ -412,7 +412,7 @@ def _cylinder_mesh(radius, length, patch):
     """A cylinder wall meshed with patches no larger than patch on a side."""
     spec = CylinderSpec(radius_a=radius, length_L=length)
     return build_cylinder_mesh(spec, int(np.ceil(length / patch)),
-                               int(np.ceil(2.0 * math.pi * radius / patch)))
+                               int(np.ceil(2.0 * math.pi * radius / patch)), WL)
 
 
 def test_08_rectangle_bounded_by_cylinders():
@@ -436,7 +436,7 @@ def test_08_rectangle_bounded_by_cylinders():
     for focus in foci:
         amps = []
         for mesh in (mesh_in, mesh_rect, mesh_out):
-            h = assemble_channel(mesh, focus, Z_HAT, WL, mesh_current="z")
+            h = assemble_channel(mesh, focus, Z_HAT, WL)
             _, rep = cp_weights(h, PC_CP)
             amps.append(abs(rep.E_focus))
         e_in, e_rect, e_out = amps
@@ -459,9 +459,8 @@ def test_09_frequency_invariant_taper():
         layout = build_ring_array(BASELINE, wl, polarization="axial")
         h = assemble_channel(layout, np.zeros(3), Z_HAT, wl)
         w, _ = tr_weights(h, PowerConstraints(1.0e9, 1.0, 50.0))
-        amps = np.abs(w.w).reshape(layout.rings, layout.per_ring)[:, 0]
-        z = layout.positions[:, 2].reshape(layout.rings, layout.per_ring)[:, 0]
-        return z, amps / amps.max()
+        amps = np.abs(w.w).reshape(layout.z.size, -1)[:, 0]
+        return layout.z, amps / amps.max()
 
     z1, p1 = ring_profile(1.0e9)
     z6, p6 = ring_profile(6.0e9)
@@ -576,7 +575,7 @@ def test_12_full_scale_rectangle_bounded_by_cylinders():
     failures, cp, tr, sizes = [], [], [], []
     for name, build in builds:
         mesh = build()
-        h = assemble_channel(mesh, np.zeros(3), Z_HAT, WL, mesh_current="z")
+        h = assemble_channel(mesh, np.zeros(3), Z_HAT, WL)
         w, rep = cp_weights(h, PC_CP)
         if rep.active_constraint != "local":
             failures.append(f"{name}: CP solve is {w.regime}/{rep.active_constraint},"
@@ -630,3 +629,60 @@ def test_13_resolution_by_drive(baseline_array):
             f"longitudinal/transverse CP {cp_l:.4f}/{cp_t:.4f} wl (ratio"
             f" {cp_l / cp_t:.4f}, stretch {stretch:.4f}), TR {tr_l:.4f}/{tr_t:.4f} wl"
             f" (ratio {tr_l / tr_t:.4f})")
+
+
+def test_14_clipped_ports_invariant_across_frequency():
+    """Under the hybrid drive, where the clipped ports sit on the 10 m x 1 m
+    ring, in coordinates normalized by the aperture, does not change with
+    frequency.
+
+    At 1, 3 and 6 GHz, each polarization focuses at the origin on its
+    co-polarized component (z for axial elements, x for azimuthal ones)
+    with a 1 W budget and the cap at the geometric mean of the hybrid band:
+    the uniform amplitude that spends the budget and the largest TR
+    amplitude.  Each port's |z|/L is its ring plane's offset.  The clipped
+    fraction and the largest clipped |z|/L of every frequency are compared
+    with those at 1 GHz.  Ring planes are lambda/2 apart, a pitch of
+    p = lambda/(2L) in |z|/L, 0.015 at 1 GHz and less above, so the
+    largest clipped ring lies within one 1 GHz pitch of the clipped
+    region's edge at every frequency.  On each side of the focal plane the
+    clipped band can gain or lose one ring, and there are more than 1/p
+    rings, so the fraction can move by 2p.  The difference between the
+    polarizations is printed and not asserted.
+    """
+    pitch = 0.5 * LAM / BASELINE.length_L
+    pc = PowerConstraints(1.0e9, 1.0, 50.0)
+    failures, shown, by_polarization = [], [], []
+    for polarization, e_hat in (("axial", Z_HAT), ("azimuthal", X_HAT)):
+        seen = []
+        by_polarization.append(seen)
+        for frequency in (1.0e9, 3.0e9, 6.0e9):
+            wl = Wavelength.from_frequency(frequency)
+            ring = build_ring_array(BASELINE, wl, polarization)
+            h = assemble_channel(ring, np.zeros(3), e_hat, wl)
+            low = np.abs(cp_weights(h, pc)[0].w).max()
+            high = np.abs(tr_weights(h, pc)[0].w).max()
+            cap = math.sqrt(low * high)
+            w, _ = hybrid_weights(h, PowerConstraints(cap, 1.0, 50.0))
+            clipped = np.abs(w.w) >= cap * (1.0 - 1e-12)
+            z_rel = np.repeat(np.abs(ring.z) / BASELINE.length_L, len(ring.strips[0]))
+            fraction, edge = float(clipped.mean()), float(z_rel[clipped].max())
+            seen.append((fraction, edge))
+            if w.regime != "hybrid":
+                failures.append(f"{polarization} {frequency / 1e9:g} GHz: regime {w.regime}")
+        (f1, e1), rest = seen[0], seen[1:]
+        for frequency, (fraction, edge) in zip((3.0, 6.0), rest):
+            if abs(fraction - f1) > 2.0 * pitch:
+                failures.append(f"{polarization} {frequency:g} GHz: clipped fraction"
+                                f" {fraction:.4f} not {f1:.4f} +- {2.0 * pitch:.4f}")
+            if abs(edge - e1) > pitch:
+                failures.append(f"{polarization} {frequency:g} GHz: largest clipped |z|/L"
+                                f" {edge:.4f} not {e1:.4f} +- {pitch:.4f}")
+        shown.append(f"{polarization} fraction "
+                     + "/".join(f"{f:.3f}" for f, _ in seen) + ", |z|/L "
+                     + "/".join(f"{e:.3f}" for _, e in seen))
+    difference = "/".join(f"{az[0] - ax[0]:+.3f} and {az[1] - ax[1]:+.3f}"
+                          for ax, az in zip(*by_polarization))
+    _report(14, "clipped ports invariant across frequency", failures,
+            f"at 1/3/6 GHz: {'; '.join(shown)}; tolerance {2.0 * pitch:.3f}/{pitch:.3f};"
+            f" azimuthal minus axial fraction and |z|/L {difference}")

@@ -166,6 +166,28 @@ class TestRun:
         assert cp["power_residual_rel"] is None
         assert cp["total_power_w"] < 1.0
 
+    @pytest.mark.parametrize("entries", [
+        dict(element_polarization="azimuthal", target_polarization="x", method="hybrid"),
+        dict(kernel="dipole-approx", method="hybrid", cut_axis="y"),
+        dict(MESH, source_kind="magnetic", element_polarization="azimuthal", grid="plane",
+             plane_half_span_a_m=0.02, plane_half_span_b_m=0.02),
+        dict(CORRIDOR, radius_m=None, method="hybrid", power_budget_w=1000.0,
+             cut_half_span_m=0.01),
+        dict(aperture="single", focus_x_m=0.5, kernel="dipole-approx"),
+    ], ids=["azimuthal-ring", "dipole-approx-ring", "magnetic-mesh-plane",
+            "full-corridor", "single-dipole-approx"])
+    def test_manifest_focus_gap(self, tmp_path, capsys, entries):
+        # the solver's predicted focal field and the evaluated one come from
+        # the same kernel, so they differ by rounding only
+        out = tmp_path / "out"
+        code, _ = run_cli(capsys, "run", "--scenario", scenario(tmp_path, **entries),
+                          "--out", str(out))
+        assert code == 0
+        gap = json.loads((out / "manifest.json").read_text())["solver"]["focus_gap_rel"]
+        assert 0.0 <= gap <= 1e-12
+        for name in ("weights.json", "metrics.json"):
+            assert "focus_gap_rel" not in (out / name).read_text()
+
     def test_regimes_flat_plateau_taper(self, tmp_path, capsys):
         amplitudes = {}
         regimes = {}
@@ -565,6 +587,22 @@ class TestLayoutSubcommand:
         assert lines[0] == "x,y,z,px,py,pz,length_m"
         assert len(lines) == 1 + 42 * 67
 
+    @pytest.mark.parametrize("aperture", ["discrete", "single"])
+    def test_azimuthal_layout_directions(self, tmp_path, capsys, aperture):
+        # each dipole's direction is its ring tangent: a unit vector across
+        # the axis and normal to the radius
+        scn = scenario(tmp_path, aperture=aperture, element_polarization="azimuthal")
+        out = tmp_path / "out"
+        code, _ = run_cli(capsys, "layout", "--scenario", scn, "--out", str(out))
+        assert code == 0
+        data = np.atleast_2d(np.loadtxt(out / "layout.csv", delimiter=",", skiprows=1))
+        xyz, p, length = data[:, :3], data[:, 3:6], data[:, 6]
+        assert len(data) == (42 * 67 if aperture == "discrete" else 1)
+        assert np.allclose(np.linalg.norm(p, axis=1), 1.0, atol=1e-15)
+        assert np.all(p[:, 2] == 0.0)
+        assert np.max(np.abs(np.einsum("ij,ij->i", p[:, :2], xyz[:, :2]))) < 1e-15
+        assert np.allclose(length, LAM / 100.0, rtol=1e-15, atol=0.0)
+
     def test_mesh_layout_tiles_the_wall(self, tmp_path, capsys):
         scn = scenario(tmp_path, **{k: v for k, v in MESH.items() if k != "method"})
         out = tmp_path / "out"
@@ -779,3 +817,24 @@ class TestEnvironment:
             capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert (out / "manifest.json").exists()
+
+
+class TestTools:
+    def test_artifact_digest_same_across_threads(self, tmp_path):
+        # the same-bytes checker, run on the baseline layout and a
+        # single-element run at one and two threads
+        tool = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
+        layout, single = scenario(tmp_path), scenario(tmp_path, "single.json",
+                                                      aperture="single", focus_x_m=0.5)
+        proc = subprocess.run(
+            [sys.executable, str(tool), "--call", "layout", layout, "--call", "run", single,
+             "--threads", "1", "2"], capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        for subcommand, path, artifacts in (
+                ("layout", layout, {"layout.csv"}),
+                ("run", single, {"weights.csv", "weights.json", "cut.csv", "metrics.json"})):
+            one, two = (runs[f"call/{subcommand}/{path}/threads{t}"] for t in (1, 2))
+            assert one["exit"] == two["exit"] == 0
+            assert set(one["sha256"]) == artifacts
+            assert one["sha256"] == two["sha256"]

@@ -25,16 +25,24 @@ from nearfocus.fields import (
 )
 from nearfocus.geometry import (
     FREE_SPACE_IMPEDANCE,
-    ArrayLayout,
     CylinderSpec,
     Wavelength,
     build_cylinder_mesh,
     build_ring_array,
 )
 
+from oracles import FlatSources, flat_ring_array
+
 WL = Wavelength.from_frequency(1.0e9)
 LAM = WL.lam
 FOUR_PI = 4.0 * math.pi
+# a mesh's current direction by the name of its tangent
+POLARIZATION = {"z": "axial", "phi": "azimuthal"}
+
+
+def row(sources, i):
+    """Position and unit-drive moment of source i."""
+    return sources.positions(i, i + 1)[:, 0], sources.moments(i, i + 1)[:, 0]
 
 
 def scalar_wave(r, r_src, k):
@@ -150,8 +158,7 @@ def test_magnetic_on_axis_null():
 
 def single_element(orientation=(0.0, 0.0, 1.0), position=(0.0, 0.0, 0.0)):
     """One dipole of length wavelength/100, at the origin along z by default."""
-    return ArrayLayout(np.array([position]), np.array([orientation]), rings=1,
-                       per_ring=1, spacing_d=0.5 * LAM, length_l=LAM / 100.0)
+    return FlatSources([position], [orientation], LAM / 100.0)
 
 
 def one_element_field(el, r, kernel="dipole-approx"):
@@ -166,7 +173,7 @@ def test_dipole_axis_null_and_broadside_magnitude():
     assert np.max(np.abs(on_axis)) == 0.0
     r = 2.0 * LAM
     broadside = one_element_field(el, [r, 0.0, 0.0])
-    re = FREE_SPACE_IMPEDANCE * el.length_l * WL.k / FOUR_PI
+    re = FREE_SPACE_IMPEDANCE * el.length * WL.k / FOUR_PI
     assert np.linalg.norm(broadside) == pytest.approx(re / r, rel=1e-12)
 
 
@@ -191,10 +198,10 @@ def test_dipole_approx_vs_full_kernel_at_2lam():
     # amplitude agreement away from the dipole axis, where the
     # approximate pattern is not passing through its null
     el = single_element()
-    moment = el.orientations[0] * el.length_l
+    position, moment = row(el, 0)
     for theta in np.radians([45, 60, 90, 120, 135]):
         obs = 2.0 * LAM * np.array([math.sin(theta), 0.0, math.cos(theta)])
-        full = green_electric(obs, el.positions[0], WL) @ moment
+        full = green_electric(obs, position, WL) @ moment
         approx = one_element_field(el, obs)
         dev = abs(np.linalg.norm(full) - np.linalg.norm(approx)) / np.linalg.norm(full)
         assert dev < 0.02
@@ -202,11 +209,11 @@ def test_dipole_approx_vs_full_kernel_at_2lam():
 
 def test_dipole_approx_vs_full_kernel_beyond_1lam():
     el = single_element()
-    moment = el.orientations[0] * el.length_l
+    position, moment = row(el, 0)
     for dist in (1.0, 1.5, 3.0, 10.0):
         for theta in np.radians([45, 70, 90, 110, 135]):
             obs = dist * LAM * np.array([math.sin(theta), 0.0, math.cos(theta)])
-            full = green_electric(obs, el.positions[0], WL) @ moment
+            full = green_electric(obs, position, WL) @ moment
             approx = one_element_field(el, obs)
             dev = abs(np.linalg.norm(full) - np.linalg.norm(approx)) / np.linalg.norm(full)
             assert dev < 0.05
@@ -223,19 +230,22 @@ def test_channel_single_element_consistency():
     z_hat = np.array([0.0, 0.0, 1.0])
     ch = ChannelVector(g=project(field[None, :], z_hat), resistance_scale=np.ones(1))
     assert ch.g[0] == field[2]
-    # the CLI's one-element channel (tensor times moment) is the same kernel
-    full = one_element_field(el, focal, kernel="full")
-    ref = green_electric(focal, el.positions[0], WL) @ (el.orientations[0] * el.length_l)
-    assert np.max(np.abs(full - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # the CLI's one-element channel (tensor times moment) is the same kernel,
+    # full or radiating
+    position, moment = row(el, 0)
+    for kernel in ("full", "dipole-approx"):
+        evaluated = one_element_field(el, focal, kernel=kernel)
+        ref = green_electric(focal, position, WL, kernel) @ moment
+        assert np.max(np.abs(evaluated - ref)) <= 1e-15 * np.max(np.abs(ref))
     assert len(layout_like) >= 42
 
 
 def test_channel_ring_symmetry_on_axis():
     layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.16), WL, "axial")
-    assert layout.rings == 2
+    assert layout.z.size == 2
     ch = assemble_channel(layout, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL)
     g = ch.g
-    ring = g[:layout.per_ring]
+    ring = g[:len(layout.strips[0])]
     assert np.max(np.abs(ring - ring[0])) < 1e-12 * abs(ring[0])
 
 
@@ -244,13 +254,13 @@ def test_channel_ring_cosphi_weighting():
     layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.16), WL, "axial")
     ch = assemble_channel(layout, np.zeros(3), np.array([1.0, 0.0, 0.0]), WL,
                           kernel="dipole-approx")
-    ring = np.abs(ch.g[:layout.per_ring])
-    a, z0 = 1.0, 0.5 * layout.spacing_d
+    n = len(layout.strips[0])
+    ring = np.abs(ch.g[:n])
+    a, z0 = 1.0, 0.25 * LAM
     r = math.hypot(a, z0)
-    re = FREE_SPACE_IMPEDANCE * layout.length_l * WL.k / FOUR_PI
+    re = FREE_SPACE_IMPEDANCE * layout.strips[0].size * WL.k / FOUR_PI
     amp = re / r * (z0 * a / r**2)
     integral, _ = si.quad(lambda p: amp * abs(math.cos(p)), 0.0, 2.0 * math.pi)
-    n = layout.per_ring
     assert np.sum(ring) == pytest.approx(n / (2.0 * math.pi) * integral, rel=5e-3)
 
 
@@ -270,18 +280,18 @@ def test_channel_standoff_and_region_checks():
                          source_kind="magnetic")
 
 
-@pytest.mark.parametrize("source_kind, mesh_current", [
+@pytest.mark.parametrize("source_kind, current", [
     ("electric", "z"), ("electric", "phi"), ("magnetic", "phi"), ("magnetic", "z"),
 ])
-def test_channel_matches_projected_tensors(source_kind, mesh_current):
+def test_channel_matches_projected_tensors(source_kind, current):
     # the kernel's in-place projection against the 3x3 tensor of each
     # source times its moment, projected afterwards
-    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 16, 24)
+    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 16, 24, WL,
+                               POLARIZATION[current])
     focal = np.array([0.1, -0.2, 0.3])
     e_hat = np.array([0.48, -0.6, 0.64])
-    g = assemble_channel(mesh, focal, e_hat, WL, source_kind=source_kind,
-                         mesh_current=mesh_current).g
-    pos, moments = fields._source_columns(mesh, mesh_current)(0, len(mesh))
+    g = assemble_channel(mesh, focal, e_hat, WL, source_kind=source_kind).g
+    pos, moments = mesh.positions(0, len(mesh)), mesh.moments(0, len(mesh))
     green = green_electric if source_kind == "electric" else green_magnetic
     ref = np.array([project((green(focal, s, WL) @ m)[None, :], e_hat)[0]
                     for s, m in zip(pos.T, moments.T)])
@@ -289,10 +299,16 @@ def test_channel_matches_projected_tensors(source_kind, mesh_current):
 
 
 def test_channel_mesh_resistance_scale():
-    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=10.0), 50, 12)
+    spec = CylinderSpec(radius_a=1.0, length_L=10.0)
+    mesh = build_cylinder_mesh(spec, 50, 12, WL)
     ch = assemble_channel(mesh, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL)
-    a_ref = (0.5 * LAM) ** 2
-    assert np.allclose(ch.resistance_scale, mesh.areas(0, len(mesh)) / a_ref, rtol=1e-12)
+    area = 2.0 * math.pi * spec.radius_a * spec.length_L / (50 * 12)
+    assert np.allclose(ch.resistance_scale, area / (0.5 * LAM) ** 2, rtol=1e-12)
+    assert ch.resistance_scale.shape == (len(mesh),)
+    # dipole ports take the base resistance
+    ring = build_ring_array(spec, WL, "axial")
+    ch = assemble_channel(ring, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL)
+    assert np.array_equal(ch.resistance_scale, np.ones(len(ring)))
 
 
 # ------------------------------------------------------------- field maps
@@ -320,8 +336,8 @@ def test_single_source_matches_kernel():
     w[17] = 2.0 - 1.0j
     pt = np.array([[0.0, 0.1, 0.3]])
     fm = evaluate_field(layout, w, pt, WL, kernel="full")
-    moment = layout.orientations[17] * layout.length_l
-    ref = w[17] * (green_electric(pt[0], layout.positions[17], WL) @ moment)
+    position, moment = row(layout, 17)
+    ref = w[17] * (green_electric(pt[0], position, WL) @ moment)
     assert np.max(np.abs(fm.E[0] - ref)) < 1e-15 * np.max(np.abs(ref))
 
 
@@ -381,18 +397,19 @@ def test_full_vs_approx_kernel_on_interior_points():
 def test_standoff_flags_and_errors():
     layout = small_layout()
     w = np.ones(len(layout), dtype=complex)
-    inward = -layout.positions[0] / np.linalg.norm(layout.positions[0][:2])
+    p0 = row(layout, 0)[0]
+    inward = -p0 / np.linalg.norm(p0[:2])
     inward[2] = 0.0
-    close = (layout.positions[0] + 0.26 * LAM * inward)[None, :]
+    close = (p0 + 0.26 * LAM * inward)[None, :]
     fm = evaluate_field(layout, w, close, WL, kernel="full")
     assert not fm.near_singular[0]
-    closer = (layout.positions[0] + 0.2 * LAM * inward)[None, :]
+    closer = (p0 + 0.2 * LAM * inward)[None, :]
     fm2 = evaluate_field(layout, w, closer, WL, kernel="full")
     assert fm2.near_singular[0]
     with pytest.raises(ValueError):
         evaluate_field(layout, w, closer, WL, kernel="dipole-approx")
     with pytest.raises(ValueError):
-        evaluate_field(layout, w, layout.positions[:1], WL, kernel="full")
+        evaluate_field(layout, w, p0[None, :], WL, kernel="full")
 
 
 def test_determinism_and_thread_equivalence():
@@ -440,9 +457,9 @@ def test_workers_capped_at_usable_cpus(monkeypatch):
     assert np.array_equal(E, ref)
 
 
-def brute_force_field(sources, w, grid, source_kind, mesh_current="z"):
+def brute_force_field(sources, w, grid, source_kind):
     """Per-point, per-source sum of the 3x3 tensors, in index order."""
-    pos, moments = fields._source_columns(sources, mesh_current)(0, len(sources))
+    pos, moments = sources.positions(0, len(sources)), sources.moments(0, len(sources))
     green = green_electric if source_kind == "electric" else green_magnetic
     return np.array([sum(wn * (green(p, s, WL) @ m)
                          for wn, s, m in zip(w, pos.T, moments.T))
@@ -454,25 +471,25 @@ def test_chunk_invariance_across_threads(monkeypatch, source_kind):
     if source_kind == "electric":
         sources = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.5), WL, "axial")
     else:
-        sources = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 8, 12)
-    mesh_current = "phi"
+        sources = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 8, 12, WL,
+                                      "azimuthal")
     n = len(sources)
-    pos = fields._source_columns(sources, mesh_current)(0, n)[0].T
+    pos = sources.positions(0, n).T
     rng = np.random.default_rng(11)
     w = rng.normal(size=n) + 1j * rng.normal(size=n)
     # a line from 0.1 wavelength inside the wall at source 0 across the
     # axis: its first points are inside the quarter-wavelength standoff
     start = pos[0] * (1.0 - 0.1 * LAM / np.linalg.norm(pos[0]))
     grid = start + np.linspace(0.0, 1.0, 64)[:, None] * (np.array([0.0, 0.0, 0.1]) - start)
-    ref = brute_force_field(sources, w, grid, source_kind, mesh_current)
+    ref = brute_force_field(sources, w, grid, source_kind)
     # units of 20 points and every source, then of 3 points and a third of them
     for budget, block in ((20 * n, n), (n, n // 3)):
         monkeypatch.setattr(fields, "_CHUNK_BUDGET", budget)
         monkeypatch.setattr(fields, "_SOURCE_BLOCK", block)
         units, _ = fields._units(len(grid), n)
         assert units[0] == (slice(0, budget // block), slice(0, block))
-        maps = [evaluate_field(sources, w, grid, WL, source_kind=source_kind,
-                               mesh_current=mesh_current, threads=t) for t in (1, 2, 3)]
+        maps = [evaluate_field(sources, w, grid, WL, source_kind=source_kind, threads=t)
+                for t in (1, 2, 3)]
         for fm in maps[1:]:
             assert np.array_equal(fm.E, maps[0].E)
             assert np.array_equal(fm.near_singular, maps[0].near_singular)
@@ -483,19 +500,20 @@ def test_chunk_invariance_across_threads(monkeypatch, source_kind):
 def test_accuracy_far_from_origin():
     direction = np.array([-0.48, 0.6, 0.64])
     el = single_element(orientation=(0.6, 0.0, 0.8), position=(60.0, 0.0, 0.0))
-    obs = el.positions[0] + 0.26 * LAM * direction
-    ref = green_electric(obs, el.positions[0], WL) @ (el.orientations[0] * el.length_l)
+    position, moment = row(el, 0)
+    obs = position + 0.26 * LAM * direction
+    ref = green_electric(obs, position, WL) @ moment
     E = one_element_field(el, obs, kernel="full")
     assert np.max(np.abs(E - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def longdouble_field(sources, w, grid, kernel, source_kind, mesh_current):
+def longdouble_field(sources, w, grid, kernel, source_kind):
     """Every (point, source) dyadic term written out in long double and
     summed over sources: E = A m + C (m.r_hat) r_hat for electric
     currents, E = C r_hat x m for magnetic ones."""
     ld = np.longdouble
-    pos, moments = fields._source_columns(sources, mesh_current)(0, len(sources))
-    pos, m = np.asarray(pos.T, ld), np.asarray(moments.T, ld)
+    n = len(sources)
+    pos, m = np.asarray(sources.positions(0, n).T, ld), np.asarray(sources.moments(0, n).T, ld)
     d = np.asarray(grid, ld)[:, None, :] - pos[None]
     R = np.sqrt(np.sum(d * d, axis=-1))
     r_hat = d / R[..., None]
@@ -514,7 +532,7 @@ def longdouble_field(sources, w, grid, kernel, source_kind, mesh_current):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is no wider than double on this platform")
-@pytest.mark.parametrize("aperture, kernel, source_kind, mesh_current", [
+@pytest.mark.parametrize("aperture, kernel, source_kind, current", [
     ("ring", "full", "electric", "z"),
     ("ring", "dipole-approx", "electric", "z"),
     ("mesh", "full", "electric", "z"),
@@ -524,12 +542,12 @@ def longdouble_field(sources, w, grid, kernel, source_kind, mesh_current):
     ("oblique_ring", "full", "electric", "z"),
     ("mesh", "full", "magnetic", "z"),
 ])
-def test_fused_kernel_accuracy_against_long_double(aperture, kernel, source_kind,
-                                                   mesh_current):
+def test_fused_kernel_accuracy_against_long_double(aperture, kernel, source_kind, current):
     # random-phase drives, so no coherent focus hides the rounding; a cut
     # through the aperture plus scattered interior points.  The rings cover
     # one (axial), two (azimuthal) and three (oblique: random unit
-    # orientations) nonzero moment components.  Measured on x86-64 (80-bit
+    # orientations) nonzero moment components; a mesh's current runs along
+    # its z or phi tangent.  Measured on x86-64 (80-bit
     # long double): 1.4e-15 to 2.0e-15 of the peak field, at most 2.7e-15
     # over five drive seeds.
     spec = CylinderSpec(radius_a=1.0, length_L=1.0)
@@ -538,13 +556,12 @@ def test_fused_kernel_accuracy_against_long_double(aperture, kernel, source_kind
     elif aperture == "azimuthal_ring":
         sources = build_ring_array(spec, WL, "azimuthal")
     elif aperture == "oblique_ring":
-        ring = build_ring_array(spec, WL, "axial")
+        ring = flat_ring_array(spec, WL, "axial")
         o = np.random.default_rng(4).normal(size=(len(ring), 3))
-        sources = ArrayLayout(ring.positions, o / np.linalg.norm(o, axis=1)[:, None],
-                              rings=ring.rings, per_ring=ring.per_ring,
-                              spacing_d=ring.spacing_d, length_l=ring.length_l)
+        sources = FlatSources(ring.xyz, o / np.linalg.norm(o, axis=1)[:, None], ring.length)
     else:
-        sources = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 16, 24)
+        sources = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 16, 24, WL,
+                                      POLARIZATION[current])
     rng = np.random.default_rng(3)
     n = len(sources)
     w = np.exp(2j * np.pi * rng.random(n)) * (0.5 + rng.random(n))
@@ -552,31 +569,32 @@ def test_fused_kernel_accuracy_against_long_double(aperture, kernel, source_kind
     grid = np.vstack([np.stack([cut, np.zeros(25), 2.0 * cut / 3.0], axis=1),
                       rng.uniform(-0.6, 0.6, (15, 3)) * [1.0, 1.0, 0.6]])
     E = evaluate_field(sources, w, grid, WL, kernel=kernel, source_kind=source_kind,
-                       mesh_current=mesh_current, threads=2).E
-    ref = longdouble_field(sources, w, grid, kernel, source_kind, mesh_current)
+                       threads=2).E
+    ref = longdouble_field(sources, w, grid, kernel, source_kind)
     assert np.max(np.abs(E - ref)) <= 5e-15 * np.max(np.abs(ref))
 
 
 def test_coincident_point_raises_before_dividing():
     layout = small_layout()
     w = np.ones(len(layout), dtype=complex)
-    grid = np.vstack([np.zeros(3), layout.positions[5]])
+    p5 = row(layout, 5)[0]
+    grid = np.vstack([np.zeros(3), p5])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for kernel in ("full", "dipole-approx"):
             with pytest.raises(ValueError, match="coincides"):
                 evaluate_field(layout, w, grid, WL, kernel=kernel)
         with pytest.raises(ValueError, match="coincides"):
-            green_electric(layout.positions[5], layout.positions[5], WL)
+            green_electric(p5, p5, WL)
         with pytest.raises(ValueError, match="coincides"):
-            green_magnetic(layout.positions[5], layout.positions[5], WL)
+            green_magnetic(p5, p5, WL)
 
 
 def test_magnetic_source_field_antisymmetry_use():
-    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 8, 12)
+    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=2.0), 8, 12, WL,
+                               "azimuthal")
     w = np.ones(len(mesh), dtype=complex)
-    fm = evaluate_field(mesh, w, np.array([[0.0, 0.0, 0.0]]), WL,
-                        source_kind="magnetic", mesh_current="phi")
+    fm = evaluate_field(mesh, w, np.array([[0.0, 0.0, 0.0]]), WL, source_kind="magnetic")
     assert np.all(np.isfinite(fm.E))
     # phi-directed magnetic ring current through the origin drives E mostly
     # along z by symmetry
@@ -588,10 +606,10 @@ def test_mesh_refinement_convergence():
     e_hat = np.array([0.0, 0.0, 1.0])
     vals = []
     for (na, nph) in [(100, 18), (200, 36)]:
-        mesh = build_cylinder_mesh(spec, na, nph)
+        mesh = build_cylinder_mesh(spec, na, nph, WL)
         ch = assemble_channel(mesh, np.zeros(3), e_hat, WL)
         g = ch.g
         w = np.conj(g) / np.abs(g)  # unit-amplitude phase conjugation
         # focal field per unit total drive area keeps refinements comparable
-        vals.append(abs(np.sum(w * g)) / mesh.total_area())
+        vals.append(abs(np.sum(w * g)) / (len(mesh) * mesh.strips[0].size))
     assert abs(vals[1] - vals[0]) / vals[1] < 0.005

@@ -1,4 +1,4 @@
-"""Layout and mesh construction: counts, symmetry, areas, exports."""
+"""Ring, mesh and single-element apertures: counts, symmetry, areas, rows, exports."""
 
 import math
 import tracemalloc
@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nearfocus import csvio
+from nearfocus import cli, csvio
 from nearfocus.geometry import (
     AXIAL,
     SPEED_OF_LIGHT,
-    ArrayLayout,
+    Aperture,
     CylinderSpec,
     RectCorridorSpec,
     Strip,
@@ -20,11 +20,38 @@ from nearfocus.geometry import (
     build_ring_array,
 )
 
-from oracles import flat_cylinder_mesh, flat_rect_corridor_mesh
+from oracles import (
+    flat_cylinder_mesh,
+    flat_rect_corridor_mesh,
+    flat_ring_array,
+    flat_single_element,
+)
 
 WL_1GHZ = Wavelength.from_frequency(1.0e9)
 WL_6GHZ = Wavelength.from_frequency(6.0e9)
 CYL = CylinderSpec(radius_a=1.0, length_L=10.0)
+
+
+def all_positions(aperture):
+    """Every element position, (N, 3)."""
+    return aperture.positions(0, len(aperture)).T
+
+
+def all_moments(aperture):
+    """Every element's unit-drive moment, (N, 3)."""
+    return aperture.moments(0, len(aperture)).T
+
+
+def tangent_rows(aperture, a, b):
+    return aperture.rows(a, b, [s.tangents for s in aperture.strips])
+
+
+def size_rows(aperture, a, b):
+    return aperture.rows(a, b, [np.array([[s.size]]) for s in aperture.strips])[0]
+
+
+def total_size(aperture):
+    return aperture.z.size * sum(len(s) * s.size for s in aperture.strips)
 
 
 def test_wavelength_fields():
@@ -53,63 +80,69 @@ def test_ring_counts_1ghz():
     # a=1 m circumference fits 42 half-wavelength arcs; 10 m length
     # fits 67 ring planes at half-wavelength pitch
     layout = build_ring_array(CYL, WL_1GHZ, "axial")
-    assert layout.per_ring == 42
-    assert layout.rings == 67
+    assert len(layout.strips) == 1
+    assert len(layout.strips[0]) == 42
+    assert layout.z.size == 67
     assert len(layout) == 42 * 67
 
 
 def test_ring_counts_6ghz():
     layout = build_ring_array(CYL, WL_6GHZ, "axial")
-    assert layout.per_ring == 252
-    assert layout.rings == 401
+    assert len(layout.strips[0]) == 252
+    assert layout.z.size == 401
 
 
 def test_ring_spacing_below_half_wavelength():
     layout = build_ring_array(CYL, WL_1GHZ, "axial")
-    arc = 2.0 * math.pi * 1.0 / layout.per_ring
+    arc = 2.0 * math.pi * 1.0 / len(layout.strips[0])
     assert arc <= 0.5 * WL_1GHZ.lam + 1e-12
-    zs = np.unique(layout.positions[:, 2])
+    zs = np.unique(all_positions(layout)[:, 2])
     assert np.allclose(np.diff(zs), 0.5 * WL_1GHZ.lam, atol=1e-12)
 
 
 def test_ring_stack_centered_with_middle_plane():
     layout = build_ring_array(CYL, WL_1GHZ, "axial")
-    zs = np.unique(layout.positions[:, 2])
-    assert layout.rings % 2 == 1
+    zs = np.unique(all_positions(layout)[:, 2])
+    assert layout.z.size % 2 == 1
     assert np.min(np.abs(zs)) < 1e-12          # a ring plane sits at z=0
     assert abs(zs[0] + zs[-1]) < 1e-12         # stack centered
 
 
 def test_ring_z_reflection_symmetry():
     layout = build_ring_array(CYL, WL_1GHZ, "axial")
-    flipped = layout.positions.copy()
+    positions = all_positions(layout)
+    flipped = positions.copy()
     flipped[:, 2] *= -1.0
-    a = np.array(sorted(map(tuple, np.round(layout.positions, 12))))
+    a = np.array(sorted(map(tuple, np.round(positions, 12))))
     b = np.array(sorted(map(tuple, np.round(flipped, 12))))
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_ring_rotation_symmetry():
     layout = build_ring_array(CYL, WL_1GHZ, "axial")
-    ang = 2.0 * math.pi / layout.per_ring
+    ang = 2.0 * math.pi / len(layout.strips[0])
     c, s = math.cos(ang), math.sin(ang)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    rotated = layout.positions @ rot.T
-    a = np.array(sorted(map(tuple, np.round(layout.positions, 9))))
+    positions = all_positions(layout)
+    rotated = positions @ rot.T
+    a = np.array(sorted(map(tuple, np.round(positions, 9))))
     b = np.array(sorted(map(tuple, np.round(rotated, 9))))
     assert np.allclose(a, b, atol=1e-9)
 
 
 def test_ring_polarizations():
     ax = build_ring_array(CYL, WL_1GHZ, "axial")
-    assert np.allclose(ax.orientations, [0.0, 0.0, 1.0])
+    length = WL_1GHZ.lam / 100.0
+    assert np.allclose(all_moments(ax) / length, [0.0, 0.0, 1.0])
     az = build_ring_array(CYL, WL_1GHZ, "azimuthal")
     # azimuthal orientation is perpendicular to the radial direction and to z
-    radial = az.positions.copy()
+    orientations = all_moments(az) / length
+    assert np.allclose(np.linalg.norm(orientations, axis=1), 1.0)
+    radial = all_positions(az).copy()
     radial[:, 2] = 0.0
     radial /= np.linalg.norm(radial, axis=1)[:, None]
-    assert np.max(np.abs(np.einsum("ij,ij->i", az.orientations, radial))) < 1e-12
-    assert np.max(np.abs(az.orientations[:, 2])) == 0.0
+    assert np.max(np.abs(np.einsum("ij,ij->i", orientations, radial))) < 1e-12
+    assert np.max(np.abs(orientations[:, 2])) == 0.0
     with pytest.raises(ValueError):
         build_ring_array(CYL, WL_1GHZ, "diagonal")
 
@@ -122,46 +155,55 @@ def test_ring_radius_floor():
     # exactly at the floor is allowed and still yields a closed ring
     layout = build_ring_array(CylinderSpec(radius_a=0.25 * lam, length_L=1.0),
                               WL_1GHZ, "axial")
-    assert layout.per_ring >= 3
+    assert len(layout.strips[0]) >= 3
 
 
 def test_layout_invariants_enforced():
+    strip = Strip(np.zeros((3, 2)), np.array([[1.0], [0.0], [0.0]]), 0.01, 1.0)
+    with pytest.raises(ValueError):  # zero tangents
+        Strip(np.zeros((3, 2)), np.zeros((3, 2)), 0.01, 1.0)
+    with pytest.raises(ValueError):  # tangents not of unit length
+        Strip(np.zeros((3, 2)), np.array([[1.0, 0.6], [0.0, 0.6], [0.0, 0.0]]), 0.01, 1.0)
+    with pytest.raises(ValueError):  # no axial offsets
+        Aperture([strip], [], "axial")
+    with pytest.raises(ValueError):  # offsets not a 1-D grid
+        Aperture([strip], [[0.0, 1.0]], "axial")
     with pytest.raises(ValueError):
-        ArrayLayout(np.zeros((4, 3)), np.zeros((4, 3)), rings=2, per_ring=2,
-                    spacing_d=0.1, length_l=0.01)  # zero orientations
+        Aperture([], [0.0], "axial")
     with pytest.raises(ValueError):
-        ArrayLayout(np.zeros((4, 3)), np.tile([0.0, 0.0, 1.0], (4, 1)), rings=3,
-                    per_ring=2, spacing_d=0.1, length_l=0.01)  # count mismatch
+        Aperture([strip], [0.0], "diagonal")
 
 
 # ------------------------------------------------------------------ meshes
 
 def test_cylinder_mesh_baseline_counts_and_area():
-    mesh = build_cylinder_mesh(CYL, 2000, 360)
+    mesh = build_cylinder_mesh(CYL, 2000, 360, WL_1GHZ)
     assert len(mesh) == 720000
-    assert mesh.total_area() == pytest.approx(20.0 * math.pi, rel=1e-9)
+    assert total_size(mesh) == pytest.approx(20.0 * math.pi, rel=1e-9)
 
 
 def test_cylinder_mesh_small():
-    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 2, 3)
+    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 2, 3, WL_1GHZ)
     assert len(mesh) == 6
-    areas = mesh.areas(0, 6)
-    assert np.array_equal(mesh.moments(0, 6, "z"), AXIAL[:, None] * areas)
+    areas = size_rows(mesh, 0, 6)
+    assert np.array_equal(mesh.moments(0, 6), AXIAL[:, None] * areas)
     # perimeter tangents are orthogonal to the axial one
-    assert np.all(mesh.tangents_phi(0, 6)[2] == 0.0)
+    assert np.all(tangent_rows(mesh, 0, 6)[2] == 0.0)
 
 
 def test_cylinder_mesh_preconditions():
     with pytest.raises(ValueError):
-        build_cylinder_mesh(CYL, 1, 10)
+        build_cylinder_mesh(CYL, 1, 10, WL_1GHZ)
     with pytest.raises(ValueError):
-        build_cylinder_mesh(CYL, 10, 2)
+        build_cylinder_mesh(CYL, 10, 2, WL_1GHZ)
+    with pytest.raises(ValueError):
+        build_cylinder_mesh(CYL, 10, 10, WL_1GHZ, "diagonal")
 
 
 def test_rect_mesh_area_and_radii():
     spec = RectCorridorSpec(width_La=2.0, height_Lb=2.0, length_L=10.0)
     mesh = build_rect_corridor_mesh(spec, 0.05, WL_1GHZ)
-    assert mesh.total_area() == pytest.approx(80.0, rel=1e-9)
+    assert total_size(mesh) == pytest.approx(80.0, rel=1e-9)
     assert spec.inscribed_radius() == 1.0
     assert spec.circumscribed_radius() == pytest.approx(math.sqrt(2.0), rel=1e-15)
     rect = RectCorridorSpec(width_La=4.0, height_Lb=3.0, length_L=10.0)
@@ -180,8 +222,8 @@ def test_rect_mesh_patch_cap():
 def test_rect_mesh_walls_lie_on_boundary():
     spec = RectCorridorSpec(width_La=4.0, height_Lb=2.0, length_L=6.0)
     mesh = build_rect_corridor_mesh(spec, 0.07, WL_1GHZ)
-    centroids = mesh.positions(0, len(mesh)).T
-    tangents_phi = mesh.tangents_phi(0, len(mesh)).T
+    centroids = all_positions(mesh)
+    tangents_phi = tangent_rows(mesh, 0, len(mesh)).T
     on_x = np.abs(np.abs(centroids[:, 0]) - 2.0) < 1e-12
     on_y = np.abs(np.abs(centroids[:, 1]) - 1.0) < 1e-12
     assert np.all(on_x | on_y)
@@ -193,67 +235,87 @@ def test_rect_mesh_walls_lie_on_boundary():
 
 def test_mesh_patch_views_validate():
     with pytest.raises(ValueError):
-        Strip(np.zeros((3, 2)), np.array([[1.0], [0.0], [0.0]]), -1.0)
+        Strip(np.zeros((3, 2)), np.array([[1.0], [0.0], [0.0]]), -1.0, 1.0)
+    with pytest.raises(ValueError):
+        Strip(np.zeros((3, 2)), np.array([[1.0], [0.0], [0.0]]), 1.0, 0.0)
     with pytest.raises(ValueError):  # perimeter tangent along the axis
-        Strip(np.zeros((3, 2)), np.array([[0.0], [0.0], [1.0]]), 1.0)
+        Strip(np.zeros((3, 2)), np.array([[0.0], [0.0], [1.0]]), 1.0, 1.0)
     with pytest.raises(ValueError):  # rows, not columns
-        Strip(np.zeros((2, 3)), np.array([[1.0], [0.0], [0.0]]), 1.0)
+        Strip(np.zeros((2, 3)), np.array([[1.0], [0.0], [0.0]]), 1.0, 1.0)
 
 
 def test_mesh_orthogonality_check_holds_one_temporary():
-    # the check's one (M,) float temporary over a strip's points: 8 B per
-    # point, where two took 16
+    # the unit-length and orthogonality checks hold one (M,) float temporary
+    # at a time over a strip's points: 8 B per point, where two took 16
     n = 200_000
     tangents_phi = np.zeros((3, n))
     tangents_phi[0] = 1.0
     positions = np.zeros((3, n))
     tracemalloc.start()
     try:
-        Strip(positions, tangents_phi, 1.0)
+        Strip(positions, tangents_phi, 1.0, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 9 * n
 
 
-def rows_bytes(mesh, a, b):
-    """Every row quantity of [a, b) as rows, for bitwise comparison."""
-    return [mesh.positions(a, b).T.tobytes(), mesh.tangents_phi(a, b).T.tobytes(),
-            mesh.areas(a, b).tobytes(), mesh.moments(a, b, "z").T.tobytes(),
-            mesh.moments(a, b, "phi").T.tobytes()]
-
-
-@pytest.mark.parametrize("kind", ["cylinder", "rectangle"])
-def test_mesh_rows_match_flat_builders(kind):
-    # the flat builders make every row at full length; the strip rows of
-    # any slice must be the same bits
-    if kind == "cylinder":
-        spec = CylinderSpec(radius_a=1.3, length_L=2.7)
-        mesh = build_cylinder_mesh(spec, 9, 7)
-        centroids, areas, tangents_phi = flat_cylinder_mesh(spec, 9, 7)
-    else:
-        spec = RectCorridorSpec(width_La=1.1, height_Lb=0.7, length_L=1.9)
-        mesh = build_rect_corridor_mesh(spec, 0.07, WL_1GHZ)
-        centroids, areas, tangents_phi = flat_rect_corridor_mesh(spec, 0.07)
-    n = len(mesh)
-    assert n == centroids.shape[0]
-    moments_z = np.multiply(np.broadcast_to(AXIAL, (n, 3)), areas[:, None])
-    flat = [centroids, tangents_phi, areas, moments_z, tangents_phi * areas[:, None]]
-    m = len(mesh.strips[0])
-    wall = m * mesh.nz
+def row_slices(aperture):
+    """Slices of every kind: whole, single rows, across z-rows and across strips."""
+    n, m = len(aperture), len(aperture.strips[0])
+    wall = m * aperture.z.size
     slices = [(0, n), (0, 1), (n - 1, n), (3, m - 2), (m - 2, m + 3), (5, 3 * m + 4),
               (m, 4 * m), (wall - m - 2, min(wall + 2, n)), (wall - 3, n - 1),
               (2 * m + 1, 2 * m + 2)]
     rng = np.random.default_rng(5)
     slices += [tuple(sorted(rng.choice(n + 1, 2, replace=False))) for _ in range(20)]
-    for a, b in slices:
-        expected = [x[a:b].tobytes() for x in flat]
-        assert rows_bytes(mesh, a, b) == expected, (a, b)
-    # exact bounds, as the min and max over every row
-    lo, hi = mesh.bounds()
-    assert np.array_equal(lo, centroids.min(axis=0))
-    assert np.array_equal(hi, centroids.max(axis=0))
-    assert mesh.total_area() == pytest.approx(areas.sum(), rel=1e-13)
+    return [(a, b) for a, b in slices if 0 <= a <= b <= n]
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "rectangle", "ring", "single"])
+def test_mesh_rows_match_flat_builders(kind):
+    # the flat builders make every row at full length; the rows of any
+    # slice must be the same bits, for either current direction
+    for polarization in ("axial", "azimuthal"):
+        if kind == "cylinder":
+            spec = CylinderSpec(radius_a=1.3, length_L=2.7)
+            aperture = build_cylinder_mesh(spec, 9, 7, WL_1GHZ, polarization)
+            flat = flat_cylinder_mesh(spec, 9, 7)
+        elif kind == "rectangle":
+            spec = RectCorridorSpec(width_La=1.1, height_Lb=0.7, length_L=1.9)
+            aperture = build_rect_corridor_mesh(spec, 0.07, WL_1GHZ, polarization)
+            flat = flat_rect_corridor_mesh(spec, 0.07)
+        elif kind == "ring":
+            spec = CylinderSpec(radius_a=0.4, length_L=1.3)
+            aperture = build_ring_array(spec, WL_1GHZ, polarization)
+            flat = flat_ring_array(spec, WL_1GHZ, polarization)
+        else:
+            aperture = cli._single_layout(dict(radius_m=1.0, dipole_length_m=0.003,
+                                               element_polarization=polarization))
+            flat = flat_single_element(1.0, polarization, 0.003)
+        n = len(aperture)
+        if kind in ("cylinder", "rectangle"):
+            centroids, areas, tangents_phi = flat
+            direction = (np.broadcast_to(AXIAL, (n, 3)) if polarization == "axial"
+                         else tangents_phi)
+            rows = {"positions": centroids, "tangents": tangents_phi, "sizes": areas,
+                    "moments": np.multiply(direction, areas[:, None])}
+        else:
+            centroids = flat.xyz
+            rows = {"positions": centroids, "moments": flat.moments(0, n).T}
+        assert n == centroids.shape[0]
+        for a, b in row_slices(aperture):
+            made = {"positions": aperture.positions(a, b).T,
+                    "tangents": tangent_rows(aperture, a, b).T,
+                    "sizes": size_rows(aperture, a, b), "moments": aperture.moments(a, b).T}
+            for name, full in rows.items():
+                assert made[name].tobytes() == full[a:b].tobytes(), (polarization, name, a, b)
+        # exact bounds, as the min and max over every row
+        lo, hi = aperture.bounds()
+        assert np.array_equal(lo, centroids.min(axis=0))
+        assert np.array_equal(hi, centroids.max(axis=0))
+        if kind in ("cylinder", "rectangle"):
+            assert total_size(aperture) == pytest.approx(areas.sum(), rel=1e-13)
 
 
 def test_full_corridor_mesh_holds_no_full_length_array():
@@ -278,23 +340,24 @@ def xyz_columns(prefix, vectors):
 
 def test_layout_csv_roundtrip(tmp_path):
     layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.4), WL_1GHZ, "axial")
+    n = len(layout)
     path = tmp_path / "layout.csv"
-    columns = {**xyz_columns("", layout.positions), **xyz_columns("p", layout.orientations),
-               "length": np.broadcast_to(layout.length_l, len(layout))}
+    columns = {**xyz_columns("", all_positions(layout)), **xyz_columns("m", all_moments(layout)),
+               "length": size_rows(layout, 0, n)}
     csvio.write_csv(path, columns)
     lines = path.read_text().splitlines()
-    assert len(lines) == 1 + len(layout)
+    assert len(lines) == 1 + n
     first = [float(v) for v in lines[1].split(",")]
-    assert first[:3] == pytest.approx(list(layout.positions[0]), abs=1e-15)
+    assert first[:3] == pytest.approx(list(all_positions(layout)[0]), abs=1e-15)
 
 
 def test_mesh_csv_roundtrip(tmp_path):
-    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 2, 4)
+    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 2, 4, WL_1GHZ)
     n = len(mesh)
     path = tmp_path / "mesh.csv"
-    columns = {**xyz_columns("", mesh.positions(0, n).T),
-               **xyz_columns("tphi_", mesh.tangents_phi(0, n).T),
-               **xyz_columns("tz_", np.broadcast_to(AXIAL, (n, 3))), "area": mesh.areas(0, n)}
+    columns = {**xyz_columns("", all_positions(mesh)),
+               **xyz_columns("tphi_", tangent_rows(mesh, 0, n).T),
+               **xyz_columns("tz_", np.broadcast_to(AXIAL, (n, 3))), "area": size_rows(mesh, 0, n)}
     csvio.write_csv(path, columns)
     lines = path.read_text().splitlines()
     assert len(lines) == 9
@@ -320,9 +383,9 @@ def test_csv_format_determinism(tmp_path):
 
 
 def test_csv_blocks_do_not_change_bytes(tmp_path, monkeypatch):
-    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 3, 5)
+    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 3, 5, WL_1GHZ)
     n = len(mesh)
-    areas = mesh.areas(0, n)
+    areas = size_rows(mesh, 0, n)
     w = np.exp(1j * np.linspace(-3.0, 3.0, n)) * areas
     columns = {**xyz_columns("tz_", np.broadcast_to(AXIAL, (n, 3))), "area": areas,
                "phase": csvio.angle(w)}
