@@ -2,8 +2,10 @@
 
 A scenario is one flat JSON document whose keys carry their units
 (radius_m, frequency_hz, amplitude_cap_a); nothing is inferred from
-bare numbers; _SCHEMA holds each key's kind (for an enumerated key, its
-allowed values) and default.  Subcommands: run (weights, fields,
+bare numbers.  The scenario rules are data: _SCHEMA holds each key's
+kind (for an enumerated key, its allowed values), its default and the
+settings under which it applies, and _NEEDS the rules that link two
+keys.  The subcommands are the rows of _COMMANDS: run (weights, fields,
 metrics), validate (numeric against a named closed-form reference),
 analytic (closed-form curve only), layout (geometry only).  One scenario
 per process.
@@ -38,7 +40,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,7 @@ from .geometry import (
     build_rect_corridor_mesh,
     build_ring_array,
 )
-from .metrics import contour_3db, cut_metrics, metrics_flat_dict
+from .metrics import contour_3db, cut_metrics, main_lobe, metrics_flat_dict
 
 __all__ = ["main", "load_scenario", "ScenarioError"]
 
@@ -134,57 +135,71 @@ def _invalid(message: str) -> ScenarioError:
 # ---------------------------------------------------------------------------
 # scenario schema
 
-# key -> (kind, default): kind is "pos", "nonneg", "num", "count" or, for
-# an enumerated key, the tuple of its allowed values; AUTO defaults are
-# resolved against the wavelength
-AUTO = object()
+# settings under which a cylinder mesh's grid counts have a meaning
+_CYLINDER_MESH = {"aperture": ("mesh",), "geometry": ("cylinder",)}
+
+# key -> (kind, default, applies).  kind is "pos", "nonneg", "num", "count"
+# or, for an enumerated key, the tuple of its allowed values.  default is
+# a constant, None (the key must be given wherever it applies) or a
+# function of the scenario and its Wavelength, which may read the keys
+# above it.  applies maps settings (keys above it) to the values under
+# which the key has a meaning; elsewhere it must be absent, and resolves
+# to None.
 _SCHEMA = {
-    "geometry": (("cylinder", "rectangle"), None),           # required
-    "radius_m": ("pos", None),                               # cylinder
-    "length_m": ("pos", None),                               # required
-    "width_m": ("pos", None),                                # rectangle
-    "height_m": ("pos", None),                               # rectangle
-    "frequency_hz": ("pos", None),                           # required
-    "source_kind": (("electric", "magnetic"), "electric"),
-    "element_polarization": (("axial", "azimuthal"), "axial"),
-    "aperture": (("discrete", "mesh", "single"), "discrete"),
-    "dipole_length_m": ("pos", AUTO),                        # discrete/single
-    "mesh_axial_n": ("count", AUTO),                         # cylinder mesh
-    "mesh_azimuthal_n": ("count", AUTO),                     # cylinder mesh
-    "patch_target_m": ("pos", AUTO),                         # rectangle mesh
-    "focus_x_m": ("num", 0.0),
-    "focus_y_m": ("num", 0.0),
-    "focus_z_m": ("num", 0.0),
-    "target_polarization": (("x", "y", "z"), "z"),
-    "method": (("cp", "tr", "hybrid"), "cp"),
-    "amplitude_cap_a": ("pos", 0.02),
-    "power_budget_w": ("pos", 1.0),
-    "port_resistance_ohm": ("pos", 50.0),
-    "kernel": (("full", "dipole-approx"), "full"),
-    "grid": (("cut", "plane"), "cut"),
-    "cut_axis": (("x", "y", "z"), "x"),
-    "cut_half_span_m": ("pos", AUTO),
-    "cut_step_m": ("pos", AUTO),
-    "plane_axes": (("xy", "xz", "yz"), "yz"),
-    "plane_half_span_a_m": ("pos", AUTO),
-    "plane_half_span_b_m": ("pos", AUTO),
-    "plane_step_m": ("pos", AUTO),
-    "analytic_reference": (("none",) + tuple(_REFERENCES), "none"),
-    "tolerance_rel": ("nonneg", 0.02),
+    "geometry": (("cylinder", "rectangle"), None, {}),
+    "radius_m": ("pos", None, {"geometry": ("cylinder",)}),
+    "length_m": ("pos", None, {}),
+    "width_m": ("pos", None, {"geometry": ("rectangle",)}),
+    "height_m": ("pos", None, {"geometry": ("rectangle",)}),
+    "frequency_hz": ("pos", None, {}),
+    "source_kind": (("electric", "magnetic"), "electric", {}),
+    "element_polarization": (("axial", "azimuthal"), "axial", {}),
+    "aperture": (("discrete", "mesh", "single"), "discrete", {}),
+    "dipole_length_m": ("pos", lambda s, wl: wl.lam / 100.0,
+                        {"aperture": ("discrete", "single")}),
+    "mesh_axial_n": ("count", lambda s, wl: max(2, math.ceil(s["length_m"] / (0.5 * wl.lam))),
+                     _CYLINDER_MESH),
+    "mesh_azimuthal_n": ("count", lambda s, wl: max(3, math.ceil(
+        2.0 * math.pi * s["radius_m"] / (0.5 * wl.lam))), _CYLINDER_MESH),
+    "patch_target_m": ("pos", lambda s, wl: 0.25 * wl.lam, {"geometry": ("rectangle",)}),
+    "focus_x_m": ("num", 0.0, {}),
+    "focus_y_m": ("num", 0.0, {}),
+    "focus_z_m": ("num", 0.0, {}),
+    "target_polarization": (("x", "y", "z"), "z", {}),
+    "method": (("cp", "tr", "hybrid"), "cp", {}),
+    "amplitude_cap_a": ("pos", 0.02, {}),
+    "power_budget_w": ("pos", 1.0, {}),
+    "port_resistance_ohm": ("pos", 50.0, {}),
+    "kernel": (("full", "dipole-approx"), "full", {}),
+    "grid": (("cut", "plane"), "cut", {}),
+    "cut_axis": (("x", "y", "z"), "x", {}),
+    "cut_half_span_m": ("pos", lambda s, wl: 1.1 * wl.lam, {}),
+    "cut_step_m": ("pos", lambda s, wl: wl.lam / 64.0, {}),
+    "plane_axes": (("xy", "xz", "yz"), "yz", {}),
+    "plane_half_span_a_m": ("pos", lambda s, wl: 0.45 * wl.lam, {}),
+    "plane_half_span_b_m": ("pos", lambda s, wl: 0.45 * wl.lam, {}),
+    "plane_step_m": ("pos", lambda s, wl: wl.lam / 64.0, {}),
+    "analytic_reference": (("none",) + tuple(_REFERENCES), "none", {}),
+    "tolerance_rel": ("nonneg", 0.02, {}),
 }
 
-_REQUIRED = ("geometry", "length_m", "frequency_hz")
-
-# keys meaningful only under a particular setting: key -> (setting key, values)
-_CONDITIONAL = {
-    "radius_m": ("geometry", ("cylinder",)),
-    "width_m": ("geometry", ("rectangle",)),
-    "height_m": ("geometry", ("rectangle",)),
-    "dipole_length_m": ("aperture", ("discrete", "single")),
-    "mesh_axial_n": ("aperture", ("mesh",)),
-    "mesh_azimuthal_n": ("aperture", ("mesh",)),
-    "patch_target_m": ("geometry", ("rectangle",)),
+# rules that link keys: (key, value) -> what that setting requires of others
+_NEEDS = {
+    ("geometry", "rectangle"): {"aperture": ("mesh",)},
+    ("kernel", "dipole-approx"): {"source_kind": ("electric",)},
 }
+
+
+def _require(s: dict, required: dict, subject: str) -> None:
+    """Reject the scenario unless each key in required has one of its values."""
+    for key, allowed in required.items():
+        if s[key] not in allowed:
+            raise _invalid(f"{subject} requires {key} to be one of {list(allowed)}, "
+                           f"got {s[key]!r}")
+
+
+def _when(applies: dict) -> str:
+    return " and ".join(f"{k} is one of {list(allowed)}" for k, allowed in applies.items())
 
 
 def _check_value(key: str, kind: str | tuple, value):
@@ -227,65 +242,29 @@ def load_scenario(path) -> tuple[dict, list[str]]:
     unknown = sorted(set(raw) - set(_SCHEMA))
     if unknown:
         raise _invalid(f"unknown scenario keys: {unknown}")
-    missing = [k for k in _REQUIRED if k not in raw]
-    if missing:
-        raise _invalid(f"missing required scenario keys: {missing}")
 
     s: dict = {}
-    filled: list[str] = []
-    for key, (kind, default) in _SCHEMA.items():
-        if key in raw:
+    for key, (kind, default, applies) in _SCHEMA.items():
+        if not all(s[k] in allowed for k, allowed in applies.items()):
+            if key in raw:
+                raise _invalid(f"{key} applies only when {_when(applies)}")
+            s[key] = None
+        elif key in raw:
             s[key] = _check_value(key, kind, raw[key])
+        elif default is None:
+            raise _invalid(f"{key} is required" + (f" when {_when(applies)}" if applies else ""))
         else:
             s[key] = default
-            filled.append(key)
-
-    for key, (cond_key, allowed) in _CONDITIONAL.items():
-        applies = s[cond_key] in allowed
-        if key in raw and not applies:
-            raise _invalid(
-                f"{key} applies only when {cond_key} is one of {list(allowed)}")
-        if not applies:
-            s[key] = None
-
-    if s["geometry"] == "cylinder":
-        if s["radius_m"] is None:
-            raise _invalid("cylinder geometry requires radius_m")
-    else:
-        for key in ("width_m", "height_m"):
-            if s[key] is None:
-                raise _invalid("rectangle geometry requires width_m and height_m")
-        if s["width_m"] < s["height_m"]:
-            raise _invalid("width_m must be at least height_m")
-        if s["aperture"] != "mesh":
-            raise _invalid("rectangle geometry supports the mesh aperture only")
-        for key in ("mesh_axial_n", "mesh_azimuthal_n"):
-            if key in raw:
-                raise _invalid(f"{key} applies to cylinder meshes only; "
-                               "rectangle meshes take patch_target_m")
-            s[key] = None
-    if s["aperture"] == "single" and s["geometry"] != "cylinder":
-        raise _invalid("the single-element aperture requires cylinder geometry")
-    if s["kernel"] == "dipole-approx" and s["source_kind"] == "magnetic":
-        raise _invalid("the dipole approximation applies to electric sources only")
+    for (key, value), required in _NEEDS.items():
+        if s[key] == value:
+            _require(s, required, f"{key} {value}")
+    if s["geometry"] == "rectangle" and s["width_m"] < s["height_m"]:
+        raise _invalid("width_m must be at least height_m")
 
     wl = Wavelength.from_frequency(s["frequency_hz"])
-    half_lam = 0.5 * wl.lam
-    autos = {
-        "dipole_length_m": wl.lam / 100.0,
-        "mesh_axial_n": max(2, math.ceil(s["length_m"] / half_lam)),
-        "mesh_azimuthal_n": (max(3, math.ceil(2.0 * math.pi * s["radius_m"] / half_lam))
-                             if s["radius_m"] is not None else None),
-        "patch_target_m": 0.25 * wl.lam,
-        "cut_half_span_m": 1.1 * wl.lam,
-        "cut_step_m": wl.lam / 64.0,
-        "plane_half_span_a_m": 0.45 * wl.lam,
-        "plane_half_span_b_m": 0.45 * wl.lam,
-        "plane_step_m": wl.lam / 64.0,
-    }
-    for key, value in autos.items():
-        if s.get(key) is AUTO:
-            s[key] = value
+    for key, value in s.items():
+        if callable(value):
+            s[key] = value(s, wl)
 
     fx, fy, fz = s["focus_x_m"], s["focus_y_m"], s["focus_z_m"]
     if abs(fz) >= 0.5 * s["length_m"]:
@@ -302,15 +281,11 @@ def load_scenario(path) -> tuple[dict, list[str]]:
         if s[key] > step_cap * (1.0 + 1e-9):
             raise _invalid(f"{key} exceeds wavelength/16 = {step_cap}")
 
-    return s, sorted(filled)
+    return s, sorted(set(_SCHEMA) - set(raw))
 
 
 # ---------------------------------------------------------------------------
 # builders shared by the subcommands
-
-def _wavelength(s: dict) -> Wavelength:
-    return Wavelength.from_frequency(s["frequency_hz"])
-
 
 def _geometry_spec(s: dict):
     if s["geometry"] == "cylinder":
@@ -402,20 +377,10 @@ def _plane_grid(s: dict):
     return points, (ua.size, vb.size)
 
 
-@dataclass
-class _Threads:
-    """--threads as requested, and the most workers one evaluate_field
-    call ran: at most the usable CPUs, and 0 when no field was evaluated."""
-    requested: int
-    used: int = 0
-
-
 def _evaluate(s: dict, sources, weights, points: np.ndarray, wl: Wavelength,
-              threads: _Threads):
-    fm = evaluate_field(sources, weights, points, wl, kernel=s["kernel"],
-                        source_kind=s["source_kind"], threads=threads.requested)
-    threads.used = max(threads.used, fm.workers)
-    return fm
+              threads: int) -> FieldMap:
+    return evaluate_field(sources, weights, points, wl, kernel=s["kernel"],
+                          source_kind=s["source_kind"], threads=threads)
 
 
 def _peak_rss_mb():
@@ -464,9 +429,12 @@ def _curve(s: dict, outdir: Path, offsets: np.ndarray, wl: Wavelength) -> np.nda
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_run(s: dict, outdir: Path, wl: Wavelength,
-             threads: _Threads) -> tuple[list, int, dict]:
-    """The artifacts, exit code and solver diagnostics of a run."""
+# Each subcommand takes the resolved scenario, the output directory, the
+# wavelength and --threads, and returns its artifacts, its exit code and
+# its entries for the manifest, of which "report" goes to stdout instead.
+
+def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list, int, dict]:
+    """Weights, the field on the scenario's grid, and its metrics."""
     sources = _aperture(s, wl)
     # the channel is freed as soon as the weights are solved
     weights, report = _solve_weights(
@@ -527,7 +495,7 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength,
     # centre, is the focal point itself
     gap = abs(fm.component(s["target_polarization"])[len(fm) // 2] - report.E_focus)
     diagnostics["focus_gap_rel"] = gap / abs(report.E_focus) if report.E_focus else None
-    return artifacts, 0, diagnostics
+    return artifacts, 0, {"solver": diagnostics, "workers": fm.workers}
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
@@ -535,15 +503,6 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     if peak <= 0.0:
         raise ScenarioError("run-failed", "field cut is identically zero")
     return values / peak
-
-
-def _main_lobe_window(values: np.ndarray) -> tuple[int, int]:
-    i = int(np.argmax(values))
-    minima = [j for j in range(1, len(values) - 1)
-              if values[j] <= values[j - 1] and values[j] <= values[j + 1]]
-    lo = max((j for j in minima if j < i), default=0)
-    hi = min((j for j in minima if j > i), default=len(values) - 1)
-    return lo, hi
 
 
 def _metrics_or_none(offsets: np.ndarray, values: np.ndarray, lam: float):
@@ -585,17 +544,14 @@ def _reference(s: dict, subcommand: str) -> tuple:
                         focus_x_m=(0.0,), focus_y_m=(0.0,))
         if axis is not None:
             required["focus_z_m"] = (0.0,)
-    for key, allowed in required.items():
-        if s[key] not in allowed:
-            raise _invalid(f"analytic_reference {kind} requires {key} to be one of "
-                           f"{list(allowed)}, got {s[key]!r}")
+    _require(s, required, f"analytic_reference {kind}")
     return method, axis, component
 
 
 def _cmd_validate(s: dict, outdir: Path, wl: Wavelength,
-                  threads: _Threads) -> tuple[list, int, dict]:
-    """The artifacts, exit code and report of a comparison of the numeric
-    path with the scenario's closed-form reference."""
+                  threads: int) -> tuple[list, int, dict]:
+    """A comparison of the numeric path with the scenario's closed-form
+    reference; exit code 1 when it fails."""
     method, axis, component = _reference(s, "validate")
     sources = _aperture(s, wl)
     if axis is None:
@@ -610,7 +566,7 @@ def _cmd_validate(s: dict, outdir: Path, wl: Wavelength,
                      / getattr(analytic, f"ex_{method}_axis")(zf, spec))
         constant = getattr(analytic, f"{method.upper()}_FIELD_RATIO_LIMIT")
         deviation = float(abs(numeric / reference - 1.0))
-        artifacts = []
+        artifacts, entries = [], {}
         report = {
             "kind": "ratio",
             "definition": RESOLVED_CONVENTIONS[f"co_cross_ratio_{method}"],
@@ -629,11 +585,11 @@ def _cmd_validate(s: dict, outdir: Path, wl: Wavelength,
         numeric = np.abs(fm.component(component))
         ana = _curve(s, outdir, offsets, wl)
         num_n, ana_n = _normalized(numeric), _normalized(ana)
-        lo, hi = _main_lobe_window(num_n)
+        lo, hi = main_lobe(num_n)
         deviation = float(np.max(np.abs(num_n[lo:hi + 1] - ana_n[lo:hi + 1])))
         num_metrics = _metrics_or_none(offsets, numeric, wl.lam)
         ana_metrics = _metrics_or_none(offsets, ana, wl.lam)
-        artifacts = ["cut.csv", "curve.csv"]
+        artifacts, entries = ["cut.csv", "curve.csv"], {"workers": fm.workers}
         report = {
             "kind": "profile",
             "component": component,
@@ -653,16 +609,20 @@ def _cmd_validate(s: dict, outdir: Path, wl: Wavelength,
     report.update(reference=s["analytic_reference"], tolerance_rel=s["tolerance_rel"],
                   passed=passed)
     _write_json(outdir / "report.json", report)
-    return artifacts + ["report.json"], (0 if passed else 1), report
+    return artifacts + ["report.json"], (0 if passed else 1), dict(entries, report=report)
 
 
-def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
+def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength,
+                  threads: int) -> tuple[list, int, dict]:
+    """The closed-form curve of the scenario's profile reference."""
     _reference(s, "analytic")
     _curve(s, outdir, _cut_offsets(s), wl)
-    return ["curve.csv"], 0
+    return ["curve.csv"], 0, {}
 
 
-def _cmd_layout(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
+def _cmd_layout(s: dict, outdir: Path, wl: Wavelength,
+                threads: int) -> tuple[list, int, dict]:
+    """The aperture's element or patch table."""
     sources = _aperture(s, wl)
     strips, n = sources.strips, len(sources)
     # the only full-length copy of the rows, as (3, N) columns: positions,
@@ -678,7 +638,16 @@ def _cmd_layout(s: dict, outdir: Path, wl: Wavelength) -> tuple[list, int]:
         direction = axial if sources.polarization == "axial" else tangents
         columns.update({**_xyz("p", direction.T), "length_m": sizes})
     write_csv(outdir / "layout.csv", columns)
-    return ["layout.csv"], 0
+    return ["layout.csv"], 0, {}
+
+
+# subcommand -> (help, command)
+_COMMANDS = {
+    "run": ("compute weights and fields, write CSV/JSON artifacts", _cmd_run),
+    "validate": ("compare the numeric path against a closed-form reference", _cmd_validate),
+    "analytic": ("emit a closed-form curve only", _cmd_analytic),
+    "layout": ("emit the aperture geometry only", _cmd_layout),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +659,7 @@ def _parse_args(argv):
         description="Near-field focusing scenarios: weights, fields, metrics, "
                     "closed-form references.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, blurb in (
-        ("run", "compute weights and fields, write CSV/JSON artifacts"),
-        ("validate", "compare the numeric path against a closed-form reference"),
-        ("analytic", "emit a closed-form curve only"),
-        ("layout", "emit the aperture geometry only"),
-    ):
+    for name, (blurb, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--scenario", help="scenario JSON file "
                                           "(env NEARFOCUS_SCENARIO)")
@@ -735,21 +699,15 @@ def main(argv=None) -> int:
             raise ScenarioError("usage", "a scenario is required: pass --scenario "
                                          "or set NEARFOCUS_SCENARIO")
         outdir = Path(_setting(args.out, "NEARFOCUS_OUT", "nearfocus-out"))
-        threads = _Threads(_int_setting(args.threads, "NEARFOCUS_THREADS", 1, 1, "--threads"))
+        threads = _int_setting(args.threads, "NEARFOCUS_THREADS", 1, 1, "--threads")
 
         scenario, filled = load_scenario(scenario_path)
-        wl = _wavelength(scenario)
+        wl = Wavelength.from_frequency(scenario["frequency_hz"])
         outdir.mkdir(parents=True, exist_ok=True)
 
-        report = solver = None
-        if args.subcommand == "run":
-            artifacts, code, solver = _cmd_run(scenario, outdir, wl, threads)
-        elif args.subcommand == "validate":
-            artifacts, code, report = _cmd_validate(scenario, outdir, wl, threads)
-        elif args.subcommand == "analytic":
-            artifacts, code = _cmd_analytic(scenario, outdir, wl)
-        else:
-            artifacts, code = _cmd_layout(scenario, outdir, wl)
+        command = _COMMANDS[args.subcommand][1]
+        artifacts, code, entries = command(scenario, outdir, wl, threads)
+        report = entries.pop("report", None)
 
         manifest = {
             "tool": "nearfocus",
@@ -759,15 +717,16 @@ def main(argv=None) -> int:
             "scenario": scenario,
             "defaults_filled": filled,
             "derived": {"wavelength_m": wl.lam, "wavenumber_rad_per_m": wl.k},
-            "threads": threads.requested,
-            "workers": threads.used,
+            "threads": threads,
+            # the field workers that ran: at most the usable CPUs, and 0
+            # when no field was evaluated
+            "workers": 0,
             "resolved_conventions": RESOLVED_CONVENTIONS,
             "artifacts": sorted(artifacts + ["manifest.json"]),
             "wall_time_s": time.perf_counter() - started,
             "peak_rss_mb": _peak_rss_mb(),
+            **entries,
         }
-        if solver is not None:
-            manifest["solver"] = solver
         _write_json(outdir / "manifest.json", manifest)
 
         summary = {"status": "ok" if code == 0 else "failed",
@@ -787,7 +746,8 @@ def main(argv=None) -> int:
                          sort_keys=True))
         return 2
     except MemoryError as e:
-        # numpy refuses an array larger than the machine before touching memory
+        # geometry.build_* (from the element counts), or numpy, refuse a
+        # problem larger than the machine before touching memory
         print(json.dumps({"error": {"code": "out-of-memory", "message": str(e)}},
                          sort_keys=True))
         return 2

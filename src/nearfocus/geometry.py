@@ -14,6 +14,7 @@ it holds no array of length N.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,10 +194,18 @@ class Aperture:
         return self.rows(a, b, self._moments)
 
 
-def _ring_z_planes(length_L: float, half_lam: float) -> np.ndarray:
-    rings = int(math.floor(length_L / half_lam)) + 1
-    # centered stack; odd ring counts put a ring plane exactly at z=0
-    return (np.arange(rings) - 0.5 * (rings - 1)) * half_lam
+def _check_fits(n_sources: int) -> None:
+    """Refuse, before any array is built, an aperture whose channel alone
+    (16 B per source) exceeds the machine's physical memory.  Where the
+    system does not report it, the first array too large to allocate
+    fails instead."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 16 * n_sources > physical:
+        raise MemoryError(f"{n_sources} sources: their channel alone needs "
+                          f"{16 * n_sources} B, more than the {physical} B of physical memory")
 
 
 def build_ring_array(spec: CylinderSpec, wl: Wavelength,
@@ -218,6 +227,8 @@ def build_ring_array(spec: CylinderSpec, wl: Wavelength,
     per_ring = int(math.ceil(2.0 * math.pi * spec.radius_a / half_lam))
     if per_ring < 3:
         raise ValueError(f"degenerate ring with {per_ring} elements")
+    rings = int(math.floor(spec.length_L / half_lam)) + 1
+    _check_fits(per_ring * rings)
     phi = 2.0 * math.pi * np.arange(per_ring) / per_ring
     cosp, sinp = np.cos(phi), np.sin(phi)
     zero = np.zeros(per_ring)
@@ -225,7 +236,8 @@ def build_ring_array(spec: CylinderSpec, wl: Wavelength,
         dipole_length = wl.lam / 100.0
     strip = Strip(np.stack([spec.radius_a * cosp, spec.radius_a * sinp, zero]),
                   np.stack([-sinp, cosp, zero]), dipole_length, 1.0)
-    return Aperture([strip], _ring_z_planes(spec.length_L, half_lam), polarization)
+    # centered stack; odd ring counts put a ring plane exactly at z=0
+    return Aperture([strip], (np.arange(rings) - 0.5 * (rings - 1)) * half_lam, polarization)
 
 
 def _axial_grid(length_L: float, nz: int) -> np.ndarray:
@@ -251,6 +263,7 @@ def build_cylinder_mesh(spec: CylinderSpec, n_axial: int, n_azimuthal: int,
         raise ValueError("need at least 2 axial segments")
     if n_azimuthal < 3:
         raise ValueError("need at least 3 azimuthal segments")
+    _check_fits(n_axial * n_azimuthal)
     dphi = 2.0 * math.pi / n_azimuthal
     phi = (np.arange(n_azimuthal) + 0.5) * dphi
     cosp, sinp = np.cos(phi), np.sin(phi)
@@ -276,8 +289,6 @@ def build_rect_corridor_mesh(spec: RectCorridorSpec, patch_target: float,
         raise ValueError(
             f"patch_target {patch_target} m exceeds quarter wavelength {0.25 * wl.lam} m")
 
-    nz = max(2, int(math.ceil(spec.length_L / patch_target)))
-    dz = spec.length_L / nz
     # walls ordered +x, +y, -x, -y; perimeter tangent is counterclockwise
     # as seen from +z, playing the role of the cylinder's phi direction
     walls = [
@@ -286,9 +297,13 @@ def build_rect_corridor_mesh(spec: RectCorridorSpec, patch_target: float,
         (np.array([-0.5 * spec.width_La, 0.0, 0.0]), np.array([0.0, -1.0, 0.0]), spec.height_Lb),
         (np.array([0.0, -0.5 * spec.height_Lb, 0.0]), np.array([1.0, 0.0, 0.0]), spec.width_La),
     ]
+    nz = max(2, int(math.ceil(spec.length_L / patch_target)))
+    # patches across each wall
+    nts = [max(1, int(math.ceil(extent / patch_target))) for _, _, extent in walls]
+    _check_fits(nz * sum(nts))
+    dz = spec.length_L / nz
     strips = []
-    for origin, tphi, extent in walls:
-        nt = max(1, int(math.ceil(extent / patch_target)))
+    for (origin, tphi, extent), nt in zip(walls, nts):
         dt = extent / nt
         tc = (np.arange(nt) + 0.5) * dt - 0.5 * extent
         positions = np.multiply.outer(tphi, tc)

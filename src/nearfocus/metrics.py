@@ -22,6 +22,7 @@ from .fields import FieldMap
 __all__ = [
     "CutMetrics",
     "cut_metrics",
+    "main_lobe",
     "metrics_flat_dict",
     "contour_3db",
 ]
@@ -123,6 +124,15 @@ def _local_maxima(v: np.ndarray) -> list[int]:
     ]
 
 
+def main_lobe(values: np.ndarray) -> tuple[int, int]:
+    """Sample indices of the local minima that flank the largest sample, or
+    the ends of the cut on a side where no minimum flanks it."""
+    i = int(np.argmax(values))
+    minima = _local_minima(values)
+    return (max((j for j in minima if j < i), default=0),
+            min((j for j in minima if j > i), default=len(values) - 1))
+
+
 def cut_metrics(profile, wavelength_m: float) -> CutMetrics:
     """Extract peak, 3-dB width, first null, and sidelobe ratio from one cut."""
     if not wavelength_m > 0.0:
@@ -155,17 +165,13 @@ def cut_metrics(profile, wavelength_m: float) -> CutMetrics:
     right = _crossing(x, v, target, i, +1)
     width = (right - left) if (left is not None and right is not None) else None
 
-    minima = _local_minima(v)
-    null_candidates = [abs(x[j] - peak_offset) for j in minima if v[j] < NULL_FLOOR * peak_value]
+    null_candidates = [abs(x[j] - peak_offset) for j in _local_minima(v)
+                       if v[j] < NULL_FLOOR * peak_value]
     first_null = float(min(null_candidates)) if null_candidates else None
 
-    left_flank = max((j for j in minima if j < i), default=None)
-    right_flank = min((j for j in minima if j > i), default=None)
-    lobes = [
-        v[j] for j in _local_maxima(v)
-        if (left_flank is not None and j < left_flank)
-        or (right_flank is not None and j > right_flank)
-    ]
+    # no local maximum lies at either end, so the ends bound nothing
+    lo, hi = main_lobe(v)
+    lobes = [v[j] for j in _local_maxima(v) if j < lo or j > hi]
     sidelobe = float(max(lobes) / peak_value) if lobes else None
 
     return CutMetrics(

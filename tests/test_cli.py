@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import nearfocus
-from nearfocus import analytic
+from nearfocus import analytic, cli
 from nearfocus.cli import main as cli_main
 from nearfocus.geometry import SPEED_OF_LIGHT
 
@@ -340,6 +340,46 @@ class TestRun:
         assert json.loads((out / "weights.json").read_text())["n_sources"] == 1080
 
 
+class TestScaling:
+    # Doubling every length and halving the frequency scales lambda, every
+    # coordinate and every kR exactly (by powers of two), so the run must
+    # reproduce itself bit for bit: the same weights, coordinates doubled,
+    # and the fields of dipoles halved (k^2 / 4, length x 2) while those of
+    # patches stay (k^2 / 4, area x 4).  The defaults derived from the
+    # wavelength (spans, steps, dipole length, patch size, mesh counts)
+    # scale with it.
+    @pytest.mark.parametrize("entries, field_scale", [
+        (dict(method="hybrid", power_budget_w=10.0, cut_axis="z", focus_x_m=0.25,
+              focus_z_m=1.5), 0.5),
+        (dict(method="tr", element_polarization="azimuthal", target_polarization="x",
+              grid="plane", plane_axes="yz", plane_half_span_a_m=0.05,
+              plane_half_span_b_m=0.04, focus_y_m=-0.2), 0.5),
+        (dict(geometry="rectangle", radius_m=None, width_m=2.4, height_m=2.1, length_m=6.0,
+              aperture="mesh", method="cp", focus_x_m=0.3, focus_z_m=-1.0), 1.0),
+        (dict(aperture="mesh", source_kind="magnetic", element_polarization="azimuthal",
+              method="tr", cut_axis="y", focus_y_m=0.1), 1.0),
+    ], ids=["hybrid-ring-z-cut", "tr-azimuthal-ring-yz-plane", "cp-rectangle-mesh",
+            "tr-magnetic-azimuthal-cylinder-mesh"])
+    def test_power_of_two_scaling(self, tmp_path, capsys, entries, field_scale):
+        base = {k: v for k, v in dict(BASE, **entries).items() if v is not None}
+        scaled = {k: (2.0 * v if k.endswith("_m") else v) for k, v in base.items()}
+        scaled["frequency_hz"] = 0.5 * base["frequency_hz"]
+        outs = []
+        for name, content in (("base", base), ("scaled", scaled)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(content))
+            out = tmp_path / name
+            code, _ = run_cli(capsys, "run", "--scenario", str(path), "--out", str(out))
+            assert code == 0
+            outs.append(out)
+        assert (outs[0] / "weights.csv").read_bytes() == (outs[1] / "weights.csv").read_bytes()
+        grid = "fieldmap.csv" if base.get("grid") == "plane" else "cut.csv"
+        one, two = (np.loadtxt(out / grid, delimiter=",", skiprows=1) for out in outs)
+        # the field columns are the last six
+        np.testing.assert_array_equal(two[:, :-6], 2.0 * one[:, :-6])
+        np.testing.assert_array_equal(two[:, -6:], field_scale * one[:, -6:])
+
+
 class TestValidate:
     def test_ez_trans_baseline(self, tmp_path, capsys):
         scn = scenario(tmp_path, aperture="discrete", method="cp",
@@ -657,6 +697,49 @@ class TestErrors:
                                 "--out", str(tmp_path / "out"))
         assert code == 2
 
+    RECTANGLE = dict(geometry="rectangle", radius_m=None, width_m=4.0, height_m=3.0,
+                     aperture="mesh")
+
+    @pytest.mark.parametrize("entries, key", [
+        # a key given where it has no meaning
+        (dict(RECTANGLE, radius_m=1.0), "radius_m"),
+        (dict(width_m=4.0), "width_m"),
+        (dict(height_m=3.0), "height_m"),
+        (dict(aperture="mesh", dipole_length_m=0.01), "dipole_length_m"),
+        (dict(mesh_axial_n=60), "mesh_axial_n"),
+        (dict(mesh_azimuthal_n=18), "mesh_azimuthal_n"),
+        (dict(RECTANGLE, mesh_axial_n=60), "mesh_axial_n"),
+        (dict(RECTANGLE, mesh_azimuthal_n=18), "mesh_azimuthal_n"),
+        (dict(aperture="mesh", patch_target_m=0.05), "patch_target_m"),
+        # a key missing where it is required
+        (dict(geometry=None), "geometry"),
+        (dict(length_m=None), "length_m"),
+        (dict(frequency_hz=None), "frequency_hz"),
+        (dict(radius_m=None), "radius_m"),
+        (dict(RECTANGLE, width_m=None), "width_m"),
+        (dict(RECTANGLE, height_m=None), "height_m"),
+        # a setting that another one rules out
+        (dict(RECTANGLE, aperture="discrete"), "aperture"),
+        (dict(RECTANGLE, aperture="single"), "aperture"),
+        (dict(kernel="dipole-approx", source_kind="magnetic"), "source_kind"),
+        # the corridor is at least as wide as it is high
+        (dict(RECTANGLE, width_m=3.0, height_m=4.0), "width_m"),
+    ], ids=["radius-on-rectangle", "width-on-cylinder", "height-on-cylinder",
+            "dipole-length-on-mesh", "axial-n-on-rings", "azimuthal-n-on-rings",
+            "axial-n-on-rectangle", "azimuthal-n-on-rectangle", "patch-on-cylinder",
+            "no-geometry", "no-length", "no-frequency", "cylinder-no-radius",
+            "rectangle-no-width", "rectangle-no-height", "rectangle-rings",
+            "rectangle-single", "dipole-approx-magnetic", "width-below-height"])
+    def test_scenario_rule_rejected(self, tmp_path, capsys, entries, key):
+        # every scenario rule: exit 2 before any work, naming the key
+        out = tmp_path / "out"
+        code, payload = run_cli(capsys, "run", "--scenario",
+                                scenario(tmp_path, **entries), "--out", str(out))
+        assert code == 2
+        assert payload["error"]["code"] == "scenario-invalid"
+        assert key in payload["error"]["message"]
+        assert not out.exists()
+
     def test_rectangle_requires_mesh(self, tmp_path, capsys):
         path = tmp_path / "rect.json"
         path.write_text(json.dumps({
@@ -677,8 +760,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("subcommand", ["layout", "run"])
     def test_mesh_too_large_to_allocate(self, tmp_path, capsys, subcommand):
-        # 5.7e13 patches: numpy refuses the petabyte mesh arrays before
-        # touching any memory
+        # 5.7e13 patches: build_rect_corridor_mesh refuses the petabyte mesh
+        # from its counts before making any array
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(dict(CORRIDOR, patch_target_m=1e-5)))
         code, payload = run_cli(capsys, subcommand, "--scenario", str(path),
@@ -820,6 +903,17 @@ class TestEnvironment:
 
 
 class TestTools:
+    def test_readme_lists_every_scenario_key(self):
+        # the first column of README's scenario-key table
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | kind | default | applies when |\n|---|---|---|---|\n")[1]
+        keys = []
+        for line in table.splitlines():
+            if not line.startswith("|"):
+                break
+            keys.append(line.split("|")[1].strip().strip("`"))
+        assert keys == list(cli._SCHEMA)
+
     def test_artifact_digest_same_across_threads(self, tmp_path):
         # the same-bytes checker, run on the baseline layout and a
         # single-element run at one and two threads

@@ -25,9 +25,13 @@ from nearfocus.fields import (
 )
 from nearfocus.geometry import (
     FREE_SPACE_IMPEDANCE,
+    Aperture,
     CylinderSpec,
+    RectCorridorSpec,
+    Strip,
     Wavelength,
     build_cylinder_mesh,
+    build_rect_corridor_mesh,
     build_ring_array,
 )
 
@@ -321,6 +325,40 @@ def cp_phases(layout, focal, e_hat):
     ch = assemble_channel(layout, focal, e_hat, WL)
     g = ch.g
     return np.conj(g) / np.abs(g)
+
+
+def probe_dipole(point, e_hat):
+    """A unit-length, unit-drive dipole at point with moment e_hat, which is
+    z or a direction across the axis."""
+    axial = e_hat[2] == 1.0
+    strip = Strip(np.array([[point[0]], [point[1]], [0.0]]),
+                  np.array([[0.0], [1.0], [0.0]]) if axial else e_hat[:, None], 1.0, 1.0)
+    return Aperture([strip], [point[2]], "axial" if axial else "azimuthal")
+
+
+@pytest.mark.parametrize("aperture, polarization, axis", [
+    ("ring", "axial", "z"), ("ring", "axial", "x"), ("ring", "azimuthal", "z"),
+    ("ring", "azimuthal", "x"), ("corridor", "axial", "z"), ("corridor", "azimuthal", "x")])
+def test_reciprocity(aperture, polarization, axis):
+    # Lorentz reciprocity for electric currents: source n's field at the
+    # focus projected on e_hat, the channel (the kernel's projected branch),
+    # equals the field of a dipole e_hat at the focus evaluated at source n
+    # and dotted with its moment (the weighted-sum branch)
+    if aperture == "ring":
+        sources = build_ring_array(CylinderSpec(1.0, 10.0), WL, polarization)
+        focus = (0.3, -0.2, 1.0)
+    else:
+        # the full-scale corridor, 1,015,928 patches
+        sources = build_rect_corridor_mesh(RectCorridorSpec(12.0, 10.5, 126.0), 0.25 * LAM, WL,
+                                           polarization)
+        focus = (1.0, -0.5, 20.0)
+    n = len(sources)
+    e_hat = {"x": np.array([1.0, 0.0, 0.0]), "z": np.array([0.0, 0.0, 1.0])}[axis]
+    g = assemble_channel(sources, np.array(focus), e_hat, WL).g
+    field = evaluate_field(probe_dipole(focus, e_hat), np.ones(1),
+                           sources.positions(0, n).T, WL, threads=2).E
+    reciprocal = np.einsum("ni,in->n", field, sources.moments(0, n))
+    assert np.max(np.abs(reciprocal - g)) <= 1e-14 * np.max(np.abs(g))
 
 
 def test_zero_weights_zero_field():

@@ -332,6 +332,26 @@ def test_full_corridor_mesh_holds_no_full_length_array():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("build", [
+    # the 5.7e13-patch corridor of a 10-micron patch
+    lambda: build_rect_corridor_mesh(RectCorridorSpec(12.0, 10.5, 126.0), 1e-5, WL_1GHZ),
+    lambda: build_cylinder_mesh(CYL, 2, 10**13, WL_1GHZ),
+    # 1.4e25 dipoles at 1e20 Hz
+    lambda: build_ring_array(CYL, Wavelength.from_frequency(1e20)),
+], ids=["corridor", "cylinder-mesh", "rings"])
+def test_aperture_beyond_memory_refused_before_allocating(build):
+    # the channel alone, 16 B per source, would exceed any machine's memory,
+    # which build_* knows from the counts before it makes a profile
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="physical memory"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # ----------------------------------------------------------------- exports
 
 def xyz_columns(prefix, vectors):

@@ -19,6 +19,7 @@ from nearfocus.metrics import (
     CutMetrics,
     contour_3db,
     cut_metrics,
+    main_lobe,
     metrics_flat_dict,
 )
 
@@ -179,6 +180,16 @@ class TestCutMetrics:
             CutMetrics(1.0, 0.0, 0.1, None, 1.0)
         with pytest.raises(ValueError, match="peak_value"):
             CutMetrics(-1.0, 0.0, None, None, None)
+
+    @pytest.mark.parametrize("values, window", [
+        ([0.0, 0.5, 0.2, 1.0, 0.3, 0.6, 0.1], (2, 4)),
+        # a sample equal to both neighbours is no minimum, so a flat top
+        # does not cut the lobe at the peak's neighbour
+        ([0.1, 0.5, 1.0, 1.0, 1.0, 0.5, 0.2, 0.6, 0.1], (0, 6)),
+        ([0.0, 0.2, 0.4, 1.0, 0.8], (0, 4)),
+    ])
+    def test_main_lobe(self, values, window):
+        assert main_lobe(np.array(values)) == window
 
     def test_flat_dict(self):
         m = cut_metrics(sinc_cut(), LAM)
