@@ -460,16 +460,12 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list,
         artifacts.append("cut.csv")
         metrics_payload["kind"] = "cut"
         metrics_payload["axis"] = s["cut_axis"]
-        if s["cut_step_m"] <= wl.lam / 64.0 * (1.0 + 1e-9):
-            values = np.abs(fm.component(s["target_polarization"]))
-            try:
-                m = cut_metrics((offsets, values), wl.lam)
-                metrics_payload["metrics"] = metrics_flat_dict(m, wl.lam)
-            except ValueError as e:
-                metrics_payload["skipped_reason"] = str(e)
-        else:
-            metrics_payload["skipped_reason"] = \
-                "cut step exceeds wavelength/64; metrics need the finer grid"
+        values = np.abs(fm.component(s["target_polarization"]))
+        try:
+            m = cut_metrics((offsets, values), wl.lam)
+            metrics_payload["metrics"] = metrics_flat_dict(m, wl.lam)
+        except ValueError as e:
+            metrics_payload["skipped_reason"] = str(e)
     else:
         points, shape = _plane_grid(s)
         fm = _evaluate(s, sources, weights, points, wl, threads)

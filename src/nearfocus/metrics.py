@@ -8,6 +8,10 @@ the main lobe against the peak.  The main lobe is the region between the
 first local minima flanking the peak, which keeps sidelobe ratios defined
 for cuts whose lows never reach zero.  Missing features (no crossing, no
 null, no sidelobe) are reported as ``None``, not as failures.
+
+The 3-dB contour of a planar map is the marching-squares loop that bounds
+the peak's own region, followed cell by cell from a crossed edge on the
+peak's row; loops around holes in that region are skipped.
 """
 
 from __future__ import annotations
@@ -117,13 +121,6 @@ def _local_minima(v: np.ndarray) -> list[int]:
     ]
 
 
-def _local_maxima(v: np.ndarray) -> list[int]:
-    return [
-        j for j in range(1, len(v) - 1)
-        if v[j] >= v[j - 1] and v[j] >= v[j + 1] and (v[j] > v[j - 1] or v[j] > v[j + 1])
-    ]
-
-
 def main_lobe(values: np.ndarray) -> tuple[int, int]:
     """Sample indices of the local minima that flank the largest sample, or
     the ends of the cut on a side where no minimum flanks it."""
@@ -171,7 +168,7 @@ def cut_metrics(profile, wavelength_m: float) -> CutMetrics:
 
     # no local maximum lies at either end, so the ends bound nothing
     lo, hi = main_lobe(v)
-    lobes = [v[j] for j in _local_maxima(v) if j < lo or j > hi]
+    lobes = [v[j] for j in _local_minima(-v) if j < lo or j > hi]
     sidelobe = float(max(lobes) / peak_value) if lobes else None
 
     return CutMetrics(
@@ -194,6 +191,12 @@ _MS_CASES = {
     6: (("T", "B"),), 7: (("L", "B"),), 8: (("B", "L"),), 9: (("T", "B"),),
     11: (("R", "B"),), 12: (("L", "R"),), 13: (("T", "R"),), 14: (("T", "L"),),
 }
+# each edge's end corners relative to c0, lower index first
+_CORNERS = {"T": ((0, 0), (0, 1)), "R": ((0, 1), (1, 1)),
+            "B": ((1, 0), (1, 1)), "L": ((0, 0), (1, 0))}
+# leaving a cell through an edge enters the neighbour across it through the
+# opposite edge: (row step, column step, entry edge)
+_NEXT_CELL = {"T": (-1, 0, "B"), "B": (1, 0, "T"), "L": (0, -1, "R"), "R": (0, 1, "L")}
 
 
 def _planar_axes(points: np.ndarray) -> tuple[int, int]:
@@ -218,12 +221,16 @@ def _point_in_polygon(pt, poly) -> bool:
 
 
 def contour_3db(field_map: FieldMap, component: str, grid_shape: tuple[int, int]) -> np.ndarray:
-    """Closed marching-squares polyline of |E_component| = peak / sqrt(2).
+    """Closed marching-squares polyline of |E_component| = peak / sqrt(2)
+    that bounds the peak's own region.
 
     The map must be a planar, row-major grid of shape ``grid_shape`` with a
-    single dominant peak strictly inside it.  Returns an (M, 2) array in the
-    two in-plane coordinates (ascending xyz order), first point repeated at
-    the end.
+    single dominant peak strictly inside it.  The contour is followed cell
+    by cell from the first crossed edge on the peak's row towards +j; a
+    closed loop that does not contain the peak bounds a hole in the peak's
+    region, and the search goes on along the row.  Returns an (M, 2) array
+    in the two in-plane coordinates (ascending xyz order), first point
+    repeated at the end.
     """
     n1, n2 = grid_shape
     if n1 * n2 != len(field_map):
@@ -242,79 +249,47 @@ def contour_3db(field_map: FieldMap, component: str, grid_shape: tuple[int, int]
     level = peak / math.sqrt(2.0)
 
     inside = mags > level
-
-    def edge_point(i1, j1, i2, j2):
-        va, vb = mags[i1, j1], mags[i2, j2]
-        t = (level - va) / (vb - va)
-        return (u[i1, j1] + t * (u[i2, j2] - u[i1, j1]),
-                v[i1, j1] + t * (v[i2, j2] - v[i1, j1]))
-
-    segments = []  # (edge_id_a, point_a, edge_id_b, point_b)
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            code = (int(inside[i, j]) | (int(inside[i, j + 1]) << 1)
-                    | (int(inside[i + 1, j + 1]) << 2) | (int(inside[i + 1, j]) << 3))
-            if code in (0, 15):
-                continue
-            if code in (5, 10):
-                center_inside = 0.25 * (mags[i, j] + mags[i, j + 1]
-                                        + mags[i + 1, j + 1] + mags[i + 1, j]) > level
-                if code == 5:
-                    pairs = (("T", "R"), ("B", "L")) if center_inside else (("T", "L"), ("R", "B"))
-                else:
-                    pairs = (("T", "L"), ("R", "B")) if center_inside else (("T", "R"), ("B", "L"))
-            else:
-                pairs = _MS_CASES[code]
-            edges = {
-                "T": (("h", i, j), edge_point(i, j, i, j + 1)),
-                "B": (("h", i + 1, j), edge_point(i + 1, j, i + 1, j + 1)),
-                "L": (("v", i, j), edge_point(i, j, i + 1, j)),
-                "R": (("v", i, j + 1), edge_point(i, j + 1, i + 1, j + 1)),
-            }
-            for ea, eb in pairs:
-                ida, pa = edges[ea]
-                idb, pb = edges[eb]
-                segments.append((ida, pa, idb, pb))
-
-    if not segments:
+    if inside.all():
         raise ValueError("no 3-dB crossing found within the map")
 
-    by_edge: dict = {}
-    for idx, (ida, _, idb, _) in enumerate(segments):
-        by_edge.setdefault(ida, []).append(idx)
-        by_edge.setdefault(idb, []).append(idx)
+    def edge_point(i, j, edge):
+        (a, b), (c, d) = _CORNERS[edge]
+        p, q = (i + a, j + b), (i + c, j + d)
+        t = (level - mags[p]) / (mags[q] - mags[p])
+        return u[p] + t * (u[q] - u[p]), v[p] + t * (v[q] - v[p])
 
-    used = [False] * len(segments)
-    loops = []
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        ida, pa, idb, pb = segments[start]
-        used[start] = True
-        loop = [pa, pb]
-        current_edge = idb
-        closed = False
+    def cell_pairs(i, j):
+        code = (int(inside[i, j]) | (int(inside[i, j + 1]) << 1)
+                | (int(inside[i + 1, j + 1]) << 2) | (int(inside[i + 1, j]) << 3))
+        if code not in (5, 10):
+            return _MS_CASES[code]
+        center_inside = 0.25 * (mags[i, j] + mags[i, j + 1]
+                                + mags[i + 1, j + 1] + mags[i + 1, j]) > level
+        if (code == 5) == center_inside:
+            return ("T", "R"), ("B", "L")
+        return ("T", "L"), ("R", "B")
+
+    def follow(i0, j0):
+        # the loop through the T edge of cell (i0, j0), or None if it leaves the map
+        i, j, entry = i0, j0, "T"
+        loop = [edge_point(i, j, entry)]
         while True:
-            nxt = [k for k in by_edge.get(current_edge, []) if not used[k]]
-            if not nxt:
-                # closed if the walk returned to the starting edge
-                closed = current_edge == ida
-                break
-            k = nxt[0]
-            used[k] = True
-            ka, qa, kb, qb = segments[k]
-            if ka == current_edge:
-                loop.append(qb)
-                current_edge = kb
-            else:
-                loop.append(qa)
-                current_edge = ka
-        if closed and len(loop) >= 4:
-            loops.append(loop)
+            exit_ = next(b if a == entry else a for a, b in cell_pairs(i, j) if entry in (a, b))
+            loop.append(edge_point(i, j, exit_))
+            di, dj, entry = _NEXT_CELL[exit_]
+            i, j = i + di, j + dj
+            if (i, j, entry) == (i0, j0, "T"):
+                return loop
+            if not (0 <= i < n1 - 1 and 0 <= j < n2 - 1):
+                return None
 
     peak_uv = (u[pi, pj], v[pi, pj])
-    for loop in loops:
-        poly = np.asarray(loop)
-        if _point_in_polygon(peak_uv, poly):
-            return poly
+    for j in range(pj, n2 - 1):
+        if inside[pi, j] and not inside[pi, j + 1]:
+            loop = follow(pi, j)
+            if loop is None:
+                break
+            poly = np.asarray(loop)
+            if _point_in_polygon(peak_uv, poly):
+                return poly
     raise ValueError("3-dB contour around the peak is not closed within the map")

@@ -223,6 +223,37 @@ def test_hybrid_stronger_channel_gets_larger_drive(frequency, polarization, targ
     assert weights.total_power == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("polarization", ["axial", "azimuthal"])
+@pytest.mark.parametrize("drive", [cp_weights, tr_weights, hybrid_weights])
+def test_ring_weights_follow_a_rotation_of_the_focus(drive, polarization):
+    """Rotating the focus by 2*pi/M about the axis moves every ring's
+    weights one slot on (row i is ring i // M, slot i % M), to roundoff."""
+    wl = Wavelength.from_frequency(1.0e9)
+    layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=10.0), wl,
+                              polarization=polarization)
+    m, nz = len(layout.strips[0]), layout.z.size
+    x, y, z = 0.3, 0.1, 1.234
+    c, s = math.cos(2.0 * math.pi / m), math.sin(2.0 * math.pi / m)
+    e_z = np.array([0.0, 0.0, 1.0])
+    h = assemble_channel(layout, np.array([x, y, z]), e_z, wl)
+    h_rot = assemble_channel(layout, np.array([c * x - s * y, s * x + c * y, z]), e_z, wl)
+    # a cap between the all-clipped drive that meets the 1 W budget and
+    # the largest TR amplitude, so the hybrid drive clips
+    R = 50.0 * h.resistance_scale
+    v = np.abs(h.g) / R
+    all_clipped = math.sqrt(2.0 / np.sum(R))
+    tr_peak = math.sqrt(2.0 / np.sum(R * v ** 2)) * np.max(v)
+    pc = PowerConstraints(w_max=math.sqrt(all_clipped * tr_peak), P0=1.0, R0_per_port=50.0)
+    weights, _ = drive(h, pc)
+    rotated, _ = drive(h_rot, pc)
+    assert rotated.regime == weights.regime
+    if drive is hybrid_weights:
+        assert weights.regime == "hybrid"
+    w = weights.w
+    moved = np.roll(w.reshape(nz, m), 1, axis=1).ravel()
+    assert np.max(np.abs(rotated.w - moved)) <= 1e-12 * np.max(np.abs(w))
+
+
 def assert_level_matches_stable_order(h, monkeypatch):
     """The hybrid drive at 1 W and R0 = 1 ohm has the bits it has when the
     water level always sorts the ports stably."""

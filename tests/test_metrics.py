@@ -7,6 +7,7 @@ direct evaluation of the metric extractor on fixed sampling grids.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,67 @@ class TestContour3db:
         assert z_extent > y_extent
         assert y_extent / LAM == pytest.approx(X_DIPOLE90_3DB / math.pi, rel=0.01)
         assert z_extent / LAM == pytest.approx(X_DIPOLE0_3DB / math.pi, rel=0.01)
+
+    def test_spot_inside_a_ring_lobe_gives_its_own_loop(self):
+        # the ring lobe stays above the 3-dB level, so its outer edge also
+        # encloses the peak; the spot's own loop is the one that bounds it
+        sigma = 0.05 * LAM
+
+        def spot_and_ring(y, z):
+            r = np.hypot(y, z)
+            return np.exp(-(r / sigma) ** 2) + 0.9 * np.exp(-((r - 0.2 * LAM) / (0.05 * LAM)) ** 2)
+
+        fm, shape = planar_map(spot_and_ring)
+        poly = contour_3db(fm, "z", shape)
+        radii = np.hypot(poly[:, 0], poly[:, 1])
+        target = sigma * math.sqrt(0.5 * math.log(2.0))
+        assert radii.min() == pytest.approx(target, rel=0.03)
+        assert radii.max() == pytest.approx(target, rel=0.03)
+
+    def test_hole_beside_the_peak_is_skipped(self):
+        # a dip below the 3-dB level on the peak's row, 0.1 wavelength
+        # towards +z: its loop is met first and does not contain the peak
+        def spot_with_hole(y, z):
+            dip = np.exp(-(y ** 2 + (z - 0.1 * LAM) ** 2) / (0.03 * LAM) ** 2)
+            return np.exp(-(y ** 2 + z ** 2) / (0.4 * LAM) ** 2) * (1.0 - 0.5 * dip)
+
+        fm, shape = planar_map(spot_with_hole)
+        poly = contour_3db(fm, "z", shape)
+        radii = np.hypot(poly[:, 0], poly[:, 1])
+        target = 0.4 * LAM * math.sqrt(0.5 * math.log(2.0))
+        assert radii.min() == pytest.approx(target, rel=0.005)
+        assert radii.max() == pytest.approx(target, rel=0.005)
+
+    def test_quantized_map_divides_by_no_zero(self):
+        # plateaus of equal neighbouring magnitudes: only crossed edges,
+        # whose ends differ, are interpolated
+        sigma = 0.15 * LAM
+        fm, shape = planar_map(lambda y, z: np.round(8.0 * np.exp(-(y ** 2 + z ** 2) / sigma ** 2)) / 8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            poly = contour_3db(fm, "z", shape)
+        assert np.array_equal(poly[0], poly[-1])
+        # the level lies between the plateaus 0.75 and 0.625, whose samples
+        # meet where the Gaussian rounds across 0.6875
+        radii = np.hypot(poly[:, 0], poly[:, 1])
+        edge = sigma * math.sqrt(math.log(1.0 / 0.6875))
+        step = fm.points[1, 2] - fm.points[0, 2]
+        assert np.all(np.abs(radii - edge) <= math.sqrt(2.0) * step)
+
+    @pytest.mark.parametrize("side, joined", [(0.0, False), (0.6, True)])
+    def test_saddle_cell_joins_by_its_centre_average(self, side, joined):
+        # one cell has the inside corners 1.0 and 0.9 on one diagonal and
+        # `side` on the other: its centre average decides whether the
+        # peak's loop goes round both
+        mags = np.zeros((6, 6))
+        mags[2, 2], mags[3, 3] = 1.0, 0.9
+        mags[2, 3] = mags[3, 2] = side
+        Y, Z = np.meshgrid(np.arange(6.0), np.arange(6.0), indexing="ij")
+        pts = np.column_stack([np.zeros(Y.size), Y.ravel(), Z.ravel()])
+        E = np.zeros((Y.size, 3), complex)
+        E[:, 2] = mags.ravel()
+        poly = contour_3db(FieldMap(pts, E, np.zeros(Y.size, bool)), "z", mags.shape)
+        assert (poly[:, 0].max() > 3.0) == joined
 
     def test_all_zero_map_rejected(self):
         fm, shape = planar_map(lambda y, z: np.zeros_like(y))
