@@ -374,7 +374,7 @@ def _plane_grid(s: dict):
     points = (_focus(s)[None, :]
               + U.reshape(-1, 1) * _AXIS_UNIT[ax_a][None, :]
               + V.reshape(-1, 1) * _AXIS_UNIT[ax_b][None, :])
-    return points, (ua.size, vb.size)
+    return points, ua, vb
 
 
 def _evaluate(s: dict, sources, weights, points: np.ndarray, wl: Wavelength,
@@ -467,15 +467,20 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list,
         except ValueError as e:
             metrics_payload["skipped_reason"] = str(e)
     else:
-        points, shape = _plane_grid(s)
+        points, ua, vb = _plane_grid(s)
         fm = _evaluate(s, sources, weights, points, wl, threads)
         write_csv(outdir / "fieldmap.csv", _field_columns(fm))
         artifacts.append("fieldmap.csv")
         metrics_payload["kind"] = "plane"
         metrics_payload["plane_axes"] = s["plane_axes"]
-        metrics_payload["peak"] = float(np.abs(fm.component(s["target_polarization"])).max())
+        amplitude = np.abs(fm.component(s["target_polarization"]))
+        i = int(np.argmax(amplitude))
+        metrics_payload["peak"] = float(amplitude[i])
+        # the peak's sample relative to the focus, along the plane's two axes
+        metrics_payload["peak_offset_a_m"] = float(ua[i // vb.size])
+        metrics_payload["peak_offset_b_m"] = float(vb[i % vb.size])
         try:
-            poly = contour_3db(fm, s["target_polarization"], shape)
+            poly = contour_3db(fm, s["target_polarization"], (ua.size, vb.size))
             metrics_payload["contour_3db"] = {
                 "n_points": int(len(poly)),
                 "extent_a_m": float(poly[:, 0].max() - poly[:, 0].min()),

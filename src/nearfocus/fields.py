@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -341,7 +342,28 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     units, size = _units(grid.shape[0], len(sources))
     # more workers than CPUs would only add scratch buffers
     workers = max(1, min(threads, len(units), _usable_cpus()))
-    parts = [None] * len(units)
+    E = np.zeros(grid.shape, dtype=complex)
+    dmin = np.full(grid.shape[0], np.inf)
+    # units are source-major, so the parts on one point slice are every
+    # n_slices-th unit; each is added to E as soon as the one before it is
+    # in, and that order of the sums makes the bytes independent of the
+    # worker count.  turn[j] is the next unit that slice j takes; a part
+    # that finishes out of turn waits in stash, and the thread that adds
+    # its predecessor adds it too, so no worker waits.
+    n_slices = sum(1 for _, s in units if s.start == 0)
+    turn = list(range(n_slices))
+    stash = {}
+    lock = threading.Lock()
+
+    def add(i, part):
+        while part is not None:
+            p = units[i][0]
+            E[p] += part[0]
+            np.minimum(dmin[p], part[1], out=dmin[p])
+            i += n_slices
+            with lock:
+                turn[i % n_slices] = i
+                part = stash.pop(i, None)
 
     def work(first):
         # each worker takes every workers-th unit and keeps one scratch; units
@@ -353,14 +375,15 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
             p, s = units[i]
             if rows is None or rows[0] != s:
                 rows = s, sources.positions(s.start, s.stop), sources.moments(s.start, s.stop)
-            parts[i] = _dyadic(grid[p], rows[1], rows[2], wl.k, kernel, source_kind,
-                               scratch, standoff, w=w[s])
+            part = _dyadic(grid[p], rows[1], rows[2], wl.k, kernel, source_kind,
+                           scratch, standoff, w=w[s])
+            with lock:
+                mine = turn[i % n_slices] == i
+                if not mine:
+                    stash[i] = part
+            if mine:
+                add(i, part)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, range(workers)))
-    E = np.zeros(grid.shape, dtype=complex)
-    dmin = np.full(grid.shape[0], np.inf)
-    for (p, _), (e, d) in zip(units, parts):
-        E[p] += e
-        np.minimum(dmin[p], d, out=dmin[p])
     return FieldMap(grid, E, dmin < 0.25 * wl.lam, workers)

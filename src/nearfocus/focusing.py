@@ -69,41 +69,44 @@ def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
     element stays unclipped.  With v sorted in descending order, the k
     strongest elements clip, where k is the number of breakpoints
     beta = cap/v_j whose power stays within the budget, and beta spends
-    the remaining budget on the unclipped rest.
+    the remaining budget on the unclipped rest.  It works in three
+    full-length arrays, the order, R/2 in that order and v in that order,
+    whose buffers then take the two running sums and the breakpoint powers.
     """
     # the order among tied values of v orders their R in the sums below,
     # which moves the last bits of beta: ties keep the stable order, and
-    # without ties the fast sort gives that same order
-    order = np.argsort(-v)
+    # without ties the ascending order read backwards is that same order
+    buf = np.argsort(v)
+    order = buf[::-1]
     v_desc = v[order]
-    # key[j] is 1 where the j-th value of the fast order differs from the one
-    # before it
-    key = np.zeros(order.size, dtype=np.int64)
-    np.not_equal(v_desc[1:], v_desc[:-1], out=key[1:])
-    if not key[1:].all():
+    if (v_desc[1:] == v_desc[:-1]).any():
         # tied values are runs of the fast order: sorting (run * N + index)
-        # puts each run in index order, in place in key
+        # puts each run in index order; the run id counts the places where
+        # a value differs from the one before it
+        key = np.zeros_like(buf)
+        np.not_equal(v_desc[1:], v_desc[:-1], out=key[1:])
         np.cumsum(key, out=key)
         key *= key.size
         key += order
-        del order
         key.sort()
-        order = np.remainder(key, key.size, out=key)
-    del key
+        buf = order = np.remainder(key, key.size, out=key)
+        del key
     half_r = R[order]
     del order
     half_r *= 0.5
-    # spent[j]: power of the j+1 strongest elements at the cap;
-    # rest[j]: power of elements j.. per unit level squared.
-    spent = np.cumsum(half_r * cap ** 2)
-    rest = v_desc ** 2
+    # rest[j]: power of elements j.. per unit level squared, in the order's
+    # buffer; spent[j]: power of the j+1 strongest elements at the cap, in
+    # half_r's
+    rest = np.square(v_desc, out=buf.view(np.float64))
+    del buf
     rest *= half_r
-    del half_r
     np.cumsum(rest[::-1], out=rest[::-1])
+    spent = half_r
+    spent *= cap ** 2
+    np.cumsum(spent, out=spent)
     # power at the level where element j reaches the cap, for all but the
-    # weakest
-    breakpoint_power = np.divide(cap, v_desc[:-1])
-    del v_desc
+    # weakest, in v_desc's buffer
+    breakpoint_power = np.divide(cap, v_desc[:-1], out=v_desc[:-1])
     np.square(breakpoint_power, out=breakpoint_power)
     breakpoint_power *= rest[1:]
     breakpoint_power += spent[:-1]
@@ -121,6 +124,9 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
       2. the budget-only level beta0 = sqrt(2*P0 / sum(R*v^2)) keeps
          beta0*max(v) within the cap: TR, or CP for the uniform drive;
       3. otherwise the exact water level clips the strongest ports.
+
+    The phases conj(g)/|g| are formed only once the amplitudes are known,
+    so they are not alive while the level is solved.
     """
     g = h.g
     v = np.abs(g)
@@ -129,33 +135,40 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
         raise ValueError("channel is zero for the requested polarization")
     live = v >= ZERO_CHANNEL_CUTOFF * gmax
     R = pc.R0_per_port * h.resistance_scale
-    w = np.conj(g)
-    np.divide(w, v, out=w, where=live)
-    # |g| is not needed again, so v takes its place
     if uniform:
         v.fill(1.0)
     else:
         np.divide(v, R, out=v, where=live)
-    w[~live] = 0.0
     v[~live] = 0.0
 
     R_live = _live(R, live)
     if 0.5 * cap ** 2 * float(np.sum(R_live)) <= pc.P0 * (1.0 + 1e-12):
-        w *= cap
-        beta, regime, active = 0.0, "CP", "local"
+        amplitude, beta, regime, active = cap, 0.0, "CP", "local"
     else:
         v_live = _live(v, live)
-        beta = math.sqrt(2.0 * pc.P0 / float(np.sum(R_live * v_live ** 2)))
+        rv2 = np.square(v_live)
+        rv2 *= R_live
+        beta = math.sqrt(2.0 * pc.P0 / float(np.sum(rv2)))
+        del rv2
         if beta * float(np.max(v)) <= cap:
             regime, active = ("CP", "both") if uniform else ("TR", "global")
         else:
             beta = _water_level(v_live, R_live, cap, pc.P0)
             regime, active = "hybrid", "both"
-        del v_live, R_live
-        w *= np.minimum(np.multiply(v, beta, out=v), cap, out=v)
+        del v_live
+        amplitude = np.minimum(np.multiply(v, beta, out=v), cap, out=v)
         if uniform:
             beta = 0.0
-    power = float(np.sum(0.5 * R * np.abs(w) ** 2))
+    del R_live
+    w = np.conj(g)
+    np.divide(w, np.abs(g), out=w, where=live)
+    w[~live] = 0.0
+    w *= amplitude
+    # |w|^2 in v's buffer, then R/2 in R's; both go before w*g below
+    power_density = np.square(np.abs(w, out=v), out=v)
+    power_density *= np.multiply(R, 0.5, out=R)
+    power = float(np.sum(power_density))
+    del amplitude, v, R, power_density
     return (ExcitationWeights(w=w, regime=regime, total_power=power),
             FocalReport(E_focus=complex(np.sum(w * g)), active_constraint=active,
                         beta=beta))

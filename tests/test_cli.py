@@ -278,6 +278,8 @@ class TestRun:
         assert (out / "fieldmap.csv").exists()
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["kind"] == "plane"
+        # the focal spot of axial rings is centred on the focus
+        assert metrics["peak_offset_a_m"] == metrics["peak_offset_b_m"] == 0.0
         contour = metrics["contour_3db"]
         assert contour["n_points"] > 8
         # transverse extent tracks the isotropic-kernel width, the
@@ -285,6 +287,30 @@ class TestRun:
         assert contour["extent_a_m"] / LAM == pytest.approx(0.443, abs=0.02)
         assert contour["extent_b_m"] / LAM == pytest.approx(0.452, abs=0.02)
         assert contour["extent_b_m"] > contour["extent_a_m"]
+
+    def test_plane_records_an_off_focus_peak(self, tmp_path, capsys):
+        # E_z of azimuthal rings: the spot sits off the focus, and its 3-dB
+        # region reaches the edge of the default plane, so the contour is
+        # skipped and the peak's offsets are what locate it
+        scn = scenario(tmp_path, aperture="discrete", method="cp",
+                       amplitude_cap_a=0.002, port_resistance_ohm=1.0,
+                       element_polarization="azimuthal", target_polarization="z",
+                       focus_x_m=0.1, focus_y_m=0.05, focus_z_m=0.5,
+                       grid="plane", plane_axes="yz")
+        out = tmp_path / "out"
+        code, _ = run_cli(capsys, "run", "--scenario", scn, "--out", str(out))
+        assert code == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert "not closed" in metrics["contour_skipped"]
+        a, b = metrics["peak_offset_a_m"], metrics["peak_offset_b_m"]
+        # measured 9 samples of wavelength/64 along y and 0 along z
+        assert a / LAM == pytest.approx(0.15, abs=0.02)
+        assert abs(b) <= LAM / 64
+        # the offsets name the fieldmap row that holds the peak
+        rows = np.loadtxt(out / "fieldmap.csv", delimiter=",", skiprows=1)
+        at = np.flatnonzero((rows[:, 1] == 0.05 + a) & (rows[:, 2] == 0.5 + b))
+        assert at.size == 1
+        assert math.hypot(*rows[at[0], 7:9]) == pytest.approx(metrics["peak"], rel=1e-12)
 
     def test_coarse_cut_skips_metrics(self, tmp_path, capsys):
         scn = scenario(tmp_path, aperture="single", cut_step_m=LAM / 32)
@@ -774,13 +800,14 @@ class TestMemory:
     # Traced bytes per source at the peak of a run.  The arrays a run must
     # hold at full length take 16 B for the scalar channel, 8 for the port
     # resistances and 16 for the weights; the mesh holds only its strips
-    # and makes its rows per block.  Measured 74 B/source here, with the
-    # peak in the solve (130 when the mesh held 56 B per patch of flat
-    # arrays, 156 when weights.csv was formatted by one template call per
-    # block, 172 when the field kernel held fifteen scratch arrays per
-    # block, 289 when full-length (N, 3) temporaries were built at each
-    # stage).
-    PEAK_BYTES_PER_SOURCE = 100
+    # and makes its rows per block.  Measured 66.8 B/source here, with the
+    # peak in the solve, and 66.1 in the channel stage (74 when the solve
+    # formed the phases before the water level and sorted -v, 130 when the
+    # mesh held 56 B per patch of flat arrays, 156 when weights.csv was
+    # formatted by one template call per block, 172 when the field kernel
+    # held fifteen scratch arrays per block, 289 when full-length (N, 3)
+    # temporaries were built at each stage).
+    PEAK_BYTES_PER_SOURCE = 72
     # The same for a layout of the same mesh: its rows made once at full
     # length, 56 B per patch, and 6.9 MB for the CSV writer's blocks of
     # 32,768 cells, the largest it makes; measured 89 B/source here, 64

@@ -9,6 +9,8 @@ symmetry, chunking, thread count and determinism.
 
 import math
 import os
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -493,6 +495,50 @@ def test_workers_capped_at_usable_cpus(monkeypatch):
     E = evaluate_field(layout, w, grid, WL, threads=4000).E
     assert requested == [cpus]
     assert np.array_equal(E, ref)
+
+
+def test_parts_added_in_source_order_by_many_workers(monkeypatch):
+    # 21 point slices and 10 source blocks: each slice's parts come from
+    # different workers, so many finish out of turn and wait in the stash;
+    # a part lost or added out of order changes E's bytes
+    layout = small_layout()
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=len(layout)) + 1j * rng.normal(size=len(layout))
+    grid = np.stack([np.linspace(-0.3, 0.3, 63), np.zeros(63), np.zeros(63)], axis=1)
+    monkeypatch.setattr(fields, "_SOURCE_BLOCK", 64)
+    monkeypatch.setattr(fields, "_CHUNK_BUDGET", 3 * 64)
+    assert len(fields._units(len(grid), len(layout))[0]) == 21 * 10
+    ref = evaluate_field(layout, w, grid, WL, threads=1).E
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fm = evaluate_field(layout, w, grid, WL, threads=5)
+            assert fm.workers == 5
+            assert np.array_equal(fm.E, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_evaluate_field_peak_near_its_result(monkeypatch):
+    # one ring of 42 dipoles on 100,000 points: one source block, so at the
+    # parent of this check the units' parts alone were as large as E
+    monkeypatch.setattr(fields, "_CHUNK_BUDGET", 16_384)
+    layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=0.05), WL, "axial")
+    n = 100_000
+    grid = np.stack([np.linspace(-0.5, 0.5, n), np.zeros(n), np.zeros(n)], axis=1)
+    w = np.ones(len(layout), dtype=complex)
+    tracemalloc.start()
+    try:
+        fm = evaluate_field(layout, w, grid, WL, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = fm.workers * fields._units(n, len(layout))[1] * 8
+    # E and dmin take 56 B per point; measured 1.21 E + scratch on one
+    # worker and 1.24 E + scratch on two, 2.12 E + scratch before
+    assert peak <= 1.3 * fm.E.nbytes + scratch
 
 
 def brute_force_field(sources, w, grid, source_kind):
