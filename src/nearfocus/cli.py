@@ -22,7 +22,9 @@ scenario are byte-identical, and manifest.json records the fully
 resolved scenario (defaults included), the conventions the numbers rest
 on, tool version, the requested threads and the field workers that ran,
 wall-clock time, the process's peak resident memory so far (null where
-the resource module does not exist) and, for run, the solver's
+the resource module does not exist), each stage's wall time and the
+peak resident memory after it, the work's counts (sources, field points,
+kernel pairs, near-singular points) and, for run, the solver's
 diagnostics (regime, level, power, clipped and idle ports, power
 residual) and the relative gap between the focal field the solver
 predicts and the one evaluated at the focus.
@@ -35,6 +37,7 @@ to allocate.  Errors print one machine-readable JSON object to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -287,6 +290,34 @@ def load_scenario(path) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 # builders shared by the subcommands
 
+class _Stages:
+    """Wall time and peak resident memory of each stage of one subcommand,
+    and the counts of its work.
+
+    ``with stages(name):`` times one stage; a stage run more than once adds
+    up its times and keeps the peak after its last run.  The peak never
+    falls, so the first stage whose peak reaches the process's is the one
+    that set it.
+    """
+
+    def __init__(self):
+        self.timings_s: dict = {}
+        self.peak_rss_mb: dict = {}
+        self.counters = dict.fromkeys(
+            ("sources", "points", "kernel_pairs", "near_singular_points"), 0)
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        start = time.perf_counter()
+        yield
+        self.timings_s[name] = self.timings_s.get(name, 0.0) + time.perf_counter() - start
+        self.peak_rss_mb[name] = _peak_rss_mb()
+
+    def manifest_entries(self) -> dict:
+        return {"timings_s": self.timings_s, "stage_peak_rss_mb": self.peak_rss_mb,
+                "counters": self.counters}
+
+
 def _geometry_spec(s: dict):
     if s["geometry"] == "cylinder":
         return CylinderSpec(radius_a=s["radius_m"], length_L=s["length_m"])
@@ -301,42 +332,47 @@ def _single_layout(s: dict) -> Aperture:
     return Aperture([strip], [0.0], s["element_polarization"])
 
 
-def _aperture(s: dict, wl: Wavelength) -> Aperture:
+def _aperture(s: dict, wl: Wavelength, stages: _Stages) -> Aperture:
     spec, polarization = _geometry_spec(s), s["element_polarization"]
-    if s["aperture"] == "single":
-        return _single_layout(s)
-    if s["aperture"] == "discrete":
-        return build_ring_array(spec, wl, polarization=polarization,
-                                dipole_length=s["dipole_length_m"])
-    if s["geometry"] == "cylinder":
-        return build_cylinder_mesh(spec, s["mesh_axial_n"], s["mesh_azimuthal_n"], wl,
-                                   polarization)
-    return build_rect_corridor_mesh(spec, s["patch_target_m"], wl, polarization)
+    with stages("aperture"):
+        if s["aperture"] == "single":
+            sources = _single_layout(s)
+        elif s["aperture"] == "discrete":
+            sources = build_ring_array(spec, wl, polarization=polarization,
+                                       dipole_length=s["dipole_length_m"])
+        elif s["geometry"] == "cylinder":
+            sources = build_cylinder_mesh(spec, s["mesh_axial_n"], s["mesh_azimuthal_n"],
+                                          wl, polarization)
+        else:
+            sources = build_rect_corridor_mesh(spec, s["patch_target_m"], wl, polarization)
+    stages.counters["sources"] = len(sources)
+    return sources
 
 
 def _focus(s: dict) -> np.ndarray:
     return np.array([s["focus_x_m"], s["focus_y_m"], s["focus_z_m"]])
 
 
-def _channel(s: dict, sources: Aperture, e_hat: np.ndarray,
-             wl: Wavelength) -> ChannelVector:
+def _channel(s: dict, sources: Aperture, e_hat: np.ndarray, wl: Wavelength,
+             stages: _Stages) -> ChannelVector:
     focal = _focus(s)
-    if len(sources) == 1:
-        # the general assembler requires the focus inside the source hull,
-        # which a one-element aperture cannot provide
-        position, moment = sources.positions(0, 1)[:, 0], sources.moments(0, 1)[:, 0]
-        distance = float(np.linalg.norm(focal - position))
-        if distance < 0.25 * wl.lam:
-            raise _invalid("focal point is inside the quarter-wavelength standoff "
-                           "of the single element")
-        if s["source_kind"] == "electric":
-            tensor = green_electric(focal, position, wl, s["kernel"])
-        else:
-            tensor = green_magnetic(focal, position, wl)
-        field = (tensor @ moment.astype(complex)).reshape(1, 3)
-        return ChannelVector(project(field, e_hat), np.ones(1))
-    return assemble_channel(sources, focal, e_hat, wl, kernel=s["kernel"],
-                            source_kind=s["source_kind"])
+    with stages("channel"):
+        if len(sources) == 1:
+            # the general assembler requires the focus inside the source hull,
+            # which a one-element aperture cannot provide
+            position, moment = sources.positions(0, 1)[:, 0], sources.moments(0, 1)[:, 0]
+            distance = float(np.linalg.norm(focal - position))
+            if distance < 0.25 * wl.lam:
+                raise _invalid("focal point is inside the quarter-wavelength standoff "
+                               "of the single element")
+            if s["source_kind"] == "electric":
+                tensor = green_electric(focal, position, wl, s["kernel"])
+            else:
+                tensor = green_magnetic(focal, position, wl)
+            field = (tensor @ moment.astype(complex)).reshape(1, 3)
+            return ChannelVector(project(field, e_hat), np.ones(1))
+        return assemble_channel(sources, focal, e_hat, wl, kernel=s["kernel"],
+                                source_kind=s["source_kind"])
 
 
 def _constraints(s: dict) -> PowerConstraints:
@@ -344,13 +380,14 @@ def _constraints(s: dict) -> PowerConstraints:
                             R0_per_port=s["port_resistance_ohm"])
 
 
-def _solve_weights(s: dict, h: ChannelVector):
+def _solve_weights(s: dict, h: ChannelVector, stages: _Stages):
     pc = _constraints(s)
-    if s["method"] == "cp":
-        return cp_weights(h, pc)
-    if s["method"] == "tr":
-        return tr_weights(h, pc)
-    return hybrid_weights(h, pc)
+    with stages("solve"):
+        if s["method"] == "cp":
+            return cp_weights(h, pc)
+        if s["method"] == "tr":
+            return tr_weights(h, pc)
+        return hybrid_weights(h, pc)
 
 
 def _cut_offsets(s: dict) -> np.ndarray:
@@ -378,9 +415,14 @@ def _plane_grid(s: dict):
 
 
 def _evaluate(s: dict, sources, weights, points: np.ndarray, wl: Wavelength,
-              threads: int) -> FieldMap:
-    return evaluate_field(sources, weights, points, wl, kernel=s["kernel"],
-                          source_kind=s["source_kind"], threads=threads)
+              threads: int, stages: _Stages) -> FieldMap:
+    with stages("field"):
+        fm = evaluate_field(sources, weights, points, wl, kernel=s["kernel"],
+                            source_kind=s["source_kind"], threads=threads)
+    stages.counters["points"] += len(fm)
+    stages.counters["kernel_pairs"] += len(fm) * len(sources)
+    stages.counters["near_singular_points"] += int(np.count_nonzero(fm.near_singular))
+    return fm
 
 
 def _peak_rss_mb():
@@ -399,6 +441,16 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
+def _write(path: Path, content: dict, stages: _Stages) -> None:
+    """One artifact, the named columns of a CSV file or a JSON document, as
+    its own stage."""
+    with stages("write " + path.name):
+        if path.suffix == ".csv":
+            write_csv(path, content)
+        else:
+            _write_json(path, content)
+
+
 def _xyz(prefix: str, vectors: np.ndarray) -> dict:
     """The x, y and z columns of (N, 3) vectors, named prefix + axis, as views."""
     return {prefix + axis: vectors[:, i] for i, axis in enumerate("xyz")}
@@ -413,16 +465,18 @@ def _field_columns(fm: FieldMap) -> dict:
     return columns
 
 
-def _write_cut(path: Path, offsets: np.ndarray, fm: FieldMap) -> None:
-    write_csv(path, {"offset_m": offsets, **_field_columns(fm)})
+def _write_cut(path: Path, offsets: np.ndarray, fm: FieldMap, stages: _Stages) -> None:
+    _write(path, {"offset_m": offsets, **_field_columns(fm)}, stages)
 
 
-def _curve(s: dict, outdir: Path, offsets: np.ndarray, wl: Wavelength) -> np.ndarray:
+def _curve(s: dict, outdir: Path, offsets: np.ndarray, wl: Wavelength,
+           stages: _Stages) -> np.ndarray:
     """The reference's closed-form profile over the cut offsets, also
     written to curve.csv."""
-    values = analytic.resolution_profiles(s["analytic_reference"],
-                                          np.abs(offsets) / wl.lam, _geometry_spec(s))
-    write_csv(outdir / "curve.csv", {"offset_wl": offsets / wl.lam, "value": values})
+    with stages("reference"):
+        values = analytic.resolution_profiles(s["analytic_reference"],
+                                              np.abs(offsets) / wl.lam, _geometry_spec(s))
+    _write(outdir / "curve.csv", {"offset_wl": offsets / wl.lam, "value": values}, stages)
     return values
 
 
@@ -430,24 +484,26 @@ def _curve(s: dict, outdir: Path, offsets: np.ndarray, wl: Wavelength) -> np.nda
 # subcommands
 
 # Each subcommand takes the resolved scenario, the output directory, the
-# wavelength and --threads, and returns its artifacts, its exit code and
-# its entries for the manifest, of which "report" goes to stdout instead.
+# wavelength, --threads and the stage recorder, and returns its artifacts,
+# its exit code and its entries for the manifest, of which "report" goes to
+# stdout instead.
 
-def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list, int, dict]:
+def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
+             stages: _Stages) -> tuple[list, int, dict]:
     """Weights, the field on the scenario's grid, and its metrics."""
-    sources = _aperture(s, wl)
+    sources = _aperture(s, wl, stages)
     # the channel is freed as soon as the weights are solved
     weights, report = _solve_weights(
-        s, _channel(s, sources, _AXIS_UNIT[s["target_polarization"]], wl))
+        s, _channel(s, sources, _AXIS_UNIT[s["target_polarization"]], wl, stages), stages)
 
     w = weights.w
-    write_csv(outdir / "weights.csv", {"index": np.arange(w.size),
-                                       "amplitude_a": np.hypot(w.real, w.imag),
-                                       "phase_rad": angle(w)})
+    _write(outdir / "weights.csv", {"index": np.arange(w.size),
+                                    "amplitude_a": np.hypot(w.real, w.imag),
+                                    "phase_rad": angle(w)}, stages)
     sidecar = weights_sidecar(weights, report)
     sidecar["n_sources"] = len(weights.w)
     sidecar["method"] = s["method"]
-    _write_json(outdir / "weights.json", sidecar)
+    _write(outdir / "weights.json", sidecar, stages)
     artifacts = ["weights.csv", "weights.json"]
 
     metrics_payload: dict = {"component": s["target_polarization"],
@@ -455,41 +511,43 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int) -> tuple[list,
     if s["grid"] == "cut":
         offsets = _cut_offsets(s)
         fm = _evaluate(s, sources, weights, _cut_points(s, s["cut_axis"], offsets),
-                       wl, threads)
-        _write_cut(outdir / "cut.csv", offsets, fm)
+                       wl, threads, stages)
+        _write_cut(outdir / "cut.csv", offsets, fm, stages)
         artifacts.append("cut.csv")
         metrics_payload["kind"] = "cut"
         metrics_payload["axis"] = s["cut_axis"]
-        values = np.abs(fm.component(s["target_polarization"]))
-        try:
-            m = cut_metrics((offsets, values), wl.lam)
-            metrics_payload["metrics"] = metrics_flat_dict(m, wl.lam)
-        except ValueError as e:
-            metrics_payload["skipped_reason"] = str(e)
+        with stages("metrics"):
+            values = np.abs(fm.component(s["target_polarization"]))
+            try:
+                m = cut_metrics((offsets, values), wl.lam)
+                metrics_payload["metrics"] = metrics_flat_dict(m, wl.lam)
+            except ValueError as e:
+                metrics_payload["skipped_reason"] = str(e)
     else:
         points, ua, vb = _plane_grid(s)
-        fm = _evaluate(s, sources, weights, points, wl, threads)
-        write_csv(outdir / "fieldmap.csv", _field_columns(fm))
+        fm = _evaluate(s, sources, weights, points, wl, threads, stages)
+        _write(outdir / "fieldmap.csv", _field_columns(fm), stages)
         artifacts.append("fieldmap.csv")
         metrics_payload["kind"] = "plane"
         metrics_payload["plane_axes"] = s["plane_axes"]
-        amplitude = np.abs(fm.component(s["target_polarization"]))
-        i = int(np.argmax(amplitude))
-        metrics_payload["peak"] = float(amplitude[i])
-        # the peak's sample relative to the focus, along the plane's two axes
-        metrics_payload["peak_offset_a_m"] = float(ua[i // vb.size])
-        metrics_payload["peak_offset_b_m"] = float(vb[i % vb.size])
-        try:
-            poly = contour_3db(fm, s["target_polarization"], (ua.size, vb.size))
-            metrics_payload["contour_3db"] = {
-                "n_points": int(len(poly)),
-                "extent_a_m": float(poly[:, 0].max() - poly[:, 0].min()),
-                "extent_b_m": float(poly[:, 1].max() - poly[:, 1].min()),
-            }
-        except ValueError as e:
-            metrics_payload["contour_skipped"] = str(e)
+        with stages("metrics"):
+            amplitude = np.abs(fm.component(s["target_polarization"]))
+            i = int(np.argmax(amplitude))
+            metrics_payload["peak"] = float(amplitude[i])
+            # the peak's sample relative to the focus, along the plane's two axes
+            metrics_payload["peak_offset_a_m"] = float(ua[i // vb.size])
+            metrics_payload["peak_offset_b_m"] = float(vb[i % vb.size])
+            try:
+                poly = contour_3db(fm, s["target_polarization"], (ua.size, vb.size))
+                metrics_payload["contour_3db"] = {
+                    "n_points": int(len(poly)),
+                    "extent_a_m": float(poly[:, 0].max() - poly[:, 0].min()),
+                    "extent_b_m": float(poly[:, 1].max() - poly[:, 1].min()),
+                }
+            except ValueError as e:
+                metrics_payload["contour_skipped"] = str(e)
 
-    _write_json(outdir / "metrics.json", metrics_payload)
+    _write(outdir / "metrics.json", metrics_payload, stages)
     artifacts.append("metrics.json")
     diagnostics = solver_diagnostics(weights, report, _constraints(s))
     # the middle sample of either grid, the cut's offset 0 or the plane's
@@ -549,22 +607,24 @@ def _reference(s: dict, subcommand: str) -> tuple:
     return method, axis, component
 
 
-def _cmd_validate(s: dict, outdir: Path, wl: Wavelength,
-                  threads: int) -> tuple[list, int, dict]:
+def _cmd_validate(s: dict, outdir: Path, wl: Wavelength, threads: int,
+                  stages: _Stages) -> tuple[list, int, dict]:
     """A comparison of the numeric path with the scenario's closed-form
     reference; exit code 1 when it fails."""
     method, axis, component = _reference(s, "validate")
-    sources = _aperture(s, wl)
+    sources = _aperture(s, wl, stages)
     if axis is None:
         # CP compares field amplitudes at equal caps, TR focal intensities at
         # equal budgets; x ** 1 is exact
         p = {"cp": 1, "tr": 2}[method]
         spec, zf = _geometry_spec(s), s["focus_z_m"]
-        _, co = _solve_weights(s, _channel(s, sources, _AXIS_UNIT["z"], wl))
-        _, cross = _solve_weights(s, _channel(s, sources, _AXIS_UNIT["x"], wl))
+        _, co = _solve_weights(s, _channel(s, sources, _AXIS_UNIT["z"], wl, stages), stages)
+        _, cross = _solve_weights(s, _channel(s, sources, _AXIS_UNIT["x"], wl, stages),
+                                  stages)
         numeric = abs(co.E_focus) ** p / abs(cross.E_focus) ** p
-        reference = (getattr(analytic, f"ez_{method}_axis")(zf, spec)
-                     / getattr(analytic, f"ex_{method}_axis")(zf, spec))
+        with stages("reference"):
+            reference = (getattr(analytic, f"ez_{method}_axis")(zf, spec)
+                         / getattr(analytic, f"ex_{method}_axis")(zf, spec))
         constant = getattr(analytic, f"{method.upper()}_FIELD_RATIO_LIMIT")
         deviation = float(abs(numeric / reference - 1.0))
         artifacts, entries = [], {}
@@ -579,17 +639,20 @@ def _cmd_validate(s: dict, outdir: Path, wl: Wavelength,
             "active_constraints": [co.active_constraint, cross.active_constraint],
         }
     else:
-        weights, _ = _solve_weights(s, _channel(s, sources, _AXIS_UNIT[component], wl))
+        weights, _ = _solve_weights(
+            s, _channel(s, sources, _AXIS_UNIT[component], wl, stages), stages)
         offsets = _cut_offsets(s)
-        fm = _evaluate(s, sources, weights, _cut_points(s, axis, offsets), wl, threads)
-        _write_cut(outdir / "cut.csv", offsets, fm)
+        fm = _evaluate(s, sources, weights, _cut_points(s, axis, offsets), wl, threads,
+                       stages)
+        _write_cut(outdir / "cut.csv", offsets, fm, stages)
         numeric = np.abs(fm.component(component))
-        ana = _curve(s, outdir, offsets, wl)
-        num_n, ana_n = _normalized(numeric), _normalized(ana)
-        lo, hi = main_lobe(num_n)
-        deviation = float(np.max(np.abs(num_n[lo:hi + 1] - ana_n[lo:hi + 1])))
-        num_metrics = _metrics_or_none(offsets, numeric, wl.lam)
-        ana_metrics = _metrics_or_none(offsets, ana, wl.lam)
+        ana = _curve(s, outdir, offsets, wl, stages)
+        with stages("metrics"):
+            num_n, ana_n = _normalized(numeric), _normalized(ana)
+            lo, hi = main_lobe(num_n)
+            deviation = float(np.max(np.abs(num_n[lo:hi + 1] - ana_n[lo:hi + 1])))
+            num_metrics = _metrics_or_none(offsets, numeric, wl.lam)
+            ana_metrics = _metrics_or_none(offsets, ana, wl.lam)
         artifacts, entries = ["cut.csv", "curve.csv"], {"workers": fm.workers}
         report = {
             "kind": "profile",
@@ -609,22 +672,22 @@ def _cmd_validate(s: dict, outdir: Path, wl: Wavelength,
     passed = deviation <= s["tolerance_rel"]
     report.update(reference=s["analytic_reference"], tolerance_rel=s["tolerance_rel"],
                   passed=passed)
-    _write_json(outdir / "report.json", report)
+    _write(outdir / "report.json", report, stages)
     return artifacts + ["report.json"], (0 if passed else 1), dict(entries, report=report)
 
 
-def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength,
-                  threads: int) -> tuple[list, int, dict]:
+def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength, threads: int,
+                  stages: _Stages) -> tuple[list, int, dict]:
     """The closed-form curve of the scenario's profile reference."""
     _reference(s, "analytic")
-    _curve(s, outdir, _cut_offsets(s), wl)
+    _curve(s, outdir, _cut_offsets(s), wl, stages)
     return ["curve.csv"], 0, {}
 
 
-def _cmd_layout(s: dict, outdir: Path, wl: Wavelength,
-                threads: int) -> tuple[list, int, dict]:
+def _cmd_layout(s: dict, outdir: Path, wl: Wavelength, threads: int,
+                stages: _Stages) -> tuple[list, int, dict]:
     """The aperture's element or patch table."""
-    sources = _aperture(s, wl)
+    sources = _aperture(s, wl, stages)
     strips, n = sources.strips, len(sources)
     # the only full-length copy of the rows, as (3, N) columns: positions,
     # perimeter tangents, current directions and element sizes
@@ -638,7 +701,7 @@ def _cmd_layout(s: dict, outdir: Path, wl: Wavelength,
     else:
         direction = axial if sources.polarization == "axial" else tangents
         columns.update({**_xyz("p", direction.T), "length_m": sizes})
-    write_csv(outdir / "layout.csv", columns)
+    _write(outdir / "layout.csv", columns, stages)
     return ["layout.csv"], 0, {}
 
 
@@ -707,7 +770,8 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
 
         command = _COMMANDS[args.subcommand][1]
-        artifacts, code, entries = command(scenario, outdir, wl, threads)
+        stages = _Stages()
+        artifacts, code, entries = command(scenario, outdir, wl, threads, stages)
         report = entries.pop("report", None)
 
         manifest = {
@@ -726,6 +790,7 @@ def main(argv=None) -> int:
             "artifacts": sorted(artifacts + ["manifest.json"]),
             "wall_time_s": time.perf_counter() - started,
             "peak_rss_mb": _peak_rss_mb(),
+            **stages.manifest_entries(),
             **entries,
         }
         _write_json(outdir / "manifest.json", manifest)

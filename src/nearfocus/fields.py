@@ -40,6 +40,11 @@ FOUR_PI = 4.0 * math.pi
 # per thread (5.2 MB), large enough that two threads seldom wait on the GIL
 _CHUNK_BUDGET = 65_536
 _BUFFERS = 10
+# floats per point for the weighted sum's products and one temporary, which
+# it writes into the kernel's buffers that are free by then: 37 for magnetic
+# currents (a (6P, 6) product) in 4 buffers, 13 for electric ones in 2.  A
+# unit of fewer than 10 sources gets 37 - 4 per source more, which covers both
+_SUM_ROOM = 37
 # sources per matmul when the grid fills a unit: BLAS adds a block's products
 # one after another, so short blocks keep a focal sum's rounding small
 _SOURCE_BLOCK = 512
@@ -115,11 +120,14 @@ def _dyadic(points, src, m, k, kernel, source_kind, scratch, standoff=0.0, w=Non
     magnetic ones.  Given e_hat instead, returns each pair's field projected
     on it, (P, N), by real dot products.  Only the moment components that are
     nonzero in the unit enter md and the matmuls.  The (P, N) arrays are
-    consecutive slices of scratch, which a thread reuses from unit to unit.
+    consecutive slices of scratch, which a thread reuses from unit to unit;
+    the weighted sum and its products are written into scratch too, so the
+    sum is a (P, 3, 2) view of it (real and imaginary parts), valid until
+    the next unit.
     """
     P, N = points.shape[0], src.shape[1]
     n = P * N
-    X, Y, Z, B3, B4, B5, Ci, Cr, Ar, Ai = (
+    X, Y, Z, B3, B4, B5, Ar, Ai, Ci, Cr = (
         scratch[i * n:(i + 1) * n].reshape(P, N) for i in range(_BUFFERS))
     r = (X, Y, Z)
     # p - s with the row s copied in first: numpy subtracts a full array from
@@ -198,16 +206,24 @@ def _dyadic(points, src, m, k, kernel, source_kind, scratch, standoff=0.0, w=Non
     G = scratch[:6 * n].reshape(6 * P, N)
     nz = [i for i in range(3) if np.any(m[i])]
     wm = _re_im((w * m[nz]).T)
+    # the products go into the buffers that are free by then (and the room
+    # after them), E into G's first 6P floats once G is read
+    E = scratch[:6 * P].reshape(P, 3, 2)
     if source_kind == "magnetic":
-        M = _cmatmul(G, wm).reshape(3, P, len(nz))
-        E = np.zeros((P, 3), dtype=complex)
+        M, t = _product(G, wm, scratch[6 * n:], P)
+        E.fill(0.0)
         # moment component c adds to E_(c+1) and E_(c+2) with eps = +1 and -1
         for i, c in enumerate(nz):
-            E[:, (c + 1) % 3] += M[(c + 2) % 3, :, i]
-            E[:, (c + 2) % 3] -= M[(c + 1) % 3, :, i]
+            _accumulate(E[:, (c + 1) % 3], M, (c + 2) % 3, i, t)
+            _accumulate(E[:, (c + 2) % 3], M, (c + 1) % 3, i, t, np.subtract)
     else:
-        E = _cmatmul(G, _re_im(w)).reshape(3, P).T
-        E[:, nz] += _cmatmul(scratch[8 * n:10 * n].reshape(2 * P, N), wm)
+        M, t = _product(G, _re_im(w), scratch[8 * n:], P)
+        E.fill(0.0)
+        for c in range(3):
+            _accumulate(E[:, c], M, c, 0, t)
+        M, t = _product(scratch[6 * n:8 * n].reshape(2 * P, N), wm, scratch[8 * n:], P)
+        for i, c in enumerate(nz):
+            _accumulate(E[:, c], M, 0, i, t)
     E *= scale
     return E, dmin
 
@@ -232,22 +248,38 @@ def _re_im(z):
     return np.column_stack([z.real, z.imag])
 
 
-def _cmatmul(stacked, M):
-    """(re + j im) @ (Mr + j Mi) by one real matmul, stacked = [re; im], M = [Mr | Mi]."""
-    h, q = stacked.shape[0] // 2, M.shape[1] // 2
-    out = stacked @ M
-    a, b = out[:h], out[h:]
-    return a[:, :q] - b[:, q:] + 1j * (a[:, q:] + b[:, :q])
+def _product(stacked, M, free, P):
+    """stacked @ M by one real matmul written into free, and P floats of
+    free after it."""
+    size = stacked.shape[0] * M.shape[1]
+    out = np.matmul(stacked, M, out=free[:size].reshape(stacked.shape[0], M.shape[1]))
+    return out, free[size:size + P]
+
+
+def _accumulate(E, out, j, i, t, op=np.add):
+    """E = op(E, z) in place, z the complex column i, row block j, of
+    (re + j im) @ (Mr + j Mi).
+
+    out = [re; im] @ [Mr | Mi] is its real product, so z is
+    (re@Mr - im@Mi) + j (re@Mi + im@Mr) in P-row blocks; E is (P, 2), real
+    and imaginary parts, and t is P free floats.
+    """
+    P, h, q = E.shape[0], out.shape[0] // 2, out.shape[1] // 2
+    a, b = out[j * P:(j + 1) * P], out[h + j * P:h + (j + 1) * P]
+    op(E[:, 0], np.subtract(a[:, i], b[:, q + i], out=t), out=E[:, 0])
+    op(E[:, 1], np.add(a[:, q + i], b[:, i], out=t), out=E[:, 1])
 
 
 def _units(n_points, n_src):
     """(point slice, source slice) units cut by problem size, source-major, and
-    the scratch size."""
+    the scratch size: _BUFFERS floats per pair and, for a unit of fewer than
+    10 sources, the weighted sum's room per point, in the same budget."""
     block = min(n_src, max(_SOURCE_BLOCK, _CHUNK_BUDGET // max(1, n_points)))
-    per = max(1, _CHUNK_BUDGET // block)
+    width = _BUFFERS * block + max(0, _SUM_ROOM - 4 * block)
+    per = max(1, _BUFFERS * _CHUNK_BUDGET // width)
     units = [(slice(p, p + per), slice(s, min(s + block, n_src)))
              for s in range(0, n_src, block) for p in range(0, n_points, per)]
-    return units, _BUFFERS * min(per, n_points) * block
+    return units, min(per, n_points) * width
 
 
 def _usable_cpus() -> int:
@@ -342,14 +374,22 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     units, size = _units(grid.shape[0], len(sources))
     # more workers than CPUs would only add scratch buffers
     workers = max(1, min(threads, len(units), _usable_cpus()))
+    # one row of scratch per worker, made by this thread: memory a worker
+    # allocated would go back to that worker's malloc arena, which the
+    # caller's next arrays are not taken from
+    scratch = np.empty((workers, size))
     E = np.zeros(grid.shape, dtype=complex)
+    # the units' sums are (P, 3, 2) real views; complex addition is the
+    # addition of the parts
+    E_parts = E.view(np.float64).reshape(-1, 3, 2)
     dmin = np.full(grid.shape[0], np.inf)
     # units are source-major, so the parts on one point slice are every
     # n_slices-th unit; each is added to E as soon as the one before it is
     # in, and that order of the sums makes the bytes independent of the
     # worker count.  turn[j] is the next unit that slice j takes; a part
     # that finishes out of turn waits in stash, and the thread that adds
-    # its predecessor adds it too, so no worker waits.
+    # its predecessor adds it too, so no worker waits.  A part lives in its
+    # worker's scratch, so the stash keeps a copy.
     n_slices = sum(1 for _, s in units if s.start == 0)
     turn = list(range(n_slices))
     stash = {}
@@ -358,7 +398,7 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     def add(i, part):
         while part is not None:
             p = units[i][0]
-            E[p] += part[0]
+            E_parts[p] += part[0]
             np.minimum(dmin[p], part[1], out=dmin[p])
             i += n_slices
             with lock:
@@ -366,21 +406,20 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
                 part = stash.pop(i, None)
 
     def work(first):
-        # each worker takes every workers-th unit and keeps one scratch; units
-        # are source-major, so it makes a source slice's rows once for all
-        # of its units on that slice
-        scratch = np.empty(size)
+        # each worker takes every workers-th unit and keeps its scratch row;
+        # units are source-major, so it makes a source slice's rows once for
+        # all of its units on that slice
         rows = None
         for i in range(first, len(units), workers):
             p, s = units[i]
             if rows is None or rows[0] != s:
                 rows = s, sources.positions(s.start, s.stop), sources.moments(s.start, s.stop)
             part = _dyadic(grid[p], rows[1], rows[2], wl.k, kernel, source_kind,
-                           scratch, standoff, w=w[s])
+                           scratch[first], standoff, w=w[s])
             with lock:
                 mine = turn[i % n_slices] == i
                 if not mine:
-                    stash[i] = part
+                    stash[i] = part[0].copy(), part[1]
             if mine:
                 add(i, part)
 

@@ -69,30 +69,36 @@ def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
     element stays unclipped.  With v sorted in descending order, the k
     strongest elements clip, where k is the number of breakpoints
     beta = cap/v_j whose power stays within the budget, and beta spends
-    the remaining budget on the unclipped rest.  It works in three
-    full-length arrays, the order, R/2 in that order and v in that order,
-    whose buffers then take the two running sums and the breakpoint powers.
+    the remaining budget on the unclipped rest.  It allocates two
+    full-length arrays, the order and v in that order; R/2 in that order
+    goes into v's buffer, which the caller gives up, and the order's
+    buffer then takes the running sums of the unclipped power.
     """
     # the order among tied values of v orders their R in the sums below,
     # which moves the last bits of beta: ties keep the stable order, and
     # without ties the ascending order read backwards is that same order
     buf = np.argsort(v)
-    order = buf[::-1]
-    v_desc = v[order]
+    v_desc = v[buf[::-1]]
+    # v is read no more: its buffer takes R/2 in sort order
+    free, ascending = v, True
     if (v_desc[1:] == v_desc[:-1]).any():
-        # tied values are runs of the fast order: sorting (run * N + index)
-        # puts each run in index order; the run id counts the places where
-        # a value differs from the one before it
-        key = np.zeros_like(buf)
+        # tied values are runs of the fast order: sorting (run * N + index),
+        # in v's buffer, puts each run in index order; the run id counts the
+        # places where a value differs from the one before it
+        key = free.view(np.int64)
+        key[0] = 0
         np.not_equal(v_desc[1:], v_desc[:-1], out=key[1:])
         np.cumsum(key, out=key)
         key *= key.size
-        key += order
+        key += buf[::-1]
         key.sort()
-        buf = order = np.remainder(key, key.size, out=key)
-        del key
-    half_r = R[order]
-    del order
+        np.remainder(key, key.size, out=key)
+        # the descending order is in v's buffer, and the fast order's is free
+        buf, free, ascending = key, buf.view(np.float64), False
+    # mode "raise" would gather into a copy of out first
+    half_r = np.take(R, buf, out=free, mode="clip")
+    if ascending:
+        half_r = half_r[::-1]
     half_r *= 0.5
     # rest[j]: power of elements j.. per unit level squared, in the order's
     # buffer; spent[j]: power of the j+1 strongest elements at the cap, in
@@ -125,22 +131,29 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
          beta0*max(v) within the cap: TR, or CP for the uniform drive;
       3. otherwise the exact water level clips the strongest ports.
 
-    The phases conj(g)/|g| are formed only once the amplitudes are known,
-    so they are not alive while the level is solved.
+    v and R are the halves of one workspace.  The phases conj(g)/|g| are
+    formed only once the amplitudes are known, with |g| in R's half, and
+    the products w*g that E_focus sums take the whole workspace.
     """
     g = h.g
-    v = np.abs(g)
-    gmax = float(np.max(v)) if v.size else 0.0
+    n = g.size
+    work = np.empty(2 * n)
+    v, R = work[:n], work[n:]
+    gmax = float(np.max(np.abs(g, out=v))) if n else 0.0
     if gmax == 0.0:
         raise ValueError("channel is zero for the requested polarization")
     live = v >= ZERO_CHANNEL_CUTOFF * gmax
-    R = pc.R0_per_port * h.resistance_scale
-    if uniform:
-        v.fill(1.0)
-    else:
-        np.divide(v, R, out=v, where=live)
-    v[~live] = 0.0
+    np.multiply(pc.R0_per_port, h.resistance_scale, out=R)
 
+    def ratio():
+        # v = |g|/R from |g| in v, or 1 for the uniform drive; 0 when idle
+        if uniform:
+            v.fill(1.0)
+        else:
+            np.divide(v, R, out=v, where=live)
+        v[~live] = 0.0
+
+    ratio()
     R_live = _live(R, live)
     if 0.5 * cap ** 2 * float(np.sum(R_live)) <= pc.P0 * (1.0 + 1e-12):
         amplitude, beta, regime, active = cap, 0.0, "CP", "local"
@@ -153,25 +166,28 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
         if beta * float(np.max(v)) <= cap:
             regime, active = ("CP", "both") if uniform else ("TR", "global")
         else:
+            # the level takes v's buffer, so v is formed again after it
             beta = _water_level(v_live, R_live, cap, pc.P0)
             regime, active = "hybrid", "both"
+            np.abs(g, out=v)
+            ratio()
         del v_live
         amplitude = np.minimum(np.multiply(v, beta, out=v), cap, out=v)
         if uniform:
             beta = 0.0
     del R_live
     w = np.conj(g)
-    np.divide(w, np.abs(g), out=w, where=live)
+    np.divide(w, np.abs(g, out=R), out=w, where=live)
     w[~live] = 0.0
     w *= amplitude
-    # |w|^2 in v's buffer, then R/2 in R's; both go before w*g below
+    # |w|^2 in v's buffer, then R/2 in R's
     power_density = np.square(np.abs(w, out=v), out=v)
-    power_density *= np.multiply(R, 0.5, out=R)
+    power_density *= np.multiply(np.multiply(pc.R0_per_port, h.resistance_scale, out=R),
+                                 0.5, out=R)
     power = float(np.sum(power_density))
-    del amplitude, v, R, power_density
+    E_focus = complex(np.sum(np.multiply(w, g, out=work.view(complex))))
     return (ExcitationWeights(w=w, regime=regime, total_power=power),
-            FocalReport(E_focus=complex(np.sum(w * g)), active_constraint=active,
-                        beta=beta))
+            FocalReport(E_focus=E_focus, active_constraint=active, beta=beta))
 
 
 def cp_weights(h: ChannelVector, pc: PowerConstraints):

@@ -137,6 +137,63 @@ class TestRun:
         for name in ("weights.json", "metrics.json"):
             assert "peak_rss_mb" not in (out / name).read_text()
 
+    def test_manifest_stages_and_counters(self, tmp_path, capsys):
+        # a cut from the axis to 5 cm off a patch centre, (0, 1, 1/12), whose
+        # outer points lie inside the quarter-wavelength standoff: each
+        # stage's time and the peak after it, and the counts of the work, in
+        # the manifest only
+        scn = scenario(tmp_path, **MESH, focus_y_m=0.475, focus_z_m=1 / 12, cut_axis="y",
+                       cut_half_span_m=0.475)
+        out = tmp_path / "out"
+        code, summary = run_cli(capsys, "run", "--scenario", scn, "--out", str(out))
+        assert code == 0
+        assert set(summary) == {"status", "subcommand", "out", "artifacts"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        # in the order they run; ru_maxrss never falls
+        stages = ["aperture", "channel", "solve", "write weights.csv", "write weights.json",
+                  "field", "write cut.csv", "metrics", "write metrics.json"]
+        timings, peaks = manifest["timings_s"], manifest["stage_peak_rss_mb"]
+        assert sorted(timings) == sorted(peaks) == sorted(stages)
+        assert all(t >= 0.0 for t in timings.values())
+        assert sum(timings.values()) <= manifest["wall_time_s"]
+        assert [peaks[k] for k in stages] == sorted(peaks.values())
+        assert 10.0 < peaks["aperture"] and peaks["write metrics.json"] <= manifest["peak_rss_mb"]
+
+        points = np.loadtxt(out / "cut.csv", delimiter=",", skiprows=1, usecols=(1, 2, 3))
+        code, _ = run_cli(capsys, "layout", "--scenario", scn, "--out", str(tmp_path / "lay"))
+        patches = np.loadtxt(tmp_path / "lay" / "layout.csv", delimiter=",", skiprows=1,
+                             usecols=(0, 1, 2))
+        nearest = np.min(np.linalg.norm(points[:, None] - patches[None], axis=2), axis=1)
+        near = int(np.count_nonzero(nearest < 0.25 * LAM))
+        assert code == 0 and 0 < near < len(points)
+        assert manifest["counters"] == {"sources": 60 * 18, "points": len(points),
+                                        "kernel_pairs": len(points) * 60 * 18,
+                                        "near_singular_points": near}
+        for name in ("weights.json", "metrics.json"):
+            text = (out / name).read_text()
+            assert all(key not in text for key in ("timings_s", "stage_peak", "counters"))
+
+    def test_manifest_stages_of_every_subcommand(self, tmp_path, capsys):
+        # validate and analytic also time their closed-form reference, and
+        # layout builds only the aperture
+        scn = scenario(tmp_path, **dict(MESH, method="cp", analytic_reference="ez_trans"))
+        expected = {
+            "validate": {"aperture", "channel", "solve", "field", "write cut.csv",
+                         "reference", "write curve.csv", "metrics", "write report.json"},
+            "analytic": {"reference", "write curve.csv"},
+            "layout": {"aperture", "write layout.csv"},
+        }
+        for subcommand, stages in expected.items():
+            out = tmp_path / subcommand
+            code, _ = run_cli(capsys, subcommand, "--scenario", scn, "--out", str(out))
+            assert code in (0, 1)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert set(manifest["timings_s"]) == set(manifest["stage_peak_rss_mb"]) == stages
+            counters = manifest["counters"]
+            assert counters["sources"] == (0 if subcommand == "analytic" else 60 * 18)
+            assert counters["kernel_pairs"] == counters["points"] * counters["sources"]
+            assert (counters["points"] > 0) == (subcommand == "validate")
+
     def test_manifest_solver_diagnostics(self, tmp_path, capsys):
         # the cap that clips part of the mesh (hybrid) and one below the
         # all-clipped drive that meets the budget (CP, budget slack)
@@ -800,8 +857,11 @@ class TestMemory:
     # Traced bytes per source at the peak of a run.  The arrays a run must
     # hold at full length take 16 B for the scalar channel, 8 for the port
     # resistances and 16 for the weights; the mesh holds only its strips
-    # and makes its rows per block.  Measured 66.8 B/source here, with the
-    # peak in the solve, and 66.1 in the channel stage (74 when the solve
+    # and makes its rows per block.  Measured 65.3 B/source here, with the
+    # peak in the channel stage (the channel and the kernel's 5.2 MB
+    # scratch); the solve reaches 58.2 and the weights.csv write 59.3 (66.8,
+    # in the solve, while the water level gathered R into its own array and
+    # E_focus summed a fresh w*g; 74 when the solve
     # formed the phases before the water level and sorted -v, 130 when the
     # mesh held 56 B per patch of flat arrays, 156 when weights.csv was
     # formatted by one template call per block, 172 when the field kernel

@@ -541,6 +541,56 @@ def test_evaluate_field_peak_near_its_result(monkeypatch):
     assert peak <= 1.3 * fm.E.nbytes + scratch
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_source_sums_in_its_scratch(monkeypatch, threads):
+    # with one source a unit is all points and one pair each, so the
+    # weighted sum's products and the (P, 3) part are as large as the
+    # kernel's buffers: they are written into the scratch.  Measured 1.19 E
+    # + scratch on one worker and 1.20 on two; 2.34 and 3.29 when the sum
+    # allocated them per unit
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    el = single_element(orientation=(0.0, 1.0, 0.0), position=(1.0, 0.0, 0.0))
+    n = 300_000
+    grid = np.stack([np.zeros(n), np.zeros(n), np.linspace(-0.5, 0.5, n)], axis=1)
+    tracemalloc.start()
+    try:
+        fm = evaluate_field(el, np.ones(1), grid, WL, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fm.workers == threads
+    scratch = fm.workers * fields._units(n, 1)[1] * 8
+    assert peak <= 1.3 * fm.E.nbytes + scratch
+
+
+def test_worker_scratch_is_one_array_made_by_the_caller(monkeypatch):
+    # each worker computes its units in its own row of one (workers, size)
+    # array that evaluate_field makes before the workers start, so the
+    # scratch's pages go back to the calling thread's heap
+    layout = small_layout()
+    rng = np.random.default_rng(8)
+    w = rng.normal(size=len(layout)) + 1j * rng.normal(size=len(layout))
+    grid = np.stack([np.linspace(-0.3, 0.3, 64), np.zeros(64), np.zeros(64)], axis=1)
+    monkeypatch.setattr(fields, "_CHUNK_BUDGET", len(layout))
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 3)
+    seen = []
+    dyadic = fields._dyadic
+
+    def recording(*args, **kwargs):
+        seen.append(args[6])
+        return dyadic(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_dyadic", recording)
+    fm = evaluate_field(layout, w, grid, WL, threads=3)
+    assert fm.workers == 3 and len(seen) == len(fields._units(len(grid), len(layout))[0])
+    base = seen[0].base
+    assert base is not None
+    assert all(scratch.base is base for scratch in seen)
+    assert base.shape == (3, fields._units(len(grid), len(layout))[1])
+    rows = {(scratch.ctypes.data - base.ctypes.data) // base.strides[0] for scratch in seen}
+    assert rows == {0, 1, 2}
+
+
 def brute_force_field(sources, w, grid, source_kind):
     """Per-point, per-source sum of the 3x3 tensors, in index order."""
     pos, moments = sources.positions(0, len(sources)), sources.moments(0, len(sources))
@@ -656,6 +706,33 @@ def test_fused_kernel_accuracy_against_long_double(aperture, kernel, source_kind
                        threads=2).E
     ref = longdouble_field(sources, w, grid, kernel, source_kind)
     assert np.max(np.abs(E - ref)) <= 5e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double on this platform")
+@pytest.mark.parametrize("n_src", [1, 3])
+@pytest.mark.parametrize("kernel, source_kind", [
+    ("full", "electric"), ("dipole-approx", "electric"), ("full", "magnetic")])
+def test_few_sources_on_many_points_against_long_double(n_src, kernel, source_kind):
+    # oblique elements, three nonzero moment components each, on 40,000
+    # points: a unit of so few sources holds many points, and its weighted
+    # sum's products (for magnetic currents a (6P, 6) one) fill the room
+    # that _units gives it, exactly so for these two counts.  Measured on
+    # x86-64 (80-bit long double): at most 5.3e-15 of the peak field, for
+    # the one magnetic source
+    rng = np.random.default_rng(9)
+    o = rng.normal(size=(n_src, 3))
+    sources = FlatSources(rng.uniform(-0.2, 0.2, (n_src, 3)),
+                          o / np.linalg.norm(o, axis=1)[:, None], LAM / 100.0)
+    w = np.exp(2j * np.pi * rng.random(n_src))
+    n = 40_000
+    grid = rng.uniform(0.5, 1.5, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
+    assert len(fields._units(n, n_src)[0]) > 2
+    maps = [evaluate_field(sources, w, grid, WL, kernel=kernel, source_kind=source_kind,
+                           threads=t) for t in (1, 2)]
+    assert maps[0].E.tobytes() == maps[1].E.tobytes()
+    ref = longdouble_field(sources, w, grid, kernel, source_kind)
+    assert np.max(np.abs(maps[0].E - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_coincident_point_raises_before_dividing():
