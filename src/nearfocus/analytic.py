@@ -31,14 +31,12 @@ loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import CylinderSpec
 
 __all__ = [
-    "GeometryAngles",
     "CP_EZ_AXIS_LIMIT",
     "CP_EX_AXIS_LIMIT",
     "TR_EZ_AXIS_LIMIT",
@@ -120,30 +118,12 @@ def _require_in_radius(offset: float, spec: CylinderSpec) -> tuple[float, float]
     return a, length
 
 
-@dataclass(frozen=True)
-class GeometryAngles:
-    """Rim angles seen from an on-axis focal point.
-
-    ``phi_plus``/``phi_minus`` are the angles between the cylinder axis and
-    the lines from the focus to the far/near rim; they parameterize every
-    conjugate-phase axis curve.
-    """
-
-    phi_plus: float
-    phi_minus: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("phi_plus", self.phi_plus), ("phi_minus", self.phi_minus)):
-            if not 0.0 < value < math.pi / 2.0:
-                raise ValueError(f"{name} must lie in (0, pi/2), got {value}")
-
-    @staticmethod
-    def for_focus(zf: float, spec: CylinderSpec) -> "GeometryAngles":
-        a, length = _require_in_span(zf, spec)
-        return GeometryAngles(
-            phi_plus=math.atan2(a, length / 2.0 + zf),
-            phi_minus=math.atan2(a, length / 2.0 - zf),
-        )
+def _rim_angles(zf: float, spec: CylinderSpec) -> tuple[float, float]:
+    """(phi_plus, phi_minus): the angles between the cylinder axis and the
+    lines from the on-axis focus to the far and the near rim, which
+    parameterize every conjugate-phase axis curve."""
+    a, length = _require_in_span(zf, spec)
+    return math.atan2(a, length / 2.0 + zf), math.atan2(a, length / 2.0 - zf)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +204,8 @@ def kernel_dipole(k_r: float, theta: float) -> float:
 
 def ez_cp_axis(zf: float, spec: CylinderSpec) -> float:
     """Co-polarized focal peak vs axial focus position, uniform-amplitude drive."""
-    angles = GeometryAngles.for_focus(zf, spec)
-    return math.pi / 2.0 * (math.cos(angles.phi_plus) + math.cos(angles.phi_minus))
+    phi_plus, phi_minus = _rim_angles(zf, spec)
+    return math.pi / 2.0 * (math.cos(phi_plus) + math.cos(phi_minus))
 
 
 def ex_cp_axis(zf: float, spec: CylinderSpec) -> float:
@@ -236,8 +216,8 @@ def ex_cp_axis(zf: float, spec: CylinderSpec) -> float:
     is pi - O(a^2/L^2), it approaches its limit at first order in a/L, and
     so does the co/cross ratio, (pi/2)(1 + 2a/L + O(a^2/L^2)).
     """
-    angles = GeometryAngles.for_focus(zf, spec)
-    return 2.0 - math.sin(angles.phi_plus) - math.sin(angles.phi_minus)
+    phi_plus, phi_minus = _rim_angles(zf, spec)
+    return 2.0 - math.sin(phi_plus) - math.sin(phi_minus)
 
 
 def _tr_primitive_copol_axial(u: float, a: float) -> float:

@@ -390,22 +390,16 @@ def _solve_weights(s: dict, h: ChannelVector, stages: _Stages):
         return hybrid_weights(h, pc)
 
 
-def _cut_offsets(s: dict) -> np.ndarray:
-    step = s["cut_step_m"]
-    n = max(1, int(round(s["cut_half_span_m"] / step)))
+def _offsets(half_span: float, step: float) -> np.ndarray:
+    """Whole steps from the focus out to about half_span on either side,
+    at least one each way."""
+    n = max(1, int(round(half_span / step)))
     return np.arange(-n, n + 1) * step
 
 
-def _cut_points(s: dict, axis: str, offsets: np.ndarray) -> np.ndarray:
-    return _focus(s)[None, :] + offsets[:, None] * _AXIS_UNIT[axis][None, :]
-
-
 def _plane_grid(s: dict):
-    step = s["plane_step_m"]
-    na = max(1, int(round(s["plane_half_span_a_m"] / step)))
-    nb = max(1, int(round(s["plane_half_span_b_m"] / step)))
-    ua = np.arange(-na, na + 1) * step
-    vb = np.arange(-nb, nb + 1) * step
+    ua = _offsets(s["plane_half_span_a_m"], s["plane_step_m"])
+    vb = _offsets(s["plane_half_span_b_m"], s["plane_step_m"])
     ax_a, ax_b = s["plane_axes"]
     U, V = np.meshgrid(ua, vb, indexing="ij")
     points = (_focus(s)[None, :]
@@ -465,8 +459,15 @@ def _field_columns(fm: FieldMap) -> dict:
     return columns
 
 
-def _write_cut(path: Path, offsets: np.ndarray, fm: FieldMap, stages: _Stages) -> None:
-    _write(path, {"offset_m": offsets, **_field_columns(fm)}, stages)
+def _cut(s: dict, outdir: Path, sources, weights, axis: str, component: str,
+         wl: Wavelength, threads: int, stages: _Stages) -> tuple:
+    """The field on the cut through the focus along axis, written to
+    cut.csv: the offsets, the field map and |E_component| on the cut."""
+    offsets = _offsets(s["cut_half_span_m"], s["cut_step_m"])
+    fm = _evaluate(s, sources, weights, _focus(s) + offsets[:, None] * _AXIS_UNIT[axis],
+                   wl, threads, stages)
+    _write(outdir / "cut.csv", {"offset_m": offsets, **_field_columns(fm)}, stages)
+    return offsets, fm, np.abs(fm.component(component))
 
 
 def _curve(s: dict, outdir: Path, offsets: np.ndarray, wl: Wavelength,
@@ -506,18 +507,15 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
     _write(outdir / "weights.json", sidecar, stages)
     artifacts = ["weights.csv", "weights.json"]
 
-    metrics_payload: dict = {"component": s["target_polarization"],
-                             "wavelength_m": wl.lam}
+    component = s["target_polarization"]
+    metrics_payload: dict = {"component": component, "wavelength_m": wl.lam}
     if s["grid"] == "cut":
-        offsets = _cut_offsets(s)
-        fm = _evaluate(s, sources, weights, _cut_points(s, s["cut_axis"], offsets),
-                       wl, threads, stages)
-        _write_cut(outdir / "cut.csv", offsets, fm, stages)
+        offsets, fm, values = _cut(s, outdir, sources, weights, s["cut_axis"], component,
+                                   wl, threads, stages)
         artifacts.append("cut.csv")
         metrics_payload["kind"] = "cut"
         metrics_payload["axis"] = s["cut_axis"]
         with stages("metrics"):
-            values = np.abs(fm.component(s["target_polarization"]))
             try:
                 m = cut_metrics((offsets, values), wl.lam)
                 metrics_payload["metrics"] = metrics_flat_dict(m, wl.lam)
@@ -530,15 +528,16 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
         artifacts.append("fieldmap.csv")
         metrics_payload["kind"] = "plane"
         metrics_payload["plane_axes"] = s["plane_axes"]
+        ax_a, ax_b = s["plane_axes"]
         with stages("metrics"):
-            amplitude = np.abs(fm.component(s["target_polarization"]))
-            i = int(np.argmax(amplitude))
-            metrics_payload["peak"] = float(amplitude[i])
+            mags = np.abs(fm.component(component)).reshape(ua.size, vb.size)
+            i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
+            metrics_payload["peak"] = float(mags[i, j])
             # the peak's sample relative to the focus, along the plane's two axes
-            metrics_payload["peak_offset_a_m"] = float(ua[i // vb.size])
-            metrics_payload["peak_offset_b_m"] = float(vb[i % vb.size])
+            metrics_payload["peak_offset_a_m"] = float(ua[i])
+            metrics_payload["peak_offset_b_m"] = float(vb[j])
             try:
-                poly = contour_3db(fm, s["target_polarization"], (ua.size, vb.size))
+                poly = contour_3db(mags, s[f"focus_{ax_a}_m"] + ua, s[f"focus_{ax_b}_m"] + vb)
                 metrics_payload["contour_3db"] = {
                     "n_points": int(len(poly)),
                     "extent_a_m": float(poly[:, 0].max() - poly[:, 0].min()),
@@ -552,7 +551,7 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
     diagnostics = solver_diagnostics(weights, report, _constraints(s))
     # the middle sample of either grid, the cut's offset 0 or the plane's
     # centre, is the focal point itself
-    gap = abs(fm.component(s["target_polarization"])[len(fm) // 2] - report.E_focus)
+    gap = abs(fm.component(component)[len(fm) // 2] - report.E_focus)
     diagnostics["focus_gap_rel"] = gap / abs(report.E_focus) if report.E_focus else None
     return artifacts, 0, {"solver": diagnostics, "workers": fm.workers}
 
@@ -641,11 +640,8 @@ def _cmd_validate(s: dict, outdir: Path, wl: Wavelength, threads: int,
     else:
         weights, _ = _solve_weights(
             s, _channel(s, sources, _AXIS_UNIT[component], wl, stages), stages)
-        offsets = _cut_offsets(s)
-        fm = _evaluate(s, sources, weights, _cut_points(s, axis, offsets), wl, threads,
-                       stages)
-        _write_cut(outdir / "cut.csv", offsets, fm, stages)
-        numeric = np.abs(fm.component(component))
+        offsets, fm, numeric = _cut(s, outdir, sources, weights, axis, component, wl,
+                                    threads, stages)
         ana = _curve(s, outdir, offsets, wl, stages)
         with stages("metrics"):
             num_n, ana_n = _normalized(numeric), _normalized(ana)
@@ -680,7 +676,7 @@ def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength, threads: int,
                   stages: _Stages) -> tuple[list, int, dict]:
     """The closed-form curve of the scenario's profile reference."""
     _reference(s, "analytic")
-    _curve(s, outdir, _cut_offsets(s), wl, stages)
+    _curve(s, outdir, _offsets(s["cut_half_span_m"], s["cut_step_m"]), wl, stages)
     return ["curve.csv"], 0, {}
 
 

@@ -123,8 +123,9 @@ def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
 def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
     """|w_n| = min(beta*v_n, cap) with the conjugate channel phase.
 
-    v = |g|/R, or 1 on every live port for the uniform drive.  The first
-    of three cases that holds decides the regime:
+    v = |g|/R, or 1 for the uniform drive; only the live ports' v count,
+    and w is 0 on the idle ones.  The first of three cases that holds
+    decides the regime:
 
       1. every live port at the cap fits the budget: CP, beta = 0;
       2. the budget-only level beta0 = sqrt(2*P0 / sum(R*v^2)) keeps
@@ -146,12 +147,12 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
     np.multiply(pc.R0_per_port, h.resistance_scale, out=R)
 
     def ratio():
-        # v = |g|/R from |g| in v, or 1 for the uniform drive; 0 when idle
+        # v = |g|/R from |g| in v, or 1 for the uniform drive; on an idle
+        # port v only scales w, which is 0 there
         if uniform:
             v.fill(1.0)
         else:
-            np.divide(v, R, out=v, where=live)
-        v[~live] = 0.0
+            np.divide(v, R, out=v)
 
     ratio()
     R_live = _live(R, live)
@@ -163,7 +164,7 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
         rv2 *= R_live
         beta = math.sqrt(2.0 * pc.P0 / float(np.sum(rv2)))
         del rv2
-        if beta * float(np.max(v)) <= cap:
+        if beta * float(np.max(v_live)) <= cap:
             regime, active = ("CP", "both") if uniform else ("TR", "global")
         else:
             # the level takes v's buffer, so v is formed again after it

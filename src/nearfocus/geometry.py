@@ -208,6 +208,15 @@ def _check_fits(n_sources: int) -> None:
                           f"{16 * n_sources} B, more than the {physical} B of physical memory")
 
 
+def _circular_strip(radius: float, phi: np.ndarray, size: float,
+                    resistance_scale: float) -> Strip:
+    """A strip round the circle of the given radius at the angles phi:
+    positions radius * (cos phi, sin phi, 0), tangents (-sin phi, cos phi, 0)."""
+    cosp, sinp, zero = np.cos(phi), np.sin(phi), np.zeros(phi.size)
+    return Strip(np.stack([radius * cosp, radius * sinp, zero]),
+                 np.stack([-sinp, cosp, zero]), size, resistance_scale)
+
+
 def build_ring_array(spec: CylinderSpec, wl: Wavelength,
                      polarization: str = "axial",
                      dipole_length: float | None = None) -> Aperture:
@@ -229,13 +238,10 @@ def build_ring_array(spec: CylinderSpec, wl: Wavelength,
         raise ValueError(f"degenerate ring with {per_ring} elements")
     rings = int(math.floor(spec.length_L / half_lam)) + 1
     _check_fits(per_ring * rings)
-    phi = 2.0 * math.pi * np.arange(per_ring) / per_ring
-    cosp, sinp = np.cos(phi), np.sin(phi)
-    zero = np.zeros(per_ring)
     if dipole_length is None:
         dipole_length = wl.lam / 100.0
-    strip = Strip(np.stack([spec.radius_a * cosp, spec.radius_a * sinp, zero]),
-                  np.stack([-sinp, cosp, zero]), dipole_length, 1.0)
+    strip = _circular_strip(spec.radius_a, 2.0 * math.pi * np.arange(per_ring) / per_ring,
+                            dipole_length, 1.0)
     # centered stack; odd ring counts put a ring plane exactly at z=0
     return Aperture([strip], (np.arange(rings) - 0.5 * (rings - 1)) * half_lam, polarization)
 
@@ -265,13 +271,10 @@ def build_cylinder_mesh(spec: CylinderSpec, n_axial: int, n_azimuthal: int,
         raise ValueError("need at least 3 azimuthal segments")
     _check_fits(n_axial * n_azimuthal)
     dphi = 2.0 * math.pi / n_azimuthal
-    phi = (np.arange(n_azimuthal) + 0.5) * dphi
-    cosp, sinp = np.cos(phi), np.sin(phi)
-    zero = np.zeros(n_azimuthal)
     # exact arc area so the patch areas tile the wall
     area = spec.radius_a * dphi * (spec.length_L / n_axial)
-    strip = Strip(np.stack([spec.radius_a * cosp, spec.radius_a * sinp, zero]),
-                  np.stack([-sinp, cosp, zero]), area, _patch_resistance_scale(area, wl))
+    strip = _circular_strip(spec.radius_a, (np.arange(n_azimuthal) + 0.5) * dphi, area,
+                            _patch_resistance_scale(area, wl))
     return Aperture([strip], _axial_grid(spec.length_L, n_axial), polarization)
 
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldMap
-
 __all__ = [
     "CutMetrics",
     "cut_metrics",
@@ -199,14 +197,6 @@ _CORNERS = {"T": ((0, 0), (0, 1)), "R": ((0, 1), (1, 1)),
 _NEXT_CELL = {"T": (-1, 0, "B"), "B": (1, 0, "T"), "L": (0, -1, "R"), "R": (0, 1, "L")}
 
 
-def _planar_axes(points: np.ndarray) -> tuple[int, int]:
-    spans = points.max(axis=0) - points.min(axis=0)
-    flat = int(np.argmin(spans))
-    if spans[flat] > 1e-9 * max(spans.max(), 1e-30):
-        raise ValueError("field map is not a planar cut")
-    return tuple(ax for ax in range(3) if ax != flat)
-
-
 def _point_in_polygon(pt, poly) -> bool:
     u0, v0 = pt
     inside = False
@@ -220,26 +210,18 @@ def _point_in_polygon(pt, poly) -> bool:
     return inside
 
 
-def contour_3db(field_map: FieldMap, component: str, grid_shape: tuple[int, int]) -> np.ndarray:
-    """Closed marching-squares polyline of |E_component| = peak / sqrt(2)
-    that bounds the peak's own region.
+def contour_3db(mags: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Closed marching-squares polyline of mags = peak / sqrt(2) that
+    bounds the peak's own region.
 
-    The map must be a planar, row-major grid of shape ``grid_shape`` with a
-    single dominant peak strictly inside it.  The contour is followed cell
-    by cell from the first crossed edge on the peak's row towards +j; a
-    closed loop that does not contain the peak bounds a hole in the peak's
-    region, and the search goes on along the row.  Returns an (M, 2) array
-    in the two in-plane coordinates (ascending xyz order), first point
-    repeated at the end.
+    mags is an (n1, n2) grid of magnitudes sampled at (u[i], v[j]), with
+    a single dominant peak strictly inside it.  The contour is followed
+    cell by cell from the first crossed edge on the peak's row towards +j;
+    a closed loop that does not contain the peak bounds a hole in the
+    peak's region, and the search goes on along the row.  Returns an
+    (M, 2) array of (u, v) points, first point repeated at the end.
     """
-    n1, n2 = grid_shape
-    if n1 * n2 != len(field_map):
-        raise ValueError("grid_shape does not match the number of map points")
-    ax_u, ax_v = _planar_axes(field_map.points)
-    mags = np.abs(field_map.component(component)).reshape(n1, n2)
-    u = field_map.points[:, ax_u].reshape(n1, n2)
-    v = field_map.points[:, ax_v].reshape(n1, n2)
-
+    n1, n2 = mags.shape
     peak = float(mags.max())
     if peak == 0.0:
         raise ValueError("all-zero field map has no contour")
@@ -256,7 +238,7 @@ def contour_3db(field_map: FieldMap, component: str, grid_shape: tuple[int, int]
         (a, b), (c, d) = _CORNERS[edge]
         p, q = (i + a, j + b), (i + c, j + d)
         t = (level - mags[p]) / (mags[q] - mags[p])
-        return u[p] + t * (u[q] - u[p]), v[p] + t * (v[q] - v[p])
+        return u[p[0]] + t * (u[q[0]] - u[p[0]]), v[p[1]] + t * (v[q[1]] - v[p[1]])
 
     def cell_pairs(i, j):
         code = (int(inside[i, j]) | (int(inside[i, j + 1]) << 1)
@@ -283,7 +265,7 @@ def contour_3db(field_map: FieldMap, component: str, grid_shape: tuple[int, int]
             if not (0 <= i < n1 - 1 and 0 <= j < n2 - 1):
                 return None
 
-    peak_uv = (u[pi, pj], v[pi, pj])
+    peak_uv = (u[pi], v[pj])
     for j in range(pj, n2 - 1):
         if inside[pi, j] and not inside[pi, j + 1]:
             loop = follow(pi, j)

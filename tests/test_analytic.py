@@ -27,7 +27,7 @@ from nearfocus.analytic import (
     TRANSVERSE_TR_X_LIMIT_ALTERNATE,
     TRANSVERSE_TR_Y_LIMIT,
     TRANSVERSE_TR_Z_LIMIT,
-    GeometryAngles,
+    _rim_angles,
     ex_cp_axis,
     ex_cp_radial_x,
     ex_cp_radial_y,
@@ -122,19 +122,15 @@ class TestKernels:
 
 class TestGeometryAngles:
     def test_for_focus_matches_tangent_definition(self):
-        angles = GeometryAngles.for_focus(1.3, BASE)
-        assert math.tan(angles.phi_plus) == pytest.approx(1.0 / 6.3, rel=1e-14)
-        assert math.tan(angles.phi_minus) == pytest.approx(1.0 / 3.7, rel=1e-14)
+        phi_plus, phi_minus = _rim_angles(1.3, BASE)
+        assert math.tan(phi_plus) == pytest.approx(1.0 / 6.3, rel=1e-14)
+        assert math.tan(phi_minus) == pytest.approx(1.0 / 3.7, rel=1e-14)
 
     def test_span_validation(self):
         with pytest.raises(ValueError):
-            GeometryAngles.for_focus(5.0, BASE)
+            ez_cp_axis(5.0, BASE)
         with pytest.raises(ValueError):
-            GeometryAngles.for_focus(-5.1, BASE)
-        with pytest.raises(ValueError):
-            GeometryAngles(phi_plus=0.0, phi_minus=0.3)
-        with pytest.raises(ValueError):
-            GeometryAngles(phi_plus=0.3, phi_minus=math.pi / 2.0)
+            ez_cp_axis(-5.1, BASE)
 
 
 class TestAxisCurves:

@@ -23,6 +23,7 @@ import nearfocus
 from nearfocus import analytic, cli
 from nearfocus.cli import main as cli_main
 from nearfocus.geometry import SPEED_OF_LIGHT
+from nearfocus.metrics import contour_3db
 
 LAM = SPEED_OF_LIGHT / 1.0e9
 
@@ -368,6 +369,38 @@ class TestRun:
         at = np.flatnonzero((rows[:, 1] == 0.05 + a) & (rows[:, 2] == 0.5 + b))
         assert at.size == 1
         assert math.hypot(*rows[at[0], 7:9]) == pytest.approx(metrics["peak"], rel=1e-12)
+
+    @pytest.mark.parametrize("plane_axes", ["xy", "xz"])
+    def test_plane_metrics_read_the_fieldmap(self, tmp_path, capsys, plane_axes):
+        # a focus with a different coordinate on every axis, so that a
+        # plane read along the wrong axis shows in the numbers
+        focus = {"x": 0.1, "y": -0.2, "z": 0.3}
+        scn = scenario(tmp_path, aperture="discrete", method="cp",
+                       amplitude_cap_a=0.002, port_resistance_ohm=1.0,
+                       **{f"focus_{axis}_m": value for axis, value in focus.items()},
+                       grid="plane", plane_axes=plane_axes)
+        out = tmp_path / "out"
+        code, _ = run_cli(capsys, "run", "--scenario", scn, "--out", str(out))
+        assert code == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["plane_axes"] == plane_axes
+        # the grid again from fieldmap.csv: its rows run along b within a
+        rows = np.loadtxt(out / "fieldmap.csv", delimiter=",", skiprows=1)
+        a, b = ("xyz".index(axis) for axis in plane_axes)
+        u, v = np.unique(rows[:, a]), np.unique(rows[:, b])
+        assert np.array_equal(rows[:, a], np.repeat(u, v.size))
+        assert np.array_equal(rows[:, b], np.tile(v, u.size))
+        mags = np.abs(rows[:, 7] + 1j * rows[:, 8]).reshape(u.size, v.size)
+        i, j = np.unravel_index(np.argmax(mags), mags.shape)
+        assert metrics["peak"] == mags[i, j]
+        assert focus[plane_axes[0]] + metrics["peak_offset_a_m"] == u[i]
+        assert focus[plane_axes[1]] + metrics["peak_offset_b_m"] == v[j]
+        poly = contour_3db(mags, u, v)
+        assert metrics["contour_3db"] == {
+            "n_points": len(poly),
+            "extent_a_m": poly[:, 0].max() - poly[:, 0].min(),
+            "extent_b_m": poly[:, 1].max() - poly[:, 1].min(),
+        }
 
     def test_coarse_cut_skips_metrics(self, tmp_path, capsys):
         scn = scenario(tmp_path, aperture="single", cut_step_m=LAM / 32)

@@ -309,6 +309,24 @@ def test_water_level_with_idle_ports_matches_the_stable_order(monkeypatch):
     assert np.all(weights.w[idle] == 0.0) and np.all(weights.w[~idle] != 0.0)
 
 
+@pytest.mark.parametrize("drive, regime", [(cp_weights, "CP"), (tr_weights, "TR"),
+                                           (hybrid_weights, "hybrid")])
+def test_one_idle_port_gets_an_exact_zero(drive, regime):
+    # every port live but one, whose |g| is nonzero but below the cutoff:
+    # its weight is +0+0j to the bit, and no live weight is 0
+    rng = np.random.default_rng(8)
+    n = 64
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    g[17] = -1e-17 - 1e-17j
+    h = channel_from_g(g, rng.uniform(0.5, 2.0, n))
+    pc = both_bind(h) if drive is hybrid_weights else PowerConstraints(
+        w_max=1.0, P0=1.0e3, R0_per_port=1.0)
+    weights, _ = drive(h, pc)
+    assert weights.regime == regime
+    assert weights.w[17].tobytes() == bytes(16)
+    assert np.all(np.delete(weights.w, 17) != 0.0)
+
+
 def test_water_level_without_ties_matches_the_stable_order(monkeypatch):
     rng = np.random.default_rng(4)
     n = 4000

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearfocus.analytic import kernel_dipole, kernel_point
-from nearfocus.fields import FieldMap
 from nearfocus.metrics import (
     CutMetrics,
     contour_3db,
@@ -218,18 +217,15 @@ class TestCutMetrics:
 
 
 def planar_map(values):
+    """|values(y, z)| on a square grid of wavelength/64 steps, and its axes."""
     g = grid(0.45, 1 / 64)
     Y, Z = np.meshgrid(g, g, indexing="ij")
-    pts = np.column_stack([np.zeros(Y.size), Y.ravel(), Z.ravel()])
-    E = np.zeros((len(pts), 3), complex)
-    E[:, 2] = values(Y.ravel(), Z.ravel())
-    return FieldMap(pts, E, np.zeros(len(pts), bool)), (len(g), len(g))
+    return np.abs(values(Y, Z)), g, g
 
 
 class TestContour3db:
     def test_isotropic_spot_is_a_circle(self):
-        fm, shape = planar_map(lambda y, z: kp(K * np.hypot(y, z)))
-        poly = contour_3db(fm, "z", shape)
+        poly = contour_3db(*planar_map(lambda y, z: kp(K * np.hypot(y, z))))
         assert poly.shape[1] == 2
         assert len(poly) > 8
         assert np.array_equal(poly[0], poly[-1])
@@ -244,8 +240,7 @@ class TestContour3db:
         def spot(y, z):
             return kd(K * np.hypot(y, z), np.arctan2(np.abs(y), z))
 
-        fm, shape = planar_map(spot)
-        poly = contour_3db(fm, "z", shape)
+        poly = contour_3db(*planar_map(spot))
         y_extent = poly[:, 0].max() - poly[:, 0].min()
         z_extent = poly[:, 1].max() - poly[:, 1].min()
         assert z_extent > y_extent
@@ -261,8 +256,7 @@ class TestContour3db:
             r = np.hypot(y, z)
             return np.exp(-(r / sigma) ** 2) + 0.9 * np.exp(-((r - 0.2 * LAM) / (0.05 * LAM)) ** 2)
 
-        fm, shape = planar_map(spot_and_ring)
-        poly = contour_3db(fm, "z", shape)
+        poly = contour_3db(*planar_map(spot_and_ring))
         radii = np.hypot(poly[:, 0], poly[:, 1])
         target = sigma * math.sqrt(0.5 * math.log(2.0))
         assert radii.min() == pytest.approx(target, rel=0.03)
@@ -275,8 +269,7 @@ class TestContour3db:
             dip = np.exp(-(y ** 2 + (z - 0.1 * LAM) ** 2) / (0.03 * LAM) ** 2)
             return np.exp(-(y ** 2 + z ** 2) / (0.4 * LAM) ** 2) * (1.0 - 0.5 * dip)
 
-        fm, shape = planar_map(spot_with_hole)
-        poly = contour_3db(fm, "z", shape)
+        poly = contour_3db(*planar_map(spot_with_hole))
         radii = np.hypot(poly[:, 0], poly[:, 1])
         target = 0.4 * LAM * math.sqrt(0.5 * math.log(2.0))
         assert radii.min() == pytest.approx(target, rel=0.005)
@@ -286,16 +279,17 @@ class TestContour3db:
         # plateaus of equal neighbouring magnitudes: only crossed edges,
         # whose ends differ, are interpolated
         sigma = 0.15 * LAM
-        fm, shape = planar_map(lambda y, z: np.round(8.0 * np.exp(-(y ** 2 + z ** 2) / sigma ** 2)) / 8.0)
+        mags, y, z = planar_map(
+            lambda y, z: np.round(8.0 * np.exp(-(y ** 2 + z ** 2) / sigma ** 2)) / 8.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            poly = contour_3db(fm, "z", shape)
+            poly = contour_3db(mags, y, z)
         assert np.array_equal(poly[0], poly[-1])
         # the level lies between the plateaus 0.75 and 0.625, whose samples
         # meet where the Gaussian rounds across 0.6875
         radii = np.hypot(poly[:, 0], poly[:, 1])
         edge = sigma * math.sqrt(math.log(1.0 / 0.6875))
-        step = fm.points[1, 2] - fm.points[0, 2]
+        step = z[1] - z[0]
         assert np.all(np.abs(radii - edge) <= math.sqrt(2.0) * step)
 
     @pytest.mark.parametrize("side, joined", [(0.0, False), (0.6, True)])
@@ -306,17 +300,12 @@ class TestContour3db:
         mags = np.zeros((6, 6))
         mags[2, 2], mags[3, 3] = 1.0, 0.9
         mags[2, 3] = mags[3, 2] = side
-        Y, Z = np.meshgrid(np.arange(6.0), np.arange(6.0), indexing="ij")
-        pts = np.column_stack([np.zeros(Y.size), Y.ravel(), Z.ravel()])
-        E = np.zeros((Y.size, 3), complex)
-        E[:, 2] = mags.ravel()
-        poly = contour_3db(FieldMap(pts, E, np.zeros(Y.size, bool)), "z", mags.shape)
+        poly = contour_3db(mags, np.arange(6.0), np.arange(6.0))
         assert (poly[:, 0].max() > 3.0) == joined
 
     def test_all_zero_map_rejected(self):
-        fm, shape = planar_map(lambda y, z: np.zeros_like(y))
         with pytest.raises(ValueError, match="all-zero"):
-            contour_3db(fm, "z", shape)
+            contour_3db(*planar_map(lambda y, z: np.zeros_like(y)))
 
     def test_boundary_peak_rejected(self):
         corner = -0.45 * LAM
@@ -324,22 +313,8 @@ class TestContour3db:
         def spot(y, z):
             return np.exp(-((y - corner) ** 2 + (z - corner) ** 2) / (0.02 * LAM) ** 2)
 
-        fm, shape = planar_map(spot)
         with pytest.raises(ValueError, match="boundary"):
-            contour_3db(fm, "z", shape)
-
-    def test_shape_mismatch_rejected(self):
-        fm, shape = planar_map(lambda y, z: kp(K * np.hypot(y, z)))
-        with pytest.raises(ValueError, match="grid_shape"):
-            contour_3db(fm, "z", (shape[0] - 1, shape[1]))
-
-    def test_non_planar_map_rejected(self):
-        fm, shape = planar_map(lambda y, z: kp(K * np.hypot(y, z)))
-        pts = fm.points.copy()
-        pts[:, 0] = np.linspace(0.0, LAM, len(pts))
-        skewed = FieldMap(pts, fm.E, fm.near_singular)
-        with pytest.raises(ValueError, match="planar"):
-            contour_3db(skewed, "z", shape)
+            contour_3db(*planar_map(spot))
 
 
 class TestPolarizationRatio:
