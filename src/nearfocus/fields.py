@@ -14,8 +14,8 @@ point, reduced by real matmuls (evaluate_field), and each source's field
 projected on one polarization by real dot products (assemble_channel,
 and green_electric and green_magnetic as the three axis projections).
 Sources are a geometry.Aperture, whatever its kind: each work unit makes
-its own slice of source positions and moments, and the port-resistance
-scales are each strip's scale repeated over its rows.
+its own slice of source positions and moments, and the channel keeps
+one port-resistance scale per strip, as a run over the strip's rows.
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -55,23 +55,54 @@ class ChannelVector:
 
     g[n] is the component along the target polarization of the E-field
     that a unit drive of source n produces at the focus; it is all the
-    weight solvers read.  resistance_scale carries the per-port resistance
-    multiplier (patch area over the half-wavelength-square reference area
-    for meshes, 1 for dipoles).
+    weight solvers read besides the ports' resistance multipliers (patch
+    area over the half-wavelength-square reference area for meshes, 1 for
+    dipoles).  Those are given per port, or with counts as runs: counts[i]
+    consecutive ports of scale resistance_scale[i].  An aperture's strips
+    give one run each, in row order, so the channel holds a few floats
+    where a per-port array would hold 8 B per port.  The resistance_scale
+    attribute is the per-port array either way, made from the runs on
+    each read.
     """
 
-    def __init__(self, g: np.ndarray, resistance_scale: np.ndarray):
+    def __init__(self, g: np.ndarray, resistance_scale: np.ndarray, counts=None):
         self.g = np.asarray(g, dtype=complex)
-        self.resistance_scale = np.asarray(resistance_scale, dtype=float)
+        scale = np.asarray(resistance_scale, dtype=float)
         if self.g.ndim != 1:
             raise ValueError("g must be (N,)")
-        if self.resistance_scale.shape != self.g.shape:
-            raise ValueError("resistance_scale must have one value per source")
-        if np.any(self.resistance_scale <= 0.0):
+        if counts is None:
+            if scale.shape != self.g.shape:
+                raise ValueError("resistance_scale must have one value per source")
+        else:
+            counts = np.asarray(counts, dtype=np.intp)
+            if not (scale.ndim == 1 and counts.shape == scale.shape
+                    and np.all(counts >= 0) and counts.sum() == self.g.size):
+                raise ValueError("resistance scale runs must cover every source once")
+        # min, not a full-length comparison; a NaN makes it NaN, which fails too
+        if not np.min(scale, initial=math.inf) > 0.0:
             raise ValueError("resistance scales must be positive")
+        self._scale, self._counts = scale, counts
 
     def __len__(self) -> int:
         return self.g.shape[0]
+
+    @property
+    def resistance_scale(self) -> np.ndarray:
+        """Each port's resistance multiplier, (N,)."""
+        if self._counts is None:
+            return self._scale
+        return np.repeat(self._scale, self._counts)
+
+    def resistances(self, R0: float, out: np.ndarray) -> np.ndarray:
+        """out = R0 times each port's resistance multiplier, run by run
+        where the channel has runs."""
+        if self._counts is None:
+            return np.multiply(R0, self._scale, out=out)
+        start = 0
+        for scale, count in zip(self._scale, self._counts):
+            out[start:start + count] = R0 * scale
+            start += count
+        return out
 
 
 def project(fields: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
@@ -347,10 +378,10 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
         g[s] = _dyadic(focal[None, :], sources.positions(s.start, s.stop),
                        sources.moments(s.start, s.stop), wl.k, kernel, source_kind,
                        scratch, 0.25 * wl.lam, e_hat=e_hat)[0][0]
-    # one scale per strip, repeated over its rows
+    # one run per strip: its scale over its rows
     strips = sources.strips
-    return ChannelVector(g, np.repeat([s.resistance_scale for s in strips],
-                                      [len(s) * sources.z.size for s in strips]))
+    return ChannelVector(g, [s.resistance_scale for s in strips],
+                         [len(s) * sources.z.size for s in strips])
 
 
 def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,

@@ -14,8 +14,9 @@ beta with that one meaning: 0 when every element runs at the cap, and
 for the uniform drive.
 
 g is each source's focal field projected on the target polarization;
-port resistances are R0 times the channel's per-port scale (patch area
-over the reference area for meshes).  The tests certify optimality on
+port resistances are R0 times the channel's resistance scales (patch
+area over the reference area for meshes), which the channel writes
+into the solve's workspace run by run.  The tests certify optimality on
 small instances with an independent projected-ascent oracle
 (tests/oracles.py).
 """
@@ -132,19 +133,24 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
          beta0*max(v) within the cap: TR, or CP for the uniform drive;
       3. otherwise the exact water level clips the strongest ports.
 
-    v and R are the halves of one workspace.  The phases conj(g)/|g| are
+    v and R are the halves of one workspace, allocated together with the
+    live mask.  The phases conj(g)/|g| are
     formed only once the amplitudes are known, with |g| in R's half, and
     the products w*g that E_focus sums take the whole workspace.
     """
     g = h.g
     n = g.size
-    work = np.empty(2 * n)
+    # the workspace and the live mask are one allocation: a mask of its
+    # own, alive through the water level, can land between the level's two
+    # arrays, and the weights then find no freed hole to reuse
+    block = np.empty(17 * n, dtype=np.uint8)
+    work, live = block[:16 * n].view(np.float64), block[16 * n:].view(bool)
     v, R = work[:n], work[n:]
     gmax = float(np.max(np.abs(g, out=v))) if n else 0.0
     if gmax == 0.0:
         raise ValueError("channel is zero for the requested polarization")
-    live = v >= ZERO_CHANNEL_CUTOFF * gmax
-    np.multiply(pc.R0_per_port, h.resistance_scale, out=R)
+    np.greater_equal(v, ZERO_CHANNEL_CUTOFF * gmax, out=live)
+    h.resistances(pc.R0_per_port, out=R)
 
     def ratio():
         # v = |g|/R from |g| in v, or 1 for the uniform drive; on an idle
@@ -181,10 +187,10 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
     np.divide(w, np.abs(g, out=R), out=w, where=live)
     w[~live] = 0.0
     w *= amplitude
-    # |w|^2 in v's buffer, then R/2 in R's
+    # |w|^2 in v's buffer, then R/2 in R's: (R0/2)*scale is (R0*scale)/2,
+    # since halving is exact
     power_density = np.square(np.abs(w, out=v), out=v)
-    power_density *= np.multiply(np.multiply(pc.R0_per_port, h.resistance_scale, out=R),
-                                 0.5, out=R)
+    power_density *= h.resistances(0.5 * pc.R0_per_port, out=R)
     power = float(np.sum(power_density))
     E_focus = complex(np.sum(np.multiply(w, g, out=work.view(complex))))
     return (ExcitationWeights(w=w, regime=regime, total_power=power),

@@ -888,11 +888,13 @@ class TestErrors:
 
 class TestMemory:
     # Traced bytes per source at the peak of a run.  The arrays a run must
-    # hold at full length take 16 B for the scalar channel, 8 for the port
-    # resistances and 16 for the weights; the mesh holds only its strips
-    # and makes its rows per block.  Measured 65.3 B/source here, with the
-    # peak in the channel stage (the channel and the kernel's 5.2 MB
-    # scratch); the solve reaches 58.2 and the weights.csv write 59.3 (66.8,
+    # hold at full length take 16 B for the scalar channel and 16 for the
+    # weights; the channel keeps one port-resistance scale per strip, and
+    # the mesh holds only its strips and makes its rows per block.
+    # Measured 65.3 B/source here, with the peak in the channel stage (the
+    # channel and the kernel's 5.2 MB scratch); the solve reaches 50.3 and
+    # the weights.csv write 59.3 (58.2 in the solve while the channel held
+    # 8 B per port of resistance scales; 66.8,
     # in the solve, while the water level gathered R into its own array and
     # E_focus summed a fresh w*g; 74 when the solve
     # formed the phases before the water level and sorted -v, 130 when the

@@ -32,6 +32,7 @@ from nearfocus.geometry import (
     RectCorridorSpec,
     Strip,
     Wavelength,
+    _patch_resistance_scale,
     build_cylinder_mesh,
     build_rect_corridor_mesh,
     build_ring_array,
@@ -315,6 +316,61 @@ def test_channel_mesh_resistance_scale():
     ring = build_ring_array(spec, WL, "axial")
     ch = assemble_channel(ring, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL)
     assert np.array_equal(ch.resistance_scale, np.ones(len(ring)))
+
+
+def test_channel_resistance_scale_follows_the_row_order():
+    # a corridor whose x walls (8 patches across 0.5 m) and y walls (15
+    # across 1 m) have patches of different area: each row's scale is its
+    # own wall's, the wall told by the row's position, not by the strips
+    spec = RectCorridorSpec(width_La=1.0, height_Lb=0.5, length_L=1.3)
+    mesh = build_rect_corridor_mesh(spec, 0.07, WL)
+    ch = assemble_channel(mesh, np.array([0.1, -0.05, 0.2]), np.array([0.0, 0.0, 1.0]), WL)
+    nz = math.ceil(spec.length_L / 0.07)
+    pos = mesh.positions(0, len(mesh))
+    on_x_wall = np.abs(pos[0]) == 0.5 * spec.width_La
+    assert np.array_equal(on_x_wall, np.abs(pos[1]) != 0.5 * spec.height_Lb)
+    x_area = spec.height_Lb / 8 * (spec.length_L / nz)
+    y_area = spec.width_La / 15 * (spec.length_L / nz)
+    assert abs(x_area / y_area - 1.0) > 0.05
+    want = np.where(on_x_wall, _patch_resistance_scale(x_area, WL),
+                    _patch_resistance_scale(y_area, WL))
+    assert ch.resistance_scale.shape == (len(mesh),)
+    np.testing.assert_allclose(ch.resistance_scale, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scale, counts", [
+    pytest.param(np.ones(2), None, id="per-port-short"),
+    pytest.param(np.ones((3, 1)), None, id="per-port-shape"),
+    pytest.param([1.0, 2.0], [1, 1], id="runs-short"),
+    pytest.param([1.0, 2.0], [2, 2], id="runs-long"),
+    pytest.param([1.0, 2.0], [4, -1], id="runs-negative-count"),
+    pytest.param([1.0, 2.0], [3], id="runs-count-per-scale"),
+    pytest.param([1.0, 0.0, 2.0], None, id="per-port-zero"),
+    pytest.param([1.0, np.nan, 2.0], None, id="per-port-nan"),
+    pytest.param([1.0, -2.0], [1, 2], id="runs-negative"),
+    pytest.param([0.0, 2.0], [0, 3], id="runs-zero-on-no-port"),
+])
+def test_channel_refuses_bad_resistance_scales(scale, counts):
+    # three ports, per-port scales or runs
+    with pytest.raises(ValueError):
+        ChannelVector(np.ones(3), scale, counts)
+
+
+def test_channel_keeps_one_resistance_scale_per_strip():
+    # a 203,548-patch corridor: the channel retains its 16 B per port of g,
+    # and its resistance scales as one run per wall
+    mesh = build_rect_corridor_mesh(RectCorridorSpec(width_La=12.0, height_Lb=10.5,
+                                                     length_L=25.2), 0.25 * LAM, WL)
+    n = len(mesh)
+    assert n >= 200_000
+    tracemalloc.start()
+    try:
+        ch = assemble_channel(mesh, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]), WL)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ch) == n
+    assert retained <= 16 * n + 65_536
 
 
 # ------------------------------------------------------------- field maps

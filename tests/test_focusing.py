@@ -19,7 +19,13 @@ from nearfocus.focusing import (
     tr_weights,
     weights_sidecar,
 )
-from nearfocus.geometry import CylinderSpec, Wavelength, build_ring_array
+from nearfocus.geometry import (
+    CylinderSpec,
+    RectCorridorSpec,
+    Wavelength,
+    build_rect_corridor_mesh,
+    build_ring_array,
+)
 
 from oracles import optimality_oracle, stable_water_level
 
@@ -337,16 +343,38 @@ def test_water_level_without_ties_matches_the_stable_order(monkeypatch):
     assert_level_matches_stable_order(h, monkeypatch)
 
 
+@pytest.mark.parametrize("drive, regime", [(cp_weights, "CP"), (tr_weights, "TR"),
+                                           (hybrid_weights, "hybrid")])
+def test_resistance_runs_solve_as_their_ports(drive, regime):
+    # a corridor whose x walls and y walls have patches of different area:
+    # the channel's one scale per wall gives the bytes of its per-port form
+    wl = Wavelength.from_frequency(1.0e9)
+    mesh = build_rect_corridor_mesh(RectCorridorSpec(width_La=1.0, height_Lb=0.5,
+                                                     length_L=1.3), 0.07, wl)
+    h = assemble_channel(mesh, np.array([0.1, -0.05, 0.2]), np.array([0.0, 0.0, 1.0]), wl)
+    per_port = ChannelVector(h.g, h.resistance_scale)
+    assert np.unique(per_port.resistance_scale).size == 2
+    pc = both_bind(h)
+    weights, report = drive(h, pc)
+    want_weights, want_report = drive(per_port, pc)
+    assert weights.regime == want_weights.regime == regime
+    assert weights.w.tobytes() == want_weights.w.tobytes()
+    assert weights.total_power == want_weights.total_power
+    assert report.E_focus == want_report.E_focus
+    assert report.beta == want_report.beta
+
+
 @pytest.mark.parametrize("drive, regime", [
     (hybrid_weights, "hybrid"), (tr_weights, "TR"), (cp_weights, "CP")])
 def test_solve_peak_and_channel_kept(drive, regime):
-    # beyond the channel's 24 B per port, a solve holds one workspace for
-    # |g|/R and R (16 B) and the live mask, and then either the water
-    # level's order and sorted v or the weights (16 B), whose phases divide
-    # by |g| in R's half: measured 34.0 B per port for all three (42.0 for
-    # hybrid and 41.7 for TR and CP while the level gathered R into its own
-    # array and the phases took a fresh |g|; 65.0, 49.0 and 49.0 while the
-    # phases were formed before the level)
+    # beyond the channel (24 B per port here, where the scales are per
+    # port; an aperture's channel keeps one per strip and holds 16), a
+    # solve holds one workspace for |g|/R and R (16 B) with the live mask,
+    # and then either the water level's order and sorted v or the weights
+    # (16 B), whose phases divide by |g| in R's half: measured 34.0 B per
+    # port for all three (42.0 for hybrid and 41.7 for TR and CP while the
+    # level gathered R into its own array and the phases took a fresh |g|;
+    # 65.0, 49.0 and 49.0 while the phases were formed before the level)
     rng = np.random.default_rng(12)
     n = 200_000
     h = channel_from_g(rng.normal(size=n) + 1j * rng.normal(size=n), rng.uniform(0.5, 2.0, n))
