@@ -55,8 +55,6 @@ __all__ = [
     "struve_h",
     "sine_integral",
     "complete_elliptic_k",
-    "kernel_point",
-    "kernel_dipole",
     "ez_cp_axis",
     "ez_tr_axis",
     "ex_cp_axis",
@@ -174,29 +172,6 @@ def complete_elliptic_k(m):
     from scipy import special
 
     return special.ellipk(m)
-
-
-# ---------------------------------------------------------------------------
-# Point-focus kernels
-
-
-def kernel_point(k_r: float) -> float:
-    """Focal kernel of an ideal point-source continuum: sinc of k*r."""
-    if k_r < 0.0:
-        raise ValueError("k_r must be non-negative")
-    return sinc(k_r)
-
-
-def kernel_dipole(k_r: float, theta: float) -> float:
-    """Focal kernel of a dipole continuum at polar angle theta from the dipole axis.
-
-    The r -> 0 limit is 2/3 for every theta; both special-function factors
-    are finite there, so no explicit branch is needed.
-    """
-    if k_r < 0.0:
-        raise ValueError("k_r must be non-negative")
-    s2 = math.sin(theta) ** 2
-    return sinc(k_r) * s2 - spherical_j1_over_x(k_r) * (3.0 * s2 - 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,15 @@ diagnostics (regime, level, power, clipped and idle ports, power
 residual) and the relative gap between the focal field the solver
 predicts and the one evaluated at the focus.
 
+Every aperture, the single element included, gets its channel from one
+fields.assemble_channel call.
+
 Exit codes: 0 success (for validate: comparison passed), 1 validate
-comparison failed, 2 usage or scenario errors, or a problem too large
-to allocate.  Errors print one machine-readable JSON object to stdout.
+comparison failed, 2 usage or scenario errors (their own codes), a
+problem too large to allocate (out-of-memory), or a run the numeric
+layers refuse, such as a focus inside the quarter-wavelength standoff of
+any source (run-failed).  Errors print one machine-readable JSON object
+to stdout.
 """
 
 from __future__ import annotations
@@ -54,15 +60,9 @@ except ImportError:  # no such module on Windows
 
 from . import __version__, analytic
 from .csvio import angle, write_csv
-from .fields import (
-    ChannelVector,
-    FieldMap,
-    assemble_channel,
-    evaluate_field,
-    green_electric,
-    green_magnetic,
-    project,
-)
+from .fields import ChannelVector, FieldMap, assemble_channel, evaluate_field
+# not called here: the benchmark's tracer rebinds them until ROADMAP item 1
+from .fields import green_electric, green_magnetic  # noqa: F401
 from .focusing import (
     PowerConstraints,
     cp_weights,
@@ -355,23 +355,8 @@ def _focus(s: dict) -> np.ndarray:
 
 def _channel(s: dict, sources: Aperture, e_hat: np.ndarray, wl: Wavelength,
              stages: _Stages) -> ChannelVector:
-    focal = _focus(s)
     with stages("channel"):
-        if len(sources) == 1:
-            # the general assembler requires the focus inside the source hull,
-            # which a one-element aperture cannot provide
-            position, moment = sources.positions(0, 1)[:, 0], sources.moments(0, 1)[:, 0]
-            distance = float(np.linalg.norm(focal - position))
-            if distance < 0.25 * wl.lam:
-                raise _invalid("focal point is inside the quarter-wavelength standoff "
-                               "of the single element")
-            if s["source_kind"] == "electric":
-                tensor = green_electric(focal, position, wl, s["kernel"])
-            else:
-                tensor = green_magnetic(focal, position, wl)
-            field = (tensor @ moment.astype(complex)).reshape(1, 3)
-            return ChannelVector(project(field, e_hat), np.ones(1))
-        return assemble_channel(sources, focal, e_hat, wl, kernel=s["kernel"],
+        return assemble_channel(sources, _focus(s), e_hat, wl, kernel=s["kernel"],
                                 source_kind=s["source_kind"])
 
 
@@ -799,19 +784,12 @@ def main(argv=None) -> int:
             summary["report"] = report
         print(json.dumps(summary, sort_keys=True))
         return code
-    except ScenarioError as e:
-        print(json.dumps({"error": {"code": e.code, "message": str(e)}},
-                         sort_keys=True))
-        return 2
-    except (ValueError, TypeError) as e:
-        print(json.dumps({"error": {"code": "run-failed", "message": str(e)}},
-                         sort_keys=True))
-        return 2
-    except MemoryError as e:
+    except (ScenarioError, MemoryError, ValueError, TypeError) as e:
         # geometry.build_* (from the element counts), or numpy, refuse a
         # problem larger than the machine before touching memory
-        print(json.dumps({"error": {"code": "out-of-memory", "message": str(e)}},
-                         sort_keys=True))
+        code = (e.code if isinstance(e, ScenarioError)
+                else "out-of-memory" if isinstance(e, MemoryError) else "run-failed")
+        print(json.dumps({"error": {"code": code, "message": str(e)}}, sort_keys=True))
         return 2
 
 

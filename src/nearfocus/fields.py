@@ -11,8 +11,10 @@ k^2 eta0/(4 pi) (k^2/(4 pi) for magnetic currents) scales each unit's
 result, and only the moment components that are nonzero in a unit are
 formed.  It has two output modes: the weighted sum over sources at each
 point, reduced by real matmuls (evaluate_field), and each source's field
-projected on one polarization by real dot products (assemble_channel,
-and green_electric and green_magnetic as the three axis projections).
+projected on one polarization by real dot products (assemble_channel
+for every aperture, the single element included, and green_electric and
+green_magnetic, the 3x3 tensors that the oracle tests check, as the
+three axis projections).
 Sources are a geometry.Aperture, whatever its kind: each work unit makes
 its own slice of source positions and moments, and the channel keeps
 one port-resistance scale per strip, as a run over the strip's rows.
@@ -103,11 +105,6 @@ class ChannelVector:
             out[start:start + count] = R0 * scale
             start += count
         return out
-
-
-def project(fields: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
-    """(N, 3) complex field vectors projected on the unit polarization e_hat."""
-    return fields @ np.asarray(e_hat, dtype=float).astype(complex)
 
 
 class FieldMap:
@@ -360,17 +357,19 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     Unit drive means 1 A for a dipole element and a unit surface-current
     density (1 A/m times the patch area) for a mesh patch.  The focal
     point must keep the quarter-wavelength standoff from every source
-    and sit inside the aperture's bounding region.  The kernel projects
-    each source's focal field on e_hat as it computes it.
+    and, for an aperture of more than one row, sit inside its bounding
+    box; a one-row aperture (the single element) has a single point for
+    a box, so only the standoff applies.  The kernel projects each
+    source's focal field on e_hat as it computes it.
     """
     _check_kernel(kernel, source_kind)
     focal = np.asarray(focal, dtype=float)
     if abs(float(np.linalg.norm(e_hat)) - 1.0) > 1e-12:
         raise ValueError("e_hat must be a unit vector")
-    lo, hi = sources.bounds()
-    if np.any(focal < lo - 1e-12) or np.any(focal > hi + 1e-12):
-        raise ValueError("focal point lies outside the aperture region")
     n = len(sources)
+    lo, hi = sources.bounds()
+    if n > 1 and (np.any(focal < lo - 1e-12) or np.any(focal > hi + 1e-12)):
+        raise ValueError("focal point lies outside the aperture region")
     g = np.empty(n, dtype=complex)
     units, size = _units(1, n)
     scratch = np.empty(size)

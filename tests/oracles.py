@@ -8,6 +8,8 @@
   ``nearfocus.focusing`` on small instances, and the water level with
   the ports always in stable descending order, which the solver's level
   must match bit for bit.
+- The point-focus kernels of an ideal point-source continuum and of a
+  dipole continuum, which the focal-size checks measure.
 - The co/cross-polarized level ratio, with its input checks.
 - The one-template CSV writer that ``nearfocus.csvio.write_csv`` must
   match byte for byte.
@@ -16,6 +18,8 @@
   meshes as arrays, and dipole rings and the single element as
   ``FlatSources``, which also carries sources of arbitrary orientation
   into ``nearfocus.fields``.
+- ``project``, which projects field vectors on a polarization, for
+  comparing the channel with the 3x3 tensors times the moments.
 """
 
 import math
@@ -23,6 +27,7 @@ import math
 import numpy as np
 from scipy import integrate
 
+from nearfocus.analytic import sinc, spherical_j1_over_x
 from nearfocus.fields import ChannelVector
 from nearfocus.focusing import ExcitationWeights, PowerConstraints
 
@@ -185,6 +190,27 @@ def stable_water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> f
     return math.sqrt((P0 - (spent[k - 1] if k else 0.0)) / rest[k])
 
 
+# ------------------------------------------------------- point-focus kernels
+
+def kernel_point(k_r: float) -> float:
+    """Focal kernel of an ideal point-source continuum: sinc of k*r."""
+    if k_r < 0.0:
+        raise ValueError("k_r must be non-negative")
+    return sinc(k_r)
+
+
+def kernel_dipole(k_r: float, theta: float) -> float:
+    """Focal kernel of a dipole continuum at polar angle theta from the dipole axis.
+
+    The r -> 0 limit is 2/3 for every theta; both special-function factors
+    are finite there, so no explicit branch is needed.
+    """
+    if k_r < 0.0:
+        raise ValueError("k_r must be non-negative")
+    s2 = math.sin(theta) ** 2
+    return sinc(k_r) * s2 - spherical_j1_over_x(k_r) * (3.0 * s2 - 2.0)
+
+
 def polarization_ratio(e_long: float, e_trans: float) -> float:
     """Ratio of the co-polarized to the cross-polarized field level."""
     if not (math.isfinite(e_long) and e_long >= 0.0):
@@ -335,3 +361,10 @@ def flat_rect_corridor_mesh(spec, patch_target):
         tangents_phi[lo:hi] = tphi
         lo = hi
     return centroids, areas, tangents_phi
+
+
+# -------------------------------------------------------- field projection
+
+def project(fields: np.ndarray, e_hat: np.ndarray) -> np.ndarray:
+    """(N, 3) complex field vectors projected on the unit polarization e_hat."""
+    return fields @ np.asarray(e_hat, dtype=float).astype(complex)

@@ -35,8 +35,6 @@ from nearfocus.analytic import (
     ez_cp_axis,
     ez_cp_radial,
     ez_tr_axis,
-    kernel_dipole,
-    kernel_point,
     resolution_profiles,
     transverse_pol_cp,
     transverse_pol_tr,
@@ -45,6 +43,8 @@ from nearfocus.geometry import CylinderSpec
 
 from oracles import (
     ez_cp_radial_quadrature,
+    kernel_dipole,
+    kernel_point,
     transverse_pol_cp_quadrature,
     transverse_pol_tr_quadrature,
 )

@@ -813,6 +813,23 @@ class TestErrors:
                                 "--out", str(tmp_path / "out"))
         assert code == 2
 
+    @pytest.mark.parametrize("aperture", ["single", "discrete"])
+    def test_focus_inside_standoff(self, tmp_path, capsys, aperture):
+        # 0.05 m from the element at (1, 0, 0), inside the quarter-wavelength
+        # standoff: the one element's channel is refused like the ring's
+        out = tmp_path / "out"
+        code = cli_main(["run", "--scenario", scenario(tmp_path, aperture=aperture,
+                                                       focus_x_m=0.95),
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 2 and len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == "run-failed"
+        assert "quarter-wavelength standoff" in error["message"]
+        assert "Traceback" not in captured.err
+        assert not (out / "weights.csv").exists()
+
     RECTANGLE = dict(geometry="rectangle", radius_m=None, width_m=4.0, height_m=3.0,
                      aperture="mesh")
 

@@ -23,7 +23,6 @@ from nearfocus.fields import (
     evaluate_field,
     green_electric,
     green_magnetic,
-    project,
 )
 from nearfocus.geometry import (
     FREE_SPACE_IMPEDANCE,
@@ -38,7 +37,7 @@ from nearfocus.geometry import (
     build_ring_array,
 )
 
-from oracles import FlatSources, flat_ring_array
+from oracles import FlatSources, flat_ring_array, project
 
 WL = Wavelength.from_frequency(1.0e9)
 LAM = WL.lam
@@ -237,14 +236,46 @@ def test_channel_single_element_consistency():
     z_hat = np.array([0.0, 0.0, 1.0])
     ch = ChannelVector(g=project(field[None, :], z_hat), resistance_scale=np.ones(1))
     assert ch.g[0] == field[2]
-    # the CLI's one-element channel (tensor times moment) is the same kernel,
-    # full or radiating
+    # the field of one element is its tensor times its moment, full or radiating
     position, moment = row(el, 0)
     for kernel in ("full", "dipole-approx"):
         evaluated = one_element_field(el, focal, kernel=kernel)
         ref = green_electric(focal, position, WL, kernel) @ moment
         assert np.max(np.abs(evaluated - ref)) <= 1e-15 * np.max(np.abs(ref))
     assert len(layout_like) >= 42
+    # a one-row aperture's channel, which the CLI's single element takes, is
+    # its tensor times its moment projected on e_hat: random foci (outside
+    # the one point that is its box), moments and target axes, electric and
+    # magnetic sources, full and radiating kernels
+    rng = np.random.default_rng(23)
+    cases = [("electric", "full"), ("electric", "dipole-approx"), ("magnetic", "full")]
+    worst = 0.0
+    for i in range(402):
+        source_kind, kernel = cases[i % 3]
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        strip = Strip(rng.uniform(-1.0, 1.0, (3, 1)),
+                      [[math.cos(angle)], [math.sin(angle)], [0.0]],
+                      rng.uniform(0.001, 0.1) * LAM, 1.0)
+        one = Aperture([strip], [rng.uniform(-1.0, 1.0)], ("axial", "azimuthal")[i % 2])
+        position, moment = row(one, 0)
+        direction = rng.normal(size=3)
+        focal = position + rng.uniform(0.26, 5.0) * LAM * direction / np.linalg.norm(direction)
+        e_hat = rng.normal(size=3)
+        e_hat /= np.linalg.norm(e_hat)
+        ch = assemble_channel(one, focal, e_hat, WL, kernel=kernel, source_kind=source_kind)
+        assert len(ch) == 1 and np.array_equal(ch.resistance_scale, [1.0])
+        tensor = (green_electric(focal, position, WL, kernel) if source_kind == "electric"
+                  else green_magnetic(focal, position, WL))
+        field = tensor @ moment
+        # relative to |field|: where e_hat is nearly orthogonal to the field,
+        # g is small but its rounding is not
+        worst = max(worst, abs(ch.g[0] - project(field[None, :], e_hat)[0])
+                    / np.linalg.norm(field))
+    assert worst <= 1e-13
+    # two rows have a box, and a focus outside it is still refused
+    two = Aperture([strip], [0.0, 0.5 * LAM], "axial")
+    with pytest.raises(ValueError, match="outside the aperture region"):
+        assemble_channel(two, two.positions(0, 1)[:, 0] + [LAM, 0.0, 0.0], z_hat, WL)
 
 
 def test_channel_ring_symmetry_on_axis():

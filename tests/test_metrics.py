@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearfocus.analytic import kernel_dipole, kernel_point
 from nearfocus.metrics import (
     CutMetrics,
     contour_3db,
@@ -23,7 +22,7 @@ from nearfocus.metrics import (
     metrics_flat_dict,
 )
 
-from oracles import polarization_ratio
+from oracles import kernel_dipole, kernel_point, polarization_ratio
 
 LAM = 0.3
 K = 2.0 * math.pi / LAM
