@@ -195,50 +195,35 @@ def ex_cp_axis(zf: float, spec: CylinderSpec) -> float:
     return 2.0 - math.sin(phi_plus) - math.sin(phi_minus)
 
 
-def _tr_primitive_copol_axial(u: float, a: float) -> float:
-    r2 = a * a + u * u
-    return (
-        math.pi * a * u * (5.0 * a * a + 3.0 * u * u) / (16.0 * r2 * r2)
-        + 3.0 * math.pi / 16.0 * math.atan2(u, a)
-    )
+# Each channel-proportional curve is an antiderivative of its squared-
+# amplitude density, pi/K * [A*atan(u/a) + a*u*(B*a^2 + C*u^2)/(a^2 + u^2)^2],
+# across the span: a row (K, A, B, C).  Written in the axial forms' order of
+# operations, so those curves keep their last bits; K is a power of two, so
+# scaling K alone by 8 gives exactly an eighth of the curve.
+_TR_COPOL_AXIAL = (16.0, 3.0, 5.0, 3.0)
+_TR_CROSSPOL = (32.0, 1.0, -1.0, 1.0)
 
 
-def _tr_primitive_crosspol(u: float, a: float) -> float:
-    r2 = a * a + u * u
-    return (
-        math.pi * a * u * (u * u - a * a) / (32.0 * r2 * r2)
-        + math.pi / 32.0 * math.atan2(u, a)
-    )
-
-
-def _tr_primitive_copol_transverse(u: float, a: float) -> float:
-    r2 = a * a + u * u
-    return math.pi / 128.0 * (
-        41.0 * math.atan2(u, a) - a * u * (17.0 * a * a + 23.0 * u * u) / (r2 * r2)
-    )
-
-
-def _tr_primitive_shear_transverse(u: float, a: float) -> float:
-    r2 = a * a + u * u
-    return math.pi / 128.0 * (
-        a * u * (5.0 * a * a + 3.0 * u * u) / (r2 * r2) + 3.0 * math.atan2(u, a)
-    )
-
-
-def _tr_span_difference(primitive, zf: float, spec: CylinderSpec) -> float:
-    # Antiderivative of the squared-amplitude density, evaluated across the span.
+def _tr_span_difference(row, zf: float, spec: CylinderSpec) -> float:
     a, length = _require_in_span(zf, spec)
-    return primitive(length / 2.0 - zf, a) - primitive(-zf - length / 2.0, a)
+    K, A, B, C = row
+
+    def primitive(u):
+        r2 = a * a + u * u
+        return (math.pi * a * u * (B * a * a + C * u * u) / (K * r2 * r2)
+                + A * math.pi / K * math.atan2(u, a))
+
+    return primitive(length / 2.0 - zf) - primitive(-zf - length / 2.0)
 
 
 def ez_tr_axis(zf: float, spec: CylinderSpec) -> float:
     """Co-polarized focal peak vs axial focus position, channel-proportional drive."""
-    return _tr_span_difference(_tr_primitive_copol_axial, zf, spec)
+    return _tr_span_difference(_TR_COPOL_AXIAL, zf, spec)
 
 
 def ex_tr_axis(zf: float, spec: CylinderSpec) -> float:
     """Cross-polarized focal peak vs axial focus position, channel-proportional drive."""
-    return _tr_span_difference(_tr_primitive_crosspol, zf, spec)
+    return _tr_span_difference(_TR_CROSSPOL, zf, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -338,36 +323,34 @@ def transverse_pol_cp(component: str, zf: float, spec: CylinderSpec) -> float:
     The co-polarized x component grows logarithmically with length; y and z
     converge to TRANSVERSE_CP_Y_LIMIT and TRANSVERSE_CP_Z_LIMIT.
     """
-    a, length = _require_in_span(zf, spec)
-    up = length + 2.0 * zf
-    um = length - 2.0 * zf
-    s_plus = math.hypot(up, 2.0 * a)
-    s_minus = math.hypot(um, 2.0 * a)
+    if component == "z":
+        # the axial cross-polarized kernel under the axis swap
+        return ex_cp_axis(zf, spec)
+    phi_plus, phi_minus = _rim_angles(zf, spec)
     if component == "x":
-        # log argument rationalized: s_minus - um = 4a^2 / (s_minus + um)
+        # with u = L +- 2zf and s = hypot(u, 2a) at each end, the log's
+        # argument (s + u) / (2a) is cot(phi/2)
         return math.pi / 4.0 * (
-            -up / s_plus - um / s_minus
-            + 2.0 * math.log((s_plus + up) * (s_minus + um) / (4.0 * a * a))
+            2.0 * math.log(1.0 / (math.tan(phi_plus / 2.0) * math.tan(phi_minus / 2.0)))
+            - math.cos(phi_plus) - math.cos(phi_minus)
         )
     if component == "y":
-        return um / (2.0 * s_minus) + up / (2.0 * s_plus)
-    if component == "z":
-        return 2.0 - 2.0 * a * (1.0 / s_minus + 1.0 / s_plus)
+        return 0.5 * (math.cos(phi_plus) + math.cos(phi_minus))
     raise ValueError(f"component must be one of x, y, z, got {component!r}")
 
 
-_TRANSVERSE_TR_PRIMITIVES = {
-    "x": _tr_primitive_copol_transverse,
-    "y": _tr_primitive_shear_transverse,
-    # Same kernel as the axial cross-polarized curve: the geometric factor
-    # is the identical |cos(phi)| * |axial distance| product under the axis swap.
-    "z": _tr_primitive_crosspol,
+_TRANSVERSE_TR_ROWS = {
+    "x": (128.0, 41.0, -17.0, -23.0),
+    # an eighth of the axial co-polarized curve
+    "y": (128.0, 3.0, 5.0, 3.0),
+    # the axial cross-polarized kernel under the axis swap
+    "z": _TR_CROSSPOL,
 }
 
 
 def transverse_pol_tr(component: str, zf: float, spec: CylinderSpec) -> float:
     """Field component peak for transversely polarized elements, channel-proportional drive."""
-    primitive = _TRANSVERSE_TR_PRIMITIVES.get(component)
-    if primitive is None:
+    row = _TRANSVERSE_TR_ROWS.get(component)
+    if row is None:
         raise ValueError(f"component must be one of x, y, z, got {component!r}")
-    return _tr_span_difference(primitive, zf, spec)
+    return _tr_span_difference(row, zf, spec)

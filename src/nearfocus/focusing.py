@@ -7,11 +7,11 @@ conditions (Palomar & Fonollosa, IEEE TSP 2005),
     w_n = min(beta * |g_n|/R_n, w_max) * conj(g_n)/|g_n|,
 
 the conjugate channel phase with the time-reversal (TR) taper clipped
-at the cap, beta being the level that meets the budget.  cp_weights
-(cap only, uniform drive), tr_weights (budget only, nothing clips) and
-hybrid_weights (both) are the cases of that one formula, and all report
-beta with that one meaning: 0 when every element runs at the cap, and
-for the uniform drive.
+at the cap, beta being the level that meets the budget.  tr_weights
+(budget only, nothing clips) and hybrid_weights (both) are the cases of
+that one formula.  cp_weights (cap only) drives every live element at the
+cap, or at the one level sqrt(2*P0 / sum(R)) where the cap overruns the
+budget; it reports beta = 0, as every drive does when all run at the cap.
 
 g is each source's focal field projected on the target polarization;
 port resistances are R0 times the channel's resistance scales (patch
@@ -122,21 +122,23 @@ def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
 
 
 def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
-    """|w_n| = min(beta*v_n, cap) with the conjugate channel phase.
+    """|w_n| = min(beta*v_n, cap) with the conjugate channel phase,
+    v = |g|/R, or one amplitude on every live port for the uniform drive.
 
-    v = |g|/R, or 1 for the uniform drive; only the live ports' v count,
-    and w is 0 on the idle ones.  The first of three cases that holds
-    decides the regime:
+    R is summed over the live ports once, and w is 0 on the idle ones.
+    The first of three cases that holds decides the regime:
 
       1. every live port at the cap fits the budget: CP, beta = 0;
-      2. the budget-only level beta0 = sqrt(2*P0 / sum(R*v^2)) keeps
-         beta0*max(v) within the cap: TR, or CP for the uniform drive;
-      3. otherwise the exact water level clips the strongest ports.
+      2. the uniform drive's level sqrt(2*P0 / sum(R)), below the cap
+         once case 1 fails: CP, beta = 0;
+      3. the budget-only level beta0 = sqrt(2*P0 / sum(R*v^2)) keeps
+         beta0*max(v) within the cap: TR; else the exact water level
+         clips the strongest ports: hybrid.
 
     v and R are the halves of one workspace, allocated together with the
-    live mask.  The phases conj(g)/|g| are
-    formed only once the amplitudes are known, with |g| in R's half, and
-    the products w*g that E_focus sums take the whole workspace.
+    live mask.  The phases conj(g)/|g| are formed only once the amplitudes
+    are known, with |g| in R's half, and the products w*g that E_focus
+    sums take the whole workspace.
     """
     g = h.g
     n = g.size
@@ -151,37 +153,29 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
         raise ValueError("channel is zero for the requested polarization")
     np.greater_equal(v, ZERO_CHANNEL_CUTOFF * gmax, out=live)
     h.resistances(pc.R0_per_port, out=R)
-
-    def ratio():
-        # v = |g|/R from |g| in v, or 1 for the uniform drive; on an idle
-        # port v only scales w, which is 0 there
-        if uniform:
-            v.fill(1.0)
-        else:
-            np.divide(v, R, out=v)
-
-    ratio()
     R_live = _live(R, live)
-    if 0.5 * cap ** 2 * float(np.sum(R_live)) <= pc.P0 * (1.0 + 1e-12):
+    r_sum = float(np.sum(R_live))
+    if 0.5 * cap ** 2 * r_sum <= pc.P0 * (1.0 + 1e-12):
         amplitude, beta, regime, active = cap, 0.0, "CP", "local"
+    elif uniform:
+        amplitude, beta, regime, active = math.sqrt(2.0 * pc.P0 / r_sum), 0.0, "CP", "both"
     else:
+        # v = |g|/R; on an idle port v only scales w, which is 0 there
+        np.divide(v, R, out=v)
         v_live = _live(v, live)
         rv2 = np.square(v_live)
         rv2 *= R_live
         beta = math.sqrt(2.0 * pc.P0 / float(np.sum(rv2)))
         del rv2
         if beta * float(np.max(v_live)) <= cap:
-            regime, active = ("CP", "both") if uniform else ("TR", "global")
+            regime, active = "TR", "global"
         else:
             # the level takes v's buffer, so v is formed again after it
             beta = _water_level(v_live, R_live, cap, pc.P0)
             regime, active = "hybrid", "both"
-            np.abs(g, out=v)
-            ratio()
+            np.divide(np.abs(g, out=v), R, out=v)
         del v_live
         amplitude = np.minimum(np.multiply(v, beta, out=v), cap, out=v)
-        if uniform:
-            beta = 0.0
     del R_live
     w = np.conj(g)
     np.divide(w, np.abs(g, out=R), out=w, where=live)

@@ -182,13 +182,8 @@ def cut_metrics(profile, wavelength_m: float) -> CutMetrics:
 # 3-dB contour of a planar map
 
 # Cell corners c0=(i,j), c1=(i,j+1), c2=(i+1,j+1), c3=(i+1,j); edges
-# T=c0c1, R=c1c2, B=c3c2, L=c0c3.  Entries map the inside-corner bitmask to
-# pairs of crossed edges; saddle cases 5 and 10 are resolved at runtime.
-_MS_CASES = {
-    1: (("T", "L"),), 2: (("T", "R"),), 3: (("L", "R"),), 4: (("R", "B"),),
-    6: (("T", "B"),), 7: (("L", "B"),), 8: (("B", "L"),), 9: (("T", "B"),),
-    11: (("R", "B"),), 12: (("L", "R"),), 13: (("T", "R"),), 14: (("T", "L"),),
-}
+# T=c0c1, R=c1c2, B=c3c2, L=c0c3.  An edge is crossed where its two corners
+# differ; a cell has two crossed edges, or four at a saddle.
 # each edge's end corners relative to c0, lower index first
 _CORNERS = {"T": ((0, 0), (0, 1)), "R": ((0, 1), (1, 1)),
             "B": ((1, 0), (1, 1)), "L": ((0, 0), (1, 0))}
@@ -240,23 +235,26 @@ def contour_3db(mags: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         t = (level - mags[p]) / (mags[q] - mags[p])
         return u[p[0]] + t * (u[q[0]] - u[p[0]]), v[p[1]] + t * (v[q[1]] - v[p[1]])
 
-    def cell_pairs(i, j):
-        code = (int(inside[i, j]) | (int(inside[i, j + 1]) << 1)
-                | (int(inside[i + 1, j + 1]) << 2) | (int(inside[i + 1, j]) << 3))
-        if code not in (5, 10):
-            return _MS_CASES[code]
-        center_inside = 0.25 * (mags[i, j] + mags[i, j + 1]
-                                + mags[i + 1, j + 1] + mags[i + 1, j]) > level
-        if (code == 5) == center_inside:
-            return ("T", "R"), ("B", "L")
-        return ("T", "L"), ("R", "B")
+    def exit_edge(i, j, entry):
+        # the cell's other crossed edge; a saddle pairs T with R and B with L
+        # when its centre average sides with c0, else T with L and R with B
+        cell = inside[i:i + 2, j:j + 2].tolist()
+        crossed = [edge for edge, ((a, b), (c, d)) in _CORNERS.items()
+                   if cell[a][b] != cell[c][d]]
+        if len(crossed) == 4:
+            center_inside = 0.25 * (mags[i, j] + mags[i, j + 1]
+                                    + mags[i + 1, j + 1] + mags[i + 1, j]) > level
+            pairs = ((("T", "R"), ("B", "L")) if cell[0][0] == center_inside
+                     else (("T", "L"), ("R", "B")))
+            crossed = next(pair for pair in pairs if entry in pair)
+        return next(edge for edge in crossed if edge != entry)
 
     def follow(i0, j0):
         # the loop through the T edge of cell (i0, j0), or None if it leaves the map
         i, j, entry = i0, j0, "T"
         loop = [edge_point(i, j, entry)]
         while True:
-            exit_ = next(b if a == entry else a for a, b in cell_pairs(i, j) if entry in (a, b))
+            exit_ = exit_edge(i, j, entry)
             loop.append(edge_point(i, j, exit_))
             di, dj, entry = _NEXT_CELL[exit_]
             i, j = i + di, j + dj

@@ -464,8 +464,16 @@ class TestTransversePolarization:
         assert v1000 - v100 == pytest.approx(math.pi * math.log(10.0), rel=1e-4)
 
     def test_crosspol_kernel_shared_with_axial_curve(self):
-        for zf in (0.0, 1.1, -2.6):
-            assert transverse_pol_tr("z", zf, BASE) == ex_tr_axis(zf, BASE)
+        for spec in (BASE, LONG, CylinderSpec(radius_a=1.0, length_L=2.0),
+                     CylinderSpec(radius_a=3.33, length_L=33.0)):
+            for frac in (0.0, 0.22, -0.52, 0.9):
+                zf = frac * spec.length_L / 2.0
+                assert transverse_pol_tr("z", zf, spec) == ex_tr_axis(zf, spec)
+                assert transverse_pol_cp("z", zf, spec) == ex_cp_axis(zf, spec)
+                # the shear row is the axial co-polarized row with K times 8
+                assert 8.0 * transverse_pol_tr("y", zf, spec) == ez_tr_axis(zf, spec)
+                assert transverse_pol_cp("y", zf, spec) == pytest.approx(
+                    ez_cp_axis(zf, spec) / math.pi, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):

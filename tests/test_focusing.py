@@ -72,6 +72,18 @@ def test_cp_uniform_rescale_when_budget_binds():
     assert weights.total_power == pytest.approx(2.0, rel=1e-12)
 
 
+def test_cp_budget_level_sums_only_live_ports():
+    # three live ports at the cap would draw 3 W; the idle one draws nothing,
+    # so the level is sqrt(2 * 2 / (3 * 2)), not sqrt(2 * 2 / (4 * 2))
+    h = channel_from_g([1.0, 0.0, 1.0j, -1.0])
+    pc = PowerConstraints(w_max=1.0, P0=2.0, R0_per_port=2.0)
+    weights, report = cp_weights(h, pc)
+    assert (weights.regime, report.active_constraint, report.beta) == ("CP", "both", 0.0)
+    assert np.allclose(np.abs(weights.w[[0, 2, 3]]), math.sqrt(2.0 / 3.0), rtol=1e-14, atol=0.0)
+    assert weights.w[1] == 0.0
+    assert weights.total_power == pytest.approx(pc.P0, rel=1e-12)
+
+
 def test_cp_zero_channel_entries_get_zero_weight():
     h = channel_from_g([1.0, 0.0, 2.0j])
     pc = PowerConstraints(w_max=1.0, P0=1e9, R0_per_port=50.0)

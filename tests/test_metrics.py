@@ -295,12 +295,14 @@ class TestContour3db:
     def test_saddle_cell_joins_by_its_centre_average(self, side, joined):
         # one cell has the inside corners 1.0 and 0.9 on one diagonal and
         # `side` on the other: its centre average decides whether the
-        # peak's loop goes round both
+        # peak's loop goes round both.  The mirrored map moves the inside
+        # corners from c0/c2 to c1/c3.
         mags = np.zeros((6, 6))
         mags[2, 2], mags[3, 3] = 1.0, 0.9
         mags[2, 3] = mags[3, 2] = side
-        poly = contour_3db(mags, np.arange(6.0), np.arange(6.0))
-        assert (poly[:, 0].max() > 3.0) == joined
+        for grid in (mags, mags[:, ::-1]):
+            poly = contour_3db(grid, np.arange(6.0), np.arange(6.0))
+            assert (poly[:, 0].max() > 3.0) == joined
 
     def test_all_zero_map_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
