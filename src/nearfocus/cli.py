@@ -216,7 +216,10 @@ def _check_value(key: str, kind: str | tuple, value):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _invalid(f"{key} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise _invalid(f"{key} must be finite, got an integer beyond the float range")
     if not math.isfinite(value):
         raise _invalid(f"{key} must be finite, got {value!r}")
     if kind == "pos" and value <= 0.0:
@@ -237,7 +240,7 @@ def load_scenario(path) -> tuple[dict, list[str]]:
             raw = json.load(f)
     except OSError as e:
         raise ScenarioError("scenario-unreadable", f"cannot read scenario file: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not UTF-8, not JSON, or an integer too long to parse
         raise ScenarioError("scenario-unreadable", f"scenario is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise _invalid("scenario must be a JSON object")
@@ -267,7 +270,10 @@ def load_scenario(path) -> tuple[dict, list[str]]:
     wl = Wavelength.from_frequency(s["frequency_hz"])
     for key, value in s.items():
         if callable(value):
-            s[key] = value(s, wl)
+            try:
+                s[key] = value(s, wl)
+            except OverflowError:
+                raise _invalid(f"{key}'s default is beyond the float range")
 
     fx, fy, fz = s["focus_x_m"], s["focus_y_m"], s["focus_z_m"]
     if abs(fz) >= 0.5 * s["length_m"]:
@@ -396,7 +402,7 @@ def _plane_grid(s: dict):
 def _evaluate(s: dict, sources, weights, points: np.ndarray, wl: Wavelength,
               threads: int, stages: _Stages) -> FieldMap:
     with stages("field"):
-        fm = evaluate_field(sources, weights, points, wl, kernel=s["kernel"],
+        fm = evaluate_field(sources, weights.w, points, wl, kernel=s["kernel"],
                             source_kind=s["source_kind"], threads=threads)
     stages.counters["points"] += len(fm)
     stages.counters["kernel_pairs"] += len(fm) * len(sources)
@@ -502,7 +508,7 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
         metrics_payload["axis"] = s["cut_axis"]
         with stages("metrics"):
             try:
-                m = cut_metrics((offsets, values), wl.lam)
+                m = cut_metrics(offsets, values, wl.lam)
                 metrics_payload["metrics"] = metrics_flat_dict(m, wl.lam)
             except ValueError as e:
                 metrics_payload["skipped_reason"] = str(e)
@@ -550,7 +556,7 @@ def _normalized(values: np.ndarray) -> np.ndarray:
 
 def _metrics_or_none(offsets: np.ndarray, values: np.ndarray, lam: float):
     try:
-        return metrics_flat_dict(cut_metrics((offsets, values), lam), lam)
+        return metrics_flat_dict(cut_metrics(offsets, values, lam), lam)
     except ValueError:
         return None
 
@@ -674,7 +680,7 @@ def _cmd_layout(s: dict, outdir: Path, wl: Wavelength, threads: int,
     # perimeter tangents, current directions and element sizes
     tangents = sources.rows(0, n, [st.tangents for st in strips])
     axial = np.broadcast_to(AXIAL[:, None], (3, n))
-    sizes = sources.rows(0, n, [np.array([[st.size]]) for st in strips])[0]
+    sizes = sources.rows(0, n, [np.full((1, len(st)), st.size) for st in strips])[0]
     columns = _xyz("", sources.positions(0, n).T)
     if s["aperture"] == "mesh":
         columns.update({**_xyz("tphi_", tangents.T), **_xyz("tz_", axial.T),
@@ -784,9 +790,9 @@ def main(argv=None) -> int:
             summary["report"] = report
         print(json.dumps(summary, sort_keys=True))
         return code
-    except (ScenarioError, MemoryError, ValueError, TypeError) as e:
-        # geometry.build_* (from the element counts), or numpy, refuse a
-        # problem larger than the machine before touching memory
+    except (ScenarioError, MemoryError, ValueError, TypeError, OverflowError) as e:
+        # geometry.build_* (from the element counts) or numpy refuse a problem
+        # too large before touching memory; a grid too fine to count overflows
         code = (e.code if isinstance(e, ScenarioError)
                 else "out-of-memory" if isinstance(e, MemoryError) else "run-failed")
         print(json.dumps({"error": {"code": code, "message": str(e)}}, sort_keys=True))

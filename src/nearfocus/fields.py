@@ -15,9 +15,10 @@ projected on one polarization by real dot products (assemble_channel
 for every aperture, the single element included, and green_electric and
 green_magnetic, the 3x3 tensors that the oracle tests check, as the
 three axis projections).
-Sources are a geometry.Aperture, whatever its kind: each work unit makes
-its own slice of source positions and moments, and the channel keeps
-one port-resistance scale per strip, as a run over the strip's rows.
+Sources are a geometry.Aperture, whatever its kind, and weights one
+complex array, so nothing here reads the solvers' types: each work unit
+makes its own slice of source positions and moments, and the channel
+keeps one port-resistance scale per strip, as a run over the strip's rows.
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -31,6 +32,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,27 +61,21 @@ class ChannelVector:
     that a unit drive of source n produces at the focus; it is all the
     weight solvers read besides the ports' resistance multipliers (patch
     area over the half-wavelength-square reference area for meshes, 1 for
-    dipoles).  Those are given per port, or with counts as runs: counts[i]
-    consecutive ports of scale resistance_scale[i].  An aperture's strips
-    give one run each, in row order, so the channel holds a few floats
-    where a per-port array would hold 8 B per port.  The resistance_scale
-    attribute is the per-port array either way, made from the runs on
-    each read.
+    dipoles).  Those are runs: counts[i] consecutive ports of scale
+    resistance_scale[i].  An aperture's strips give one run each, in row
+    order, so the channel holds a few floats where a per-port array would
+    hold 8 B per port; per-port scales are runs of count 1.
     """
 
-    def __init__(self, g: np.ndarray, resistance_scale: np.ndarray, counts=None):
+    def __init__(self, g: np.ndarray, resistance_scale: np.ndarray, counts: np.ndarray):
         self.g = np.asarray(g, dtype=complex)
         scale = np.asarray(resistance_scale, dtype=float)
+        counts = np.asarray(counts, dtype=np.intp)
         if self.g.ndim != 1:
             raise ValueError("g must be (N,)")
-        if counts is None:
-            if scale.shape != self.g.shape:
-                raise ValueError("resistance_scale must have one value per source")
-        else:
-            counts = np.asarray(counts, dtype=np.intp)
-            if not (scale.ndim == 1 and counts.shape == scale.shape
-                    and np.all(counts >= 0) and counts.sum() == self.g.size):
-                raise ValueError("resistance scale runs must cover every source once")
+        if not (scale.ndim == 1 and counts.shape == scale.shape
+                and np.all(counts >= 0) and counts.sum() == self.g.size):
+            raise ValueError("resistance scale runs must cover every source once")
         # min, not a full-length comparison; a NaN makes it NaN, which fails too
         if not np.min(scale, initial=math.inf) > 0.0:
             raise ValueError("resistance scales must be positive")
@@ -90,16 +86,11 @@ class ChannelVector:
 
     @property
     def resistance_scale(self) -> np.ndarray:
-        """Each port's resistance multiplier, (N,)."""
-        if self._counts is None:
-            return self._scale
+        """Each port's resistance multiplier, (N,), made from the runs."""
         return np.repeat(self._scale, self._counts)
 
     def resistances(self, R0: float, out: np.ndarray) -> np.ndarray:
-        """out = R0 times each port's resistance multiplier, run by run
-        where the channel has runs."""
-        if self._counts is None:
-            return np.multiply(R0, self._scale, out=out)
+        """out = R0 times each port's resistance multiplier, run by run."""
         start = 0
         for scale, count in zip(self._scale, self._counts):
             out[start:start + count] = R0 * scale
@@ -107,18 +98,16 @@ class ChannelVector:
         return out
 
 
+@dataclass(frozen=True)
 class FieldMap:
-    """Sampled complex vector E-field over an evaluation grid, and the
-    number of worker threads that computed it."""
+    """Sampled complex vector E-field over an evaluation grid: the (P, 3)
+    points, their (P, 3) field, whether each point lies inside the
+    quarter-wavelength standoff, and the worker threads that computed it."""
 
-    def __init__(self, points: np.ndarray, E: np.ndarray, near_singular: np.ndarray,
-                 workers: int = 1):
-        self.points = np.asarray(points, dtype=float)
-        self.E = np.asarray(E, dtype=complex)
-        self.near_singular = np.asarray(near_singular, dtype=bool)
-        self.workers = workers
-        if self.E.shape != self.points.shape or self.near_singular.shape != (self.points.shape[0],):
-            raise ValueError("inconsistent field map shapes")
+    points: np.ndarray
+    E: np.ndarray
+    near_singular: np.ndarray
+    workers: int
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -383,10 +372,10 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
                          [len(s) * sources.z.size for s in strips])
 
 
-def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
+def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
                    kernel: str = "full", source_kind: str = "electric",
                    threads: int = 1) -> FieldMap:
-    """Superpose weighted per-source fields over a grid of points.
+    """Superpose the sources' fields, weighted by w, (N,), over a grid of points.
 
     The approximate kernel refuses points inside the quarter-wavelength
     standoff; the full kernel evaluates them (it is finite anywhere off
@@ -396,7 +385,7 @@ def evaluate_field(sources, weights, grid: np.ndarray, wl: Wavelength,
     """
     _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    w = np.asarray(getattr(weights, "w", weights), dtype=complex)
+    w = np.asarray(w, dtype=complex)
     if w.shape != (len(sources),):
         raise ValueError("need one weight per source")
 

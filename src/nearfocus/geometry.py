@@ -136,7 +136,8 @@ class Aperture:
             raise ValueError("an aperture needs strips and axial offsets")
         self.z.setflags(write=False)
         # each strip's unit-drive moment profile, its size times its direction
-        self._moments = [(AXIAL[:, None] if polarization == "axial" else s.tangents) * s.size
+        self._moments = [(np.broadcast_to(AXIAL[:, None], s.positions.shape)
+                          if polarization == "axial" else s.tangents) * s.size
                          for s in self.strips]
 
     def __len__(self) -> int:
@@ -170,16 +171,15 @@ class Aperture:
             lo += m * nz
 
     def rows(self, a: int, b: int, profiles, axial: bool = False) -> np.ndarray:
-        """Rows [a, b) of one (k, M) or (k, 1) profile per strip, (k, b - a),
-        with z added to the third component if axial."""
+        """Rows [a, b) of one (k, M) profile per strip, M its points,
+        (k, b - a), with z added to the third component if axial."""
         if not 0 <= a <= b <= len(self):
             raise IndexError(f"rows [{a}, {b}) outside an aperture of {len(self)}")
         out = np.empty((len(profiles[0]), b - a))
         for k, row, rows, j, n, at in self._pieces(a, b):
             # a view: the slice's rows are contiguous
             dst = out[:, at:at + rows * n].reshape(-1, rows, n)
-            src = profiles[k]
-            np.copyto(dst, src[:, None, j:j + n] if src.shape[1] > 1 else src[:, None])
+            np.copyto(dst, profiles[k][:, None, j:j + n])
             if axial:
                 dst[2] += self.z[row:row + rows, None]
         return out

@@ -72,21 +72,6 @@ def metrics_flat_dict(metrics: CutMetrics, wavelength_m: float) -> dict:
     }
 
 
-def _unpack_cut(profile) -> tuple[np.ndarray, np.ndarray]:
-    if not (isinstance(profile, (tuple, list)) and len(profile) == 2):
-        raise TypeError("profile must be an (offsets, values) pair")
-    offsets, values = profile
-    offsets = np.asarray(offsets, dtype=float)
-    values = np.abs(np.asarray(values))
-    if offsets.ndim != 1 or offsets.shape != values.shape:
-        raise ValueError("offsets and values must be 1D arrays of equal length")
-    if not (np.isfinite(offsets).all() and np.isfinite(values).all()):
-        raise ValueError("cut samples must be finite")
-    if not (np.diff(offsets) > 0.0).all():
-        raise ValueError("offsets must be strictly increasing")
-    return offsets, values
-
-
 def _parabolic_peak(x: np.ndarray, v: np.ndarray, i: int) -> tuple[float, float]:
     # Exact quadratic through the peak sample and its neighbors; falls back to
     # the sample when the triple is not strictly concave.
@@ -128,11 +113,18 @@ def main_lobe(values: np.ndarray) -> tuple[int, int]:
             min((j for j in minima if j > i), default=len(values) - 1))
 
 
-def cut_metrics(profile, wavelength_m: float) -> CutMetrics:
-    """Extract peak, 3-dB width, first null, and sidelobe ratio from one cut."""
+def cut_metrics(offsets: np.ndarray, values: np.ndarray, wavelength_m: float) -> CutMetrics:
+    """Extract peak, 3-dB width, first null, and sidelobe ratio from one
+    cut: the magnitudes of values sampled at strictly increasing offsets."""
     if not wavelength_m > 0.0:
         raise ValueError("wavelength must be positive")
-    x, v = _unpack_cut(profile)
+    x, v = np.asarray(offsets, dtype=float), np.abs(np.asarray(values))
+    if x.ndim != 1 or x.shape != v.shape:
+        raise ValueError("offsets and values must be 1D arrays of equal length")
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise ValueError("cut samples must be finite")
+    if not (np.diff(x) > 0.0).all():
+        raise ValueError("offsets must be strictly increasing")
     if len(v) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {len(v)}")
     spacing = float(np.diff(x).max())

@@ -65,13 +65,13 @@ def _cut(sources, weights, axis, component, half_span_wl=1.6, **kwargs):
     n = int(round(half_span_wl * 128.0))
     offsets = np.arange(-n, n + 1) * (LAM / 128.0)
     points = offsets[:, None] * axis[None, :]
-    fm = evaluate_field(sources, weights, points, WL, **kwargs)
+    fm = evaluate_field(sources, weights.w, points, WL, **kwargs)
     values = np.abs(fm.E[:, {"x": 0, "y": 1, "z": 2}[component]])
     return offsets, values
 
 
 def _width_wl(offsets, values):
-    return cut_metrics((offsets, values), LAM).width_3db / LAM
+    return cut_metrics(offsets, values, LAM).width_3db / LAM
 
 
 def _main_lobe_linf(offsets, values, reference):
@@ -143,7 +143,7 @@ def test_01_kernel_focal_sizes():
     )
     failures, shown = [], []
     for name, values, want_w, want_n in cases:
-        m = cut_metrics((offsets, np.asarray(values)), LAM)
+        m = cut_metrics(offsets, values, LAM)
         width, null = m.width_3db / LAM, m.first_null / LAM
         shown.append(f"{name} {width:.4f}/{null:.4f}")
         if abs(width - want_w) > 0.01:
@@ -206,7 +206,7 @@ def test_03_water_level_matches_oracle():
     for i in range(100):
         n_el = (4, 16, 64)[i % 3]
         g = rng.normal(size=n_el) + 1j * rng.normal(size=n_el)
-        h = ChannelVector(g, np.ones(n_el))
+        h = ChannelVector(g, [1.0], [n_el])
         w_max = 10.0 ** rng.uniform(-2.0, 0.0)
         budget_fraction = rng.uniform(0.05, 2.0)
         pc = PowerConstraints(w_max,

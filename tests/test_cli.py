@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import nearfocus
 from nearfocus import analytic, cli
@@ -85,6 +87,34 @@ def src_env():
 def read_amplitudes(outdir):
     data = np.loadtxt(outdir / "weights.csv", delimiter=",", skiprows=1)
     return data[:, 1]
+
+
+# any scenario value: numbers at and beyond the float range, -0.0, the
+# other JSON types, every enumerated value and other strings
+SCENARIO_VALUES = st.one_of(
+    st.sampled_from([10 ** 400, -10 ** 400, 1e308, -1e308, -0.0, 5e-324]),
+    st.integers(), st.floats(), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+    st.sampled_from(sorted({value for kind, _, _ in cli._SCHEMA.values()
+                            if isinstance(kind, tuple) for value in kind})),
+    st.text(max_size=6))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([{}, BASE, dict(BASE, aperture="mesh"), CORRIDOR]),
+       st.dictionaries(st.sampled_from(list(cli._SCHEMA)), SCENARIO_VALUES, max_size=4))
+# a value, and a default computed from a value, beyond the float range
+@example(BASE, {"radius_m": 10 ** 400})
+@example(dict(BASE, aperture="mesh"), {"length_m": 1e308})
+def test_load_scenario_resolves_or_refuses(tmp_path, base, entries):
+    # every scenario file resolves or raises ScenarioError, which main
+    # reports as JSON; any other exception escapes as a traceback
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(base, **entries)))
+    try:
+        cli.load_scenario(path)
+    except cli.ScenarioError:
+        pass
 
 
 class TestRun:
@@ -786,13 +816,38 @@ class TestErrors:
         assert code == 2
         assert "focal point" in payload["error"]["message"]
 
+    @staticmethod
+    def json_error(capsys, code):
+        """The error of a refused call: exit 2, one JSON line on stdout and
+        no traceback on stderr."""
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert "Traceback" not in captured.err
+        return json.loads(lines[0])["error"]
+
     def test_unreadable_scenario(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("nope{")
-        code, payload = run_cli(capsys, "run", "--scenario", str(path),
-                                "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert payload["error"]["code"] == "scenario-unreadable"
+        # not JSON, and not UTF-8
+        for content in (b"nope{", b"\xff\xfe{}"):
+            path = tmp_path / "broken.json"
+            path.write_bytes(content)
+            code = cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+            assert self.json_error(capsys, code)["code"] == "scenario-unreadable"
+
+    @pytest.mark.parametrize("subcommand, entries, error", [
+        ("run", dict(radius_m=10 ** 400), "scenario-invalid"),
+        # the default mesh_axial_n, length over half a wavelength, is inf
+        ("layout", dict(aperture="mesh", length_m=1e308), "scenario-invalid"),
+        # 1e600 cut steps
+        ("run", dict(cut_half_span_m=1e300, cut_step_m=1e-300), "run-failed"),
+        ("analytic", dict(cut_half_span_m=1e300, cut_step_m=1e-300,
+                          analytic_reference="ez_long"), "run-failed"),
+    ], ids=["integer-beyond-float", "default-beyond-float", "run-cut-uncountable",
+            "analytic-cut-uncountable"])
+    def test_number_beyond_float_range(self, tmp_path, capsys, subcommand, entries, error):
+        code = cli_main([subcommand, "--scenario", scenario(tmp_path, **entries),
+                         "--out", str(tmp_path / "out")])
+        assert self.json_error(capsys, code)["code"] == error
 
     def test_scenario_required(self, capsys, monkeypatch):
         monkeypatch.delenv("NEARFOCUS_SCENARIO", raising=False)
@@ -821,13 +876,9 @@ class TestErrors:
         code = cli_main(["run", "--scenario", scenario(tmp_path, aperture=aperture,
                                                        focus_x_m=0.95),
                          "--out", str(out)])
-        captured = capsys.readouterr()
-        lines = captured.out.splitlines()
-        assert code == 2 and len(lines) == 1
-        error = json.loads(lines[0])["error"]
+        error = self.json_error(capsys, code)
         assert error["code"] == "run-failed"
         assert "quarter-wavelength standoff" in error["message"]
-        assert "Traceback" not in captured.err
         assert not (out / "weights.csv").exists()
 
     RECTANGLE = dict(geometry="rectangle", radius_m=None, width_m=4.0, height_m=3.0,

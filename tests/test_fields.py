@@ -234,7 +234,8 @@ def test_channel_single_element_consistency():
     # direct one-element check without ring scaffolding
     field = one_element_field(el, focal)
     z_hat = np.array([0.0, 0.0, 1.0])
-    ch = ChannelVector(g=project(field[None, :], z_hat), resistance_scale=np.ones(1))
+    ch = ChannelVector(g=project(field[None, :], z_hat), resistance_scale=np.ones(1),
+                       counts=[1])
     assert ch.g[0] == field[2]
     # the field of one element is its tensor times its moment, full or radiating
     position, moment = row(el, 0)
@@ -370,19 +371,19 @@ def test_channel_resistance_scale_follows_the_row_order():
 
 
 @pytest.mark.parametrize("scale, counts", [
-    pytest.param(np.ones(2), None, id="per-port-short"),
-    pytest.param(np.ones((3, 1)), None, id="per-port-shape"),
+    pytest.param(np.ones(2), [1, 1], id="per-port-short"),
+    pytest.param(np.ones((3, 1)), [1, 1, 1], id="per-port-shape"),
     pytest.param([1.0, 2.0], [1, 1], id="runs-short"),
     pytest.param([1.0, 2.0], [2, 2], id="runs-long"),
     pytest.param([1.0, 2.0], [4, -1], id="runs-negative-count"),
     pytest.param([1.0, 2.0], [3], id="runs-count-per-scale"),
-    pytest.param([1.0, 0.0, 2.0], None, id="per-port-zero"),
-    pytest.param([1.0, np.nan, 2.0], None, id="per-port-nan"),
+    pytest.param([1.0, 0.0, 2.0], [1, 1, 1], id="per-port-zero"),
+    pytest.param([1.0, np.nan, 2.0], [1, 1, 1], id="per-port-nan"),
     pytest.param([1.0, -2.0], [1, 2], id="runs-negative"),
     pytest.param([0.0, 2.0], [0, 3], id="runs-zero-on-no-port"),
 ])
 def test_channel_refuses_bad_resistance_scales(scale, counts):
-    # three ports, per-port scales or runs
+    # three ports, per-port scales (runs of one port each) or longer runs
     with pytest.raises(ValueError):
         ChannelVector(np.ones(3), scale, counts)
 

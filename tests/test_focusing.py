@@ -33,7 +33,8 @@ from oracles import optimality_oracle, stable_water_level
 def channel_from_g(g, resistance_scale=None):
     g = np.asarray(g, dtype=complex)
     rs = np.ones(g.size) if resistance_scale is None else np.asarray(resistance_scale, float)
-    return ChannelVector(g, rs)
+    # per-port scales: runs of one port each
+    return ChannelVector(g, rs, np.ones(g.size, dtype=np.intp))
 
 
 def power_of(w, R):
@@ -364,7 +365,7 @@ def test_resistance_runs_solve_as_their_ports(drive, regime):
     mesh = build_rect_corridor_mesh(RectCorridorSpec(width_La=1.0, height_Lb=0.5,
                                                      length_L=1.3), 0.07, wl)
     h = assemble_channel(mesh, np.array([0.1, -0.05, 0.2]), np.array([0.0, 0.0, 1.0]), wl)
-    per_port = ChannelVector(h.g, h.resistance_scale)
+    per_port = ChannelVector(h.g, h.resistance_scale, np.ones(len(h), dtype=np.intp))
     assert np.unique(per_port.resistance_scale).size == 2
     pc = both_bind(h)
     weights, report = drive(h, pc)
@@ -379,9 +380,9 @@ def test_resistance_runs_solve_as_their_ports(drive, regime):
 @pytest.mark.parametrize("drive, regime", [
     (hybrid_weights, "hybrid"), (tr_weights, "TR"), (cp_weights, "CP")])
 def test_solve_peak_and_channel_kept(drive, regime):
-    # beyond the channel (24 B per port here, where the scales are per
-    # port; an aperture's channel keeps one per strip and holds 16), a
-    # solve holds one workspace for |g|/R and R (16 B) with the live mask,
+    # beyond the channel (32 B per port here, where the scales are runs of
+    # one port each; an aperture's channel keeps one per strip and holds
+    # 16), a solve holds one workspace for |g|/R and R (16 B) with the live mask,
     # and then either the water level's order and sorted v or the weights
     # (16 B), whose phases divide by |g| in R's half: measured 34.0 B per
     # port for all three (42.0 for hybrid and 41.7 for TR and CP while the

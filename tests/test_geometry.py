@@ -47,7 +47,7 @@ def tangent_rows(aperture, a, b):
 
 
 def size_rows(aperture, a, b):
-    return aperture.rows(a, b, [np.array([[s.size]]) for s in aperture.strips])[0]
+    return aperture.rows(a, b, [np.full((1, len(s)), s.size) for s in aperture.strips])[0]
 
 
 def total_size(aperture):

@@ -53,7 +53,7 @@ def sinc_cut(step_wl=1 / 128, span_wl=1.1, shift_m=0.0):
 
 class TestCutMetrics:
     def test_point_kernel_cut(self):
-        m = cut_metrics(sinc_cut(), LAM)
+        m = cut_metrics(*sinc_cut(), LAM)
         assert m.peak_value == pytest.approx(1.0, abs=1e-12)
         assert m.peak_offset == pytest.approx(0.0, abs=1e-12)
         width_wl = m.width_3db / LAM
@@ -65,7 +65,7 @@ class TestCutMetrics:
 
     def test_dipole_axis_cut(self):
         x = grid(1.1, 1 / 128)
-        m = cut_metrics((x, kd(K * np.abs(x), 0.0)), LAM)
+        m = cut_metrics(x, kd(K * np.abs(x), 0.0), LAM)
         assert m.peak_value == pytest.approx(2.0 / 3.0, rel=1e-9)
         assert m.width_3db / LAM == pytest.approx(X_DIPOLE0_3DB / math.pi, abs=5e-4)
         assert m.width_3db / LAM == pytest.approx(0.578, abs=0.005)
@@ -75,7 +75,7 @@ class TestCutMetrics:
 
     def test_dipole_equator_cut(self):
         x = grid(1.1, 1 / 128)
-        m = cut_metrics((x, kd(K * np.abs(x), math.pi / 2)), LAM)
+        m = cut_metrics(x, kd(K * np.abs(x), math.pi / 2), LAM)
         assert m.peak_value == pytest.approx(2.0 / 3.0, rel=1e-9)
         assert m.width_3db / LAM == pytest.approx(X_DIPOLE90_3DB / math.pi, abs=5e-4)
         assert m.first_null / LAM == pytest.approx(X_DIPOLE90_NULL / (2 * math.pi), abs=0.005)
@@ -84,21 +84,21 @@ class TestCutMetrics:
     def test_refinement_stability(self):
         x1 = grid(1.1, 1 / 128)
         x2 = grid(1.1, 1 / 256)
-        m1 = cut_metrics((x1, kd(K * np.abs(x1), math.pi / 2)), LAM)
-        m2 = cut_metrics((x2, kd(K * np.abs(x2), math.pi / 2)), LAM)
+        m1 = cut_metrics(x1, kd(K * np.abs(x1), math.pi / 2), LAM)
+        m2 = cut_metrics(x2, kd(K * np.abs(x2), math.pi / 2), LAM)
         assert abs(m2.width_3db - m1.width_3db) / m1.width_3db < 0.005
         assert abs(m2.first_null - m1.first_null) / m1.first_null < 0.005
         assert abs(m2.max_sidelobe_ratio - m1.max_sidelobe_ratio) < 0.005
 
     def test_parabolic_peak_on_shifted_grid(self):
         # true peak sits between samples; interpolation must recover it
-        m = cut_metrics(sinc_cut(shift_m=LAM / 384), LAM)
+        m = cut_metrics(*sinc_cut(shift_m=LAM / 384), LAM)
         assert m.peak_value == pytest.approx(1.0, abs=1e-6)
         assert abs(m.peak_offset) < 1e-5 * LAM
 
     def test_flat_profile_reports_absent(self):
         x = grid(0.5, 1 / 64)
-        m = cut_metrics((x, np.full_like(x, 2.5)), LAM)
+        m = cut_metrics(x, np.full_like(x, 2.5), LAM)
         assert m.peak_value == 2.5
         assert m.width_3db is None
         assert m.first_null is None
@@ -106,7 +106,7 @@ class TestCutMetrics:
 
     def test_narrow_cut_reports_absent(self):
         # samples never drop below the 3-dB level: absent, not an error
-        m = cut_metrics(sinc_cut(step_wl=1 / 256, span_wl=0.1), LAM)
+        m = cut_metrics(*sinc_cut(step_wl=1 / 256, span_wl=0.1), LAM)
         assert m.peak_value == pytest.approx(1.0, abs=1e-6)
         assert m.width_3db is None
         assert m.first_null is None
@@ -114,16 +114,16 @@ class TestCutMetrics:
 
     def test_magnitudes_taken(self):
         x, v = sinc_cut()
-        signed = cut_metrics((x, v), LAM)
-        phased = cut_metrics((x, v * np.exp(0.7j)), LAM)
+        signed = cut_metrics(x, v, LAM)
+        phased = cut_metrics(x, v * np.exp(0.7j), LAM)
         assert phased.peak_value == pytest.approx(signed.peak_value, rel=1e-12)
         assert phased.width_3db == pytest.approx(signed.width_3db, rel=1e-12)
 
     def test_reflection_invariance(self):
         x = grid(1.1, 1 / 128)
         v = kp(K * np.abs(x - 0.1 * LAM))
-        m = cut_metrics((x, v), LAM)
-        r = cut_metrics((-x[::-1], v[::-1]), LAM)
+        m = cut_metrics(x, v, LAM)
+        r = cut_metrics(-x[::-1], v[::-1], LAM)
         assert r.peak_offset == pytest.approx(-m.peak_offset, abs=1e-12)
         assert r.width_3db == pytest.approx(m.width_3db, rel=1e-12)
         assert r.first_null == pytest.approx(m.first_null, rel=1e-12)
@@ -133,8 +133,8 @@ class TestCutMetrics:
     @settings(max_examples=25, deadline=None)
     def test_scaling_invariance(self, scale):
         x, v = sinc_cut()
-        base = cut_metrics((x, v), LAM)
-        scaled = cut_metrics((x, scale * v), LAM)
+        base = cut_metrics(x, v, LAM)
+        scaled = cut_metrics(x, scale * v, LAM)
         assert scaled.peak_value == pytest.approx(scale * base.peak_value, rel=1e-9)
         assert scaled.peak_offset == pytest.approx(base.peak_offset, abs=1e-12)
         assert scaled.width_3db == pytest.approx(base.width_3db, rel=1e-9)
@@ -144,33 +144,33 @@ class TestCutMetrics:
     def test_too_few_samples(self):
         x, v = sinc_cut()
         with pytest.raises(ValueError, match="at least 32"):
-            cut_metrics((x[:20], v[:20]), LAM)
+            cut_metrics(x[:20], v[:20], LAM)
 
     def test_spacing_too_coarse(self):
         x = grid(1.1, 1 / 32)
         with pytest.raises(ValueError, match="spacing"):
-            cut_metrics((x, kp(K * np.abs(x))), LAM)
+            cut_metrics(x, kp(K * np.abs(x)), LAM)
 
     def test_boundary_peak_rejected(self):
         x = grid(0.3, 1 / 128)
         with pytest.raises(ValueError, match="boundary"):
-            cut_metrics((x, x + 1.0), LAM)
+            cut_metrics(x, x + 1.0, LAM)
 
     def test_non_increasing_offsets_rejected(self):
         x, v = sinc_cut()
         with pytest.raises(ValueError, match="increasing"):
-            cut_metrics((x[::-1], v), LAM)
+            cut_metrics(x[::-1], v, LAM)
 
     def test_bad_inputs_rejected(self):
         x, v = sinc_cut()
         with pytest.raises(TypeError):
             cut_metrics("cut.csv", LAM)
         with pytest.raises(ValueError, match="wavelength"):
-            cut_metrics((x, v), 0.0)
+            cut_metrics(x, v, 0.0)
         bad = v.copy()
         bad[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            cut_metrics((x, bad), LAM)
+            cut_metrics(x, bad, LAM)
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="width_3db"):
@@ -191,7 +191,7 @@ class TestCutMetrics:
         assert main_lobe(np.array(values)) == window
 
     def test_flat_dict(self):
-        m = cut_metrics(sinc_cut(), LAM)
+        m = cut_metrics(*sinc_cut(), LAM)
         d = metrics_flat_dict(m, LAM)
         assert set(d) == {
             "peak", "peak_offset_m", "width_3db_m", "width_3db_lambda",
@@ -204,7 +204,7 @@ class TestCutMetrics:
         assert json.loads(json.dumps(d)) == d
 
     def test_flat_dict_absent_values(self):
-        m = cut_metrics(sinc_cut(step_wl=1 / 256, span_wl=0.1), LAM)
+        m = cut_metrics(*sinc_cut(step_wl=1 / 256, span_wl=0.1), LAM)
         d = metrics_flat_dict(m, LAM)
         assert d["width_3db_m"] is None
         assert d["width_3db_lambda"] is None
