@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -286,9 +287,17 @@ def load_scenario(path) -> tuple[dict, list[str]]:
             raise _invalid("focal point lies outside the rectangle cross-section")
 
     step_cap = wl.lam / 16.0
-    for key in ("cut_step_m", "plane_step_m"):
-        if s[key] > step_cap * (1.0 + 1e-9):
-            raise _invalid(f"{key} exceeds wavelength/16 = {step_cap}")
+    for step, spans in (("cut_step_m", ("cut_half_span_m",)),
+                        ("plane_step_m", ("plane_half_span_a_m", "plane_half_span_b_m"))):
+        if s[step] > step_cap * (1.0 + 1e-9):
+            raise _invalid(f"{step} exceeds wavelength/16 = {step_cap}")
+        # count the grid here, so one too fine to count fails before any work
+        try:
+            points = math.prod(2 * _steps(s[span], s[step]) + 1 for span in spans)
+        except OverflowError:
+            points = math.inf
+        if points > sys.maxsize:
+            raise _invalid(f"{' and '.join(spans)} over {step} give too many points to count")
 
     return s, sorted(set(_SCHEMA) - set(raw))
 
@@ -381,10 +390,16 @@ def _solve_weights(s: dict, h: ChannelVector, stages: _Stages):
         return hybrid_weights(h, pc)
 
 
+def _steps(half_span: float, step: float) -> int:
+    """Whole steps from the focus out to about half_span, at least one;
+    OverflowError when half_span over step is beyond the float range."""
+    return max(1, round(half_span / step))
+
+
 def _offsets(half_span: float, step: float) -> np.ndarray:
     """Whole steps from the focus out to about half_span on either side,
     at least one each way."""
-    n = max(1, int(round(half_span / step)))
+    n = _steps(half_span, step)
     return np.arange(-n, n + 1) * step
 
 
@@ -704,7 +719,10 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 # entry point
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first main call and kept for
+    the process: parsing changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="nearfocus",
         description="Near-field focusing scenarios: weights, fields, metrics, "
@@ -718,7 +736,7 @@ def _parse_args(argv):
                                      "default nearfocus-out)")
         p.add_argument("--threads", help="parallelism over grid points "
                                          "(env NEARFOCUS_THREADS, default 1)")
-    return parser.parse_args(argv)
+    return parser
 
 
 def _setting(cli_value, env_name: str, default):
@@ -742,7 +760,7 @@ def _int_setting(cli_value, env_name: str, default, minimum: int, label: str):
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         scenario_path = _setting(args.scenario, "NEARFOCUS_SCENARIO", None)
@@ -792,7 +810,7 @@ def main(argv=None) -> int:
         return code
     except (ScenarioError, MemoryError, ValueError, TypeError, OverflowError) as e:
         # geometry.build_* (from the element counts) or numpy refuse a problem
-        # too large before touching memory; a grid too fine to count overflows
+        # too large before touching memory
         code = (e.code if isinstance(e, ScenarioError)
                 else "out-of-memory" if isinstance(e, MemoryError) else "run-failed")
         print(json.dumps({"error": {"code": code, "message": str(e)}}, sort_keys=True))

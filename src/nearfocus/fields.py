@@ -19,6 +19,9 @@ Sources are a geometry.Aperture, whatever its kind, and weights one
 complex array, so nothing here reads the solvers' types: each work unit
 makes its own slice of source positions and moments, and the channel
 keeps one port-resistance scale per strip, as a run over the strip's rows.
+Work units tile the grid in point slices of equal size (to one point),
+and evaluate_field's workers claim them in turn from one counter, so
+two workers share even a 141-point cut equally.
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -40,8 +43,9 @@ from .geometry import FREE_SPACE_IMPEDANCE, Wavelength
 
 FOUR_PI = 4.0 * math.pi
 
-# (point, source) pairs per work unit: _BUFFERS float arrays of this size
-# per thread (5.2 MB), large enough that two threads seldom wait on the GIL
+# (point, source) pairs per work unit, at most: _BUFFERS float arrays of
+# this size per thread (5.2 MB), large enough that two threads seldom wait on
+# the GIL
 _CHUNK_BUDGET = 65_536
 _BUFFERS = 10
 # floats per point for the weighted sum's products and one temporary, which
@@ -290,13 +294,19 @@ def _accumulate(E, out, j, i, t, op=np.add):
 def _units(n_points, n_src):
     """(point slice, source slice) units cut by problem size, source-major, and
     the scratch size: _BUFFERS floats per pair and, for a unit of fewer than
-    10 sources, the weighted sum's room per point, in the same budget."""
+    10 sources, the weighted sum's room per point, in the same budget.
+
+    The points are cut into the fewest slices that the budget allows, whose
+    sizes differ by at most one (141 points are 70 + 71), so the units on
+    one source slice are equal shares; the scratch holds the largest."""
     block = min(n_src, max(_SOURCE_BLOCK, _CHUNK_BUDGET // max(1, n_points)))
     width = _BUFFERS * block + max(0, _SUM_ROOM - 4 * block)
     per = max(1, _BUFFERS * _CHUNK_BUDGET // width)
-    units = [(slice(p, p + per), slice(s, min(s + block, n_src)))
-             for s in range(0, n_src, block) for p in range(0, n_points, per)]
-    return units, min(per, n_points) * width
+    n_slices = max(1, -(-n_points // per))
+    cuts = [n_points * j // n_slices for j in range(n_slices + 1)]
+    units = [(slice(a, b), slice(s, min(s + block, n_src)))
+             for s in range(0, n_src, block) for a, b in zip(cuts, cuts[1:])]
+    return units, -(-n_points // n_slices) * width
 
 
 def _usable_cpus() -> int:
@@ -381,7 +391,8 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
     standoff; the full kernel evaluates them (it is finite anywhere off
     the source) but flags them near_singular.  At most threads workers
     run, and no more than the CPUs this process may use; the result is
-    the same bytes for every worker count.
+    the same bytes for every worker count.  The workers take the next
+    unit as they finish one, so a slow worker's share falls to the others.
     """
     _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -424,17 +435,24 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
                 turn[i % n_slices] = i
                 part = stash.pop(i, None)
 
-    def work(first):
-        # each worker takes every workers-th unit and keeps its scratch row;
-        # units are source-major, so it makes a source slice's rows once for
-        # all of its units on that slice
+    # the one counter the workers claim units from, in index order
+    pending = iter(range(len(units)))
+
+    def work(row):
+        # each worker keeps its scratch row; units are source-major, so it
+        # makes a source slice's rows once for all the units it claims on
+        # that slice in a row
         rows = None
-        for i in range(first, len(units), workers):
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
             p, s = units[i]
             if rows is None or rows[0] != s:
                 rows = s, sources.positions(s.start, s.stop), sources.moments(s.start, s.stop)
             part = _dyadic(grid[p], rows[1], rows[2], wl.k, kernel, source_kind,
-                           scratch[first], standoff, w=w[s])
+                           scratch[row], standoff, w=w[s])
             with lock:
                 mine = turn[i % n_slices] == i
                 if not mine:

@@ -838,16 +838,38 @@ class TestErrors:
         ("run", dict(radius_m=10 ** 400), "scenario-invalid"),
         # the default mesh_axial_n, length over half a wavelength, is inf
         ("layout", dict(aperture="mesh", length_m=1e308), "scenario-invalid"),
-        # 1e600 cut steps
-        ("run", dict(cut_half_span_m=1e300, cut_step_m=1e-300), "run-failed"),
+        # 1e600 cut steps, counted when the scenario loads
+        ("run", dict(cut_half_span_m=1e300, cut_step_m=1e-300), "scenario-invalid"),
         ("analytic", dict(cut_half_span_m=1e300, cut_step_m=1e-300,
-                          analytic_reference="ez_long"), "run-failed"),
+                          analytic_reference="ez_long"), "scenario-invalid"),
     ], ids=["integer-beyond-float", "default-beyond-float", "run-cut-uncountable",
             "analytic-cut-uncountable"])
     def test_number_beyond_float_range(self, tmp_path, capsys, subcommand, entries, error):
         code = cli_main([subcommand, "--scenario", scenario(tmp_path, **entries),
                          "--out", str(tmp_path / "out")])
         assert self.json_error(capsys, code)["code"] == error
+
+    @pytest.mark.parametrize("entries", [
+        dict(cut_half_span_m=1e300, cut_step_m=1e-300),
+        # 1e305 steps: a finite count, but no index reaches it
+        dict(cut_half_span_m=1e300, cut_step_m=1e-5),
+        dict(grid="plane", plane_half_span_a_m=1e300, plane_step_m=1e-300),
+        dict(grid="plane", plane_half_span_b_m=1e300, plane_step_m=1e-300),
+        # 2e10 + 1 points along each axis, 4e20 in all
+        dict(grid="plane", plane_half_span_a_m=1e3, plane_half_span_b_m=1e3,
+             plane_step_m=1e-7),
+    ], ids=["cut-overflow", "cut-beyond-index", "plane-a-overflow", "plane-b-overflow",
+            "plane-beyond-index"])
+    def test_uncountable_grid_refused_before_any_work(self, tmp_path, capsys, entries):
+        # the grids are counted when the scenario loads: no aperture, solve
+        # or weights file comes before the refusal
+        out = tmp_path / "out"
+        code = cli_main(["run", "--scenario", scenario(tmp_path, **entries),
+                         "--out", str(out)])
+        error = self.json_error(capsys, code)
+        assert error["code"] == "scenario-invalid"
+        assert "too many points" in error["message"]
+        assert not out.exists()
 
     def test_scenario_required(self, capsys, monkeypatch):
         monkeypatch.delenv("NEARFOCUS_SCENARIO", raising=False)

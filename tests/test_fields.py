@@ -10,6 +10,7 @@ symmetry, chunking, thread count and determinism.
 import math
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -609,6 +610,72 @@ def test_parts_added_in_source_order_by_many_workers(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("n_points", [1, 5, 127, 128, 129, 141, 256, 257, 3481])
+@pytest.mark.parametrize("n_src", [1, 2814, 1_015_928])
+def test_units_tile_points_evenly(n_points, n_src):
+    # the fewest point slices that the budget allows, in order and within one
+    # point of each other, the same on every source slice, which tile the
+    # sources in order; the scratch holds the largest unit
+    units, size = fields._units(n_points, n_src)
+    blocks = sorted({(s.start, s.stop) for _, s in units})
+    slices = [p for p, s in units if s.start == 0]
+    assert units == [(p, slice(a, b)) for a, b in blocks for p in slices]
+    assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+    assert blocks[-1][1] == n_src
+    assert [p.start for p in slices] == [0] + [p.stop for p in slices[:-1]]
+    assert slices[-1].stop == n_points
+    sizes = [p.stop - p.start for p in slices]
+    assert max(sizes) - min(sizes) <= 1
+    block = blocks[0][1]
+    width = fields._BUFFERS * block + max(0, fields._SUM_ROOM - 4 * block)
+    per = fields._BUFFERS * fields._CHUNK_BUDGET // width
+    assert max(sizes) <= per and len(slices) == -(-n_points // per)
+    assert size == max(sizes) * width
+    if n_src == 2814:
+        # the baseline ring's default cut and plane
+        expected = {141: [70, 71], 3481: [124] * 19 + [125] * 9}.get(n_points)
+        assert expected is None or sorted(sizes) == expected
+
+
+def test_stalled_worker_leaves_its_units_to_the_other(monkeypatch):
+    # the first unit claimed stalls until every other unit has been taken:
+    # only workers that claim units as they go get there, where a fixed
+    # share per worker would wait out the timeout.  The stalled unit's
+    # slice then gets its later parts from the stash, in source order
+    layout = small_layout()
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=len(layout)) + 1j * rng.normal(size=len(layout))
+    grid = np.stack([np.linspace(-0.3, 0.3, 64), np.zeros(64), np.zeros(64)], axis=1)
+    monkeypatch.setattr(fields, "_SOURCE_BLOCK", 64)
+    monkeypatch.setattr(fields, "_CHUNK_BUDGET", 16 * 64)
+    n_units = len(fields._units(len(grid), len(layout))[0])
+    assert n_units >= 12
+    ref = evaluate_field(layout, w, grid, WL, threads=1).E
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    dyadic = fields._dyadic
+    guard = threading.Lock()
+    claims = []
+    released = threading.Event()
+    waited = []
+
+    def stalling(*args, **kwargs):
+        with guard:
+            claims.append(threading.get_ident())
+            first, last = len(claims) == 1, len(claims) == n_units
+        if last:
+            released.set()
+        if first:
+            waited.append(released.wait(timeout=10.0))
+        return dyadic(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_dyadic", stalling)
+    fm = evaluate_field(layout, w, grid, WL, threads=2)
+    assert fm.workers == 2 and len(claims) == n_units
+    assert waited == [True]
+    assert claims.count(claims[0]) == 1
+    assert np.array_equal(fm.E, ref)
+
+
 def test_evaluate_field_peak_near_its_result(monkeypatch):
     # one ring of 42 dipoles on 100,000 points: one source block, so at the
     # parent of this check the units' parts alone were as large as E
@@ -704,12 +771,17 @@ def test_chunk_invariance_across_threads(monkeypatch, source_kind):
     start = pos[0] * (1.0 - 0.1 * LAM / np.linalg.norm(pos[0]))
     grid = start + np.linspace(0.0, 1.0, 64)[:, None] * (np.array([0.0, 0.0, 0.1]) - start)
     ref = brute_force_field(sources, w, grid, source_kind)
-    # units of 20 points and every source, then of 3 points and a third of them
-    for budget, block in ((20 * n, n), (n, n // 3)):
+    # units of at most 20 points and every source, then of at most 3 points
+    # and a third of them: the 64 points tile as 4 slices of 16, then as 22
+    # slices of 2 or 3 points
+    for budget, block, sizes in ((20 * n, n, {16}), (n, n // 3, {2, 3})):
         monkeypatch.setattr(fields, "_CHUNK_BUDGET", budget)
         monkeypatch.setattr(fields, "_SOURCE_BLOCK", block)
         units, _ = fields._units(len(grid), n)
-        assert units[0] == (slice(0, budget // block), slice(0, block))
+        first = [p for p, s in units if s.start == 0]
+        assert units[0] == (slice(0, min(sizes)), slice(0, block))
+        assert len(first) == -(-len(grid) // (budget // block))
+        assert {p.stop - p.start for p in first} == sizes
         maps = [evaluate_field(sources, w, grid, WL, source_kind=source_kind, threads=t)
                 for t in (1, 2, 3)]
         for fm in maps[1:]:
