@@ -23,11 +23,17 @@ resolved scenario (defaults included), the conventions the numbers rest
 on, tool version, the requested threads and the field workers that ran,
 wall-clock time, the process's peak resident memory so far (null where
 the resource module does not exist), each stage's wall time and the
-peak resident memory after it, the work's counts (sources, field points,
-kernel pairs, near-singular points) and, for run, the solver's
+peak resident memory after it, the work's counts (sources, grid points,
+the field nodes the kernel evaluated, kernel pairs, near-singular
+points), each field grid's outcome and, for run, the solver's
 diagnostics (regime, level, power, clipped and idle ports, power
 residual) and the relative gap between the focal field the solver
 predicts and the one evaluated at the focus.
+
+Every cut and plane is evaluated by _evaluate, from nested
+Chebyshev-Lobatto nodes along each axis, and interpolated to its
+samples within about 1e-13 of its largest |E| component; a grid near
+the sources, or one that does not resolve, is evaluated point by point.
 
 Every aperture, the single element included, gets its channel from one
 fields.assemble_channel call.
@@ -100,6 +106,14 @@ _REFERENCES = {
     "ratio_cp": ("cp", None, None),
     "ratio_tr": ("tr", None, None),
 }
+
+# Field grids: the largest Chebyshev tail, and spot-check miss, relative
+# to the grid's largest coefficient and |E| component, at which an axis is
+# resolved; the coefficients read as the tail; the level (2**L + 1 nodes)
+# that every axis starts at
+_SPECTRAL_TOL = 1e-13
+_TAIL = 4
+_FIRST_LEVEL = 3
 
 _AXIS_UNIT = {
     "x": np.array([1.0, 0.0, 0.0]),
@@ -319,7 +333,9 @@ class _Stages:
         self.timings_s: dict = {}
         self.peak_rss_mb: dict = {}
         self.counters = dict.fromkeys(
-            ("sources", "points", "kernel_pairs", "near_singular_points"), 0)
+            ("sources", "points", "field_nodes", "kernel_pairs", "near_singular_points"), 0)
+        # each field grid's outcome, axis by axis
+        self.grids: list = []
 
     @contextlib.contextmanager
     def __call__(self, name: str):
@@ -330,7 +346,7 @@ class _Stages:
 
     def manifest_entries(self) -> dict:
         return {"timings_s": self.timings_s, "stage_peak_rss_mb": self.peak_rss_mb,
-                "counters": self.counters}
+                "counters": self.counters, "field_grids": self.grids}
 
 
 def _geometry_spec(s: dict):
@@ -403,24 +419,187 @@ def _offsets(half_span: float, step: float) -> np.ndarray:
     return np.arange(-n, n + 1) * step
 
 
-def _plane_grid(s: dict):
-    ua = _offsets(s["plane_half_span_a_m"], s["plane_step_m"])
-    vb = _offsets(s["plane_half_span_b_m"], s["plane_step_m"])
-    ax_a, ax_b = s["plane_axes"]
-    U, V = np.meshgrid(ua, vb, indexing="ij")
-    points = (_focus(s)[None, :]
-              + U.reshape(-1, 1) * _AXIS_UNIT[ax_a][None, :]
-              + V.reshape(-1, 1) * _AXIS_UNIT[ax_b][None, :])
-    return points, ua, vb
+def _plane(s: dict) -> list:
+    """The plane's two axes and their offsets, the first axis slowest."""
+    return [(axis, _offsets(s[f"plane_half_span_{ab}_m"], s["plane_step_m"]))
+            for axis, ab in zip(s["plane_axes"], "ab")]
 
 
-def _evaluate(s: dict, sources, weights, points: np.ndarray, wl: Wavelength,
-              threads: int, stages: _Stages) -> FieldMap:
-    with stages("field"):
+def _points(focus: np.ndarray, names: list, offsets: list) -> np.ndarray:
+    """The focus plus every combination of offsets along the named axes,
+    (P, 3), the first axis slowest."""
+    points = focus[None, :]
+    for axis, o in zip(names, np.meshgrid(*offsets, indexing="ij")):
+        points = points + o.reshape(-1, 1) * _AXIS_UNIT[axis][None, :]
+    return points
+
+
+def _lobatto(level: int) -> np.ndarray:
+    """The 2**level + 1 Chebyshev-Lobatto points of [-1, 1], ascending, as
+    sin(pi k / 2**(level + 1)): a level's points are the last level's, bit
+    for bit, and the ones halfway between; the middle one is 0 and the
+    ends are -1 and 1."""
+    d = 2 ** (level + 1)
+    return np.array([math.sin(math.pi * k / d) for k in range(-d // 2, d // 2 + 1, 2)])
+
+
+def _tail(values: np.ndarray, axis: int) -> float:
+    """The largest of the last _TAIL Chebyshev coefficients along one axis
+    of values, (..., 3) at that axis's Lobatto points, over the largest
+    coefficient (0 for a zero field)."""
+    n = values.shape[axis]
+    f = np.moveaxis(values, axis, 0).reshape(n, -1)
+    # point j is cos(pi i / (n - 1)) with i = n - 1 - j; the ends weigh half
+    # in the sum, and so do the first and last coefficients
+    j = np.arange(n)
+    half = np.where((j == 0) | (j == n - 1), 0.5, 1.0)
+    T = np.cos(np.pi * np.outer(j, n - 1 - j) / (n - 1)) * np.outer(half, half)
+    c = np.abs(T @ f).max(axis=1)
+    return float(c[-_TAIL:].max() / c.max()) if c.max() > 0.0 else 0.0
+
+
+def _interpolate(values: np.ndarray, axis: int, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """values, complex (..., 3) at the Lobatto points t along one axis, at
+    the points x by the barycentric formula (both on [-1, 1]); where x is
+    one of the t, the result is that node's value, bytes and all."""
+    w = np.where(np.arange(t.size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    d = x[:, None] - t[None, :]
+    on, at = np.nonzero(d == 0.0)
+    d[on, at] = 1.0
+    B = w / d
+    B /= B.sum(axis=1, keepdims=True)
+    moved = np.ascontiguousarray(np.moveaxis(values, axis, 0))
+    f = moved.reshape(t.size, -1)
+    # a real matmul on the real and imaginary parts
+    out = (B @ f.view(np.float64)).view(complex)
+    out[on] = f[at]
+    return np.moveaxis(out.reshape((x.size,) + moved.shape[1:]), 0, axis)
+
+
+def _spots(x: np.ndarray, t: np.ndarray) -> list:
+    """The indices of the points x farthest from every point t, one on
+    either side of the middle of x."""
+    gap = np.abs(x[:, None] - t[None, :]).min(axis=1)
+    mid = x.size // 2
+    return [int(np.argmax(gap[:mid])), mid + 1 + int(np.argmax(gap[mid + 1:]))]
+
+
+def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength, threads: int,
+              stages: _Stages) -> FieldMap:
+    """The field on the grid of offsets from the focus along the named axes,
+    the first axis slowest, interpolated from nested Chebyshev-Lobatto nodes.
+
+    An axis of m samples has the 2**L + 1 nodes _lobatto(L) times its half
+    span at level L = _FIRST_LEVEL, ... while that is fewer than m, and its
+    own offsets after that: it is exact.  Each level evaluates only the
+    tensor nodes it adds; the first one holds the focus.  An axis whose
+    Chebyshev coefficients' tail exceeds _SPECTRAL_TOL refines, and is
+    exact once it runs out of levels; once every axis is resolved, each
+    is checked directly at two samples off its nodes on its line through
+    the focus, and one that misses the interpolant by more than
+    _SPECTRAL_TOL of the largest |E| component is exact too.  The grid is
+    the barycentric interpolant of the nodes, so a node that is a sample
+    (the focus, the ends) keeps its bytes.  A grid whose box comes within
+    the quarter-wavelength standoff of a source is exact from the start:
+    evaluate_field flags or refuses its points as it does any grid's, and
+    a grid farther out has none to flag.  The manifest records each axis's
+    outcome.
+    """
+    focus, names = _focus(s), [axis for axis, _ in axes]
+    offsets = [o for _, o in axes]
+    shape = tuple(o.size for o in offsets)
+    grid = _points(focus, names, offsets)
+    level = [_FIRST_LEVEL] * len(axes)
+    # the axes that are exact, and why
+    exact = {k: "small" for k, m in enumerate(shape) if 2 ** _FIRST_LEVEL + 1 >= m}
+    outcome = [{"axis": axis, "samples": m, "tail": None, "spot_check": None}
+               for axis, m in zip(names, shape)]
+    workers = 0
+
+    def field(points):
+        nonlocal workers
         fm = evaluate_field(sources, weights.w, points, wl, kernel=s["kernel"],
                             source_kind=s["source_kind"], threads=threads)
+        workers = max(workers, fm.workers)
+        stages.counters["field_nodes"] += len(fm)
+        stages.counters["kernel_pairs"] += len(fm) * len(sources)
+        return fm
+
+    def extend(nodes, E, near, new):
+        """The field and flags on the tensor of the new nodes: the old
+        nodes' carried over, the others evaluated."""
+        # both ascending: an old node is kept where the new one at its place
+        # equals it (np.isin would load numpy.ma)
+        at, to = [], []
+        for o, n in zip(nodes, new):
+            i = np.minimum(np.searchsorted(n, o), n.size - 1)
+            hit = n[i] == o
+            at.append(np.flatnonzero(hit))
+            to.append(i[hit])
+        at, to = np.ix_(*at), np.ix_(*to)
+        size = tuple(n.size for n in new)
+        E_new, near_new = np.empty(size + (3,), dtype=complex), np.zeros(size, dtype=bool)
+        known = np.zeros(size, dtype=bool)
+        E_new[to], near_new[to], known[to] = E[at], near[at], True
+        todo = np.flatnonzero(~known.ravel())
+        if todo.size:
+            fm = field(_points(focus, names, new)[todo])
+            E_new.reshape(-1, 3)[todo] = fm.E
+            near_new.reshape(-1)[todo] = fm.near_singular
+        return new, E_new, near_new
+
+    with stages("field"):
+        if len(exact) < len(axes) and sources.distance_to_box(
+                grid.min(axis=0), grid.max(axis=0)) < 0.25 * wl.lam:
+            exact.update((k, "standoff") for k in range(len(axes)) if k not in exact)
+        # the nodes so far along each axis, and their field and flags
+        nodes = [np.zeros(0)] * len(axes)
+        E = np.zeros((0,) * len(axes) + (3,), dtype=complex)
+        near = np.zeros(E.shape[:-1], dtype=bool)
+        while True:
+            nodes, E, near = extend(nodes, E, near, [
+                o if k in exact else o[-1] * _lobatto(level[k]) for k, o in enumerate(offsets)])
+            values = E
+            lobatto = [k for k in range(len(axes)) if k not in exact]
+            for k in lobatto:
+                outcome[k]["tail"] = _tail(E, k)
+            coarse = [k for k in lobatto if outcome[k]["tail"] > _SPECTRAL_TOL]
+            for k in coarse:
+                level[k] += 1
+                if 2 ** level[k] + 1 >= shape[k]:
+                    exact[k] = "unresolved"
+            if coarse:
+                continue
+            if not lobatto:
+                break
+            # every axis is resolved or exact: the interpolant, and two
+            # direct samples for each resolved axis
+            spots = []
+            for k in lobatto:
+                x, t = offsets[k] / offsets[k][-1], _lobatto(level[k])
+                values = _interpolate(values, k, x, t)
+                for i in _spots(x, t):
+                    at = [m // 2 for m in shape]
+                    at[k] = i
+                    spots.append(np.ravel_multi_index(at, shape))
+            flat = values.reshape(-1, 3)
+            direct = field(grid[spots]).E
+            miss = np.abs(direct - flat[spots]).max(axis=1)
+            peak = max(np.abs(flat).max(), np.abs(direct).max())
+            for n, k in enumerate(lobatto):
+                err = miss[2 * n:2 * n + 2].max()
+                outcome[k]["spot_check"] = float(err / peak) if peak > 0.0 else 0.0
+                if outcome[k]["spot_check"] > _SPECTRAL_TOL:
+                    exact[k] = "spot-check"
+            if all(k not in exact for k in lobatto):
+                near = np.zeros(shape, dtype=bool)
+                break
+    for k, record in enumerate(outcome):
+        record.update(nodes=int(nodes[k].size), exact=exact.get(k))
+    stages.grids.append(outcome)
+    fm = FieldMap(grid, values.reshape(-1, 3), near.reshape(-1), workers)
     stages.counters["points"] += len(fm)
-    stages.counters["kernel_pairs"] += len(fm) * len(sources)
     stages.counters["near_singular_points"] += int(np.count_nonzero(fm.near_singular))
     return fm
 
@@ -470,8 +649,7 @@ def _cut(s: dict, outdir: Path, sources, weights, axis: str, component: str,
     """The field on the cut through the focus along axis, written to
     cut.csv: the offsets, the field map and |E_component| on the cut."""
     offsets = _offsets(s["cut_half_span_m"], s["cut_step_m"])
-    fm = _evaluate(s, sources, weights, _focus(s) + offsets[:, None] * _AXIS_UNIT[axis],
-                   wl, threads, stages)
+    fm = _evaluate(s, sources, weights, [(axis, offsets)], wl, threads, stages)
     _write(outdir / "cut.csv", {"offset_m": offsets, **_field_columns(fm)}, stages)
     return offsets, fm, np.abs(fm.component(component))
 
@@ -528,13 +706,13 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
             except ValueError as e:
                 metrics_payload["skipped_reason"] = str(e)
     else:
-        points, ua, vb = _plane_grid(s)
-        fm = _evaluate(s, sources, weights, points, wl, threads, stages)
+        axes = _plane(s)
+        fm = _evaluate(s, sources, weights, axes, wl, threads, stages)
+        (ax_a, ua), (ax_b, vb) = axes
         _write(outdir / "fieldmap.csv", _field_columns(fm), stages)
         artifacts.append("fieldmap.csv")
         metrics_payload["kind"] = "plane"
         metrics_payload["plane_axes"] = s["plane_axes"]
-        ax_a, ax_b = s["plane_axes"]
         with stages("metrics"):
             mags = np.abs(fm.component(component)).reshape(ua.size, vb.size)
             i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)

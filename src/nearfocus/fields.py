@@ -21,7 +21,8 @@ makes its own slice of source positions and moments, and the channel
 keeps one port-resistance scale per strip, as a run over the strip's rows.
 Work units tile the grid in point slices of equal size (to one point),
 and evaluate_field's workers claim them in turn from one counter, so
-two workers share even a 141-point cut equally.
+two workers share even a 141-point cut equally; a lone worker runs in
+the calling thread.
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -56,6 +57,8 @@ _SUM_ROOM = 37
 # sources per matmul when the grid fills a unit: BLAS adds a block's products
 # one after another, so short blocks keep a focal sum's rounding small
 _SOURCE_BLOCK = 512
+# ports per block of ChannelVector.resistances: its temporaries are a block's
+_PORT_BLOCK = 8_192
 
 
 class ChannelVector:
@@ -83,7 +86,8 @@ class ChannelVector:
         # min, not a full-length comparison; a NaN makes it NaN, which fails too
         if not np.min(scale, initial=math.inf) > 0.0:
             raise ValueError("resistance scales must be positive")
-        self._scale, self._counts = scale, counts
+        # each run's end, one past its last port
+        self._scale, self._ends = scale, np.cumsum(counts)
 
     def __len__(self) -> int:
         return self.g.shape[0]
@@ -91,14 +95,21 @@ class ChannelVector:
     @property
     def resistance_scale(self) -> np.ndarray:
         """Each port's resistance multiplier, (N,), made from the runs."""
-        return np.repeat(self._scale, self._counts)
+        return np.repeat(self._scale, np.diff(self._ends, prepend=0))
 
     def resistances(self, R0: float, out: np.ndarray) -> np.ndarray:
-        """out = R0 times each port's resistance multiplier, run by run."""
-        start = 0
-        for scale, count in zip(self._scale, self._counts):
-            out[start:start + count] = R0 * scale
-            start += count
+        """out = R0 times each port's resistance multiplier, filled in blocks
+        of _PORT_BLOCK ports from the runs that meet each block."""
+        ends = self._ends
+        for a in range(0, len(self), _PORT_BLOCK):
+            b = min(a + _PORT_BLOCK, len(self))
+            # the first run that ends after a, through the first that reaches b
+            i = np.searchsorted(ends, a, side="right")
+            j = np.searchsorted(ends, b) + 1
+            counts = np.minimum(ends[i:j], b)
+            counts[1:] -= ends[i:j - 1]
+            counts[0] -= a
+            np.multiply(np.repeat(self._scale[i:j], counts), R0, out=out[a:b])
         return out
 
 
@@ -460,6 +471,10 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
             if mine:
                 add(i, part)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, range(workers)))
+    if workers == 1:
+        # no pool: starting its thread costs more than a small grid's kernel
+        work(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
     return FieldMap(grid, E, dmin < 0.25 * wl.lam, workers)

@@ -22,6 +22,9 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0          # m/s
 FREE_SPACE_IMPEDANCE = 376.730313668  # ohm
 
+# rows per block of Aperture.distance_to_box: its temporaries are a block's
+_ROW_BLOCK = 65_536
+
 
 @dataclass(frozen=True)
 class Wavelength:
@@ -154,6 +157,19 @@ class Aperture:
         lo[2] += self.z.min()
         hi[2] += self.z.max()
         return lo, hi
+
+    def distance_to_box(self, lo: np.ndarray, hi: np.ndarray) -> float:
+        """The least distance from any element to the box of corners lo and
+        hi, (3,) each, scanned in blocks of _ROW_BLOCK rows."""
+        least = math.inf
+        for a in range(0, len(self), _ROW_BLOCK):
+            p = self.positions(a, min(a + _ROW_BLOCK, len(self)))
+            # per component, how far each element lies outside the box's slab
+            below = np.subtract(lo[:, None], p)
+            gap = np.maximum(below, np.subtract(p, hi[:, None], out=p), out=p)
+            np.maximum(gap, 0.0, out=gap)
+            least = min(least, float(np.square(gap, out=gap).sum(axis=0).min()))
+        return math.sqrt(least)
 
     def _pieces(self, a: int, b: int):
         """Rows [a, b) as rectangles of z-rows by strip points: (strip index,

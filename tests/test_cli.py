@@ -197,9 +197,14 @@ class TestRun:
         nearest = np.min(np.linalg.norm(points[:, None] - patches[None], axis=2), axis=1)
         near = int(np.count_nonzero(nearest < 0.25 * LAM))
         assert code == 0 and 0 < near < len(points)
+        # the cut comes within the standoff, so the kernel evaluates every sample
         assert manifest["counters"] == {"sources": 60 * 18, "points": len(points),
+                                        "field_nodes": len(points),
                                         "kernel_pairs": len(points) * 60 * 18,
                                         "near_singular_points": near}
+        assert manifest["field_grids"] == [[{"axis": "y", "samples": len(points),
+                                             "nodes": len(points), "tail": None,
+                                             "spot_check": None, "exact": "standoff"}]]
         for name in ("weights.json", "metrics.json"):
             text = (out / name).read_text()
             assert all(key not in text for key in ("timings_s", "stage_peak", "counters"))
@@ -222,8 +227,9 @@ class TestRun:
             assert set(manifest["timings_s"]) == set(manifest["stage_peak_rss_mb"]) == stages
             counters = manifest["counters"]
             assert counters["sources"] == (0 if subcommand == "analytic" else 60 * 18)
-            assert counters["kernel_pairs"] == counters["points"] * counters["sources"]
+            assert counters["kernel_pairs"] == counters["field_nodes"] * counters["sources"]
             assert (counters["points"] > 0) == (subcommand == "validate")
+            assert (counters["field_nodes"] > 0) == (subcommand == "validate")
 
     def test_manifest_solver_diagnostics(self, tmp_path, capsys):
         # the cap that clips part of the mesh (hybrid) and one below the

@@ -1,0 +1,288 @@
+"""Field grids from nested Chebyshev-Lobatto nodes, against direct maps.
+
+cli._evaluate interpolates each cut and plane from a few dozen nodes per
+axis.  The oracle is evaluate_field on every sample of the same grid: the
+two must agree within 1e-13 of the grid's largest |E| component on every
+kind of aperture, kernel and grid that run and validate build.  Grids
+near the sources take the direct path, with its flags, counters and
+errors, and the channel's resistance runs fill their ports in blocks.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nearfocus import cli, fields
+from nearfocus.cli import main as cli_main
+from nearfocus.fields import ChannelVector, evaluate_field
+from nearfocus.geometry import Aperture, Wavelength
+
+ROOT = Path(__file__).resolve().parents[1]
+
+BASE = {"geometry": "cylinder", "radius_m": 1.0, "length_m": 10.0, "frequency_hz": 1.0e9}
+
+# the contract: every map within this fraction of its largest |E| component
+PARITY = 1e-13
+
+
+def benchmark_scenario(workload, invocation, seed):
+    """One invocation's scenario from perfbench/workloads.py, loaded by path."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("field_grids_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return next(inv.scenario for inv in module.WORKLOADS[workload](seed).invocations
+                if inv.name == invocation)
+
+
+def field_map(tmp_path, scenario, threads=2):
+    """The resolved scenario, its grid as run evaluates it, the grid's
+    direct map, the weights, the sources and the stage recorder."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    s, _ = cli.load_scenario(path)
+    wl = Wavelength.from_frequency(s["frequency_hz"])
+    stages = cli._Stages()
+    sources = cli._aperture(s, wl, stages)
+    e_hat = cli._AXIS_UNIT[s["target_polarization"]]
+    weights, _ = cli._solve_weights(s, cli._channel(s, sources, e_hat, wl, stages), stages)
+    axes = (cli._plane(s) if s["grid"] == "plane"
+            else [(s["cut_axis"], cli._offsets(s["cut_half_span_m"], s["cut_step_m"]))])
+    fm = cli._evaluate(s, sources, weights, axes, wl, threads, stages)
+    direct = evaluate_field(sources, weights.w, fm.points, wl, kernel=s["kernel"],
+                            source_kind=s["source_kind"], threads=threads)
+    return s, fm, direct, weights, sources, stages
+
+
+RING_PLANE = [pytest.param(benchmark_scenario("ring_plane", "run-plane", seed),
+                           id=f"ring-plane-seed{seed}") for seed in (0, 41, 97)]
+MIX = {name: benchmark_scenario("scenario_mix", name, 0)
+       for name in ("run-magnetic-mesh", "run-dipole-approx", "run-single", "run-rect-mesh")}
+
+
+@pytest.mark.parametrize("scenario", RING_PLANE + [
+    pytest.param(dict(BASE, cut_axis="x"), id="ring-x-cut"),
+    pytest.param(dict(BASE, cut_axis="y", focus_z_m=1.0), id="ring-y-cut"),
+    pytest.param(dict(BASE, cut_axis="z", method="tr"), id="ring-z-cut"),
+    pytest.param(dict(BASE, grid="plane", plane_axes="xy", plane_half_span_a_m=0.2,
+                      plane_half_span_b_m=0.1, focus_x_m=0.1), id="ring-xy-plane"),
+    pytest.param(dict(BASE, grid="plane", plane_axes="xz", plane_half_span_a_m=0.08,
+                      plane_half_span_b_m=0.25, target_polarization="x"), id="ring-xz-plane"),
+    pytest.param(MIX["run-magnetic-mesh"], id="magnetic-azimuthal-mesh"),
+    pytest.param(MIX["run-dipole-approx"], id="dipole-approx-ring"),
+    pytest.param(MIX["run-rect-mesh"], id="rectangle-mesh"),
+    pytest.param(MIX["run-single"], id="single-element"),
+])
+def test_spectral_map_matches_direct_map(tmp_path, scenario):
+    _, fm, direct, _, sources, stages = field_map(tmp_path, scenario)
+    # every axis went through the nodes, and none of them fell back
+    (outcome,) = stages.grids
+    assert all(axis["exact"] is None and axis["nodes"] < axis["samples"] for axis in outcome)
+    assert stages.counters["field_nodes"] < len(fm)
+    assert stages.counters["kernel_pairs"] == stages.counters["field_nodes"] * len(sources)
+    peak = np.abs(direct.E).max()
+    assert np.abs(fm.E - direct.E).max() <= PARITY * peak
+    assert not fm.near_singular.any() and not direct.near_singular.any()
+
+
+@pytest.mark.parametrize("scenario", [
+    pytest.param(RING_PLANE[0].values[0], id="ring-plane"),
+    pytest.param(dict(BASE, cut_axis="z", focus_x_m=0.2), id="ring-z-cut"),
+    pytest.param(MIX["run-rect-mesh"], id="rectangle-mesh"),
+])
+def test_focus_sample_is_the_kernels_own_value(tmp_path, scenario):
+    # the focus is a node of the first level, 9 Lobatto points per axis:
+    # its sample is evaluate_field's value there, bytes and all, not an
+    # interpolated one, and a one-point evaluation differs by rounding only
+    s, fm, _, weights, sources, _ = field_map(tmp_path, scenario)
+    axes = (cli._plane(s) if s["grid"] == "plane"
+            else [(s["cut_axis"], cli._offsets(s["cut_half_span_m"], s["cut_step_m"]))])
+    focus = cli._focus(s)
+    first = cli._points(focus, [a for a, _ in axes], [o[-1] * cli._lobatto(3) for _, o in axes])
+    assert np.array_equal(first[len(first) // 2], focus)
+    assert np.array_equal(fm.points[len(fm) // 2], focus)
+    kwargs = dict(kernel=s["kernel"], source_kind=s["source_kind"])
+    wl = Wavelength.from_frequency(s["frequency_hz"])
+    direct = evaluate_field(sources, weights.w, first, wl, **kwargs)
+    assert fm.E[len(fm) // 2].tobytes() == direct.E[len(first) // 2].tobytes()
+    one = evaluate_field(sources, weights.w, focus[None, :], wl, **kwargs)
+    assert np.abs(fm.E[len(fm) // 2] - one.E[0]).max() <= 1e-14 * np.abs(one.E).max()
+
+
+def test_lobatto_levels_nest_bit_for_bit():
+    for level in range(3, 9):
+        coarse, fine = cli._lobatto(level), cli._lobatto(level + 1)
+        assert coarse.size == 2 ** level + 1
+        assert np.all(np.diff(fine) > 0.0)
+        assert fine[::2].tobytes() == coarse.tobytes()
+        assert (fine[0], fine[fine.size // 2], fine[-1]) == (-1.0, 0.0, 1.0)
+
+
+# the xy plane through x = 0.85 reaches x = 0.985 on a ring of radius 1, so
+# its box lies within the quarter-wavelength standoff (0.075 m) of the wall
+NEAR_WALL = dict(BASE, grid="plane", plane_axes="xy", focus_x_m=0.85)
+
+
+def test_near_wall_plane_is_the_direct_map(tmp_path, capsys):
+    assert json.loads((ROOT / "tools" / "ring_plane_near_wall.json").read_text()) == NEAR_WALL
+    _, fm, direct, _, sources, stages = field_map(tmp_path, NEAR_WALL)
+    assert [axis["exact"] for axis in stages.grids[0]] == ["standoff", "standoff"]
+    # one evaluate_field call on the whole grid: its bytes and its flags
+    assert fm.E.tobytes() == direct.E.tobytes()
+    assert np.array_equal(fm.near_singular, direct.near_singular)
+    near = int(np.count_nonzero(direct.near_singular))
+    assert 0 < near < len(fm)
+    out = tmp_path / "out"
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(NEAR_WALL))
+    assert cli_main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counters"] == {"sources": len(sources), "points": len(fm),
+                                    "field_nodes": len(fm),
+                                    "kernel_pairs": len(fm) * len(sources),
+                                    "near_singular_points": near}
+
+
+def test_small_grid_takes_no_box_scan(tmp_path, monkeypatch):
+    # a cut of 9 samples is its own nodes: no standoff scan, one call
+    def refuse(*args):
+        raise AssertionError("box scan on a small grid")
+
+    monkeypatch.setattr(Aperture, "distance_to_box", refuse)
+    _, fm, direct, *_, stages = field_map(tmp_path, dict(BASE, cut_half_span_m=4 * 0.3 / 64))
+    assert len(fm) == 9
+    assert [axis["exact"] for axis in stages.grids[0]] == ["small"]
+    assert stages.counters["field_nodes"] == 9
+    assert fm.E.tobytes() == direct.E.tobytes()
+
+
+def test_unresolved_axis_is_evaluated_at_its_samples(tmp_path):
+    # a 23-sample y-cut through x = 0.92 keeps 0.079 m from the ring wall: its
+    # tail is still about 1e-9 at 17 nodes, and 33 would be more than its
+    # samples
+    _, fm, direct, _, sources, stages = field_map(
+        tmp_path, dict(BASE, cut_axis="y", focus_x_m=0.92, cut_half_span_m=0.05))
+    (axis,) = stages.grids[0]
+    assert axis["exact"] == "unresolved" and axis["nodes"] == axis["samples"] == 23
+    assert axis["tail"] > 1e-13 and axis["spot_check"] is None
+    assert np.abs(fm.E - direct.E).max() <= PARITY * np.abs(direct.E).max()
+    assert not fm.near_singular.any()
+
+
+def test_spot_check_miss_makes_axis_exact(tmp_path, monkeypatch):
+    # a tail that always reads resolved accepts 9 nodes per axis, which the
+    # spot checks then refuse
+    monkeypatch.setattr(cli, "_tail", lambda values, axis: 0.0)
+    _, fm, direct, *_, stages = field_map(
+        tmp_path, dict(BASE, grid="plane", plane_half_span_a_m=0.05, plane_half_span_b_m=0.08))
+    assert [(a["exact"], a["nodes"]) for a in stages.grids[0]] == [("spot-check", 23),
+                                                                  ("spot-check", 35)]
+    assert all(a["spot_check"] > 1e-13 for a in stages.grids[0])
+    assert np.abs(fm.E - direct.E).max() <= PARITY * np.abs(direct.E).max()
+
+
+def test_dipole_approx_grid_inside_standoff_refused(tmp_path, capsys):
+    # the y-cut through x = 0.9 reaches y = +-0.33, 0.056 m from the nearest
+    # dipole: the grid is exact, and evaluate_field refuses it
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(BASE, kernel="dipole-approx", cut_axis="y",
+                                    focus_x_m=0.9)))
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", str(path), "--out", str(out)])
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert code == 2
+    assert error == {"code": "run-failed",
+                     "message": "a point lies 0.055573927075620484 m from a source, inside "
+                                "the quarter-wavelength standoff 0.0749481145 m"}
+    assert not (out / "cut.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", [
+    pytest.param(RING_PLANE[1].values[0], id="ring-plane-seed41"),
+    pytest.param(MIX["run-magnetic-mesh"], id="magnetic-mesh-cut"),
+    pytest.param(NEAR_WALL, id="near-wall-plane"),
+])
+def test_artifacts_same_bytes_across_threads(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    outs = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"t{threads}"
+        assert cli_main(["run", "--scenario", str(path), "--out", str(out),
+                         "--threads", threads]) == 0
+        outs.append(out)
+    capsys.readouterr()
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+    assert "metrics.json" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes() \
+            == (outs[2] / name).read_bytes()
+    grids = [json.loads((out / "manifest.json").read_text())["field_grids"] for out in outs]
+    assert grids[0] == grids[1] == grids[2]
+
+
+def test_spectral_run_loads_no_numpy_submodule(tmp_path):
+    # a fresh interpreter: np.isin, for one, loads numpy.ma on first use
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(BASE, grid="plane", plane_half_span_a_m=0.05,
+                                    plane_half_span_b_m=0.05)))
+    script = f"""if True:
+        import json, sys
+        from nearfocus import cli
+        before = set(sys.modules)
+        code = cli.main(["run", "--scenario", {str(path)!r}, "--out", {str(tmp_path / "out")!r}])
+        print(json.dumps([code, sorted(set(sys.modules) - before)]))
+    """
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert not [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")]
+    grids = json.loads((tmp_path / "out" / "manifest.json").read_text())["field_grids"]
+    assert [axis["exact"] for axis in grids[0]] == [None, None]
+
+
+# ------------------------------------------------------------ resistance runs
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resistances_fill_runs_as_repeat(seed):
+    # runs of 0 to 3 ports, and a few long ones across block edges
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, size=30_000)
+    counts[rng.integers(0, counts.size, 3)] = rng.integers(1, 3 * fields._PORT_BLOCK, 3)
+    scale = rng.uniform(0.5, 2.0, counts.size)
+    n = int(counts.sum())
+    h = ChannelVector(np.ones(n, dtype=complex), scale, counts)
+    out = np.full(n, np.nan)
+    assert h.resistances(50.0, out=out) is out
+    assert out.tobytes() == (np.repeat(scale, counts) * 50.0).tobytes()
+    assert h.resistance_scale.tobytes() == np.repeat(scale, counts).tobytes()
+
+
+def test_resistances_peak_is_one_block():
+    n = 1_000_000
+    scale = np.random.default_rng(1).uniform(0.5, 2.0, n)
+    h = ChannelVector(np.ones(n, dtype=complex), scale, np.ones(n, dtype=np.intp))
+    out = np.empty(n)
+    tracemalloc.start()
+    try:
+        h.resistances(50.0, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block's run counts and repeated scales, 8 B each per port
+    assert peak <= 2 * 8 * fields._PORT_BLOCK + 4096
+    assert out.tobytes() == (scale * 50.0).tobytes()

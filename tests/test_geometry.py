@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nearfocus import cli, csvio
+from nearfocus import cli, csvio, geometry
 from nearfocus.geometry import (
     AXIAL,
     SPEED_OF_LIGHT,
@@ -330,6 +330,22 @@ def test_full_corridor_mesh_holds_no_full_length_array():
         tracemalloc.stop()
     assert len(mesh) == 1_015_928
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("box", [
+    ([-0.1, -0.2, 1.0], [0.3, 0.2, 1.0]),     # a cut or plane inside the ring
+    ([0.85, -0.1, -0.1], [0.985, 0.1, 0.1]),  # a plane reaching the wall
+    ([1.2, 0.0, 6.0], [1.5, 0.0, 7.0]),       # outside the cylinder and past its end
+    ([-2.0, -2.0, -6.0], [2.0, 2.0, 6.0]),    # holding every element
+])
+def test_distance_to_box_matches_every_element(box, monkeypatch):
+    # blocks of 1,000 rows over the mesh's 10,800, the last one short
+    monkeypatch.setattr(geometry, "_ROW_BLOCK", 1_000)
+    mesh = build_cylinder_mesh(CYL, 60, 180, WL_1GHZ)
+    lo, hi = (np.array(corner) for corner in box)
+    p = all_positions(mesh)
+    want = np.min(np.linalg.norm(np.maximum(np.maximum(lo - p, p - hi), 0.0), axis=1))
+    assert mesh.distance_to_box(lo, hi) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("build", [
