@@ -31,9 +31,12 @@ residual) and the relative gap between the focal field the solver
 predicts and the one evaluated at the focus.
 
 Every cut and plane is evaluated by _evaluate, from nested
-Chebyshev-Lobatto nodes along each axis, and interpolated to its
-samples within about 1e-13 of its largest |E| component; a grid near
-the sources, or one that does not resolve, is evaluated point by point.
+Chebyshev-Lobatto nodes along each axis, as many at first as the
+axis's span in wavelengths and its nearest source are predicted to need,
+and interpolated to its samples within about 1e-13 of its largest |E|
+component; a grid near the sources, one that needs about as many nodes
+as it has samples or has few sources, and one that does not resolve,
+is evaluated point by point.
 
 Every aperture, the single element included, gets its channel from one
 fields.assemble_channel call.
@@ -65,7 +68,7 @@ try:
 except ImportError:  # no such module on Windows
     resource = None
 
-from . import __version__, analytic
+from . import __version__, analytic, fields
 from .csvio import angle, write_csv
 from .fields import ChannelVector, FieldMap, assemble_channel, evaluate_field
 # not called here: the benchmark's tracer rebinds them until ROADMAP item 1
@@ -109,11 +112,10 @@ _REFERENCES = {
 
 # Field grids: the largest Chebyshev tail, and spot-check miss, relative
 # to the grid's largest coefficient and |E| component, at which an axis is
-# resolved; the coefficients read as the tail; the level (2**L + 1 nodes)
-# that every axis starts at
+# resolved; the coefficients read as the tail, which an axis's first nodes
+# hold beyond the degree it is predicted to need
 _SPECTRAL_TOL = 1e-13
 _TAIL = 4
-_FIRST_LEVEL = 3
 
 _AXIS_UNIT = {
     "x": np.array([1.0, 0.0, 0.0]),
@@ -434,13 +436,36 @@ def _points(focus: np.ndarray, names: list, offsets: list) -> np.ndarray:
     return points
 
 
-def _lobatto(level: int) -> np.ndarray:
-    """The 2**level + 1 Chebyshev-Lobatto points of [-1, 1], ascending, as
-    sin(pi k / 2**(level + 1)): a level's points are the last level's, bit
-    for bit, and the ones halfway between; the middle one is 0 and the
-    ends are -1 and 1."""
-    d = 2 ** (level + 1)
-    return np.array([math.sin(math.pi * k / d) for k in range(-d // 2, d // 2 + 1, 2)])
+def _lobatto(m: int) -> np.ndarray:
+    """The m + 1 Chebyshev-Lobatto points of [-1, 1], ascending, as
+    sin(pi k / 2m) for k = -m, -m + 2, ..., m: the points for 2m are these,
+    bit for bit, and the ones halfway between; the ends are -1 and 1, and
+    for an even m the middle one is 0."""
+    return np.array([math.sin(math.pi * k / (2 * m)) for k in range(-m, m + 1, 2)])
+
+
+def _intervals(kh: float, ratio: float, samples: int) -> int:
+    """The Lobatto intervals an axis of half span h starts at: the degree
+    past which the Chebyshev coefficients of the field along it are
+    predicted to be below _SPECTRAL_TOL, plus _TAIL, rounded up to even so
+    that the focus is a node.  kh is the wavenumber times h, ratio the
+    least distance from a source to the grid's box over h (inf where it is
+    not known).  The propagating degree is counted up to samples at most:
+    an axis that needs that many is evaluated at its samples."""
+    # a propagating wave along the axis, exp(j kh cos(theta) t), has the
+    # coefficients 2 j**d J_d(kh cos(theta)), and |J_d(x)| <= (x/2)**d / d!
+    # (Abramowitz & Stegun 9.1.62); summed as logs, which do not overflow
+    d, log_bound, log_tol = 0, 0.0, math.log(_SPECTRAL_TOL)
+    while log_bound > log_tol and d < samples:
+        d += 1
+        log_bound += math.log(0.5 * kh / d)
+    # a source at distance r from the box is outside the Bernstein ellipse
+    # of a = 1 + r/h, rho = a + sqrt(a**2 - 1), and the coefficients decay
+    # as rho**-d (Trefethen, Approximation Theory and Approximation
+    # Practice, ch. 8); log(rho) is acosh(a), written to keep a tiny ratio
+    log_rho = math.log1p(ratio + math.sqrt(ratio * (ratio + 2.0)))
+    d = max(d, math.ceil(-log_tol / log_rho)) + _TAIL
+    return d + d % 2
 
 
 def _tail(values: np.ndarray, axis: int) -> float:
@@ -490,31 +515,33 @@ def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength, threads: in
     """The field on the grid of offsets from the focus along the named axes,
     the first axis slowest, interpolated from nested Chebyshev-Lobatto nodes.
 
-    An axis of m samples has the 2**L + 1 nodes _lobatto(L) times its half
-    span at level L = _FIRST_LEVEL, ... while that is fewer than m, and its
-    own offsets after that: it is exact.  Each level evaluates only the
+    An axis of half span h starts at the m + 1 nodes h * _lobatto(m), with
+    m from _intervals: the degree its propagating waves need, and once the
+    grid's box has been scanned for its nearest source, the degree that
+    source's distance needs.  An axis whose m + 1 is at least its samples
+    is exact: it is evaluated at its own offsets ("small"), as is every
+    axis of a grid whose samples times sources fit one work unit of the
+    kernel.  The scan runs only when some axis's propagating count is below
+    its samples; a grid whose box comes within the quarter-wavelength
+    standoff of a source is exact from the start ("standoff"):
+    evaluate_field flags or refuses its points as it does any grid's, and a
+    grid farther out has none to flag.  Each level evaluates only the
     tensor nodes it adds; the first one holds the focus.  An axis whose
-    Chebyshev coefficients' tail exceeds _SPECTRAL_TOL refines, and is
-    exact once it runs out of levels; once every axis is resolved, each
-    is checked directly at two samples off its nodes on its line through
-    the focus, and one that misses the interpolant by more than
+    Chebyshev coefficients' tail exceeds _SPECTRAL_TOL doubles m, and is
+    exact once that reaches its samples; once every axis is resolved,
+    each is checked directly at two samples off its nodes on its line
+    through the focus, and one that misses the interpolant by more than
     _SPECTRAL_TOL of the largest |E| component is exact too.  The grid is
     the barycentric interpolant of the nodes, so a node that is a sample
-    (the focus, the ends) keeps its bytes.  A grid whose box comes within
-    the quarter-wavelength standoff of a source is exact from the start:
-    evaluate_field flags or refuses its points as it does any grid's, and
-    a grid farther out has none to flag.  The manifest records each axis's
-    outcome.
+    (the focus, the ends) keeps its bytes.  The manifest records each
+    axis's outcome.
     """
     focus, names = _focus(s), [axis for axis, _ in axes]
     offsets = [o for _, o in axes]
     shape = tuple(o.size for o in offsets)
     grid = _points(focus, names, offsets)
-    level = [_FIRST_LEVEL] * len(axes)
-    # the axes that are exact, and why
-    exact = {k: "small" for k, m in enumerate(shape) if 2 ** _FIRST_LEVEL + 1 >= m}
-    outcome = [{"axis": axis, "samples": m, "tail": None, "spot_check": None}
-               for axis, m in zip(names, shape)]
+    outcome = [{"axis": axis, "samples": n, "tail": None, "spot_check": None}
+               for axis, n in zip(names, shape)]
     workers = 0
 
     def field(points):
@@ -550,24 +577,32 @@ def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength, threads: in
         return new, E_new, near_new
 
     with stages("field"):
-        if len(exact) < len(axes) and sources.distance_to_box(
-                grid.min(axis=0), grid.max(axis=0)) < 0.25 * wl.lam:
-            exact.update((k, "standoff") for k in range(len(axes)) if k not in exact)
+        few = len(grid) * len(sources) <= fields._CHUNK_BUDGET
+        m = [_intervals(wl.k * o[-1], math.inf, o.size) for o in offsets]
+        # the axes that are exact, and why
+        exact = {k: "small" for k, n in enumerate(shape) if few or m[k] + 1 >= n}
+        if len(exact) < len(axes):
+            dist = sources.distance_to_box(grid.min(axis=0), grid.max(axis=0))
+            if dist < 0.25 * wl.lam:
+                exact.update((k, "standoff") for k in range(len(axes)) if k not in exact)
+            else:
+                m = [_intervals(wl.k * o[-1], dist / o[-1], o.size) for o in offsets]
+                exact.update((k, "small") for k, n in enumerate(shape) if m[k] + 1 >= n)
         # the nodes so far along each axis, and their field and flags
         nodes = [np.zeros(0)] * len(axes)
         E = np.zeros((0,) * len(axes) + (3,), dtype=complex)
         near = np.zeros(E.shape[:-1], dtype=bool)
         while True:
             nodes, E, near = extend(nodes, E, near, [
-                o if k in exact else o[-1] * _lobatto(level[k]) for k, o in enumerate(offsets)])
+                o if k in exact else o[-1] * _lobatto(m[k]) for k, o in enumerate(offsets)])
             values = E
             lobatto = [k for k in range(len(axes)) if k not in exact]
             for k in lobatto:
                 outcome[k]["tail"] = _tail(E, k)
             coarse = [k for k in lobatto if outcome[k]["tail"] > _SPECTRAL_TOL]
             for k in coarse:
-                level[k] += 1
-                if 2 ** level[k] + 1 >= shape[k]:
+                m[k] *= 2
+                if m[k] + 1 >= shape[k]:
                     exact[k] = "unresolved"
             if coarse:
                 continue
@@ -577,10 +612,10 @@ def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength, threads: in
             # direct samples for each resolved axis
             spots = []
             for k in lobatto:
-                x, t = offsets[k] / offsets[k][-1], _lobatto(level[k])
+                x, t = offsets[k] / offsets[k][-1], _lobatto(m[k])
                 values = _interpolate(values, k, x, t)
                 for i in _spots(x, t):
-                    at = [m // 2 for m in shape]
+                    at = [n // 2 for n in shape]
                     at[k] = i
                     spots.append(np.ravel_multi_index(at, shape))
             flat = values.reshape(-1, 3)

@@ -10,6 +10,7 @@ errors, and the channel's resistance runs fill their ports in blocks.
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearfocus import cli, fields
 from nearfocus.cli import main as cli_main
@@ -67,6 +70,10 @@ RING_PLANE = [pytest.param(benchmark_scenario("ring_plane", "run-plane", seed),
                            id=f"ring-plane-seed{seed}") for seed in (0, 41, 97)]
 MIX = {name: benchmark_scenario("scenario_mix", name, 0)
        for name in ("run-magnetic-mesh", "run-dipole-approx", "run-single", "run-rect-mesh")}
+# the single element's yz plane through its cut's focus: 257 x 257 samples
+# of one source are more than one work unit of the kernel, so it takes nodes
+SINGLE_PLANE = dict(MIX["run-single"], grid="plane", plane_axes="yz", plane_step_m=0.3 / 256,
+                    plane_half_span_a_m=0.15, plane_half_span_b_m=0.15)
 
 
 @pytest.mark.parametrize("scenario", RING_PLANE + [
@@ -80,7 +87,7 @@ MIX = {name: benchmark_scenario("scenario_mix", name, 0)
     pytest.param(MIX["run-magnetic-mesh"], id="magnetic-azimuthal-mesh"),
     pytest.param(MIX["run-dipole-approx"], id="dipole-approx-ring"),
     pytest.param(MIX["run-rect-mesh"], id="rectangle-mesh"),
-    pytest.param(MIX["run-single"], id="single-element"),
+    pytest.param(SINGLE_PLANE, id="single-element"),
 ])
 def test_spectral_map_matches_direct_map(tmp_path, scenario):
     _, fm, direct, _, sources, stages = field_map(tmp_path, scenario)
@@ -100,18 +107,23 @@ def test_spectral_map_matches_direct_map(tmp_path, scenario):
     pytest.param(MIX["run-rect-mesh"], id="rectangle-mesh"),
 ])
 def test_focus_sample_is_the_kernels_own_value(tmp_path, scenario):
-    # the focus is a node of the first level, 9 Lobatto points per axis:
-    # its sample is evaluate_field's value there, bytes and all, not an
-    # interpolated one, and a one-point evaluation differs by rounding only
-    s, fm, _, weights, sources, _ = field_map(tmp_path, scenario)
+    # the focus is a node of the first level, the predicted intervals per
+    # axis, at which these grids resolve: its sample is evaluate_field's
+    # value there, bytes and all, not an interpolated one, and a one-point
+    # evaluation differs by rounding only
+    s, fm, _, weights, sources, stages = field_map(tmp_path, scenario)
     axes = (cli._plane(s) if s["grid"] == "plane"
             else [(s["cut_axis"], cli._offsets(s["cut_half_span_m"], s["cut_step_m"]))])
+    wl = Wavelength.from_frequency(s["frequency_hz"])
+    dist = sources.distance_to_box(fm.points.min(axis=0), fm.points.max(axis=0))
+    m = [cli._intervals(wl.k * o[-1], dist / o[-1], o.size) for _, o in axes]
+    assert [axis["nodes"] for axis in stages.grids[0]] == [k + 1 for k in m]
     focus = cli._focus(s)
-    first = cli._points(focus, [a for a, _ in axes], [o[-1] * cli._lobatto(3) for _, o in axes])
+    first = cli._points(focus, [a for a, _ in axes],
+                        [o[-1] * cli._lobatto(k) for (_, o), k in zip(axes, m)])
     assert np.array_equal(first[len(first) // 2], focus)
     assert np.array_equal(fm.points[len(fm) // 2], focus)
     kwargs = dict(kernel=s["kernel"], source_kind=s["source_kind"])
-    wl = Wavelength.from_frequency(s["frequency_hz"])
     direct = evaluate_field(sources, weights.w, first, wl, **kwargs)
     assert fm.E[len(fm) // 2].tobytes() == direct.E[len(first) // 2].tobytes()
     one = evaluate_field(sources, weights.w, focus[None, :], wl, **kwargs)
@@ -119,12 +131,33 @@ def test_focus_sample_is_the_kernels_own_value(tmp_path, scenario):
 
 
 def test_lobatto_levels_nest_bit_for_bit():
-    for level in range(3, 9):
-        coarse, fine = cli._lobatto(level), cli._lobatto(level + 1)
-        assert coarse.size == 2 ** level + 1
-        assert np.all(np.diff(fine) > 0.0)
-        assert fine[::2].tobytes() == coarse.tobytes()
-        assert (fine[0], fine[fine.size // 2], fine[-1]) == (-1.0, 0.0, 1.0)
+    # every first level the predictor gives, from the shortest cut to the
+    # widest plane, and the levels its doubling reaches
+    firsts = {cli._intervals(kh, ratio, 10 ** 6) for kh in np.geomspace(0.05, 40.0, 40)
+              for ratio in (math.inf, 0.3, 1.0, 3.0)}
+    assert all(m % 2 == 0 for m in firsts) and len(firsts) > 10
+    for first in sorted(firsts):
+        for m in (first, 2 * first, 4 * first):
+            coarse, fine = cli._lobatto(m), cli._lobatto(2 * m)
+            assert coarse.size == m + 1
+            assert np.all(np.diff(fine) > 0.0)
+            assert fine[::2].tobytes() == coarse.tobytes()
+            for nodes in (coarse, fine):
+                assert (nodes[0], nodes[nodes.size // 2], nodes[-1]) == (-1.0, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kh=st.floats(0.05, 40.0),
+       waves=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 1.0)),
+                      min_size=1, max_size=6))
+def test_predicted_nodes_resolve_plane_waves(kh, waves):
+    # a field of propagating waves along an axis of half span h: amplitudes
+    # a at direction cosines c, exp(j kh c t) on t in [-1, 1].  The
+    # predicted first nodes leave its Chebyshev tail within the tolerance.
+    t = cli._lobatto(cli._intervals(kh, math.inf, 10 ** 6))
+    f = sum(a * np.exp(1j * kh * c * t) for c, a in waves)
+    values = f[:, None] * np.array([1.0, -0.5j, 0.25])
+    assert cli._tail(values, 0) <= cli._SPECTRAL_TOL
 
 
 # the xy plane through x = 0.85 reaches x = 0.985 on a ring of radius 1, so
@@ -153,6 +186,55 @@ def test_near_wall_plane_is_the_direct_map(tmp_path, capsys):
                                     "near_singular_points": near}
 
 
+def count_calls(monkeypatch):
+    """The points of each evaluate_field call that cli makes, in order."""
+    calls = []
+
+    def counted(sources, w, points, *args, **kwargs):
+        calls.append(len(points))
+        return evaluate_field(sources, w, points, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_field", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scenario, outcome, calls", [
+    # 23 x 23 nodes, then 4 spot checks
+    *[pytest.param(p.values[0], [(59, 23, None)] * 2, [529, 4], id=p.id) for p in RING_PLANE],
+    # the default 141-point cut: 33 nodes, then 2 spot checks
+    pytest.param(BASE, [(141, 33, None)], [33, 2], id="ring-default-cut"),
+])
+def test_grid_resolves_at_its_first_nodes(tmp_path, monkeypatch, scenario, outcome, calls):
+    made = count_calls(monkeypatch)
+    *_, sources, stages = field_map(tmp_path, scenario)
+    assert [(a["samples"], a["nodes"], a["exact"]) for a in stages.grids[0]] == outcome
+    assert made == calls
+    assert stages.counters["field_nodes"] == sum(calls)
+    assert stages.counters["kernel_pairs"] == sum(calls) * len(sources)
+
+
+@pytest.mark.parametrize("scenario", [
+    # the y-cut through x = 0.92 keeps 0.079 m from the ring wall: the
+    # source's distance asks for 25 nodes, at least its 23 samples, and its
+    # 23 samples of 2,814 sources also fit one work unit
+    pytest.param(json.loads((ROOT / "tools" / "ring_cut_near_wall.json").read_text()),
+                 id="near-wall-y-cut"),
+    # 25 samples of 2,814 sources are more than one work unit: the source's
+    # distance alone asks for 25 nodes
+    pytest.param(dict(BASE, cut_axis="y", focus_x_m=0.92, cut_half_span_m=0.056),
+                 id="near-wall-25-sample-y-cut"),
+    # 141 samples of one source fit one work unit of the kernel
+    pytest.param(MIX["run-single"], id="single-element-cut"),
+])
+def test_grid_predicted_small_is_one_call(tmp_path, monkeypatch, scenario):
+    calls = count_calls(monkeypatch)
+    _, fm, direct, *_, stages = field_map(tmp_path, scenario)
+    assert [axis["exact"] for axis in stages.grids[0]] == ["small"]
+    assert calls == [len(fm)] and stages.counters["field_nodes"] == len(fm)
+    assert fm.E.tobytes() == direct.E.tobytes()
+    assert not fm.near_singular.any()
+
+
 def test_small_grid_takes_no_box_scan(tmp_path, monkeypatch):
     # a cut of 9 samples is its own nodes: no standoff scan, one call
     def refuse(*args):
@@ -166,22 +248,25 @@ def test_small_grid_takes_no_box_scan(tmp_path, monkeypatch):
     assert fm.E.tobytes() == direct.E.tobytes()
 
 
-def test_unresolved_axis_is_evaluated_at_its_samples(tmp_path):
-    # a 23-sample y-cut through x = 0.92 keeps 0.079 m from the ring wall: its
-    # tail is still about 1e-9 at 17 nodes, and 33 would be more than its
-    # samples
+def test_unresolved_axis_is_evaluated_at_its_samples(tmp_path, monkeypatch):
+    # a tail that never reads resolved: the 41-sample cut starts at 21
+    # nodes, and 41 nodes, its next level, are as many as its samples
+    monkeypatch.setattr(cli, "_tail", lambda values, axis: 1.0)
     _, fm, direct, _, sources, stages = field_map(
-        tmp_path, dict(BASE, cut_axis="y", focus_x_m=0.92, cut_half_span_m=0.05))
+        tmp_path, dict(BASE, cut_axis="y", cut_half_span_m=20 * 0.3 / 64))
     (axis,) = stages.grids[0]
-    assert axis["exact"] == "unresolved" and axis["nodes"] == axis["samples"] == 23
+    assert axis["exact"] == "unresolved" and axis["nodes"] == axis["samples"] == 41
     assert axis["tail"] > 1e-13 and axis["spot_check"] is None
+    # the first 21 nodes, then every sample but the focus and the ends
+    assert stages.counters["field_nodes"] == 21 + 41 - 3
     assert np.abs(fm.E - direct.E).max() <= PARITY * np.abs(direct.E).max()
     assert not fm.near_singular.any()
 
 
 def test_spot_check_miss_makes_axis_exact(tmp_path, monkeypatch):
-    # a tail that always reads resolved accepts 9 nodes per axis, which the
-    # spot checks then refuse
+    # a first level of 9 nodes per axis, below the predicted 19 and 21, and a
+    # tail that always reads resolved: the spot checks then refuse them
+    monkeypatch.setattr(cli, "_intervals", lambda kh, ratio, samples: 8)
     monkeypatch.setattr(cli, "_tail", lambda values, axis: 0.0)
     _, fm, direct, *_, stages = field_map(
         tmp_path, dict(BASE, grid="plane", plane_half_span_a_m=0.05, plane_half_span_b_m=0.08))
