@@ -69,7 +69,7 @@ except ImportError:  # no such module on Windows
     resource = None
 
 from . import __version__, analytic, fields
-from .csvio import angle, write_csv
+from .csvio import Table, angle, write_csv
 from .fields import ChannelVector, FieldMap, assemble_channel, evaluate_field
 # not called here: the benchmark's tracer rebinds them until ROADMAP item 1
 from .fields import green_electric, green_magnetic  # noqa: F401
@@ -717,9 +717,10 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
         s, _channel(s, sources, _AXIS_UNIT[s["target_polarization"]], wl, stages), stages)
 
     w = weights.w
-    _write(outdir / "weights.csv", {"index": np.arange(w.size),
-                                    "amplitude_a": np.hypot(w.real, w.imag),
-                                    "phase_rad": angle(w)}, stages)
+    _write(outdir / "weights.csv", Table(
+        ("index", "amplitude_a", "phase_rad"), w.size,
+        lambda a, b: (np.arange(a, b), np.hypot(w[a:b].real, w[a:b].imag), angle(w[a:b]))),
+        stages)
     sidecar = weights_sidecar(weights, report)
     sidecar["n_sources"] = len(weights.w)
     sidecar["method"] = s["method"]
@@ -903,20 +904,24 @@ def _cmd_layout(s: dict, outdir: Path, wl: Wavelength, threads: int,
                 stages: _Stages) -> tuple[list, int, dict]:
     """The aperture's element or patch table."""
     sources = _aperture(s, wl, stages)
-    strips, n = sources.strips, len(sources)
-    # the only full-length copy of the rows, as (3, N) columns: positions,
-    # perimeter tangents, current directions and element sizes
-    tangents = sources.rows(0, n, [st.tangents for st in strips])
-    axial = np.broadcast_to(AXIAL[:, None], (3, n))
-    sizes = sources.rows(0, n, [np.full((1, len(st)), st.size) for st in strips])[0]
-    columns = _xyz("", sources.positions(0, n).T)
-    if s["aperture"] == "mesh":
-        columns.update({**_xyz("tphi_", tangents.T), **_xyz("tz_", axial.T),
-                        "area_m2": sizes})
-    else:
-        direction = axial if sources.polarization == "axial" else tangents
-        columns.update({**_xyz("p", direction.T), "length_m": sizes})
-    _write(outdir / "layout.csv", columns, stages)
+    mesh, axial_dipoles = s["aperture"] == "mesh", sources.polarization == "axial"
+    tangents = [st.tangents for st in sources.strips]
+    sizes = [np.full((1, len(st)), st.size) for st in sources.strips]
+
+    def rows(a, b):
+        """Positions, then perimeter tangents and the axial unit (mesh) or
+        current directions, then element sizes, of rows [a, b)."""
+        axial = np.broadcast_to(AXIAL[:, None], (3, b - a))
+        if mesh:
+            directions = [*sources.rows(a, b, tangents), *axial]
+        else:
+            directions = [*(axial if axial_dipoles else sources.rows(a, b, tangents))]
+        return [*sources.positions(a, b), *directions, sources.rows(a, b, sizes)[0]]
+
+    names = [prefix + axis for prefix in (("", "tphi_", "tz_") if mesh else ("", "p"))
+             for axis in "xyz"]
+    names.append("area_m2" if mesh else "length_m")
+    _write(outdir / "layout.csv", Table(tuple(names), len(sources), rows), stages)
     return ["layout.csv"], 0, {}
 
 

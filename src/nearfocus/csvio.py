@@ -29,6 +29,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,33 +242,56 @@ class _Cells:
         region += cmp.view(u8)
 
 
-def write_csv(path, columns) -> None:
-    """Write named 1-D columns, in mapping order, as '%.17g' would.
+@dataclass(frozen=True)
+class Table:
+    """A CSV table whose columns are formed a block of rows at a time.
 
-    columns maps each header name to a numeric 1-D array, all of one
-    length; views are read in place.  Rows are stacked and formatted a
-    block at a time (_block_rows), so no full-length table is built and
-    the work arrays do not grow with the column count.
+    block(a, b) returns the values of rows [a, b), one 1-D array per
+    name, in the names' order; write_csv calls it once per block, so no
+    column is held at full length.
     """
-    names = list(columns)
-    data = [np.asarray(c) for c in columns.values()]
-    n = data[0].size if data else 0
-    # checked before the file is opened, so a bad column writes no file
-    if any(c.shape != (n,) for c in data):
-        raise ValueError("CSV columns must be 1-D and of equal length, got "
-                         f"{[c.shape for c in data]}")
-    if not all(np.isfinite(c).all() for c in data):
-        raise ValueError("non-finite value in CSV output")
+
+    names: tuple
+    rows: int
+    block: Callable[[int, int], Sequence[np.ndarray]]
+
+
+def write_csv(path, columns) -> None:
+    """Write named 1-D columns, in order, as '%.17g' would.
+
+    columns is a Table, or maps each header name to a numeric 1-D array,
+    all of one length, whose views are read in place.  Rows are formed,
+    stacked and formatted a block at a time (_block_rows), so no
+    full-length table is built and the work arrays do not grow with the
+    column count.  A non-finite value, found as its block is formed,
+    writes no file: the part written so far is removed.
+    """
+    if not isinstance(columns, Table):
+        data = [np.asarray(c) for c in columns.values()]
+        n = data[0].size if data else 0
+        # checked before the file is opened, so a bad column writes no file
+        if any(c.shape != (n,) for c in data):
+            raise ValueError("CSV columns must be 1-D and of equal length, got "
+                             f"{[c.shape for c in data]}")
+        columns = Table(tuple(columns), n, lambda a, b: [c[a:b] for c in data])
+    names, n = columns.names, columns.rows
     step = _block_rows(n, len(names))
     block = np.empty((min(n, step), len(names)))
     cells = _Cells(block.size, len(names))
-    with open(path, "wb") as f:
-        f.write((",".join(names) + "\n").encode("ascii"))
-        for lo in range(0, n, step):
-            rows = block[:min(step, n - lo)]
-            for j, c in enumerate(data):
-                rows[:, j] = c[lo:lo + rows.shape[0]]
-            f.write(cells.format(rows))
+    f = open(path, "wb")
+    try:
+        with f:
+            f.write((",".join(names) + "\n").encode("ascii"))
+            for lo in range(0, n, step):
+                rows = block[:min(step, n - lo)]
+                for j, c in enumerate(columns.block(lo, lo + rows.shape[0])):
+                    rows[:, j] = c
+                if not np.isfinite(rows).all():
+                    raise ValueError("non-finite value in CSV output")
+                f.write(cells.format(rows))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _block_rows(n: int, ncols: int) -> int:

@@ -97,19 +97,20 @@ class ChannelVector:
         """Each port's resistance multiplier, (N,), made from the runs."""
         return np.repeat(self._scale, np.diff(self._ends, prepend=0))
 
-    def resistances(self, R0: float, out: np.ndarray) -> np.ndarray:
-        """out = R0 times each port's resistance multiplier, filled in blocks
-        of _PORT_BLOCK ports from the runs that meet each block."""
-        ends = self._ends
-        for a in range(0, len(self), _PORT_BLOCK):
-            b = min(a + _PORT_BLOCK, len(self))
+    def resistances(self, R0: float, out: np.ndarray, start: int = 0) -> np.ndarray:
+        """out = R0 times the resistance multiplier of ports start,
+        start + 1, ..., one per element of out, filled in blocks of
+        _PORT_BLOCK ports from the runs that meet each block."""
+        ends, stop = self._ends, start + out.size
+        for a in range(start, stop, _PORT_BLOCK):
+            b = min(a + _PORT_BLOCK, stop)
             # the first run that ends after a, through the first that reaches b
             i = np.searchsorted(ends, a, side="right")
             j = np.searchsorted(ends, b) + 1
             counts = np.minimum(ends[i:j], b)
             counts[1:] -= ends[i:j - 1]
             counts[0] -= a
-            np.multiply(np.repeat(self._scale[i:j], counts), R0, out=out[a:b])
+            np.multiply(np.repeat(self._scale[i:j], counts), R0, out=out[a - start:b - start])
         return out
 
 

@@ -9,14 +9,22 @@ conditions (Palomar & Fonollosa, IEEE TSP 2005),
 the conjugate channel phase with the time-reversal (TR) taper clipped
 at the cap, beta being the level that meets the budget.  tr_weights
 (budget only, nothing clips) and hybrid_weights (both) are the cases of
-that one formula.  cp_weights (cap only) drives every live element at the
-cap, or at the one level sqrt(2*P0 / sum(R)) where the cap overruns the
-budget; it reports beta = 0, as every drive does when all run at the cap.
+that one formula.  The level is found without sorting: from the TR
+level, which is never above it, the budget is solved in closed form over
+the ports that clip at the current level until the level stops rising
+(_water_level).  cp_weights (cap only) drives every live element at
+the cap, or at the one level sqrt(2*P0 / sum(R)) where the cap overruns
+the budget; it reports beta = 0, as every drive does when all run at the
+cap.
 
 g is each source's focal field projected on the target polarization;
 port resistances are R0 times the channel's resistance scales (patch
 area over the reference area for meshes), which the channel writes
-into the solve's workspace run by run.  The tests certify optimality on
+into the solve's workspace run by run.  Every sum over ports is
+pairwise within blocks and exactly rounded over the blocks, and the
+weights are written over the solve's own workspace, so beyond the
+channel a solve holds the weights, the live mask and one block's
+temporaries.  The tests certify optimality on
 small instances with an independent projected-ascent oracle
 (tests/oracles.py).
 """
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ChannelVector
+from .fields import _PORT_BLOCK, ChannelVector
 
 ZERO_CHANNEL_CUTOFF = 1e-15  # relative to max |g|; below this an element is idle
 
@@ -58,67 +66,62 @@ class FocalReport:
     beta: float             # level in |w| = min(beta*|g|/R, cap); 0 for CP drives
 
 
-def _live(x: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """x on the live ports: x itself, not a masked copy, when every port is live."""
-    return x if live.all() else x[live]
+def _sum(n: int, term) -> float:
+    """The sum over n ports of term(a, b), the values of ports [a, b):
+    numpy's pairwise sum within each block of _PORT_BLOCK ports, then
+    math.fsum, exactly rounded, over the blocks' sums."""
+    return math.fsum(float(np.sum(term(a, min(a + _PORT_BLOCK, n))))
+                     for a in range(0, n, _PORT_BLOCK))
 
 
-def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
-    """Level beta at which sum(R/2 * min(beta*v, cap)^2) equals P0.
+def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float,
+                 beta: float) -> float:
+    """Level at which sum(R/2 * min(level*v, cap)^2) equals P0, from the
+    TR level beta = sqrt(2*P0 / sum(R*v^2)).
 
-    Needs a budget below the all-clipped power, so at least the weakest
-    element stays unclipped.  With v sorted in descending order, the k
-    strongest elements clip, where k is the number of breakpoints
-    beta = cap/v_j whose power stays within the budget, and beta spends
-    the remaining budget on the unclipped rest.  It allocates two
-    full-length arrays, the order and v in that order; R/2 in that order
-    goes into v's buffer, which the caller gives up, and the order's
-    buffer then takes the running sums of the unclipped power.
+    A fixed point that sorts nothing.  Holding the clipped set
+    {v >= cap/beta} fixed, the budget is met in closed form by
+
+        beta^2 = (P0 - cap^2/2 * sum(R, clipped)) / (sum(R*v^2, rest)/2),
+
+    and this repeats until the level stops rising.  The level approaches
+    the optimum from below: the closed form counts each unclipped port
+    at beta*v, which the true power caps, so its root is never above the
+    optimum; and at the current level, which made the set, the two
+    agree, so the root is never below the current level either.  The
+    TR level is the root for the empty set, and a set that holds still
+    gives the same root again, so each step adds ports to the set and
+    the iteration ends within as many steps as there are ports; the
+    root of the last set is the optimum.  A root below the level (or no
+    root) comes from rounding alone, where the rest's power is below the
+    budget's last bits, as when ties join the set at the cap: the level
+    then already meets the budget, and is kept.  Tied values of v join
+    the set together, so no order among them enters the sums.  Each pass
+    sums as _sum does, within blocks and exactly over them, in one
+    block's temporaries.
+
+    Needs a budget below the all-clipped power, so that some port stays
+    unclipped; idle ports come with v = 0 and never clip.
     """
-    # the order among tied values of v orders their R in the sums below,
-    # which moves the last bits of beta: ties keep the stable order, and
-    # without ties the ascending order read backwards is that same order
-    buf = np.argsort(v)
-    v_desc = v[buf[::-1]]
-    # v is read no more: its buffer takes R/2 in sort order
-    free, ascending = v, True
-    if (v_desc[1:] == v_desc[:-1]).any():
-        # tied values are runs of the fast order: sorting (run * N + index),
-        # in v's buffer, puts each run in index order; the run id counts the
-        # places where a value differs from the one before it
-        key = free.view(np.int64)
-        key[0] = 0
-        np.not_equal(v_desc[1:], v_desc[:-1], out=key[1:])
-        np.cumsum(key, out=key)
-        key *= key.size
-        key += buf[::-1]
-        key.sort()
-        np.remainder(key, key.size, out=key)
-        # the descending order is in v's buffer, and the fast order's is free
-        buf, free, ascending = key, buf.view(np.float64), False
-    # mode "raise" would gather into a copy of out first
-    half_r = np.take(R, buf, out=free, mode="clip")
-    if ascending:
-        half_r = half_r[::-1]
-    half_r *= 0.5
-    # rest[j]: power of elements j.. per unit level squared, in the order's
-    # buffer; spent[j]: power of the j+1 strongest elements at the cap, in
-    # half_r's
-    rest = np.square(v_desc, out=buf.view(np.float64))
-    del buf
-    rest *= half_r
-    np.cumsum(rest[::-1], out=rest[::-1])
-    spent = half_r
-    spent *= cap ** 2
-    np.cumsum(spent, out=spent)
-    # power at the level where element j reaches the cap, for all but the
-    # weakest, in v_desc's buffer
-    breakpoint_power = np.divide(cap, v_desc[:-1], out=v_desc[:-1])
-    np.square(breakpoint_power, out=breakpoint_power)
-    breakpoint_power *= rest[1:]
-    breakpoint_power += spent[:-1]
-    k = int(np.count_nonzero(breakpoint_power <= P0))
-    return math.sqrt((P0 - (spent[k - 1] if k else 0.0)) / rest[k])
+    n = v.size
+    clip, t = np.empty(min(n, _PORT_BLOCK), bool), np.empty(min(n, _PORT_BLOCK))
+    while True:
+        floor = cap / beta
+        spent, rest = [], []
+        for a in range(0, n, _PORT_BLOCK):
+            b = min(a + _PORT_BLOCK, n)
+            c, x = clip[:b - a], t[:b - a]
+            np.greater_equal(v[a:b], floor, out=c)
+            spent.append(float(np.sum(np.multiply(R[a:b], c, out=x))))
+            np.square(v[a:b], out=x)
+            x *= R[a:b]
+            np.copyto(x, 0.0, where=c)
+            rest.append(float(np.sum(x)))
+        spare = P0 - 0.5 * cap ** 2 * math.fsum(spent)
+        root = math.sqrt(spare / (0.5 * math.fsum(rest))) if spare > 0.0 else 0.0
+        if root <= beta:
+            return beta
+        beta = root
 
 
 def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
@@ -132,63 +135,69 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
       2. the uniform drive's level sqrt(2*P0 / sum(R)), below the cap
          once case 1 fails: CP, beta = 0;
       3. the budget-only level beta0 = sqrt(2*P0 / sum(R*v^2)) keeps
-         beta0*max(v) within the cap: TR; else the exact water level
-         clips the strongest ports: hybrid.
+         beta0*max(v) within the cap: TR; else the water level clips the
+         strongest ports: hybrid.
 
-    v and R are the halves of one workspace, allocated together with the
-    live mask.  The phases conj(g)/|g| are formed only once the amplitudes
-    are known, with |g| in R's half, and the products w*g that E_focus
-    sums take the whole workspace.
+    w's own array is the workspace: its 16 B per port hold v (0 on idle
+    ports) and R in two halves while the level is found, then the
+    amplitudes in v's half, and then w itself, written block by block
+    from the last.  Block [a, b) of w covers the halves' floats
+    [2a, 2b): for a > 0 these are amplitudes of ports at or beyond b,
+    whose weights are written already, and the first block reads its
+    own before it writes.  R's half is overwritten on the way, so each
+    block's R/2 comes from the channel's runs for its power.  Every sum
+    goes by blocks (_sum), and beyond w the solve holds the live mask
+    (1 B per port) and one block's temporaries.
     """
     g = h.g
     n = g.size
-    # the workspace and the live mask are one allocation: a mask of its
-    # own, alive through the water level, can land between the level's two
-    # arrays, and the weights then find no freed hole to reuse
-    block = np.empty(17 * n, dtype=np.uint8)
-    work, live = block[:16 * n].view(np.float64), block[16 * n:].view(bool)
-    v, R = work[:n], work[n:]
+    w = np.empty(n, dtype=complex)
+    v, R = w.view(np.float64)[:n], w.view(np.float64)[n:]
+    live = np.empty(n, dtype=bool)
     gmax = float(np.max(np.abs(g, out=v))) if n else 0.0
     if gmax == 0.0:
         raise ValueError("channel is zero for the requested polarization")
     np.greater_equal(v, ZERO_CHANNEL_CUTOFF * gmax, out=live)
     h.resistances(pc.R0_per_port, out=R)
-    R_live = _live(R, live)
-    r_sum = float(np.sum(R_live))
+    t = np.empty(min(n, _PORT_BLOCK))
+    r_sum = _sum(n, lambda a, b: np.multiply(R[a:b], live[a:b], out=t[:b - a]))
     if 0.5 * cap ** 2 * r_sum <= pc.P0 * (1.0 + 1e-12):
-        amplitude, beta, regime, active = cap, 0.0, "CP", "local"
+        v.fill(cap)
+        beta, regime, active = 0.0, "CP", "local"
     elif uniform:
-        amplitude, beta, regime, active = math.sqrt(2.0 * pc.P0 / r_sum), 0.0, "CP", "both"
+        v.fill(math.sqrt(2.0 * pc.P0 / r_sum))
+        beta, regime, active = 0.0, "CP", "both"
     else:
-        # v = |g|/R; on an idle port v only scales w, which is 0 there
         np.divide(v, R, out=v)
-        v_live = _live(v, live)
-        rv2 = np.square(v_live)
-        rv2 *= R_live
-        beta = math.sqrt(2.0 * pc.P0 / float(np.sum(rv2)))
-        del rv2
-        if beta * float(np.max(v_live)) <= cap:
+        v *= live
+        beta = math.sqrt(2.0 * pc.P0 / _sum(n, lambda a, b: np.multiply(
+            np.square(v[a:b], out=t[:b - a]), R[a:b], out=t[:b - a])))
+        if beta * float(np.max(v)) <= cap:
             regime, active = "TR", "global"
         else:
-            # the level takes v's buffer, so v is formed again after it
-            beta = _water_level(v_live, R_live, cap, pc.P0)
+            beta = _water_level(v, R, cap, pc.P0, beta)
             regime, active = "hybrid", "both"
-            np.divide(np.abs(g, out=v), R, out=v)
-        del v_live
-        amplitude = np.minimum(np.multiply(v, beta, out=v), cap, out=v)
-    del R_live
-    w = np.conj(g)
-    np.divide(w, np.abs(g, out=R), out=w, where=live)
-    w[~live] = 0.0
-    w *= amplitude
-    # |w|^2 in v's buffer, then R/2 in R's: (R0/2)*scale is (R0*scale)/2,
-    # since halving is exact
-    power_density = np.square(np.abs(w, out=v), out=v)
-    power_density *= h.resistances(0.5 * pc.R0_per_port, out=R)
-    power = float(np.sum(power_density))
-    E_focus = complex(np.sum(np.multiply(w, g, out=work.view(complex))))
-    return (ExcitationWeights(w=w, regime=regime, total_power=power),
-            FocalReport(E_focus=E_focus, active_constraint=active, beta=beta))
+        np.minimum(np.multiply(v, beta, out=v), cap, out=v)
+    phase, half_r = np.empty(t.size, dtype=complex), np.empty(t.size)
+    power, e_re, e_im = [], [], []
+    for a in reversed(range(0, n, _PORT_BLOCK)):
+        b = min(a + _PORT_BLOCK, n)
+        wb, gb, lb, x = phase[:b - a], g[a:b], live[a:b], t[:b - a]
+        np.conjugate(gb, out=wb)
+        np.divide(wb, np.abs(gb, out=x), out=wb, where=lb)
+        wb[~lb] = 0.0
+        wb *= v[a:b]
+        w[a:b] = wb
+        # (R0/2)*scale is (R0*scale)/2, since halving is exact
+        density = np.square(np.abs(wb, out=x), out=x)
+        density *= h.resistances(0.5 * pc.R0_per_port, out=half_r[:b - a], start=a)
+        power.append(float(np.sum(density)))
+        e = complex(np.sum(np.multiply(wb, gb, out=wb)))
+        e_re.append(e.real)
+        e_im.append(e.imag)
+    return (ExcitationWeights(w=w, regime=regime, total_power=math.fsum(power)),
+            FocalReport(E_focus=complex(math.fsum(e_re), math.fsum(e_im)),
+                        active_constraint=active, beta=beta))
 
 
 def cp_weights(h: ChannelVector, pc: PowerConstraints):

@@ -5,9 +5,9 @@
   claims to sum, with scipy's adaptive quadrature.  The package itself
   never imports ``scipy.integrate``.
 - A projected-gradient oracle that certifies the drives of
-  ``nearfocus.focusing`` on small instances, and the water level with
-  the ports always in stable descending order, which the solver's level
-  must match bit for bit.
+  ``nearfocus.focusing`` on small instances, and the water level from
+  the ports in stable descending order and sequential cumulative sums,
+  which the solver's sort-free level must match within 1e-11.
 - The point-focus kernels of an ideal point-source continuum and of a
   dipole continuum, which the focal-size checks measure.
 - The co/cross-polarized level ratio, with its input checks.
@@ -178,8 +178,10 @@ def optimality_oracle(h: ChannelVector, pc: PowerConstraints,
 def stable_water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float) -> float:
     """Level beta at which sum(R/2 * min(beta*v, cap)^2) equals P0.
 
-    The solver's arithmetic with the ports always sorted by a stable
-    descending sort, so tied values of v keep their input order.
+    The ports sorted by a stable descending sort, so tied values of v
+    keep their input order, and the breakpoints' powers from sequential
+    cumulative sums.  Where the unclipped rest's power is below the
+    budget's last bits, its level can come out low, or 0.
     """
     order = np.argsort(-v, kind="stable")
     v_desc, half_r = v[order], 0.5 * R[order]

@@ -65,15 +65,23 @@ def run_cli(capsys, *args):
     return code, json.loads(lines[-1])
 
 
-def load_benchmark(name="tracing"):
-    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(directory, name):
+    """<directory>/<name>.py of this checkout, loaded by path: neither
+    perfbench nor tools is a package."""
+    path = ROOT / directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{directory}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_benchmark(name="tracing"):
+    return load_script("perfbench", name)
 
 
 def src_env():
@@ -154,6 +162,49 @@ class TestRun:
         assert metrics["kind"] == "cut" and metrics["component"] == "z"
         assert metrics["metrics"]["peak"] > 0.0
         assert 0.3 < metrics["metrics"]["width_3db_lambda"] < 0.5
+
+    def test_weights_columns_are_formed_in_their_stage(self, tmp_path, capsys, monkeypatch):
+        # |w| and the phases are formed block by block inside write_csv, so
+        # their time and memory count in the "write weights.csv" stage
+        writing, phases = [], []
+        write_csv, angle = cli.write_csv, cli.angle
+
+        def traced_write(path, columns):
+            writing.append(path.name)
+            try:
+                write_csv(path, columns)
+            finally:
+                writing.pop()
+
+        def traced_angle(z):
+            phases.append((list(writing), z.size))
+            return angle(z)
+
+        monkeypatch.setattr(cli, "write_csv", traced_write)
+        monkeypatch.setattr(cli, "angle", traced_angle)
+        code, _ = run_cli(capsys, "run", "--scenario", scenario(tmp_path),
+                          "--out", str(tmp_path / "out"))
+        assert code == 0
+        # the ring's 2,814 ports are three blocks of the writer
+        assert [size for _, size in phases] == [1365, 1365, 84]
+        assert all(open_files == ["weights.csv"] for open_files, _ in phases)
+
+    def test_non_finite_weights_write_no_file(self, tmp_path, capsys, monkeypatch):
+        hybrid_weights = cli.hybrid_weights
+
+        def nan_at_the_end(h, pc):
+            weights, report = hybrid_weights(h, pc)
+            weights.w[-1] = math.nan
+            return weights, report
+
+        monkeypatch.setattr(cli, "hybrid_weights", nan_at_the_end)
+        out = tmp_path / "out"
+        code, payload = run_cli(capsys, "run", "--scenario", scenario(tmp_path, **MESH),
+                                "--out", str(out))
+        assert code == 2
+        assert payload["error"] == {"code": "run-failed",
+                                    "message": "non-finite value in CSV output"}
+        assert not (out / "weights.csv").exists()
 
     def test_manifest_peak_rss(self, tmp_path, capsys):
         # the process's peak resident memory so far, recorded in the
@@ -987,31 +1038,48 @@ class TestMemory:
     # hold at full length take 16 B for the scalar channel and 16 for the
     # weights; the channel keeps one port-resistance scale per strip, and
     # the mesh holds only its strips and makes its rows per block.
-    # Measured 65.3 B/source here, with the peak in the channel stage (the
-    # channel and the kernel's 5.2 MB scratch); the solve reaches 50.3 and
-    # the weights.csv write 59.3 (58.2 in the solve while the channel held
-    # 8 B per port of resistance scales; 66.8,
-    # in the solve, while the water level gathered R into its own array and
-    # E_focus summed a fresh w*g; 74 when the solve
-    # formed the phases before the water level and sorted -v, 130 when the
-    # mesh held 56 B per patch of flat arrays, 156 when weights.csv was
-    # formatted by one template call per block, 172 when the field kernel
-    # held fifteen scratch arrays per block, 289 when full-length (N, 3)
-    # temporaries were built at each stage).
+    # Measured 66.2 B/source here, with the peak in the channel stage (the
+    # channel and the kernel's 5.2 MB scratch); the solve reaches 35.4 and
+    # the weights.csv write 35.8 (STAGE_BYTES_PER_SOURCE) (50.3 and 59.3
+    # while the water level sorted, the solve allocated the weights apart
+    # from its workspace and weights.csv's columns were made at full
+    # length; 58.2 in the solve while the channel held 8 B per port of
+    # resistance scales; 66.8, in the solve, while the water level
+    # gathered R into its own array and E_focus summed a fresh w*g; 74
+    # when the solve formed the phases before the water level and sorted
+    # -v, 130 when the mesh held 56 B per patch of flat arrays, 156 when
+    # weights.csv was formatted by one template call per block, 172 when
+    # the field kernel held fifteen scratch arrays per block, 289 when
+    # full-length (N, 3) temporaries were built at each stage).
     PEAK_BYTES_PER_SOURCE = 72
-    # The same for a layout of the same mesh: its rows made once at full
-    # length, 56 B per patch, and 6.9 MB for the CSV writer's blocks of
-    # 32,768 cells, the largest it makes; measured 89 B/source here, 64
-    # with blocks of 4,096 cells, 111 when one template call formatted each
-    # block of 3 x 65,536 cells, 235 when a block was 65,536 rows of all 10
-    # columns, and 315 when the whole (N, 10) table was built before
-    # writing.
-    LAYOUT_PEAK_BYTES_PER_SOURCE = 150
+    # The same for a layout of the same mesh: its rows made per block of
+    # the CSV writer, and 4.8 MB for the writer's blocks of 32,768 cells,
+    # the largest it makes; measured 33.1 B/source here (89 while the rows
+    # were made once at full length, 56 B per patch, before writing; 64
+    # with blocks of 4,096 cells, 111 when one template call formatted
+    # each block of 3 x 65,536 cells, 235 when a block was 65,536 rows of
+    # all 10 columns, and 315 when the whole (N, 10) table was built
+    # before writing).
+    LAYOUT_PEAK_BYTES_PER_SOURCE = 36
+    # Each stage's own traced peak (tools/stage_peaks.py resets it as the
+    # stage opens), on top of what the stages before it hold: the solve
+    # holds the channel (16 B), the weights' array as its workspace (16),
+    # the live mask (1) and one block's temporaries, measured 35.4; the
+    # weights.csv write holds the weights and the CSV writer's blocks,
+    # measured 35.8.
+    STAGE_BYTES_PER_SOURCE = {"solve": 37, "write weights.csv": 38}
 
     @staticmethod
-    def traced_peak(tmp_path, capsys, subcommand, **entries):
+    def corridor(tmp_path):
         path = tmp_path / "corridor.json"
-        path.write_text(json.dumps(dict(CORRIDOR, length_m=25.2, **entries)))
+        path.write_text(json.dumps(dict(CORRIDOR, length_m=25.2, method="hybrid",
+                                        amplitude_cap_a=0.02, power_budget_w=1000.0,
+                                        cut_half_span_m=0.01)))
+        return path
+
+    @classmethod
+    def traced_peak(cls, tmp_path, capsys, subcommand):
+        path = cls.corridor(tmp_path)
         tracemalloc.start()
         try:
             code, _ = run_cli(capsys, subcommand, "--scenario", str(path),
@@ -1023,9 +1091,7 @@ class TestMemory:
         return peak
 
     def test_run_peak_bytes_per_source(self, tmp_path, capsys):
-        peak = self.traced_peak(tmp_path, capsys, "run", method="hybrid",
-                                amplitude_cap_a=0.02, power_budget_w=1000.0,
-                                cut_half_span_m=0.01)
+        peak = self.traced_peak(tmp_path, capsys, "run")
         n = json.loads((tmp_path / "out" / "weights.json").read_text())["n_sources"]
         assert n == 203548
         assert peak / n < self.PEAK_BYTES_PER_SOURCE
@@ -1036,6 +1102,14 @@ class TestMemory:
             n = sum(1 for _ in f) - 1
         assert n == 203548
         assert peak / n < self.LAYOUT_PEAK_BYTES_PER_SOURCE
+
+    def test_stage_peak_bytes_per_source(self, tmp_path):
+        result = load_script("tools", "stage_peaks").stage_peaks("run", self.corridor(tmp_path),
+                                                      tmp_path / "out")
+        assert (result["exit"], result["sources"]) == (0, 203548)
+        peaks = result["peak_bytes"]
+        for stage, bound in self.STAGE_BYTES_PER_SOURCE.items():
+            assert peaks[stage] / result["sources"] < bound, stage
 
 
 class TestEnvironment:
@@ -1131,6 +1205,21 @@ class TestTools:
                 break
             keys.append(line.split("|")[1].strip().strip("`"))
         assert keys == list(cli._SCHEMA)
+
+    def test_stage_peaks_tool(self, tmp_path):
+        # one JSON line with each stage's traced peak; the corridor scenario
+        # that CI bounds is the benchmark's at seed 0
+        corridor = json.loads((ROOT / "tools" / "corridor_weights.json").read_text())
+        assert corridor == load_benchmark("workloads").corridor_weights(0).invocations[0].scenario
+        tool = ROOT / "tools" / "stage_peaks.py"
+        proc = subprocess.run([sys.executable, str(tool), "layout", scenario(tmp_path)],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert (result["exit"], result["sources"]) == (0, 42 * 67)
+        assert set(result["stages"]) == {"aperture", "write layout.csv"}
+        for peak in result["stages"].values():
+            assert peak["bytes_per_source"] * 42 * 67 == pytest.approx(peak["peak_mb"] * 2 ** 20)
 
     def test_artifact_digest_same_across_threads(self, tmp_path):
         # the same-bytes checker, run on the baseline layout and a

@@ -128,6 +128,29 @@ def test_blocks_around_the_size_thresholds(tmp_path, monkeypatch, rows, block_ro
     assert_same_bytes(tmp_path, mixed_columns(rows, 3, rows))
 
 
+def test_table_is_written_as_its_columns(tmp_path):
+    # a Table's blocks, formed on request, give the bytes of the same
+    # columns as arrays; a non-finite value in its last block removes the
+    # part of the file written before it
+    columns = mixed_columns(50_000, 3, 7)
+    calls = []
+
+    def block(a, b):
+        calls.append((a, b))
+        return [c[a:b] for c in columns.values()]
+
+    table = csvio.Table(tuple(columns), 50_000, block)
+    csvio.write_csv(tmp_path / "table.csv", table)
+    csvio.write_csv(tmp_path / "arrays.csv", columns)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+    step = csvio._block_rows(50_000, 3)
+    assert calls == [(a, min(a + step, 50_000)) for a in range(0, 50_000, step)]
+    columns["c2"][-1] = math.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        csvio.write_csv(tmp_path / "bad.csv", table)
+    assert not (tmp_path / "bad.csv").exists()
+
+
 # Traced bytes per cell of a table's largest block: the block, its work
 # arrays (137 B per cell) and its text before and after the 0 bytes are
 # dropped; measured 207 B at 4,096 cells and 211 B at 32,768 cells.

@@ -355,6 +355,11 @@ def test_resistances_fill_runs_as_repeat(seed):
     assert h.resistances(50.0, out=out) is out
     assert out.tobytes() == (np.repeat(scale, counts) * 50.0).tobytes()
     assert h.resistance_scale.tobytes() == np.repeat(scale, counts).tobytes()
+    # any span of ports from its start, as the solve fills one block's
+    for start, size in zip(rng.integers(0, n, 5), rng.integers(0, 3 * fields._PORT_BLOCK, 5)):
+        part = np.full(min(size, n - start), np.nan)
+        assert h.resistances(50.0, out=part, start=start) is part
+        assert part.tobytes() == out[start:start + part.size].tobytes()
 
 
 def test_resistances_peak_is_one_block():
