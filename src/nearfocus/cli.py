@@ -73,14 +73,7 @@ from .csvio import Table, angle, write_csv
 from .fields import ChannelVector, FieldMap, assemble_channel, evaluate_field
 # not called here: the benchmark's tracer rebinds them until ROADMAP item 1
 from .fields import green_electric, green_magnetic  # noqa: F401
-from .focusing import (
-    PowerConstraints,
-    cp_weights,
-    hybrid_weights,
-    solver_diagnostics,
-    tr_weights,
-    weights_sidecar,
-)
+from .focusing import PowerConstraints, cp_weights, hybrid_weights, tr_weights
 from .geometry import (
     AXIAL,
     Aperture,
@@ -721,10 +714,12 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
         ("index", "amplitude_a", "phase_rad"), w.size,
         lambda a, b: (np.arange(a, b), np.hypot(w[a:b].real, w[a:b].imag), angle(w[a:b]))),
         stages)
-    sidecar = weights_sidecar(weights, report)
-    sidecar["n_sources"] = len(weights.w)
-    sidecar["method"] = s["method"]
-    _write(outdir / "weights.json", sidecar, stages)
+    solved = {"regime": weights.regime, "beta": report.beta,
+              "total_power_w": weights.total_power}
+    _write(outdir / "weights.json", {
+        **solved, "active_constraint": report.active_constraint,
+        "e_focus_re": report.E_focus.real, "e_focus_im": report.E_focus.imag,
+        "n_sources": w.size, "method": s["method"]}, stages)
     artifacts = ["weights.csv", "weights.json"]
 
     component = s["target_polarization"]
@@ -768,12 +763,16 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
 
     _write(outdir / "metrics.json", metrics_payload, stages)
     artifacts.append("metrics.json")
-    diagnostics = solver_diagnostics(weights, report, _constraints(s))
     # the middle sample of either grid, the cut's offset 0 or the plane's
     # centre, is the focal point itself
     gap = abs(fm.component(component)[len(fm) // 2] - report.E_focus)
-    diagnostics["focus_gap_rel"] = gap / abs(report.E_focus) if report.E_focus else None
-    return artifacts, 0, {"solver": diagnostics, "workers": fm.workers}
+    P0 = s["power_budget_w"]
+    return artifacts, 0, {"solver": {
+        **solved, "clipped_ports": report.clipped_ports, "idle_ports": report.idle_ports,
+        "power_residual_rel": (abs(weights.total_power - P0) / P0
+                               if report.active_constraint in ("global", "both") else None),
+        "focus_gap_rel": gap / abs(report.E_focus) if report.E_focus else None,
+    }, "workers": fm.workers}
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:

@@ -23,10 +23,10 @@ area over the reference area for meshes), which the channel writes
 into the solve's workspace run by run.  Every sum over ports is
 pairwise within blocks and exactly rounded over the blocks, and the
 weights are written over the solve's own workspace, so beyond the
-channel a solve holds the weights, the live mask and one block's
-temporaries.  The tests certify optimality on
-small instances with an independent projected-ascent oracle
-(tests/oracles.py).
+channel a solve holds the weights and one block's temporaries; the
+pass that writes them also counts the clipped and idle ports.  The
+tests certify optimality on small instances with an independent
+projected-ascent oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class FocalReport:
     E_focus: complex
     active_constraint: str  # local | global | both
     beta: float             # level in |w| = min(beta*|g|/R, cap); 0 for CP drives
+    clipped_ports: int      # ports with |w| >= w_max*(1 - 1e-12)
+    idle_ports: int         # ports with w = 0
 
 
 def _sum(n: int, term) -> float:
@@ -101,7 +103,8 @@ def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float,
     block's temporaries.
 
     Needs a budget below the all-clipped power, so that some port stays
-    unclipped; idle ports come with v = 0 and never clip.
+    unclipped.  Idle ports never clip, and each one's R*v^2 is below
+    1e-30 of the strongest port's.
     """
     n = v.size
     clip, t = np.empty(min(n, _PORT_BLOCK), bool), np.empty(min(n, _PORT_BLOCK))
@@ -128,8 +131,9 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
     """|w_n| = min(beta*v_n, cap) with the conjugate channel phase,
     v = |g|/R, or one amplitude on every live port for the uniform drive.
 
-    R is summed over the live ports once, and w is 0 on the idle ones.
-    The first of three cases that holds decides the regime:
+    A port is idle where |g| < ZERO_CHANNEL_CUTOFF*max|g|.  R is summed
+    over the live ports once, and w is 0 on the idle ones.  The first of
+    three cases that holds decides the regime:
 
       1. every live port at the cap fits the budget: CP, beta = 0;
       2. the uniform drive's level sqrt(2*P0 / sum(R)), below the cap
@@ -138,29 +142,30 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
          beta0*max(v) within the cap: TR; else the water level clips the
          strongest ports: hybrid.
 
-    w's own array is the workspace: its 16 B per port hold v (0 on idle
-    ports) and R in two halves while the level is found, then the
-    amplitudes in v's half, and then w itself, written block by block
-    from the last.  Block [a, b) of w covers the halves' floats
-    [2a, 2b): for a > 0 these are amplitudes of ports at or beyond b,
-    whose weights are written already, and the first block reads its
-    own before it writes.  R's half is overwritten on the way, so each
-    block's R/2 comes from the channel's runs for its power.  Every sum
-    goes by blocks (_sum), and beyond w the solve holds the live mask
-    (1 B per port) and one block's temporaries.
+    w's own array is the workspace: its 16 B per port hold v and R in
+    two halves while the level is found, then the amplitudes in v's
+    half, and then w itself, written block by block from the last.
+    Block [a, b) of w covers the halves' floats [2a, 2b): for a > 0
+    these are amplitudes of ports at or beyond b, whose weights are
+    written already, and the first block reads its own before it
+    writes.  R's half is overwritten on the way, so each block's R/2
+    comes from the channel's runs for its power, which that pass sums
+    with E_focus as it counts the clipped and idle ports.  Every sum goes
+    by blocks (_sum), and beyond w the solve holds one block's
+    temporaries, in which each pass finds its block's idle ports.
     """
     g = h.g
     n = g.size
     w = np.empty(n, dtype=complex)
     v, R = w.view(np.float64)[:n], w.view(np.float64)[n:]
-    live = np.empty(n, dtype=bool)
     gmax = float(np.max(np.abs(g, out=v))) if n else 0.0
     if gmax == 0.0:
         raise ValueError("channel is zero for the requested polarization")
-    np.greater_equal(v, ZERO_CHANNEL_CUTOFF * gmax, out=live)
+    cutoff = ZERO_CHANNEL_CUTOFF * gmax
     h.resistances(pc.R0_per_port, out=R)
-    t = np.empty(min(n, _PORT_BLOCK))
-    r_sum = _sum(n, lambda a, b: np.multiply(R[a:b], live[a:b], out=t[:b - a]))
+    t, live = np.empty(min(n, _PORT_BLOCK)), np.empty(min(n, _PORT_BLOCK), bool)
+    r_sum = _sum(n, lambda a, b: np.multiply(
+        R[a:b], np.greater_equal(v[a:b], cutoff, out=live[:b - a]), out=t[:b - a]))
     if 0.5 * cap ** 2 * r_sum <= pc.P0 * (1.0 + 1e-12):
         v.fill(cap)
         beta, regime, active = 0.0, "CP", "local"
@@ -169,7 +174,6 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
         beta, regime, active = 0.0, "CP", "both"
     else:
         np.divide(v, R, out=v)
-        v *= live
         beta = math.sqrt(2.0 * pc.P0 / _sum(n, lambda a, b: np.multiply(
             np.square(v[a:b], out=t[:b - a]), R[a:b], out=t[:b - a])))
         if beta * float(np.max(v)) <= cap:
@@ -180,16 +184,22 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
         np.minimum(np.multiply(v, beta, out=v), cap, out=v)
     phase, half_r = np.empty(t.size, dtype=complex), np.empty(t.size)
     power, e_re, e_im = [], [], []
+    clipped = idle = 0
     for a in reversed(range(0, n, _PORT_BLOCK)):
         b = min(a + _PORT_BLOCK, n)
-        wb, gb, lb, x = phase[:b - a], g[a:b], live[a:b], t[:b - a]
+        wb, gb, lb, x = phase[:b - a], g[a:b], live[:b - a], t[:b - a]
         np.conjugate(gb, out=wb)
-        np.divide(wb, np.abs(gb, out=x), out=wb, where=lb)
+        np.greater_equal(np.abs(gb, out=x), cutoff, out=lb)
+        np.divide(wb, x, out=wb, where=lb)
         wb[~lb] = 0.0
         wb *= v[a:b]
         w[a:b] = wb
+        amplitude = np.abs(wb, out=x)
+        clipped += int(np.count_nonzero(np.greater_equal(
+            amplitude, pc.w_max * (1 - 1e-12), out=lb)))
+        idle += int(np.count_nonzero(np.equal(amplitude, 0.0, out=lb)))
         # (R0/2)*scale is (R0*scale)/2, since halving is exact
-        density = np.square(np.abs(wb, out=x), out=x)
+        density = np.square(amplitude, out=x)
         density *= h.resistances(0.5 * pc.R0_per_port, out=half_r[:b - a], start=a)
         power.append(float(np.sum(density)))
         e = complex(np.sum(np.multiply(wb, gb, out=wb)))
@@ -197,7 +207,8 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
         e_im.append(e.imag)
     return (ExcitationWeights(w=w, regime=regime, total_power=math.fsum(power)),
             FocalReport(E_focus=complex(math.fsum(e_re), math.fsum(e_im)),
-                        active_constraint=active, beta=beta))
+                        active_constraint=active, beta=beta,
+                        clipped_ports=clipped, idle_ports=idle))
 
 
 def cp_weights(h: ChannelVector, pc: PowerConstraints):
@@ -214,38 +225,3 @@ def tr_weights(h: ChannelVector, pc: PowerConstraints):
 def hybrid_weights(h: ChannelVector, pc: PowerConstraints):
     """Exact optimum under both caps: the TR taper clipped at the cap."""
     return _drive(h, pc, pc.w_max, uniform=False)
-
-
-# ----------------------------------------------------------------- exports
-
-def weights_sidecar(weights: ExcitationWeights, report: FocalReport) -> dict:
-    return {
-        "regime": weights.regime,
-        "beta": report.beta,
-        "total_power_w": weights.total_power,
-        "active_constraint": report.active_constraint,
-        "e_focus_re": report.E_focus.real,
-        "e_focus_im": report.E_focus.imag,
-    }
-
-
-def solver_diagnostics(weights: ExcitationWeights, report: FocalReport,
-                       pc: PowerConstraints) -> dict:
-    """Regime, level, power and port counts of a solved drive.
-
-    A clipped port runs at or above the cap w_max, an idle port not at
-    all; power_residual_rel is |P - P0|/P0 where the budget binds
-    (active constraint global or both), else None.
-    """
-    amplitude = np.abs(weights.w)
-    residual = None
-    if report.active_constraint in ("global", "both"):
-        residual = abs(weights.total_power - pc.P0) / pc.P0
-    return {
-        "regime": weights.regime,
-        "beta": report.beta,
-        "total_power_w": weights.total_power,
-        "clipped_ports": int(np.count_nonzero(amplitude >= pc.w_max * (1 - 1e-12))),
-        "idle_ports": int(np.count_nonzero(amplitude == 0.0)),
-        "power_residual_rel": residual,
-    }

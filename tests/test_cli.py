@@ -7,6 +7,7 @@ min(w_max, sqrt(2*P0/R0)), and the finite-geometry co/cross ratios from
 the closed-form axis curves.
 """
 
+import contextlib
 import importlib.util
 import json
 import math
@@ -1003,6 +1004,33 @@ class TestErrors:
         assert key in payload["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, options, error, message", [
+        (dict(BASE, radius_m=math.inf), (), "scenario-invalid", "radius_m must be finite"),
+        (dict(BASE, tolerance_rel=-0.1), (), "scenario-invalid",
+         "tolerance_rel must be non-negative"),
+        (None, (), "scenario-unreadable", "cannot read scenario file"),
+        ([1, 2], (), "scenario-invalid", "must be a JSON object"),
+        (dict(BASE, focus_z_m=6.0), (), "scenario-invalid", "outside the geometry along z"),
+        (dict(CORRIDOR, width_m=4.0, height_m=3.0, length_m=10.0, focus_x_m=2.5), (),
+         "scenario-invalid", "outside the rectangle cross-section"),
+        (BASE, ("--threads", "0"), "usage", "--threads must be at least 1"),
+        # axial magnetic dipoles have no E_z anywhere: the channel's
+        # projection reads no component (fields._dot's all-zero branch)
+        (dict(BASE, source_kind="magnetic", element_polarization="axial",
+              target_polarization="z"), (), "run-failed", "channel is zero"),
+    ], ids=["infinite-radius", "negative-tolerance", "missing-file", "not-an-object",
+            "focus-beyond-length", "focus-outside-rectangle", "no-threads",
+            "zero-channel"])
+    def test_refused_input(self, tmp_path, capsys, content, options, error, message):
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_text(json.dumps(content))
+        code = cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                         *options])
+        refused = self.json_error(capsys, code)
+        assert refused["code"] == error
+        assert message in refused["message"]
+
     def test_rectangle_requires_mesh(self, tmp_path, capsys):
         path = tmp_path / "rect.json"
         path.write_text(json.dumps({
@@ -1039,8 +1067,9 @@ class TestMemory:
     # weights; the channel keeps one port-resistance scale per strip, and
     # the mesh holds only its strips and makes its rows per block.
     # Measured 66.2 B/source here, with the peak in the channel stage (the
-    # channel and the kernel's 5.2 MB scratch); the solve reaches 35.4 and
-    # the weights.csv write 35.8 (STAGE_BYTES_PER_SOURCE) (50.3 and 59.3
+    # channel and the kernel's 5.2 MB scratch); the solve reaches 34.4 and
+    # the weights.csv write 35.8 (STAGE_BYTES_PER_SOURCE) (35.4 in the
+    # solve while it held a 1 B-per-port live mask; 50.3 and 59.3
     # while the water level sorted, the solve allocated the weights apart
     # from its workspace and weights.csv's columns were made at full
     # length; 58.2 in the solve while the channel held 8 B per port of
@@ -1063,11 +1092,11 @@ class TestMemory:
     LAYOUT_PEAK_BYTES_PER_SOURCE = 36
     # Each stage's own traced peak (tools/stage_peaks.py resets it as the
     # stage opens), on top of what the stages before it hold: the solve
-    # holds the channel (16 B), the weights' array as its workspace (16),
-    # the live mask (1) and one block's temporaries, measured 35.4; the
-    # weights.csv write holds the weights and the CSV writer's blocks,
-    # measured 35.8.
-    STAGE_BYTES_PER_SOURCE = {"solve": 37, "write weights.csv": 38}
+    # holds the channel (16 B), the weights' array as its workspace (16)
+    # and one block's temporaries, measured 34.4 (35.4 with the live mask,
+    # 1 B per port); the weights.csv write holds the weights and the CSV
+    # writer's blocks, measured 35.8.
+    STAGE_BYTES_PER_SOURCE = {"solve": 35, "write weights.csv": 38}
 
     @staticmethod
     def corridor(tmp_path):
@@ -1110,6 +1139,37 @@ class TestMemory:
         peaks = result["peak_bytes"]
         for stage, bound in self.STAGE_BYTES_PER_SOURCE.items():
             assert peaks[stage] / result["sources"] < bound, stage
+
+    def test_run_allocates_nothing_after_its_last_stage(self, tmp_path, capsys, monkeypatch):
+        # what _cmd_run does once its last stage closes, the manifest's
+        # solver entry, reads the solve's records: under 1 B per source
+        # beyond what that stage left (9.0 while the clipped and idle ports
+        # were recounted from a full-length |w|)
+        stage, run = cli._Stages.__call__, cli._COMMANDS["run"]
+        held = {}
+
+        @contextlib.contextmanager
+        def traced(self, name):
+            with stage(self, name):
+                yield
+            held["stages"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+
+        def command(*args):
+            result = run[1](*args)
+            held["after"] = tracemalloc.get_traced_memory()[1]
+            return result
+
+        monkeypatch.setattr(cli._Stages, "__call__", traced)
+        monkeypatch.setitem(cli._COMMANDS, "run", (run[0], command))
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(capsys, "run", "--scenario", str(self.corridor(tmp_path)),
+                              "--out", str(tmp_path / "out"), "--threads", "1")
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (held["after"] - held["stages"]) / 203548 < 1.0
 
 
 class TestEnvironment:
@@ -1220,6 +1280,28 @@ class TestTools:
         assert set(result["stages"]) == {"aperture", "write layout.csv"}
         for peak in result["stages"].values():
             assert peak["bytes_per_source"] * 42 * 67 == pytest.approx(peak["peak_mb"] * 2 ** 20)
+
+    def test_node_sweep_tool(self):
+        # three cuts of the sweep: one line each, then their total; an
+        # interpolated axis ends below its samples, an exact one at them
+        tool = ROOT / "tools" / "node_sweep.py"
+        proc = subprocess.run([sys.executable, str(tool), "--axis", "y", "--focus-x", "0.9",
+                               "--half-span", "0.05", "0.1", "0.2"],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        *cuts, total = map(json.loads, proc.stdout.splitlines())
+        assert [c["half_span_m"] for c in cuts] == [0.05, 0.1, 0.2]
+        for cut in cuts:
+            assert cut["samples"] == 2 * round(cut["half_span_m"] / (LAM / 64)) + 1
+            assert cut["field_nodes"] >= cut["nodes"]
+            if cut["exact"] is None:
+                assert cut["nodes"] < cut["samples"]
+            else:
+                assert cut["nodes"] == cut["samples"]
+        assert total["cuts"] == 3
+        assert total["field_nodes"] == sum(c["field_nodes"] for c in cuts)
+        assert sum(total["exact"].values()) == 3
+        assert {c["exact"] for c in cuts} >= {None, "small"}
 
     def test_artifact_digest_same_across_threads(self, tmp_path):
         # the same-bytes checker, run on the baseline layout and a
