@@ -30,13 +30,13 @@ diagnostics (regime, level, power, clipped and idle ports, power
 residual) and the relative gap between the focal field the solver
 predicts and the one evaluated at the focus.
 
-Every cut and plane is evaluated by _evaluate, from nested
-Chebyshev-Lobatto nodes along each axis, as many at first as the
-axis's span in wavelengths and its nearest source are predicted to need,
-and interpolated to its samples within about 1e-13 of its largest |E|
+Every cut and plane is evaluated by _evaluate, from Chebyshev-Lobatto
+nodes along each axis, as many as the axis's span in wavelengths and
+the sources' singularities along its lines are predicted to need, and
+interpolated to its samples within about 1e-13 of its largest |E|
 component; a grid near the sources, one that needs about as many nodes
-as it has samples or has few sources, and one that does not resolve,
-is evaluated point by point.
+as it has samples or has few sources, and an axis that does not resolve
+at its nodes, is evaluated point by point.
 
 Every aperture, the single element included, gets its channel from one
 fields.assemble_channel call.
@@ -105,8 +105,8 @@ _REFERENCES = {
 
 # Field grids: the largest Chebyshev tail, and spot-check miss, relative
 # to the grid's largest coefficient and |E| component, at which an axis is
-# resolved; the coefficients read as the tail, which an axis's first nodes
-# hold beyond the degree it is predicted to need
+# resolved; the coefficients read as the tail, which an axis's nodes hold
+# beyond the degree it is predicted to need
 _SPECTRAL_TOL = 1e-13
 _TAIL = 4
 
@@ -431,20 +431,19 @@ def _points(focus: np.ndarray, names: list, offsets: list) -> np.ndarray:
 
 def _lobatto(m: int) -> np.ndarray:
     """The m + 1 Chebyshev-Lobatto points of [-1, 1], ascending, as
-    sin(pi k / 2m) for k = -m, -m + 2, ..., m: the points for 2m are these,
-    bit for bit, and the ones halfway between; the ends are -1 and 1, and
+    sin(pi k / 2m) for k = -m, -m + 2, ..., m: the ends are -1 and 1, and
     for an even m the middle one is 0."""
     return np.array([math.sin(math.pi * k / (2 * m)) for k in range(-m, m + 1, 2)])
 
 
-def _intervals(kh: float, ratio: float, samples: int) -> int:
-    """The Lobatto intervals an axis of half span h starts at: the degree
-    past which the Chebyshev coefficients of the field along it are
-    predicted to be below _SPECTRAL_TOL, plus _TAIL, rounded up to even so
-    that the focus is a node.  kh is the wavenumber times h, ratio the
-    least distance from a source to the grid's box over h (inf where it is
-    not known).  The propagating degree is counted up to samples at most:
-    an axis that needs that many is evaluated at its samples."""
+def _intervals(kh: float, a: float, samples: int) -> int:
+    """The Lobatto intervals of an axis of half span h: the degree past
+    which the Chebyshev coefficients of the field along it are predicted
+    to be below _SPECTRAL_TOL, plus _TAIL, rounded up to even so that the
+    focus is a node.  kh is the wavenumber times h, a the least semi-major
+    axis over h of the sources' Bernstein ellipses (inf where it is not
+    known).  The degree is counted up to samples at most: an axis that
+    needs that many is evaluated at its samples."""
     # a propagating wave along the axis, exp(j kh cos(theta) t), has the
     # coefficients 2 j**d J_d(kh cos(theta)), and |J_d(x)| <= (x/2)**d / d!
     # (Abramowitz & Stegun 9.1.62); summed as logs, which do not overflow
@@ -452,12 +451,13 @@ def _intervals(kh: float, ratio: float, samples: int) -> int:
     while log_bound > log_tol and d < samples:
         d += 1
         log_bound += math.log(0.5 * kh / d)
-    # a source at distance r from the box is outside the Bernstein ellipse
-    # of a = 1 + r/h, rho = a + sqrt(a**2 - 1), and the coefficients decay
-    # as rho**-d (Trefethen, Approximation Theory and Approximation
-    # Practice, ch. 8); log(rho) is acosh(a), written to keep a tiny ratio
-    log_rho = math.log1p(ratio + math.sqrt(ratio * (ratio + 2.0)))
-    d = max(d, math.ceil(-log_tol / log_rho)) + _TAIL
+    # a source at offset s along the axis and distance r across it makes
+    # the field singular at t = (s +- i r)/h, on the Bernstein ellipse of
+    # foci -1 and 1 and semi-major a, rho = a + sqrt(a**2 - 1), and the
+    # coefficients decay as rho**-d (Trefethen, Approximation Theory and
+    # Approximation Practice, ch. 8); log(rho) is acosh(a)
+    log_rho = math.acosh(a)
+    d = max(d, math.ceil(-log_tol / log_rho) if log_rho > 0.0 else samples) + _TAIL
     return d + d % 2
 
 
@@ -506,28 +506,27 @@ def _spots(x: np.ndarray, t: np.ndarray) -> list:
 def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength, threads: int,
               stages: _Stages) -> FieldMap:
     """The field on the grid of offsets from the focus along the named axes,
-    the first axis slowest, interpolated from nested Chebyshev-Lobatto nodes.
+    the first axis slowest, interpolated from Chebyshev-Lobatto nodes.
 
-    An axis of half span h starts at the m + 1 nodes h * _lobatto(m), with
-    m from _intervals: the degree its propagating waves need, and once the
-    grid's box has been scanned for its nearest source, the degree that
-    source's distance needs.  An axis whose m + 1 is at least its samples
-    is exact: it is evaluated at its own offsets ("small"), as is every
-    axis of a grid whose samples times sources fit one work unit of the
-    kernel.  The scan runs only when some axis's propagating count is below
-    its samples; a grid whose box comes within the quarter-wavelength
-    standoff of a source is exact from the start ("standoff"):
-    evaluate_field flags or refuses its points as it does any grid's, and a
-    grid farther out has none to flag.  Each level evaluates only the
-    tensor nodes it adds; the first one holds the focus.  An axis whose
-    Chebyshev coefficients' tail exceeds _SPECTRAL_TOL doubles m, and is
-    exact once that reaches its samples; once every axis is resolved,
-    each is checked directly at two samples off its nodes on its line
-    through the focus, and one that misses the interpolant by more than
-    _SPECTRAL_TOL of the largest |E| component is exact too.  The grid is
-    the barycentric interpolant of the nodes, so a node that is a sample
-    (the focus, the ends) keeps its bytes.  The manifest records each
-    axis's outcome.
+    An axis of half span h takes the m + 1 nodes h * _lobatto(m), with m
+    from _intervals: the degree its propagating waves need, and once the
+    sources have been scanned, the degree their singularities need.  An
+    axis whose m + 1 is at least its samples is exact: it is evaluated at
+    its own offsets ("small"), as is every axis of a grid whose samples
+    times sources fit one work unit of the kernel.  The scan runs only
+    when some axis's propagating count is below its samples; a grid whose
+    box comes within the quarter-wavelength standoff of a source is exact
+    from the start ("standoff"): evaluate_field flags or refuses its
+    points as it does any grid's, and a grid farther out has none to
+    flag.  The nodes are the only level: an axis whose Chebyshev
+    coefficients' tail exceeds _SPECTRAL_TOL is exact ("unresolved"), and
+    once every axis is resolved or exact, each resolved one is checked
+    directly at two samples off its nodes on its line through the focus,
+    and one that misses the interpolant by more than _SPECTRAL_TOL of the
+    largest |E| component is exact too ("spot-check"); the grid is then
+    evaluated again at the samples of its exact axes.  The grid is the barycentric
+    interpolant of the nodes, so a node that is a sample (the focus, the
+    ends) keeps its bytes.  The manifest records each axis's outcome.
     """
     focus, names = _focus(s), [axis for axis, _ in axes]
     offsets = [o for _, o in axes]
@@ -546,58 +545,32 @@ def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength, threads: in
         stages.counters["kernel_pairs"] += len(fm) * len(sources)
         return fm
 
-    def extend(nodes, E, near, new):
-        """The field and flags on the tensor of the new nodes: the old
-        nodes' carried over, the others evaluated."""
-        # both ascending: an old node is kept where the new one at its place
-        # equals it (np.isin would load numpy.ma)
-        at, to = [], []
-        for o, n in zip(nodes, new):
-            i = np.minimum(np.searchsorted(n, o), n.size - 1)
-            hit = n[i] == o
-            at.append(np.flatnonzero(hit))
-            to.append(i[hit])
-        at, to = np.ix_(*at), np.ix_(*to)
-        size = tuple(n.size for n in new)
-        E_new, near_new = np.empty(size + (3,), dtype=complex), np.zeros(size, dtype=bool)
-        known = np.zeros(size, dtype=bool)
-        E_new[to], near_new[to], known[to] = E[at], near[at], True
-        todo = np.flatnonzero(~known.ravel())
-        if todo.size:
-            fm = field(_points(focus, names, new)[todo])
-            E_new.reshape(-1, 3)[todo] = fm.E
-            near_new.reshape(-1)[todo] = fm.near_singular
-        return new, E_new, near_new
-
     with stages("field"):
         few = len(grid) * len(sources) <= fields._CHUNK_BUDGET
         m = [_intervals(wl.k * o[-1], math.inf, o.size) for o in offsets]
         # the axes that are exact, and why
         exact = {k: "small" for k, n in enumerate(shape) if few or m[k] + 1 >= n}
         if len(exact) < len(axes):
-            dist = sources.distance_to_box(grid.min(axis=0), grid.max(axis=0))
+            dist, sums = sources.scan_box(grid.min(axis=0), grid.max(axis=0),
+                                          ["xyz".index(axis) for axis in names])
             if dist < 0.25 * wl.lam:
                 exact.update((k, "standoff") for k in range(len(axes)) if k not in exact)
             else:
-                m = [_intervals(wl.k * o[-1], dist / o[-1], o.size) for o in offsets]
+                # each axis's ends are its focal sum's foci, 2h apart
+                m = [_intervals(wl.k * o[-1], max(1.0, r / (2.0 * o[-1])), o.size)
+                     for o, r in zip(offsets, sums)]
                 exact.update((k, "small") for k, n in enumerate(shape) if m[k] + 1 >= n)
-        # the nodes so far along each axis, and their field and flags
-        nodes = [np.zeros(0)] * len(axes)
-        E = np.zeros((0,) * len(axes) + (3,), dtype=complex)
-        near = np.zeros(E.shape[:-1], dtype=bool)
         while True:
-            nodes, E, near = extend(nodes, E, near, [
-                o if k in exact else o[-1] * _lobatto(m[k]) for k, o in enumerate(offsets)])
-            values = E
+            nodes = [o if k in exact else o[-1] * _lobatto(m[k]) for k, o in enumerate(offsets)]
+            fm = field(_points(focus, names, nodes))
+            values = fm.E.reshape(tuple(n.size for n in nodes) + (3,))
+            near = fm.near_singular.reshape(values.shape[:-1])
             lobatto = [k for k in range(len(axes)) if k not in exact]
             for k in lobatto:
-                outcome[k]["tail"] = _tail(E, k)
-            coarse = [k for k in lobatto if outcome[k]["tail"] > _SPECTRAL_TOL]
-            for k in coarse:
-                m[k] *= 2
-                if m[k] + 1 >= shape[k]:
+                outcome[k]["tail"] = _tail(values, k)
+                if outcome[k]["tail"] > _SPECTRAL_TOL:
                     exact[k] = "unresolved"
-            if coarse:
+            if any(k in exact for k in lobatto):
                 continue
             if not lobatto:
                 break

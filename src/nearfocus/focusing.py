@@ -64,7 +64,7 @@ class FocalReport:
     E_focus: complex
     active_constraint: str  # local | global | both
     beta: float             # level in |w| = min(beta*|g|/R, cap); 0 for CP drives
-    clipped_ports: int      # ports with |w| >= w_max*(1 - 1e-12)
+    clipped_ports: int      # ports with |w| >= cap*(1 - 1e-12), the drive's cap (none for TR)
     idle_ports: int         # ports with w = 0
 
 
@@ -196,7 +196,7 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
         w[a:b] = wb
         amplitude = np.abs(wb, out=x)
         clipped += int(np.count_nonzero(np.greater_equal(
-            amplitude, pc.w_max * (1 - 1e-12), out=lb)))
+            amplitude, cap * (1 - 1e-12), out=lb)))
         idle += int(np.count_nonzero(np.equal(amplitude, 0.0, out=lb)))
         # (R0/2)*scale is (R0*scale)/2, since halving is exact
         density = np.square(amplitude, out=x)

@@ -22,7 +22,7 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0          # m/s
 FREE_SPACE_IMPEDANCE = 376.730313668  # ohm
 
-# rows per block of Aperture.distance_to_box: its temporaries are a block's
+# rows per block of Aperture.scan_box: its temporaries are a block's
 _ROW_BLOCK = 65_536
 
 
@@ -158,18 +158,35 @@ class Aperture:
         hi[2] += self.z.max()
         return lo, hi
 
-    def distance_to_box(self, lo: np.ndarray, hi: np.ndarray) -> float:
+    def scan_box(self, lo: np.ndarray, hi: np.ndarray, axes) -> tuple[float, list]:
         """The least distance from any element to the box of corners lo and
-        hi, (3,) each, scanned in blocks of _ROW_BLOCK rows."""
-        least = math.inf
-        for a in range(0, len(self), _ROW_BLOCK):
-            p = self.positions(a, min(a + _ROW_BLOCK, len(self)))
+        hi, (3,) each, and for each coordinate c in axes the least sum of an
+        element's distances to the two ends of the box's nearest line along
+        c, sqrt((p_c - lo_c)**2 + d**2) + sqrt((p_c - hi_c)**2 + d**2),
+        where d is how far the element lies outside the box's slabs across
+        c.  One scan in blocks of _ROW_BLOCK rows, whose temporaries each
+        block reuses."""
+        n = len(self)
+        gap = np.empty((3, min(n, _ROW_BLOCK)))
+        across, r, t = (np.empty(gap.shape[1]) for _ in range(3))
+        least, sums = math.inf, [math.inf] * len(axes)
+        for a in range(0, n, _ROW_BLOCK):
+            p = self.positions(a, min(a + _ROW_BLOCK, n))
+            size = p.shape[1]
+            g, d2, rb, tb = gap[:, :size], across[:size], r[:size], t[:size]
             # per component, how far each element lies outside the box's slab
-            below = np.subtract(lo[:, None], p)
-            gap = np.maximum(below, np.subtract(p, hi[:, None], out=p), out=p)
-            np.maximum(gap, 0.0, out=gap)
-            least = min(least, float(np.square(gap, out=gap).sum(axis=0).min()))
-        return math.sqrt(least)
+            for i in range(3):
+                np.maximum(np.subtract(lo[i], p[i], out=g[i]),
+                           np.subtract(p[i], hi[i], out=tb), out=g[i])
+            np.maximum(g, 0.0, out=g)
+            least = min(least, float(np.sum(np.square(g, out=g), axis=0, out=d2).min()))
+            for i, c in enumerate(axes):
+                np.add(g[(c + 1) % 3], g[(c + 2) % 3], out=d2)
+                for end, out in ((lo[c], rb), (hi[c], tb)):
+                    np.square(np.subtract(p[c], end, out=out), out=out)
+                    np.sqrt(np.add(out, d2, out=out), out=out)
+                sums[i] = min(sums[i], float(np.add(rb, tb, out=rb).min()))
+        return math.sqrt(least), sums
 
     def _pieces(self, a: int, b: int):
         """Rows [a, b) as rectangles of z-rows by strip points: (strip index,

@@ -1281,6 +1281,29 @@ class TestTools:
         for peak in result["stages"].values():
             assert peak["bytes_per_source"] * 42 * 67 == pytest.approx(peak["peak_mb"] * 2 ** 20)
 
+    def test_bench_tool(self, tmp_path):
+        # its ring plane is the benchmark's at seed 0, and its corridor cut
+        # the benchmark's corridor with the default cut
+        bench, workloads = load_script("tools", "bench"), load_benchmark("workloads")
+        rows = {row: json.loads((ROOT / "tools" / f"{row}.json").read_text())
+                for row in bench.ROWS}
+        assert rows["ring_plane"] == workloads.ring_plane(0).invocations[0].scenario
+        assert rows["corridor_cut"] == {key: value for key, value in
+                                        rows["corridor_weights"].items()
+                                        if key != "cut_half_span_m"}
+        # a fresh run reads its bytecode from the tool's own cache
+        env = bench._env(ROOT, tmp_path / "pycache")
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        manifest, elapsed = bench._run(ROOT, ROOT / "tools" / "ring_default_cut.json", 1, env,
+                                       tmp_path / "out")
+        assert any((tmp_path / "pycache").rglob("cli*.pyc"))
+        assert manifest["counters"]["field_nodes"] == 35 and elapsed > manifest["wall_time_s"]
+        summary = bench._summary("abc", [manifest, None], [elapsed, 0.1])
+        assert (summary["commit"], summary["runs"], summary["failed"]) == ("abc", 2, 1)
+        assert summary["field_nodes"] == [35] and summary["sources"] == [2814]
+        assert summary["wall_s"]["median"] == manifest["wall_time_s"]
+        assert set(summary["timings_s"]) == set(manifest["timings_s"])
+
     def test_node_sweep_tool(self):
         # three cuts of the sweep: one line each, then their total; an
         # interpolated axis ends below its samples, an exact one at them

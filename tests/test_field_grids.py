@@ -107,16 +107,17 @@ def test_spectral_map_matches_direct_map(tmp_path, scenario):
     pytest.param(MIX["run-rect-mesh"], id="rectangle-mesh"),
 ])
 def test_focus_sample_is_the_kernels_own_value(tmp_path, scenario):
-    # the focus is a node of the first level, the predicted intervals per
-    # axis, at which these grids resolve: its sample is evaluate_field's
+    # the focus is a node of the predicted intervals per axis, at which
+    # these grids resolve: its sample is evaluate_field's
     # value there, bytes and all, not an interpolated one, and a one-point
     # evaluation differs by rounding only
     s, fm, _, weights, sources, stages = field_map(tmp_path, scenario)
     axes = (cli._plane(s) if s["grid"] == "plane"
             else [(s["cut_axis"], cli._offsets(s["cut_half_span_m"], s["cut_step_m"]))])
     wl = Wavelength.from_frequency(s["frequency_hz"])
-    dist = sources.distance_to_box(fm.points.min(axis=0), fm.points.max(axis=0))
-    m = [cli._intervals(wl.k * o[-1], dist / o[-1], o.size) for _, o in axes]
+    _, sums = sources.scan_box(fm.points.min(axis=0), fm.points.max(axis=0),
+                               ["xyz".index(a) for a, _ in axes])
+    m = [cli._intervals(wl.k * o[-1], r / (2.0 * o[-1]), o.size) for (_, o), r in zip(axes, sums)]
     assert [axis["nodes"] for axis in stages.grids[0]] == [k + 1 for k in m]
     focus = cli._focus(s)
     first = cli._points(focus, [a for a, _ in axes],
@@ -130,20 +131,17 @@ def test_focus_sample_is_the_kernels_own_value(tmp_path, scenario):
     assert np.abs(fm.E[len(fm) // 2] - one.E[0]).max() <= 1e-14 * np.abs(one.E).max()
 
 
-def test_lobatto_levels_nest_bit_for_bit():
-    # every first level the predictor gives, from the shortest cut to the
-    # widest plane, and the levels its doubling reaches
-    firsts = {cli._intervals(kh, ratio, 10 ** 6) for kh in np.geomspace(0.05, 40.0, 40)
-              for ratio in (math.inf, 0.3, 1.0, 3.0)}
-    assert all(m % 2 == 0 for m in firsts) and len(firsts) > 10
-    for first in sorted(firsts):
-        for m in (first, 2 * first, 4 * first):
-            coarse, fine = cli._lobatto(m), cli._lobatto(2 * m)
-            assert coarse.size == m + 1
-            assert np.all(np.diff(fine) > 0.0)
-            assert fine[::2].tobytes() == coarse.tobytes()
-            for nodes in (coarse, fine):
-                assert (nodes[0], nodes[nodes.size // 2], nodes[-1]) == (-1.0, 0.0, 1.0)
+def test_lobatto_nodes_hold_the_focus_and_the_ends():
+    # every node count the predictor gives, from the shortest cut to the
+    # widest plane and from a far source to one beside the axis
+    counts = {cli._intervals(kh, a, 10 ** 6) for kh in np.geomspace(0.05, 40.0, 40)
+              for a in (math.inf, 4.0, 2.0, 1.3, 1.01, 1.0)}
+    assert all(m % 2 == 0 for m in counts) and len(counts) > 10
+    for m in sorted(counts):
+        nodes = cli._lobatto(m)
+        assert nodes.size == m + 1
+        assert np.all(np.diff(nodes) > 0.0)
+        assert (nodes[0], nodes[nodes.size // 2], nodes[-1]) == (-1.0, 0.0, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -240,7 +238,7 @@ def test_small_grid_takes_no_box_scan(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("box scan on a small grid")
 
-    monkeypatch.setattr(Aperture, "distance_to_box", refuse)
+    monkeypatch.setattr(Aperture, "scan_box", refuse)
     _, fm, direct, *_, stages = field_map(tmp_path, dict(BASE, cut_half_span_m=4 * 0.3 / 64))
     assert len(fm) == 9
     assert [axis["exact"] for axis in stages.grids[0]] == ["small"]
@@ -249,24 +247,40 @@ def test_small_grid_takes_no_box_scan(tmp_path, monkeypatch):
 
 
 def test_unresolved_axis_is_evaluated_at_its_samples(tmp_path, monkeypatch):
-    # a tail that never reads resolved: the 41-sample cut starts at 21
-    # nodes, and 41 nodes, its next level, are as many as its samples
+    # a tail that never reads resolved: the 41-sample cut's 21 nodes are
+    # its only level, and then it is evaluated at its samples
     monkeypatch.setattr(cli, "_tail", lambda values, axis: 1.0)
     _, fm, direct, _, sources, stages = field_map(
         tmp_path, dict(BASE, cut_axis="y", cut_half_span_m=20 * 0.3 / 64))
     (axis,) = stages.grids[0]
     assert axis["exact"] == "unresolved" and axis["nodes"] == axis["samples"] == 41
     assert axis["tail"] > 1e-13 and axis["spot_check"] is None
-    # the first 21 nodes, then every sample but the focus and the ends
-    assert stages.counters["field_nodes"] == 21 + 41 - 3
+    # the 21 nodes, then every sample, the focus and the ends included
+    assert stages.counters["field_nodes"] == 21 + 41
     assert np.abs(fm.E - direct.E).max() <= PARITY * np.abs(direct.E).max()
     assert not fm.near_singular.any()
+
+
+def test_near_wall_cuts_resolve_at_their_nodes():
+    # cuts through x = 0.9 on the ring of radius 1, whose sources lie beside
+    # the axis, not beyond its ends: a box-distance ellipse left these six
+    # unresolved; each source's own ellipse resolves them at their nodes
+    path = ROOT / "tools" / "node_sweep.py"
+    spec = importlib.util.spec_from_file_location("field_grids_node_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    cuts = [*sweep.sweep(("y", "z"), (0.9,), (0.1, 0.15)), *sweep.sweep(("z",), (0.9,), (0.3, 0.33))]
+    assert len(cuts) == 6
+    for cut in cuts:
+        # the nodes and two spot checks
+        assert cut["exact"] is None, cut
+        assert cut["field_nodes"] == cut["nodes"] + 2 < cut["samples"], cut
 
 
 def test_spot_check_miss_makes_axis_exact(tmp_path, monkeypatch):
     # a first level of 9 nodes per axis, below the predicted 19 and 21, and a
     # tail that always reads resolved: the spot checks then refuse them
-    monkeypatch.setattr(cli, "_intervals", lambda kh, ratio, samples: 8)
+    monkeypatch.setattr(cli, "_intervals", lambda kh, a, samples: 8)
     monkeypatch.setattr(cli, "_tail", lambda values, axis: 0.0)
     _, fm, direct, *_, stages = field_map(
         tmp_path, dict(BASE, grid="plane", plane_half_span_a_m=0.05, plane_half_span_b_m=0.08))

@@ -439,8 +439,8 @@ def test_one_idle_port_gets_an_exact_zero(drive, regime):
 
 @pytest.mark.parametrize("drive, budget, regime, clipped", [
     (hybrid_weights, 1.0, "hybrid", lambda c, live: 0 < c < live),
-    # TR ignores the cap, and its strongest ports run above it
-    (tr_weights, 1.0, "TR", lambda c, live: 0 < c < live),
+    # TR has no cap: its strongest ports run above w_max, and none clips
+    (tr_weights, 1.0, "TR", lambda c, live: c == 0),
     (cp_weights, 1e9, "CP", lambda c, live: c == live),
     # the budget binds: every live port at the one level below the cap
     (cp_weights, 1.0, "CP", lambda c, live: c == 0),
@@ -462,7 +462,10 @@ def test_report_counts_clipped_and_idle_ports(drive, budget, regime, clipped):
     weights, report = drive(h, pc)
     assert weights.regime == regime
     amplitude = np.abs(weights.w)
-    assert report.clipped_ports == np.count_nonzero(amplitude >= pc.w_max * (1 - 1e-12))
+    cap = math.inf if drive is tr_weights else pc.w_max
+    assert report.clipped_ports == np.count_nonzero(amplitude >= cap * (1 - 1e-12))
+    if drive is tr_weights:
+        assert np.count_nonzero(amplitude >= pc.w_max) > 0
     assert report.idle_ports == np.count_nonzero(weights.w == 0) == np.count_nonzero(idle)
     assert clipped(report.clipped_ports, n - report.idle_ports)
 

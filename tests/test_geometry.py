@@ -1,5 +1,6 @@
 """Ring, mesh and single-element apertures: counts, symmetry, areas, rows, exports."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -332,20 +333,68 @@ def test_full_corridor_mesh_holds_no_full_length_array():
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("box", [
+def box_scan_loop(aperture, lo, hi):
+    """scan_box's least distance, one element at a time, and for each
+    coordinate along which the box spans 2h > 0, the least semi-major axis
+    over h of the Bernstein ellipse through each element's singularity
+    z = (s + i d)/h: s is the element's offset from the box's middle along
+    the coordinate, d its distance to the box's nearest line along it, and
+    rho = |z + sqrt(z - 1) sqrt(z + 1)| (Trefethen, ch. 8)."""
+    least, semi = math.inf, {c: math.inf for c in range(3) if hi[c] > lo[c]}
+    for p in all_positions(aperture).tolist():
+        q = [min(max(x, a), b) for x, a, b in zip(p, lo, hi)]
+        least = min(least, math.dist(p, q))
+        for c in semi:
+            h = 0.5 * (hi[c] - lo[c])
+            d = math.dist(p[:c] + p[c + 1:], q[:c] + q[c + 1:])
+            z = complex(p[c] - 0.5 * (lo[c] + hi[c]), d) / h
+            rho = abs(z + cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0))
+            semi[c] = min(semi[c], 0.5 * (rho + 1.0 / rho))
+    return least, semi
+
+
+def check_box_scan(aperture, box):
+    lo, hi = (np.array(corner) for corner in box)
+    least, semi = box_scan_loop(aperture, lo.tolist(), hi.tolist())
+    distance, sums = aperture.scan_box(lo, hi, [0, 1, 2])
+    assert distance == pytest.approx(least, rel=1e-14, abs=0.0)
+    assert len(sums) == 3
+    for c, a in semi.items():
+        assert sums[c] / (hi[c] - lo[c]) == pytest.approx(a, rel=1e-12), c
+    # one axis at a time, in either order, gives the same sums
+    assert aperture.scan_box(lo, hi, [2, 0]) == (distance, [sums[2], sums[0]])
+
+
+BOXES = [
     ([-0.1, -0.2, 1.0], [0.3, 0.2, 1.0]),     # a cut or plane inside the ring
     ([0.85, -0.1, -0.1], [0.985, 0.1, 0.1]),  # a plane reaching the wall
     ([1.2, 0.0, 6.0], [1.5, 0.0, 7.0]),       # outside the cylinder and past its end
     ([-2.0, -2.0, -6.0], [2.0, 2.0, 6.0]),    # holding every element
-])
+]
+
+
+@pytest.mark.parametrize("box", BOXES)
 def test_distance_to_box_matches_every_element(box, monkeypatch):
     # blocks of 1,000 rows over the mesh's 10,800, the last one short
     monkeypatch.setattr(geometry, "_ROW_BLOCK", 1_000)
-    mesh = build_cylinder_mesh(CYL, 60, 180, WL_1GHZ)
-    lo, hi = (np.array(corner) for corner in box)
-    p = all_positions(mesh)
-    want = np.min(np.linalg.norm(np.maximum(np.maximum(lo - p, p - hi), 0.0), axis=1))
-    assert mesh.distance_to_box(lo, hi) == pytest.approx(want, rel=1e-14, abs=0.0)
+    check_box_scan(build_cylinder_mesh(CYL, 60, 180, WL_1GHZ), box)
+
+
+@pytest.mark.parametrize("box", BOXES + [
+    ([0.9, -0.15, 0.0], [0.9, 0.15, 0.0]),    # a y-cut beside the ring wall
+    ([0.9, 0.0, -0.33], [0.9, 0.0, 0.33]),    # a z-cut beside it
+    ([-0.3, 0.1, 4.9], [0.3, 0.1, 4.9]),      # an x-cut by the last ring
+    ([0.5, -0.15, -0.15], [0.5, 0.15, 0.15]),  # a yz plane
+    ([-0.4, -0.3, 0.7], [0.4, 0.3, 0.7]),     # an xy plane
+], ids=[f"box{i}" for i in range(9)])
+@pytest.mark.parametrize("build", [
+    lambda: build_ring_array(CYL, WL_1GHZ),
+    lambda: build_rect_corridor_mesh(RectCorridorSpec(1.9, 1.0, 1.3), 0.07, WL_1GHZ),
+], ids=["rings", "rectangle-mesh"])
+def test_box_scan_matches_a_per_element_loop(build, box, monkeypatch):
+    # blocks of 1,000 rows, the last one short
+    monkeypatch.setattr(geometry, "_ROW_BLOCK", 1_000)
+    check_box_scan(build(), box)
 
 
 @pytest.mark.parametrize("build", [
