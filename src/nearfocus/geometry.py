@@ -181,6 +181,7 @@ class Aperture:
             np.maximum(g, 0.0, out=g)
             least = min(least, float(np.sum(np.square(g, out=g), axis=0, out=d2).min()))
             for i, c in enumerate(axes):
+                # d**2: the squared gaps outside the slabs of the other two
                 np.add(g[(c + 1) % 3], g[(c + 2) % 3], out=d2)
                 for end, out in ((lo[c], rb), (hi[c], tb)):
                     np.square(np.subtract(p[c], end, out=out), out=out)
