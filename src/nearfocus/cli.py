@@ -16,19 +16,21 @@ two co/cross focal ratios (anywhere on the axis), each with its drive
 method.  _reference checks what a row's closed form assumes of the
 scenario before validate or analytic does any work.
 
-Every artifact lands in the output directory: CSV files are written
-with 17 significant digits and '\\n' line endings so reruns of the same
-scenario are byte-identical, and manifest.json records the fully
-resolved scenario (defaults included), the conventions the numbers rest
-on, tool version, the requested threads and the field workers that ran,
-wall-clock time, the process's peak resident memory so far (null where
-the resource module does not exist), each stage's wall time and the
-peak resident memory after it, the work's counts (sources, grid points,
-the field nodes the kernel evaluated, kernel pairs, near-singular
-points), each field grid's outcome and, for run, the solver's
-diagnostics (regime, level, power, clipped and idle ports, power
-residual) and the relative gap between the focal field the solver
-predicts and the one evaluated at the focus.
+Each subcommand fills one record, _Stages, which holds its output
+directory and --threads.  Every artifact lands in that directory through
+_write, which lists it in the record: CSV files are written with 17
+significant digits and '\\n' line endings so reruns of the same scenario
+are byte-identical, and manifest.json records the fully resolved
+scenario (defaults included), the conventions the numbers rest on, tool
+version, the requested threads, wall-clock time and the process's peak
+resident memory so far (null where the resource module does not exist);
+from the record, the artifacts, the field workers that ran, each stage's
+wall time and the peak resident memory after it, the work's counts
+(sources, grid points, the field nodes the kernel evaluated, kernel
+pairs, near-singular points) and each field grid's outcome; and, for
+run, the solver's diagnostics (regime, level, power, clipped and idle
+ports, power residual) and the relative gap between the focal field the
+solver predicts and the one evaluated at the focus.
 
 Every cut and plane is evaluated by _evaluate, from Chebyshev-Lobatto
 nodes along each axis, as many as the axis's span in wavelengths and
@@ -45,8 +47,9 @@ Exit codes: 0 success (for validate: comparison passed), 1 validate
 comparison failed, 2 usage or scenario errors (their own codes), a
 problem too large to allocate (out-of-memory), or a run the numeric
 layers refuse, such as a focus inside the quarter-wavelength standoff of
-any source (run-failed).  Errors print one machine-readable JSON object
-to stdout.
+any source (run-failed), or an output directory or artifact that cannot
+be made or written (output-unwritable).  Errors print one
+machine-readable JSON object to stdout.
 """
 
 from __future__ import annotations
@@ -315,8 +318,10 @@ def load_scenario(path) -> tuple[dict, list[str]]:
 # builders shared by the subcommands
 
 class _Stages:
-    """Wall time and peak resident memory of each stage of one subcommand,
-    and the counts of its work.
+    """The record of one subcommand: its output directory and --threads,
+    the wall time and peak resident memory of each of its stages, the
+    counts of its work, the artifacts it wrote and the field workers that
+    ran.
 
     ``with stages(name):`` times one stage; a stage run more than once adds
     up its times and keeps the peak after its last run.  The peak never
@@ -324,13 +329,18 @@ class _Stages:
     that set it.
     """
 
-    def __init__(self):
+    def __init__(self, outdir: Path, threads: int):
+        self.outdir, self.threads = outdir, threads
         self.timings_s: dict = {}
         self.peak_rss_mb: dict = {}
         self.counters = dict.fromkeys(
             ("sources", "points", "field_nodes", "kernel_pairs", "near_singular_points"), 0)
         # each field grid's outcome, axis by axis
         self.grids: list = []
+        # the files _write finished, and the most field workers of one
+        # evaluate_field call: at most the usable CPUs, 0 when none ran
+        self.artifacts: list = []
+        self.workers = 0
 
     @contextlib.contextmanager
     def __call__(self, name: str):
@@ -341,7 +351,9 @@ class _Stages:
 
     def manifest_entries(self) -> dict:
         return {"timings_s": self.timings_s, "stage_peak_rss_mb": self.peak_rss_mb,
-                "counters": self.counters, "field_grids": self.grids}
+                "counters": self.counters, "field_grids": self.grids,
+                "artifacts": sorted(self.artifacts + ["manifest.json"]),
+                "workers": self.workers}
 
 
 def _geometry_spec(s: dict):
@@ -386,13 +398,9 @@ def _channel(s: dict, sources: Aperture, e_hat: np.ndarray, wl: Wavelength,
                                 source_kind=s["source_kind"])
 
 
-def _constraints(s: dict) -> PowerConstraints:
-    return PowerConstraints(w_max=s["amplitude_cap_a"], P0=s["power_budget_w"],
-                            R0_per_port=s["port_resistance_ohm"])
-
-
 def _solve_weights(s: dict, h: ChannelVector, stages: _Stages):
-    pc = _constraints(s)
+    pc = PowerConstraints(w_max=s["amplitude_cap_a"], P0=s["power_budget_w"],
+                          R0_per_port=s["port_resistance_ohm"])
     with stages("solve"):
         if s["method"] == "cp":
             return cp_weights(h, pc)
@@ -503,7 +511,7 @@ def _spots(x: np.ndarray, t: np.ndarray) -> list:
     return [int(np.argmax(gap[:mid])), mid + 1 + int(np.argmax(gap[mid + 1:]))]
 
 
-def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength, threads: int,
+def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength,
               stages: _Stages) -> FieldMap:
     """The field on the grid of offsets from the focus along the named axes,
     the first axis slowest, interpolated from Chebyshev-Lobatto nodes.
@@ -534,13 +542,11 @@ def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength, threads: in
     grid = _points(focus, names, offsets)
     outcome = [{"axis": axis, "samples": n, "tail": None, "spot_check": None}
                for axis, n in zip(names, shape)]
-    workers = 0
 
     def field(points):
-        nonlocal workers
         fm = evaluate_field(sources, weights.w, points, wl, kernel=s["kernel"],
-                            source_kind=s["source_kind"], threads=threads)
-        workers = max(workers, fm.workers)
+                            source_kind=s["source_kind"], threads=stages.threads)
+        stages.workers = max(stages.workers, fm.workers)
         stages.counters["field_nodes"] += len(fm)
         stages.counters["kernel_pairs"] += len(fm) * len(sources)
         return fm
@@ -599,7 +605,7 @@ def _evaluate(s: dict, sources, weights, axes: list, wl: Wavelength, threads: in
     for k, record in enumerate(outcome):
         record.update(nodes=int(nodes[k].size), exact=exact.get(k))
     stages.grids.append(outcome)
-    fm = FieldMap(grid, values.reshape(-1, 3), near.reshape(-1), workers)
+    fm = FieldMap(grid, values.reshape(-1, 3), near.reshape(-1), stages.workers)
     stages.counters["points"] += len(fm)
     stages.counters["near_singular_points"] += int(np.count_nonzero(fm.near_singular))
     return fm
@@ -621,61 +627,58 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
-def _write(path: Path, content: dict, stages: _Stages) -> None:
-    """One artifact, the named columns of a CSV file or a JSON document, as
-    its own stage."""
-    with stages("write " + path.name):
+def _write(name: str, content: dict, stages: _Stages) -> None:
+    """One artifact in the output directory, the named columns of a CSV
+    file or a JSON document, as its own stage; the record lists it once
+    it is written."""
+    path = stages.outdir / name
+    with stages("write " + name):
         if path.suffix == ".csv":
             write_csv(path, content)
         else:
             _write_json(path, content)
-
-
-def _xyz(prefix: str, vectors: np.ndarray) -> dict:
-    """The x, y and z columns of (N, 3) vectors, named prefix + axis, as views."""
-    return {prefix + axis: vectors[:, i] for i, axis in enumerate("xyz")}
+    stages.artifacts.append(name)
 
 
 def _field_columns(fm: FieldMap) -> dict:
     """Point coordinates, then the real and imaginary part of each E component."""
-    columns = _xyz("", fm.points)
+    columns = {axis: fm.points[:, i] for i, axis in enumerate("xyz")}
     for i, axis in enumerate("xyz"):
         columns["re_e" + axis] = fm.E[:, i].real
         columns["im_e" + axis] = fm.E[:, i].imag
     return columns
 
 
-def _cut(s: dict, outdir: Path, sources, weights, axis: str, component: str,
-         wl: Wavelength, threads: int, stages: _Stages) -> tuple:
+def _cut(s: dict, sources, weights, axis: str, component: str, wl: Wavelength,
+         stages: _Stages) -> tuple:
     """The field on the cut through the focus along axis, written to
     cut.csv: the offsets, the field map and |E_component| on the cut."""
     offsets = _offsets(s["cut_half_span_m"], s["cut_step_m"])
-    fm = _evaluate(s, sources, weights, [(axis, offsets)], wl, threads, stages)
-    _write(outdir / "cut.csv", {"offset_m": offsets, **_field_columns(fm)}, stages)
+    fm = _evaluate(s, sources, weights, [(axis, offsets)], wl, stages)
+    _write("cut.csv", {"offset_m": offsets, **_field_columns(fm)}, stages)
     return offsets, fm, np.abs(fm.component(component))
 
 
-def _curve(s: dict, outdir: Path, offsets: np.ndarray, wl: Wavelength,
-           stages: _Stages) -> np.ndarray:
+def _curve(s: dict, offsets: np.ndarray, wl: Wavelength, stages: _Stages) -> np.ndarray:
     """The reference's closed-form profile over the cut offsets, also
     written to curve.csv."""
     with stages("reference"):
         values = analytic.resolution_profiles(s["analytic_reference"],
                                               np.abs(offsets) / wl.lam, _geometry_spec(s))
-    _write(outdir / "curve.csv", {"offset_wl": offsets / wl.lam, "value": values}, stages)
+    _write("curve.csv", {"offset_wl": offsets / wl.lam, "value": values}, stages)
     return values
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-# Each subcommand takes the resolved scenario, the output directory, the
-# wavelength, --threads and the stage recorder, and returns its artifacts,
-# its exit code and its entries for the manifest, of which "report" goes to
-# stdout instead.
+# Each subcommand takes the resolved scenario, the wavelength and the
+# subcommand's record, which holds the output directory and --threads and
+# gathers the artifacts and field workers, and returns its exit code and
+# its own entries for the manifest, of which "report" goes to stdout
+# instead.
 
-def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
-             stages: _Stages) -> tuple[list, int, dict]:
+def _cmd_run(s: dict, wl: Wavelength, stages: _Stages) -> tuple[int, dict]:
     """Weights, the field on the scenario's grid, and its metrics."""
     sources = _aperture(s, wl, stages)
     # the channel is freed as soon as the weights are solved
@@ -683,24 +686,22 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
         s, _channel(s, sources, _AXIS_UNIT[s["target_polarization"]], wl, stages), stages)
 
     w = weights.w
-    _write(outdir / "weights.csv", Table(
+    _write("weights.csv", Table(
         ("index", "amplitude_a", "phase_rad"), w.size,
         lambda a, b: (np.arange(a, b), np.hypot(w[a:b].real, w[a:b].imag), angle(w[a:b]))),
         stages)
     solved = {"regime": weights.regime, "beta": report.beta,
               "total_power_w": weights.total_power}
-    _write(outdir / "weights.json", {
+    _write("weights.json", {
         **solved, "active_constraint": report.active_constraint,
         "e_focus_re": report.E_focus.real, "e_focus_im": report.E_focus.imag,
         "n_sources": w.size, "method": s["method"]}, stages)
-    artifacts = ["weights.csv", "weights.json"]
 
     component = s["target_polarization"]
     metrics_payload: dict = {"component": component, "wavelength_m": wl.lam}
     if s["grid"] == "cut":
-        offsets, fm, values = _cut(s, outdir, sources, weights, s["cut_axis"], component,
-                                   wl, threads, stages)
-        artifacts.append("cut.csv")
+        offsets, fm, values = _cut(s, sources, weights, s["cut_axis"], component, wl,
+                                   stages)
         metrics_payload["kind"] = "cut"
         metrics_payload["axis"] = s["cut_axis"]
         with stages("metrics"):
@@ -711,10 +712,9 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
                 metrics_payload["skipped_reason"] = str(e)
     else:
         axes = _plane(s)
-        fm = _evaluate(s, sources, weights, axes, wl, threads, stages)
+        fm = _evaluate(s, sources, weights, axes, wl, stages)
         (ax_a, ua), (ax_b, vb) = axes
-        _write(outdir / "fieldmap.csv", _field_columns(fm), stages)
-        artifacts.append("fieldmap.csv")
+        _write("fieldmap.csv", _field_columns(fm), stages)
         metrics_payload["kind"] = "plane"
         metrics_payload["plane_axes"] = s["plane_axes"]
         with stages("metrics"):
@@ -734,24 +734,23 @@ def _cmd_run(s: dict, outdir: Path, wl: Wavelength, threads: int,
             except ValueError as e:
                 metrics_payload["contour_skipped"] = str(e)
 
-    _write(outdir / "metrics.json", metrics_payload, stages)
-    artifacts.append("metrics.json")
+    _write("metrics.json", metrics_payload, stages)
     # the middle sample of either grid, the cut's offset 0 or the plane's
     # centre, is the focal point itself
     gap = abs(fm.component(component)[len(fm) // 2] - report.E_focus)
     P0 = s["power_budget_w"]
-    return artifacts, 0, {"solver": {
+    return 0, {"solver": {
         **solved, "clipped_ports": report.clipped_ports, "idle_ports": report.idle_ports,
         "power_residual_rel": (abs(weights.total_power - P0) / P0
                                if report.active_constraint in ("global", "both") else None),
         "focus_gap_rel": gap / abs(report.E_focus) if report.E_focus else None,
-    }, "workers": fm.workers}
+    }}
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
     peak = float(np.max(values))
     if peak <= 0.0:
-        raise ScenarioError("run-failed", "field cut is identically zero")
+        raise ValueError("field cut is identically zero")
     return values / peak
 
 
@@ -798,8 +797,7 @@ def _reference(s: dict, subcommand: str) -> tuple:
     return method, axis, component
 
 
-def _cmd_validate(s: dict, outdir: Path, wl: Wavelength, threads: int,
-                  stages: _Stages) -> tuple[list, int, dict]:
+def _cmd_validate(s: dict, wl: Wavelength, stages: _Stages) -> tuple[int, dict]:
     """A comparison of the numeric path with the scenario's closed-form
     reference; exit code 1 when it fails."""
     method, axis, component = _reference(s, "validate")
@@ -818,7 +816,6 @@ def _cmd_validate(s: dict, outdir: Path, wl: Wavelength, threads: int,
                          / getattr(analytic, f"ex_{method}_axis")(zf, spec))
         constant = getattr(analytic, f"{method.upper()}_FIELD_RATIO_LIMIT")
         deviation = float(abs(numeric / reference - 1.0))
-        artifacts, entries = [], {}
         report = {
             "kind": "ratio",
             "definition": RESOLVED_CONVENTIONS[f"co_cross_ratio_{method}"],
@@ -832,16 +829,14 @@ def _cmd_validate(s: dict, outdir: Path, wl: Wavelength, threads: int,
     else:
         weights, _ = _solve_weights(
             s, _channel(s, sources, _AXIS_UNIT[component], wl, stages), stages)
-        offsets, fm, numeric = _cut(s, outdir, sources, weights, axis, component, wl,
-                                    threads, stages)
-        ana = _curve(s, outdir, offsets, wl, stages)
+        offsets, _, numeric = _cut(s, sources, weights, axis, component, wl, stages)
+        ana = _curve(s, offsets, wl, stages)
         with stages("metrics"):
             num_n, ana_n = _normalized(numeric), _normalized(ana)
             lo, hi = main_lobe(num_n)
             deviation = float(np.max(np.abs(num_n[lo:hi + 1] - ana_n[lo:hi + 1])))
             num_metrics = _metrics_or_none(offsets, numeric, wl.lam)
             ana_metrics = _metrics_or_none(offsets, ana, wl.lam)
-        artifacts, entries = ["cut.csv", "curve.csv"], {"workers": fm.workers}
         report = {
             "kind": "profile",
             "component": component,
@@ -860,20 +855,18 @@ def _cmd_validate(s: dict, outdir: Path, wl: Wavelength, threads: int,
     passed = deviation <= s["tolerance_rel"]
     report.update(reference=s["analytic_reference"], tolerance_rel=s["tolerance_rel"],
                   passed=passed)
-    _write(outdir / "report.json", report, stages)
-    return artifacts + ["report.json"], (0 if passed else 1), dict(entries, report=report)
+    _write("report.json", report, stages)
+    return (0 if passed else 1), {"report": report}
 
 
-def _cmd_analytic(s: dict, outdir: Path, wl: Wavelength, threads: int,
-                  stages: _Stages) -> tuple[list, int, dict]:
+def _cmd_analytic(s: dict, wl: Wavelength, stages: _Stages) -> tuple[int, dict]:
     """The closed-form curve of the scenario's profile reference."""
     _reference(s, "analytic")
-    _curve(s, outdir, _offsets(s["cut_half_span_m"], s["cut_step_m"]), wl, stages)
-    return ["curve.csv"], 0, {}
+    _curve(s, _offsets(s["cut_half_span_m"], s["cut_step_m"]), wl, stages)
+    return 0, {}
 
 
-def _cmd_layout(s: dict, outdir: Path, wl: Wavelength, threads: int,
-                stages: _Stages) -> tuple[list, int, dict]:
+def _cmd_layout(s: dict, wl: Wavelength, stages: _Stages) -> tuple[int, dict]:
     """The aperture's element or patch table."""
     sources = _aperture(s, wl, stages)
     mesh, axial_dipoles = s["aperture"] == "mesh", sources.polarization == "axial"
@@ -893,8 +886,8 @@ def _cmd_layout(s: dict, outdir: Path, wl: Wavelength, threads: int,
     names = [prefix + axis for prefix in (("", "tphi_", "tz_") if mesh else ("", "p"))
              for axis in "xyz"]
     names.append("area_m2" if mesh else "length_m")
-    _write(outdir / "layout.csv", Table(tuple(names), len(sources), rows), stages)
-    return ["layout.csv"], 0, {}
+    _write("layout.csv", Table(tuple(names), len(sources), rows), stages)
+    return 0, {}
 
 
 # subcommand -> (help, command)
@@ -938,17 +931,6 @@ def _setting(cli_value, env_name: str, default):
     return default
 
 
-def _int_setting(cli_value, env_name: str, default, minimum: int, label: str):
-    raw = _setting(cli_value, env_name, default)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ScenarioError("usage", f"{label} must be an integer, got {raw!r}")
-    if value < minimum:
-        raise ScenarioError("usage", f"{label} must be at least {minimum}")
-    return value
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
@@ -958,15 +940,20 @@ def main(argv=None) -> int:
             raise ScenarioError("usage", "a scenario is required: pass --scenario "
                                          "or set NEARFOCUS_SCENARIO")
         outdir = Path(_setting(args.out, "NEARFOCUS_OUT", "nearfocus-out"))
-        threads = _int_setting(args.threads, "NEARFOCUS_THREADS", 1, 1, "--threads")
+        raw = _setting(args.threads, "NEARFOCUS_THREADS", 1)
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ScenarioError("usage", f"--threads must be an integer, got {raw!r}")
+        if threads < 1:
+            raise ScenarioError("usage", "--threads must be at least 1")
 
         scenario, filled = load_scenario(scenario_path)
         wl = Wavelength.from_frequency(scenario["frequency_hz"])
         outdir.mkdir(parents=True, exist_ok=True)
 
-        command = _COMMANDS[args.subcommand][1]
-        stages = _Stages()
-        artifacts, code, entries = command(scenario, outdir, wl, threads, stages)
+        stages = _Stages(outdir, threads)
+        code, entries = _COMMANDS[args.subcommand][1](scenario, wl, stages)
         report = entries.pop("report", None)
 
         manifest = {
@@ -978,11 +965,7 @@ def main(argv=None) -> int:
             "defaults_filled": filled,
             "derived": {"wavelength_m": wl.lam, "wavenumber_rad_per_m": wl.k},
             "threads": threads,
-            # the field workers that ran: at most the usable CPUs, and 0
-            # when no field was evaluated
-            "workers": 0,
             "resolved_conventions": RESOLVED_CONVENTIONS,
-            "artifacts": sorted(artifacts + ["manifest.json"]),
             "wall_time_s": time.perf_counter() - started,
             "peak_rss_mb": _peak_rss_mb(),
             **stages.manifest_entries(),
@@ -998,11 +981,14 @@ def main(argv=None) -> int:
             summary["report"] = report
         print(json.dumps(summary, sort_keys=True))
         return code
-    except (ScenarioError, MemoryError, ValueError, TypeError, OverflowError) as e:
+    except (ScenarioError, MemoryError, OSError, ValueError, TypeError, OverflowError) as e:
         # geometry.build_* (from the element counts) or numpy refuse a problem
-        # too large before touching memory
+        # too large before touching memory; load_scenario has already made
+        # its own read errors scenario-unreadable, so an OSError here is the
+        # output directory or an artifact in it
         code = (e.code if isinstance(e, ScenarioError)
-                else "out-of-memory" if isinstance(e, MemoryError) else "run-failed")
+                else "out-of-memory" if isinstance(e, MemoryError)
+                else "output-unwritable" if isinstance(e, OSError) else "run-failed")
         print(json.dumps({"error": {"code": code, "message": str(e)}}, sort_keys=True))
         return 2
 

@@ -534,6 +534,26 @@ class TestRun:
         assert header(tmp_path / "layout" / "layout.csv") == \
             "x,y,z,tphi_x,tphi_y,tphi_z,tz_x,tz_y,tz_z,area_m2\n"
 
+    @pytest.mark.parametrize("subcommand, entries", [
+        ("run", {}),
+        ("run", dict(grid="plane", plane_half_span_a_m=0.02, plane_half_span_b_m=0.02)),
+        ("validate", dict(analytic_reference="ez_trans")),
+        ("validate", dict(analytic_reference="ratio_cp")),
+        ("analytic", dict(analytic_reference="ez_trans")),
+        ("layout", {}),
+    ], ids=["run-cut", "run-plane", "validate-profile", "validate-ratio", "analytic",
+            "layout"])
+    def test_artifacts_are_the_files_written(self, tmp_path, capsys, subcommand, entries):
+        # the manifest's and the summary's artifacts list every file in
+        # --out, and nothing else
+        out = tmp_path / "out"
+        code, summary = run_cli(capsys, subcommand, "--scenario",
+                                scenario(tmp_path, **entries), "--out", str(out))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = sorted(path.name for path in out.iterdir())
+        assert manifest["artifacts"] == summary["artifacts"] == files
+
     def test_magnetic_azimuthal_run(self, tmp_path, capsys):
         scn = scenario(tmp_path, **dict(MESH, source_kind="magnetic",
                                         element_polarization="azimuthal"),
@@ -929,6 +949,24 @@ class TestErrors:
         assert "too many points" in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("blocker", ["out", "parent", "artifact"],
+                             ids=["out-is-a-file", "out-under-a-file",
+                                  "artifact-is-a-directory"])
+    def test_unwritable_output(self, tmp_path, capsys, blocker):
+        # a file where --out, or a directory above it, should be, and a
+        # directory where the artifact should be
+        out = tmp_path / "out"
+        if blocker == "out":
+            out.write_text("")
+        elif blocker == "parent":
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "out"
+        else:
+            (out / "layout.csv").mkdir(parents=True)
+        code = cli_main(["layout", "--scenario", str(ROOT / "tools" / "ring_default_cut.json"),
+                         "--out", str(out)])
+        assert self.json_error(capsys, code)["code"] == "output-unwritable"
+
     def test_scenario_required(self, capsys, monkeypatch):
         monkeypatch.delenv("NEARFOCUS_SCENARIO", raising=False)
         code, payload = run_cli(capsys, "run")
@@ -1206,9 +1244,13 @@ class TestEnvironment:
         # which evaluate_field caps at the CPUs this process may use
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count())
-        scn = scenario(tmp_path)
-        for subcommand, low, high in (("run", 1, cpus), ("layout", 0, 0)):
-            out = tmp_path / subcommand
+        for subcommand, reference, low, high in (
+                ("run", "none", 1, cpus), ("layout", "none", 0, 0),
+                ("validate", "ez_trans", 1, cpus),
+                # no field runs for a ratio or a closed-form curve
+                ("validate", "ratio_cp", 0, 0), ("analytic", "ez_trans", 0, 0)):
+            scn = scenario(tmp_path, analytic_reference=reference)
+            out = tmp_path / f"{subcommand}-{reference}"
             code, _ = run_cli(capsys, subcommand, "--scenario", scn, "--out", str(out),
                               "--threads", "4000")
             assert code == 0

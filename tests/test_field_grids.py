@@ -54,13 +54,13 @@ def field_map(tmp_path, scenario, threads=2):
     path.write_text(json.dumps(scenario))
     s, _ = cli.load_scenario(path)
     wl = Wavelength.from_frequency(s["frequency_hz"])
-    stages = cli._Stages()
+    stages = cli._Stages(tmp_path, threads)
     sources = cli._aperture(s, wl, stages)
     e_hat = cli._AXIS_UNIT[s["target_polarization"]]
     weights, _ = cli._solve_weights(s, cli._channel(s, sources, e_hat, wl, stages), stages)
     axes = (cli._plane(s) if s["grid"] == "plane"
             else [(s["cut_axis"], cli._offsets(s["cut_half_span_m"], s["cut_step_m"]))])
-    fm = cli._evaluate(s, sources, weights, axes, wl, threads, stages)
+    fm = cli._evaluate(s, sources, weights, axes, wl, stages)
     direct = evaluate_field(sources, weights.w, fm.points, wl, kernel=s["kernel"],
                             source_kind=s["source_kind"], threads=threads)
     return s, fm, direct, weights, sources, stages
