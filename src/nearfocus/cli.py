@@ -84,6 +84,7 @@ from .geometry import (
     RectCorridorSpec,
     Strip,
     Wavelength,
+    _check_fits,
     build_cylinder_mesh,
     build_rect_corridor_mesh,
     build_ring_array,
@@ -303,13 +304,15 @@ def load_scenario(path) -> tuple[dict, list[str]]:
                         ("plane_step_m", ("plane_half_span_a_m", "plane_half_span_b_m"))):
         if s[step] > step_cap * (1.0 + 1e-9):
             raise _invalid(f"{step} exceeds wavelength/16 = {step_cap}")
-        # count the grid here, so one too fine to count fails before any work
+        # count the grid here, so one too fine to count, or whose field alone
+        # (48 B per point) exceeds the machine's memory, fails before any work
         try:
             points = math.prod(2 * _steps(s[span], s[step]) + 1 for span in spans)
         except OverflowError:
             points = math.inf
         if points > sys.maxsize:
             raise _invalid(f"{' and '.join(spans)} over {step} give too many points to count")
+        _check_fits(points, 48, f"points of {' and '.join(spans)} over {step}: their field")
 
     return s, sorted(set(_SCHEMA) - set(raw))
 
@@ -705,11 +708,9 @@ def _cmd_run(s: dict, wl: Wavelength, stages: _Stages) -> tuple[int, dict]:
         metrics_payload["kind"] = "cut"
         metrics_payload["axis"] = s["cut_axis"]
         with stages("metrics"):
-            try:
-                m = cut_metrics(offsets, values, wl.lam)
-                metrics_payload["metrics"] = metrics_flat_dict(m, wl.lam)
-            except ValueError as e:
-                metrics_payload["skipped_reason"] = str(e)
+            flat, reason = _cut_metrics(offsets, values, wl.lam)
+        metrics_payload.update(
+            {"metrics": flat} if reason is None else {"skipped_reason": reason})
     else:
         axes = _plane(s)
         fm = _evaluate(s, sources, weights, axes, wl, stages)
@@ -754,11 +755,12 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     return values / peak
 
 
-def _metrics_or_none(offsets: np.ndarray, values: np.ndarray, lam: float):
+def _cut_metrics(offsets: np.ndarray, values: np.ndarray, lam: float) -> tuple:
+    """(the cut's flat metrics, None), or (None, why cut_metrics refused it)."""
     try:
-        return metrics_flat_dict(cut_metrics(offsets, values, lam), lam)
-    except ValueError:
-        return None
+        return metrics_flat_dict(cut_metrics(offsets, values, lam), lam), None
+    except ValueError as e:
+        return None, str(e)
 
 
 def _delta(numeric, ana, key: str):
@@ -835,8 +837,8 @@ def _cmd_validate(s: dict, wl: Wavelength, stages: _Stages) -> tuple[int, dict]:
             num_n, ana_n = _normalized(numeric), _normalized(ana)
             lo, hi = main_lobe(num_n)
             deviation = float(np.max(np.abs(num_n[lo:hi + 1] - ana_n[lo:hi + 1])))
-            num_metrics = _metrics_or_none(offsets, numeric, wl.lam)
-            ana_metrics = _metrics_or_none(offsets, ana, wl.lam)
+            num_metrics = _cut_metrics(offsets, numeric, wl.lam)[0]
+            ana_metrics = _cut_metrics(offsets, ana, wl.lam)[0]
         report = {
             "kind": "profile",
             "component": component,
@@ -951,6 +953,8 @@ def main(argv=None) -> int:
         scenario, filled = load_scenario(scenario_path)
         wl = Wavelength.from_frequency(scenario["frequency_hz"])
         outdir.mkdir(parents=True, exist_ok=True)
+        # an earlier run's manifest would describe files this run rewrites
+        (outdir / "manifest.json").unlink(missing_ok=True)
 
         stages = _Stages(outdir, threads)
         code, entries = _COMMANDS[args.subcommand][1](scenario, wl, stages)

@@ -21,8 +21,8 @@ makes its own slice of source positions and moments, and the channel
 keeps one port-resistance scale per strip, as a run over the strip's rows.
 Work units tile the grid in point slices of equal size (to one point),
 and evaluate_field's workers claim them in turn from one counter, so
-two workers share even a 141-point cut equally; a lone worker runs in
-the calling thread.
+two workers share even a 141-point cut equally; the calling thread is
+always the first worker, so a lone worker starts no thread.
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -71,7 +71,8 @@ class ChannelVector:
     dipoles).  Those are runs: counts[i] consecutive ports of scale
     resistance_scale[i].  An aperture's strips give one run each, in row
     order, so the channel holds a few floats where a per-port array would
-    hold 8 B per port; per-port scales are runs of count 1.
+    hold 8 B per port; per-port scales are runs of count 1.  Only
+    resistances reads the runs, into a caller's array, block by block.
     """
 
     def __init__(self, g: np.ndarray, resistance_scale: np.ndarray, counts: np.ndarray):
@@ -91,11 +92,6 @@ class ChannelVector:
 
     def __len__(self) -> int:
         return self.g.shape[0]
-
-    @property
-    def resistance_scale(self) -> np.ndarray:
-        """Each port's resistance multiplier, (N,), made from the runs."""
-        return np.repeat(self._scale, np.diff(self._ends, prepend=0))
 
     def resistances(self, R0: float, out: np.ndarray, start: int = 0) -> np.ndarray:
         """out = R0 times the resistance multiplier of ports start,
@@ -403,8 +399,9 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
     standoff; the full kernel evaluates them (it is finite anywhere off
     the source) but flags them near_singular.  At most threads workers
     run, and no more than the CPUs this process may use; the result is
-    the same bytes for every worker count.  The workers take the next
-    unit as they finish one, so a slow worker's share falls to the others.
+    the same bytes for every worker count.  The caller is worker 0 and a
+    pool runs the rest; each takes the next unit as it finishes one, so a
+    slow worker's share falls to the others.
     """
     _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -472,10 +469,10 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
             if mine:
                 add(i, part)
 
-    if workers == 1:
-        # no pool: starting its thread costs more than a small grid's kernel
+    # a lone worker starts no thread; a helper's error surfaces once all stop
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(work, row) for row in range(1, workers)]
         work(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
+        for helper in helpers:
+            helper.result()
     return FieldMap(grid, E, dmin < 0.25 * wl.lam, workers)

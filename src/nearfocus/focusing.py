@@ -142,22 +142,22 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
          beta0*max(v) within the cap: TR; else the water level clips the
          strongest ports: hybrid.
 
-    w's own array is the workspace: its 16 B per port hold v and R in
+    w's own array is the workspace: its 16 B per port hold R and v in
     two halves while the level is found, then the amplitudes in v's
-    half, and then w itself, written block by block from the last.
-    Block [a, b) of w covers the halves' floats [2a, 2b): for a > 0
-    these are amplitudes of ports at or beyond b, whose weights are
-    written already, and the first block reads its own before it
-    writes.  R's half is overwritten on the way, so each block's R/2
-    comes from the channel's runs for its power, which that pass sums
-    with E_focus as it counts the clipped and idle ports.  Every sum goes
-    by blocks (_sum), and beyond w the solve holds one block's
-    temporaries, in which each pass finds its block's idle ports.
+    half, and then w itself, written block by block from the first.
+    Block [a, b) of w covers the halves' floats [2a, 2b): R of ports
+    from a on, which is read no more, or amplitudes of ports before b,
+    whose weights are written already or which the block reads before
+    it writes.  Each block's R/2 comes from the channel's runs for its
+    power, which that pass sums with E_focus as it counts the clipped
+    and idle ports.  Every sum goes by blocks (_sum), and beyond w the
+    solve holds one block's temporaries, in which each pass finds its
+    block's idle ports.
     """
     g = h.g
     n = g.size
     w = np.empty(n, dtype=complex)
-    v, R = w.view(np.float64)[:n], w.view(np.float64)[n:]
+    R, v = w.view(np.float64)[:n], w.view(np.float64)[n:]
     gmax = float(np.max(np.abs(g, out=v))) if n else 0.0
     if gmax == 0.0:
         raise ValueError("channel is zero for the requested polarization")
@@ -185,7 +185,7 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
     phase, half_r = np.empty(t.size, dtype=complex), np.empty(t.size)
     power, e_re, e_im = [], [], []
     clipped = idle = 0
-    for a in reversed(range(0, n, _PORT_BLOCK)):
+    for a in range(0, n, _PORT_BLOCK):
         b = min(a + _PORT_BLOCK, n)
         wb, gb, lb, x = phase[:b - a], g[a:b], live[:b - a], t[:b - a]
         np.conjugate(gb, out=wb)

@@ -228,18 +228,19 @@ class Aperture:
         return self.rows(a, b, self._moments)
 
 
-def _check_fits(n_sources: int) -> None:
-    """Refuse, before any array is built, an aperture whose channel alone
-    (16 B per source) exceeds the machine's physical memory.  Where the
+def _check_fits(n: int, per: int = 16, what: str = "sources: their channel") -> None:
+    """Refuse, before any array is built, n items whose one full-length
+    array alone, per B each, exceeds the machine's physical memory: an
+    aperture's channel (16 B per source) unless told otherwise.  Where the
     system does not report it, the first array too large to allocate
     fails instead."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    if 16 * n_sources > physical:
-        raise MemoryError(f"{n_sources} sources: their channel alone needs "
-                          f"{16 * n_sources} B, more than the {physical} B of physical memory")
+    if per * n > physical:
+        raise MemoryError(f"{n} {what} alone needs {per * n} B, "
+                          f"more than the {physical} B of physical memory")
 
 
 def _circular_strip(radius: float, phi: np.ndarray, size: float,

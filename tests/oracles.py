@@ -20,6 +20,7 @@
   into ``nearfocus.fields``.
 - ``project``, which projects field vectors on a polarization, for
   comparing the channel with the 3x3 tensors times the moments.
+- ``port_scales``, each port's resistance multiplier from a channel's runs.
 """
 
 import math
@@ -32,6 +33,11 @@ from nearfocus.fields import ChannelVector
 from nearfocus.focusing import ExcitationWeights, PowerConstraints
 
 _QUAD_OPTS = {"epsabs": 1.0e-12, "epsrel": 1.0e-12, "limit": 200}
+
+
+def port_scales(h: ChannelVector) -> np.ndarray:
+    """Each port's resistance multiplier, (N,), from the channel's runs."""
+    return h.resistances(1.0, np.empty(len(h)))
 
 
 def ez_cp_radial_quadrature(xf, spec):
@@ -157,7 +163,7 @@ def optimality_oracle(h: ChannelVector, pc: PowerConstraints,
     absg = np.abs(g)
     if float(np.max(absg)) == 0.0:
         raise ValueError("channel is zero for the requested polarization")
-    R = pc.R0_per_port * h.resistance_scale
+    R = pc.R0_per_port * port_scales(h)
 
     s = np.sqrt(0.5 * R)      # u = s * |w| turns the power cap into a ball
     cap = s * pc.w_max

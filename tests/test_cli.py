@@ -967,6 +967,19 @@ class TestErrors:
                          "--out", str(out)])
         assert self.json_error(capsys, code)["code"] == "output-unwritable"
 
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        # a TR rerun over a CP run's output that cannot write its cut: the CP
+        # manifest would describe the TR weights.csv written beside it
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", scenario(tmp_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "cut.csv").unlink()
+        (out / "cut.csv").mkdir()
+        code = cli_main(["run", "--scenario", scenario(tmp_path, method="tr"),
+                         "--out", str(out)])
+        assert self.json_error(capsys, code)["code"] == "output-unwritable"
+        assert (out / "weights.csv").exists() and not (out / "manifest.json").exists()
+
     def test_scenario_required(self, capsys, monkeypatch):
         monkeypatch.delenv("NEARFOCUS_SCENARIO", raising=False)
         code, payload = run_cli(capsys, "run")
@@ -1097,6 +1110,23 @@ class TestErrors:
                                 "--out", str(tmp_path / "out"))
         assert code == 2
         assert payload["error"]["code"] == "out-of-memory"
+
+    @pytest.mark.parametrize("subcommand, entries", [
+        ("analytic", {"analytic_reference": "ez_trans", "cut_half_span_m": 1000.0}),
+        ("layout", {"plane_half_span_a_m": 1000.0}),
+    ], ids=["cut", "plane"])
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys, monkeypatch, subcommand,
+                                        entries):
+        # 16 MB of physical memory against a 1 km span, 426,963 samples of
+        # 48 B: the scenario is refused from its counts, before --out is made
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096,
+                                                        "SC_PHYS_PAGES": 4096}[name])
+        out = tmp_path / "out"
+        code = cli_main([subcommand, "--scenario", scenario(tmp_path, **entries),
+                         "--out", str(out)])
+        error = self.json_error(capsys, code)
+        assert error["code"] == "out-of-memory" and "physical memory" in error["message"]
+        assert not out.exists()
 
 
 class TestMemory:

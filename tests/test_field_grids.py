@@ -27,6 +27,8 @@ from nearfocus.cli import main as cli_main
 from nearfocus.fields import ChannelVector, evaluate_field
 from nearfocus.geometry import Aperture, Wavelength
 
+from oracles import port_scales
+
 ROOT = Path(__file__).resolve().parents[1]
 
 BASE = {"geometry": "cylinder", "radius_m": 1.0, "length_m": 10.0, "frequency_hz": 1.0e9}
@@ -368,7 +370,7 @@ def test_resistances_fill_runs_as_repeat(seed):
     out = np.full(n, np.nan)
     assert h.resistances(50.0, out=out) is out
     assert out.tobytes() == (np.repeat(scale, counts) * 50.0).tobytes()
-    assert h.resistance_scale.tobytes() == np.repeat(scale, counts).tobytes()
+    assert port_scales(h).tobytes() == np.repeat(scale, counts).tobytes()
     # any span of ports from its start, as the solve fills one block's
     for start, size in zip(rng.integers(0, n, 5), rng.integers(0, 3 * fields._PORT_BLOCK, 5)):
         part = np.full(min(size, n - start), np.nan)

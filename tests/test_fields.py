@@ -13,6 +13,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from nearfocus.geometry import (
     build_ring_array,
 )
 
-from oracles import FlatSources, flat_ring_array, project
+from oracles import FlatSources, flat_ring_array, port_scales, project
 
 WL = Wavelength.from_frequency(1.0e9)
 LAM = WL.lam
@@ -265,7 +266,7 @@ def test_channel_single_element_consistency():
         e_hat = rng.normal(size=3)
         e_hat /= np.linalg.norm(e_hat)
         ch = assemble_channel(one, focal, e_hat, WL, kernel=kernel, source_kind=source_kind)
-        assert len(ch) == 1 and np.array_equal(ch.resistance_scale, [1.0])
+        assert len(ch) == 1 and np.array_equal(port_scales(ch), [1.0])
         tensor = (green_electric(focal, position, WL, kernel) if source_kind == "electric"
                   else green_magnetic(focal, position, WL))
         field = tensor @ moment
@@ -343,12 +344,12 @@ def test_channel_mesh_resistance_scale():
     mesh = build_cylinder_mesh(spec, 50, 12, WL)
     ch = assemble_channel(mesh, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL)
     area = 2.0 * math.pi * spec.radius_a * spec.length_L / (50 * 12)
-    assert np.allclose(ch.resistance_scale, area / (0.5 * LAM) ** 2, rtol=1e-12)
-    assert ch.resistance_scale.shape == (len(mesh),)
+    assert np.allclose(port_scales(ch), area / (0.5 * LAM) ** 2, rtol=1e-12)
+    assert port_scales(ch).shape == (len(mesh),)
     # dipole ports take the base resistance
     ring = build_ring_array(spec, WL, "axial")
     ch = assemble_channel(ring, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL)
-    assert np.array_equal(ch.resistance_scale, np.ones(len(ring)))
+    assert np.array_equal(port_scales(ch), np.ones(len(ring)))
 
 
 def test_channel_resistance_scale_follows_the_row_order():
@@ -367,8 +368,8 @@ def test_channel_resistance_scale_follows_the_row_order():
     assert abs(x_area / y_area - 1.0) > 0.05
     want = np.where(on_x_wall, _patch_resistance_scale(x_area, WL),
                     _patch_resistance_scale(y_area, WL))
-    assert ch.resistance_scale.shape == (len(mesh),)
-    np.testing.assert_allclose(ch.resistance_scale, want, rtol=1e-12, atol=0.0)
+    assert port_scales(ch).shape == (len(mesh),)
+    np.testing.assert_allclose(port_scales(ch), want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("scale, counts", [
@@ -553,15 +554,10 @@ def test_determinism_and_thread_equivalence():
     assert np.array_equal(e1, e4)
 
 
-def test_workers_capped_at_usable_cpus(monkeypatch):
-    # an inline executor records the worker count and starts no thread
-    layout = small_layout()
-    rng = np.random.default_rng(6)
-    w = rng.normal(size=len(layout)) + 1j * rng.normal(size=len(layout))
-    grid = np.stack([np.linspace(-0.3, 0.3, 64), np.zeros(64), np.zeros(64)], axis=1)
-    monkeypatch.setattr(fields, "_CHUNK_BUDGET", len(layout))
-    ref = evaluate_field(layout, w, grid, WL, threads=1).E
-    requested = []
+def inline_executor(requested, submitted):
+    """A stand-in for ThreadPoolExecutor that records its pool size and the
+    rows submitted to it, and runs each submitted call at once, in the
+    calling thread."""
 
     class InlineExecutor:
         def __init__(self, max_workers):
@@ -573,17 +569,53 @@ def test_workers_capped_at_usable_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            submitted.append(args)
+            done = Future()
+            done.set_result(fn(*args))
+            return done
 
-    monkeypatch.setattr(fields, "ThreadPoolExecutor", InlineExecutor)
+    return InlineExecutor
+
+
+def test_workers_capped_at_usable_cpus(monkeypatch):
+    # the caller is worker 0 and the pool runs the others; an inline
+    # executor records the pool size and starts no thread
+    layout = small_layout()
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=len(layout)) + 1j * rng.normal(size=len(layout))
+    grid = np.stack([np.linspace(-0.3, 0.3, 64), np.zeros(64), np.zeros(64)], axis=1)
+    monkeypatch.setattr(fields, "_CHUNK_BUDGET", len(layout))
+    ref = evaluate_field(layout, w, grid, WL, threads=1).E
+    requested, submitted = [], []
+    monkeypatch.setattr(fields, "ThreadPoolExecutor", inline_executor(requested, submitted))
     units, _ = fields._units(len(grid), len(layout))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
     assert len(units) > cpus
-    E = evaluate_field(layout, w, grid, WL, threads=4000).E
-    assert requested == [cpus]
-    assert np.array_equal(E, ref)
+    fm = evaluate_field(layout, w, grid, WL, threads=4000)
+    assert fm.workers == cpus
+    assert requested == [max(1, cpus - 1)]
+    assert submitted == [(row,) for row in range(1, cpus)]
+    assert np.array_equal(fm.E, ref)
+
+
+def test_lone_worker_submits_nothing(monkeypatch):
+    # one thread runs every unit in the caller, and gives the same bytes
+    # as two workers
+    layout = small_layout()
+    rng = np.random.default_rng(9)
+    w = rng.normal(size=len(layout)) + 1j * rng.normal(size=len(layout))
+    grid = np.stack([np.linspace(-0.3, 0.3, 64), np.zeros(64), np.zeros(64)], axis=1)
+    monkeypatch.setattr(fields, "_CHUNK_BUDGET", len(layout))
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    two = evaluate_field(layout, w, grid, WL, threads=2)
+    assert two.workers == 2
+    requested, submitted = [], []
+    monkeypatch.setattr(fields, "ThreadPoolExecutor", inline_executor(requested, submitted))
+    one = evaluate_field(layout, w, grid, WL, threads=1)
+    assert one.workers == 1 and requested == [1] and submitted == []
+    assert one.E.tobytes() == two.E.tobytes()
 
 
 def test_parts_added_in_source_order_by_many_workers(monkeypatch):

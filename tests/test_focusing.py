@@ -26,7 +26,7 @@ from nearfocus.geometry import (
     build_ring_array,
 )
 
-from oracles import optimality_oracle, stable_water_level
+from oracles import optimality_oracle, port_scales, stable_water_level
 
 
 def channel_from_g(g, resistance_scale=None):
@@ -218,7 +218,7 @@ def test_hybrid_stronger_channel_gets_larger_drive(frequency, polarization, targ
     layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=10.0), wl,
                               polarization=polarization)
     h = assemble_channel(layout, np.zeros(3), np.eye(3)[target], wl)
-    R = 50.0 * h.resistance_scale
+    R = 50.0 * port_scales(h)
     v = np.abs(h.g) / R
     live = np.abs(h.g) >= ZERO_CHANNEL_CUTOFF * np.max(np.abs(h.g))
     # a cap between the all-clipped drive that meets the 1 W budget and
@@ -258,7 +258,7 @@ def test_ring_weights_follow_a_rotation_of_the_focus(drive, polarization):
     h_rot = assemble_channel(layout, np.array([c * x - s * y, s * x + c * y, z]), e_z, wl)
     # a cap between the all-clipped drive that meets the 1 W budget and
     # the largest TR amplitude, so the hybrid drive clips
-    R = 50.0 * h.resistance_scale
+    R = 50.0 * port_scales(h)
     v = np.abs(h.g) / R
     all_clipped = math.sqrt(2.0 / np.sum(R))
     tr_peak = math.sqrt(2.0 / np.sum(R * v ** 2)) * np.max(v)
@@ -277,7 +277,7 @@ def both_bind(h):
     """Constraints at 1 W and R0 = 1 ohm with a cap between the all-clipped
     drive that meets the budget and the largest TR amplitude, so that both
     constraints bind."""
-    R = h.resistance_scale
+    R = port_scales(h)
     v = np.abs(h.g) / R
     all_clipped = math.sqrt(2.0 / np.sum(R))
     tr_peak = math.sqrt(2.0 / np.sum(R * v ** 2)) * np.max(v)
@@ -301,7 +301,7 @@ def assert_level_is_exact(h):
     weights, report = hybrid_weights(h, pc)
     assert weights.regime == "hybrid"
     beta, ulp = report.beta, math.ulp(report.beta)
-    R = pc.R0_per_port * h.resistance_scale
+    R = pc.R0_per_port * port_scales(h)
     absg = np.abs(h.g)
     live = absg >= ZERO_CHANNEL_CUTOFF * np.max(absg)
     v = absg[live] / R[live]
@@ -309,7 +309,7 @@ def assert_level_is_exact(h):
     assert beta == pytest.approx(stable_water_level(v, R[live], pc.w_max, pc.P0),
                                  rel=1e-11, abs=0.0)
     order = np.random.default_rng(0).permutation(len(h))
-    _, permuted = hybrid_weights(channel_from_g(h.g[order], h.resistance_scale[order]), pc)
+    _, permuted = hybrid_weights(channel_from_g(h.g[order], port_scales(h)[order]), pc)
     assert abs(permuted.beta - beta) <= 4 * ulp
     assert weights.w[~live].tobytes() == bytes(16 * np.count_nonzero(~live))
     assert np.all(weights.w[live] != 0.0)
@@ -325,7 +325,7 @@ def test_water_level_with_ties_is_exact():
     level = 2.0 ** -rng.integers(0, 8, n).astype(float)
     g = level * scale * rng.choice([1.0, -1.0, 1j, -1j], n)
     h = channel_from_g(g, scale)
-    v = np.abs(h.g) / h.resistance_scale
+    v = np.abs(h.g) / port_scales(h)
     assert np.array_equal(v, level)
     assert np.unique(scale[level == 1.0]).size > 100
     assert_level_is_exact(h)
@@ -350,7 +350,7 @@ def test_water_level_without_ties_is_exact():
     n = 4000
     h = channel_from_g(rng.normal(size=n) + 1j * rng.normal(size=n),
                        rng.uniform(0.5, 2.0, n))
-    v = np.abs(h.g) / h.resistance_scale
+    v = np.abs(h.g) / port_scales(h)
     assert np.unique(v).size == n
     assert_level_is_exact(h)
 
@@ -366,8 +366,8 @@ def test_water_level_at_a_million_ports():
     pc = both_bind(h)
     weights, report = hybrid_weights(h, pc)
     assert weights.regime == "hybrid"
-    v = np.abs(h.g) / h.resistance_scale
-    want = fsum_level(v, h.resistance_scale, pc.w_max, pc.P0, report.beta)
+    v = np.abs(h.g) / port_scales(h)
+    want = fsum_level(v, port_scales(h), pc.w_max, pc.P0, report.beta)
     assert abs(report.beta - want) <= 2e-15 * want
     assert abs(weights.total_power - pc.P0) <= 1e-15 * pc.P0
 
@@ -479,8 +479,8 @@ def test_resistance_runs_solve_as_their_ports(drive, regime):
     mesh = build_rect_corridor_mesh(RectCorridorSpec(width_La=1.0, height_Lb=0.5,
                                                      length_L=1.3), 0.07, wl)
     h = assemble_channel(mesh, np.array([0.1, -0.05, 0.2]), np.array([0.0, 0.0, 1.0]), wl)
-    per_port = ChannelVector(h.g, h.resistance_scale, np.ones(len(h), dtype=np.intp))
-    assert np.unique(per_port.resistance_scale).size == 2
+    per_port = ChannelVector(h.g, port_scales(h), np.ones(len(h), dtype=np.intp))
+    assert np.unique(port_scales(per_port)).size == 2
     pc = both_bind(h)
     weights, report = drive(h, pc)
     want_weights, want_report = drive(per_port, pc)
@@ -507,7 +507,7 @@ def test_solve_peak_and_channel_kept(drive, regime):
     n = 200_000
     h = channel_from_g(rng.normal(size=n) + 1j * rng.normal(size=n), rng.uniform(0.5, 2.0, n))
     pc = both_bind(h)
-    g, scale = h.g.copy(), h.resistance_scale.copy()
+    g, scale = h.g.copy(), port_scales(h)
     tracemalloc.start()
     try:
         weights, _ = drive(h, pc)
@@ -518,7 +518,7 @@ def test_solve_peak_and_channel_kept(drive, regime):
     assert peak / n <= 19.0
     # tests reuse one channel across solvers, so a solve must not write into it
     assert h.g.tobytes() == g.tobytes()
-    assert h.resistance_scale.tobytes() == scale.tobytes()
+    assert port_scales(h).tobytes() == scale.tobytes()
 
 
 # ------------------------------------------------------------------ oracle
