@@ -22,7 +22,7 @@ keeps one port-resistance scale per strip, as a run over the strip's rows.
 Work units tile the grid in point slices of equal size (to one point),
 and evaluate_field's workers claim them in turn from one counter, so
 two workers share even a 141-point cut equally; the calling thread is
-always the first worker, so a lone worker starts no thread.
+always one of the workers, so a lone worker starts no thread.
 
 Sign convention: the electric kernel is oriented so that its far-field
 limit reproduces the dipole constant R_e = j*eta0*l*k/(4*pi) exactly,
@@ -399,9 +399,9 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
     standoff; the full kernel evaluates them (it is finite anywhere off
     the source) but flags them near_singular.  At most threads workers
     run, and no more than the CPUs this process may use; the result is
-    the same bytes for every worker count.  The caller is worker 0 and a
-    pool runs the rest; each takes the next unit as it finishes one, so a
-    slow worker's share falls to the others.
+    the same bytes for every worker count.  The caller is the last worker
+    and a pool runs the rest; each takes the next unit as it finishes one,
+    so a slow worker's share falls to the others.
     """
     _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -469,10 +469,12 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
             if mine:
                 add(i, part)
 
-    # a lone worker starts no thread; a helper's error surfaces once all stop
+    # the caller is the last worker, so a lone one starts no thread; the first
+    # unit, the largest, mostly goes to the first helper, and in row 0 it spans
+    # fewer of the scratch's 2 MB huge pages.  Helpers' errors surface last
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work, row) for row in range(1, workers)]
-        work(0)
+        helpers = [pool.submit(work, row) for row in range(workers - 1)]
+        work(workers - 1)
         for helper in helpers:
             helper.result()
     return FieldMap(grid, E, dmin < 0.25 * wl.lam, workers)
