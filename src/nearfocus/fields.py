@@ -471,7 +471,7 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
 
     # the caller is the last worker, so a lone one starts no thread; the first
     # unit, the largest, mostly goes to the first helper, and in row 0 it spans
-    # fewer of the scratch's 2 MB huge pages.  Helpers' errors surface last
+    # fewer of the scratch's 2 MB huge pages.  A helper's error is raised last
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         helpers = [pool.submit(work, row) for row in range(workers - 1)]
         work(workers - 1)
