@@ -749,10 +749,7 @@ def _cmd_run(s: dict, wl: Wavelength, stages: _Stages) -> tuple[int, dict]:
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
-    peak = float(np.max(values))
-    if peak <= 0.0:
-        raise ValueError("field cut is identically zero")
-    return values / peak
+    return values / float(np.max(values))
 
 
 def _cut_metrics(offsets: np.ndarray, values: np.ndarray, lam: float) -> tuple:

@@ -130,8 +130,7 @@ class FieldMap:
 
 # ------------------------------------------------------------------ kernel
 
-def _dyadic(points, src, m, k, kernel, source_kind, scratch, standoff=0.0, w=None,
-            e_hat=None):
+def _dyadic(points, src, m, k, kernel, source_kind, scratch, w=None, e_hat=None):
     """The dyadic kernel on one work unit, and each point's nearest-source distance.
 
     points is (P, 3); src and m hold the unit's N source positions and
@@ -170,9 +169,6 @@ def _dyadic(points, src, m, k, kernel, source_kind, scratch, standoff=0.0, w=Non
     dmin = np.sqrt(R, out=R).min(axis=1)
     if not np.all(dmin > 0.0):
         raise ValueError("grid point coincides with a source")
-    if np.any(dmin < standoff):
-        raise ValueError(f"a point lies {dmin.min()} m from a source, inside the "
-                         f"quarter-wavelength standoff {standoff} m")
     # r_hat by division: on a source's axis it is exactly a unit axis, so the
     # radiating kernel's A*m and C*r_hat cancel to 0
     for v in r:
@@ -357,6 +353,11 @@ def _check_kernel(kernel: str, source_kind: str) -> None:
         raise ValueError("the dipole approximation applies to electric sources only")
 
 
+def _inside_standoff(dmin, wl: Wavelength) -> ValueError:
+    return ValueError(f"a point lies {dmin} m from a source, inside the "
+                      f"quarter-wavelength standoff {0.25 * wl.lam} m")
+
+
 def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Wavelength,
                      kernel: str = "full", source_kind: str = "electric") -> ChannelVector:
     """Per-source scalar channel at the focal point for unit drives.
@@ -380,10 +381,14 @@ def assemble_channel(sources, focal: np.ndarray, e_hat: np.ndarray, wl: Waveleng
     g = np.empty(n, dtype=complex)
     units, size = _units(1, n)
     scratch = np.empty(size)
+    dmin = math.inf
     for _, s in units:
-        g[s] = _dyadic(focal[None, :], sources.positions(s.start, s.stop),
-                       sources.moments(s.start, s.stop), wl.k, kernel, source_kind,
-                       scratch, 0.25 * wl.lam, e_hat=e_hat)[0][0]
+        part, d = _dyadic(focal[None, :], sources.positions(s.start, s.stop),
+                          sources.moments(s.start, s.stop), wl.k, kernel, source_kind,
+                          scratch, e_hat=e_hat)
+        g[s], dmin = part[0], min(dmin, d[0])
+    if dmin < 0.25 * wl.lam:
+        raise _inside_standoff(dmin, wl)
     # one run per strip: its scale over its rows
     strips = sources.strips
     return ChannelVector(g, [s.resistance_scale for s in strips],
@@ -399,9 +404,9 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
     standoff; the full kernel evaluates them (it is finite anywhere off
     the source) but flags them near_singular.  At most threads workers
     run, and no more than the CPUs this process may use; the result is
-    the same bytes for every worker count.  The caller is the last worker
-    and a pool runs the rest; each takes the next unit as it finishes one,
-    so a slow worker's share falls to the others.
+    the same bytes for every worker count.  The caller is one worker and a
+    pool runs the rest, whose errors are raised once all stop; each takes the
+    next unit as it finishes one, so a slow worker's share falls to the others.
     """
     _check_kernel(kernel, source_kind)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -409,14 +414,13 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
     if w.shape != (len(sources),):
         raise ValueError("need one weight per source")
 
-    standoff = 0.25 * wl.lam if kernel == "dipole-approx" else 0.0
     units, size = _units(grid.shape[0], len(sources))
     # more workers than CPUs would only add scratch buffers
     workers = max(1, min(threads, len(units), _usable_cpus()))
-    # one row of scratch per worker, made by this thread: memory a worker
-    # allocated would go back to that worker's malloc arena, which the
-    # caller's next arrays are not taken from
-    scratch = np.empty((workers, size))
+    # one row of scratch per worker, made by this thread (a worker's arrays go
+    # back to its own malloc arena, not the caller's); each takes the next free
+    # row with its first unit, so unit 0, the largest, is always in row 0
+    free = iter(np.empty((workers, size)))
     E = np.zeros(grid.shape, dtype=complex)
     # the units' sums are (P, 3, 2) real views; complex addition is the
     # addition of the parts
@@ -447,21 +451,22 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
     # the one counter the workers claim units from, in index order
     pending = iter(range(len(units)))
 
-    def work(row):
+    def work():
         # each worker keeps its scratch row; units are source-major, so it
         # makes a source slice's rows once for all the units it claims on
         # that slice in a row
-        rows = None
+        rows = scratch = None
         while True:
             with lock:
                 i = next(pending, None)
+                scratch = next(free) if scratch is None else scratch
             if i is None:
                 return
             p, s = units[i]
             if rows is None or rows[0] != s:
                 rows = s, sources.positions(s.start, s.stop), sources.moments(s.start, s.stop)
             part = _dyadic(grid[p], rows[1], rows[2], wl.k, kernel, source_kind,
-                           scratch[row], standoff, w=w[s])
+                           scratch, w=w[s])
             with lock:
                 mine = turn[i % n_slices] == i
                 if not mine:
@@ -469,12 +474,12 @@ def evaluate_field(sources, w: np.ndarray, grid: np.ndarray, wl: Wavelength,
             if mine:
                 add(i, part)
 
-    # the caller is the last worker, so a lone one starts no thread; the first
-    # unit, the largest, mostly goes to the first helper, and in row 0 it spans
-    # fewer of the scratch's 2 MB huge pages.  A helper's error is raised last
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work, row) for row in range(workers - 1)]
-        work(workers - 1)
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
         for helper in helpers:
             helper.result()
-    return FieldMap(grid, E, dmin < 0.25 * wl.lam, workers)
+    near = dmin < 0.25 * wl.lam
+    if kernel == "dipole-approx" and near.any():
+        raise _inside_standoff(dmin.min(), wl)
+    return FieldMap(grid, E, near, workers)

@@ -76,6 +76,16 @@ def _sum(n: int, term) -> float:
                      for a in range(0, n, _PORT_BLOCK))
 
 
+def _level(P0: float, total: float, R0: float) -> float:
+    """sqrt(2*P0/total), the level at which ports whose R*v^2 sum to total
+    spend the budget; refused unless positive and finite, as where port
+    resistances R0 far from 1 ohm overflow the sum or underflow it to 0."""
+    level = math.sqrt(2.0 * P0 / total) if total > 0.0 else 0.0
+    if not 0.0 < level < math.inf:
+        raise ValueError(f"port resistances of {R0} ohm leave no positive, finite drive level")
+    return level
+
+
 def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float,
                  beta: float) -> float:
     """Level at which sum(R/2 * min(level*v, cap)^2) equals P0, from the
@@ -127,6 +137,8 @@ def _water_level(v: np.ndarray, R: np.ndarray, cap: float, P0: float,
         beta = root
 
 
+# a sum that overflows is inf, which _level refuses: no warning need print
+@np.errstate(over="ignore")
 def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
     """|w_n| = min(beta*v_n, cap) with the conjugate channel phase,
     v = |g|/R, or one amplitude on every live port for the uniform drive.
@@ -170,12 +182,12 @@ def _drive(h: ChannelVector, pc: PowerConstraints, cap: float, uniform: bool):
         v.fill(cap)
         beta, regime, active = 0.0, "CP", "local"
     elif uniform:
-        v.fill(math.sqrt(2.0 * pc.P0 / r_sum))
+        v.fill(_level(pc.P0, r_sum, pc.R0_per_port))
         beta, regime, active = 0.0, "CP", "both"
     else:
         np.divide(v, R, out=v)
-        beta = math.sqrt(2.0 * pc.P0 / _sum(n, lambda a, b: np.multiply(
-            np.square(v[a:b], out=t[:b - a]), R[a:b], out=t[:b - a])))
+        beta = _level(pc.P0, _sum(n, lambda a, b: np.multiply(
+            np.square(v[a:b], out=t[:b - a]), R[a:b], out=t[:b - a])), pc.R0_per_port)
         if beta * float(np.max(v)) <= cap:
             regime, active = "TR", "global"
         else:

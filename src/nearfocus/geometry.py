@@ -269,8 +269,6 @@ def build_ring_array(spec: CylinderSpec, wl: Wavelength,
             f"cylinder radius {spec.radius_a} m is below the quarter-wavelength "
             f"floor {0.25 * wl.lam} m for ring construction")
     per_ring = int(math.ceil(2.0 * math.pi * spec.radius_a / half_lam))
-    if per_ring < 3:
-        raise ValueError(f"degenerate ring with {per_ring} elements")
     rings = int(math.floor(spec.length_L / half_lam)) + 1
     _check_fits(per_ring * rings)
     if dipole_length is None:

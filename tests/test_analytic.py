@@ -39,7 +39,7 @@ from nearfocus.analytic import (
     transverse_pol_cp,
     transverse_pol_tr,
 )
-from nearfocus.geometry import CylinderSpec
+from nearfocus.geometry import CylinderSpec, RectCorridorSpec
 
 from oracles import (
     ez_cp_radial_quadrature,
@@ -229,6 +229,13 @@ class TestAxisCurves:
         for f in (ez_cp_axis, ex_cp_axis, ez_tr_axis, ex_tr_axis):
             with pytest.raises(ValueError):
                 f(5.0, BASE)
+
+    def test_rectangle_refused(self):
+        # the closed forms are the cylinder's
+        rect = RectCorridorSpec(width_La=4.0, height_Lb=3.0, length_L=10.0)
+        for f in (ez_cp_axis, ex_cp_axis, ez_tr_axis, ex_tr_axis):
+            with pytest.raises(TypeError, match="CylinderSpec"):
+                f(0.0, rect)
 
 
 class TestRadialCuts:

@@ -626,6 +626,18 @@ class TestValidate:
         on_disk = json.loads((out / "report.json").read_text())
         assert on_disk == report
 
+    def test_cut_too_short_for_metrics(self, tmp_path, capsys):
+        # a 5-sample cut: cut_metrics refuses both curves, so the report's
+        # metrics and their deltas are null, and the profile is still compared
+        scn = scenario(tmp_path, analytic_reference="ez_trans", cut_half_span_m=0.01)
+        code, summary = run_cli(capsys, "validate", "--scenario", scn,
+                                "--out", str(tmp_path / "out"))
+        report = summary["report"]
+        assert code == 0 and report["passed"] is True and report["n_samples"] == 5
+        assert report["numeric_metrics"] is None and report["analytic_metrics"] is None
+        assert report["metric_deltas"] == dict.fromkeys(
+            ["width_3db_lambda", "first_null_lambda", "sidelobe_ratio"])
+
     def test_ratio_cp_long_cylinder(self, tmp_path, capsys):
         scn = scenario(tmp_path, length_m=100.0, aperture="discrete",
                        method="cp", amplitude_cap_a=0.002,
@@ -1012,6 +1024,26 @@ class TestErrors:
         assert "quarter-wavelength standoff" in error["message"]
         assert not (out / "weights.csv").exists()
 
+    @pytest.mark.parametrize("method, resistance", [
+        ("tr", 5e-324), ("tr", 1e200), ("tr", 1e305), ("hybrid", 1e200),
+        ("hybrid", 1e305), ("cp", 1e305), ("tr", 1e-300)])
+    def test_port_resistance_beyond_the_solve_refused(self, tmp_path, capsys, method,
+                                                      resistance):
+        # the solve's sums over the ring's ports overflow or underflow, so no
+        # drive level spends the budget: one line, nothing on stderr, no weights
+        out = tmp_path / "out"
+        code = cli_main(["run", "--scenario", scenario(tmp_path, method=method,
+                                                       port_resistance_ohm=resistance),
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        line, = captured.out.splitlines()
+        assert json.loads(line)["error"] == {
+            "code": "run-failed",
+            "message": f"port resistances of {resistance!r} ohm leave no positive, "
+                       "finite drive level"}
+        assert not (out / "weights.csv").exists()
+
     RECTANGLE = dict(geometry="rectangle", radius_m=None, width_m=4.0, height_m=3.0,
                      aperture="mesh")
 
@@ -1081,6 +1113,17 @@ class TestErrors:
         refused = self.json_error(capsys, code)
         assert refused["code"] == error
         assert message in refused["message"]
+
+    @pytest.mark.parametrize("count", [0, True, 2.5], ids=["zero", "bool", "fraction"])
+    def test_count_must_be_a_positive_integer(self, tmp_path, capsys, count):
+        out = tmp_path / "out"
+        code, payload = run_cli(capsys, "layout", "--scenario",
+                                scenario(tmp_path, **dict(MESH, mesh_axial_n=count)),
+                                "--out", str(out))
+        assert code == 2 and payload["error"] == {
+            "code": "scenario-invalid",
+            "message": f"mesh_axial_n must be a positive integer, got {count!r}"}
+        assert not out.exists()
 
     def test_rectangle_requires_mesh(self, tmp_path, capsys):
         path = tmp_path / "rect.json"
@@ -1397,6 +1440,26 @@ class TestTools:
         assert total["field_nodes"] == sum(c["field_nodes"] for c in cuts)
         assert sum(total["exact"].values()) == 3
         assert {c["exact"] for c in cuts} >= {None, "small"}
+
+    def test_artifact_digest_records_refusals(self, tmp_path):
+        # a call that exits non-zero keeps its stdout line, so refusals are
+        # compared too: the approximate kernel refuses the near-wall plane
+        # with one message at every thread count
+        tool = ROOT / "tools" / "artifact_digest.py"
+        near_wall = json.loads((ROOT / "tools" / "ring_plane_near_wall.json").read_text())
+        path = tmp_path / "approx.json"
+        path.write_text(json.dumps(dict(near_wall, kernel="dipole-approx")))
+        proc = subprocess.run(
+            [sys.executable, str(tool), "--call", "run", str(path), "--threads", "1", "2"],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        one, two = (runs[f"call/run/{path}/threads{t}"] for t in (1, 2))
+        assert one == two and one["exit"] == 2
+        assert json.loads(one["stdout"])["error"] == {
+            "code": "run-failed",
+            "message": "a point lies 0.013532661281451547 m from a source, inside the "
+                       "quarter-wavelength standoff 0.0749481145 m"}
 
     def test_artifact_digest_same_across_threads(self, tmp_path):
         # the same-bytes checker, run on the baseline layout and a

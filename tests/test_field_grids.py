@@ -308,6 +308,36 @@ def test_dipole_approx_grid_inside_standoff_refused(tmp_path, capsys):
     assert not (out / "cut.csv").exists()
 
 
+def test_dipole_approx_near_wall_refusal_names_least_distance(tmp_path, capsys):
+    # the near-wall plane is exact (standoff), and the approximate kernel
+    # refuses it naming the least point-source distance over the whole grid,
+    # the same at every thread count
+    scenario = dict(NEAR_WALL, kernel="dipole-approx")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    s, _ = cli.load_scenario(path)
+    wl = Wavelength.from_frequency(s["frequency_hz"])
+    sources = cli._aperture(s, wl, cli._Stages(tmp_path, 1))
+    axes = cli._plane(s)
+    grid = cli._points(cli._focus(s), [a for a, _ in axes], [o for _, o in axes])
+    src = sources.positions(0, len(sources))
+    least = min(float(np.sqrt(((block[:, :, None] - src) ** 2).sum(axis=1)).min())
+                for block in np.array_split(grid, -(-len(grid) // 256)))
+    assert least < 0.25 * wl.lam
+    lines = set()
+    for threads in ["1", "3"] + ["2"] * 10:
+        out = tmp_path / f"out{threads}"
+        code = cli_main(["run", "--scenario", str(path), "--out", str(out),
+                         "--threads", threads])
+        assert code == 2
+        lines.add(capsys.readouterr().out)
+    line, = lines
+    error = json.loads(line)["error"]
+    assert error["code"] == "run-failed"
+    assert error["message"] == (f"a point lies {least!r} m from a source, inside the "
+                                f"quarter-wavelength standoff {0.25 * wl.lam!r} m")
+
+
 @pytest.mark.parametrize("scenario", [
     pytest.param(RING_PLANE[1].values[0], id="ring-plane-seed41"),
     pytest.param(MIX["run-magnetic-mesh"], id="magnetic-mesh-cut"),

@@ -321,6 +321,13 @@ def test_channel_standoff_and_region_checks():
                          source_kind="magnetic")
 
 
+def test_channel_refuses_an_unknown_source_kind():
+    layout = build_ring_array(CylinderSpec(radius_a=1.0, length_L=1.0), WL, "axial")
+    with pytest.raises(ValueError, match="unknown source kind"):
+        assemble_channel(layout, np.zeros(3), np.array([0.0, 0.0, 1.0]), WL,
+                         source_kind="dielectric")
+
+
 @pytest.mark.parametrize("source_kind, current", [
     ("electric", "z"), ("electric", "phi"), ("magnetic", "phi"), ("magnetic", "z"),
 ])
@@ -388,6 +395,11 @@ def test_channel_refuses_bad_resistance_scales(scale, counts):
     # three ports, per-port scales (runs of one port each) or longer runs
     with pytest.raises(ValueError):
         ChannelVector(np.ones(3), scale, counts)
+
+
+def test_channel_refuses_a_g_that_is_not_one_row():
+    with pytest.raises(ValueError, match=r"\(N,\)"):
+        ChannelVector(np.ones((3, 1)), [1.0], [3])
 
 
 def test_channel_keeps_one_resistance_scale_per_strip():
@@ -542,6 +554,12 @@ def test_standoff_flags_and_errors():
         evaluate_field(layout, w, p0[None, :], WL, kernel="full")
 
 
+def test_field_refuses_a_weight_per_source_short():
+    layout = small_layout()
+    with pytest.raises(ValueError, match="one weight per source"):
+        evaluate_field(layout, np.ones(len(layout) - 1, dtype=complex), np.zeros((1, 3)), WL)
+
+
 def test_determinism_and_thread_equivalence():
     layout = small_layout()
     rng = np.random.default_rng(5)
@@ -556,7 +574,7 @@ def test_determinism_and_thread_equivalence():
 
 def inline_executor(requested, submitted):
     """A stand-in for ThreadPoolExecutor that records its pool size and the
-    rows submitted to it, and runs each submitted call at once, in the
+    arguments submitted to it, and runs each submitted call at once, in the
     calling thread."""
 
     class InlineExecutor:
@@ -579,8 +597,8 @@ def inline_executor(requested, submitted):
 
 
 def test_workers_capped_at_usable_cpus(monkeypatch):
-    # the caller is the last worker and the pool runs the others; an
-    # inline executor records the pool size and starts no thread
+    # the caller is one worker and the pool runs the others; an inline
+    # executor records the pool size and starts no thread
     layout = small_layout()
     rng = np.random.default_rng(6)
     w = rng.normal(size=len(layout)) + 1j * rng.normal(size=len(layout))
@@ -596,7 +614,7 @@ def test_workers_capped_at_usable_cpus(monkeypatch):
     fm = evaluate_field(layout, w, grid, WL, threads=4000)
     assert fm.workers == cpus
     assert requested == [max(1, cpus - 1)]
-    assert submitted == [(row,) for row in range(cpus - 1)]
+    assert submitted == [()] * (cpus - 1)
     assert np.array_equal(fm.E, ref)
 
 
@@ -616,6 +634,62 @@ def test_lone_worker_submits_nothing(monkeypatch):
     one = evaluate_field(layout, w, grid, WL, threads=1)
     assert one.workers == 1 and requested == [1] and submitted == []
     assert one.E.tobytes() == two.E.tobytes()
+
+
+def deferred_executor():
+    """A stand-in for ThreadPoolExecutor whose submitted calls run, in the
+    calling thread, only when their result is read: the caller's own share
+    runs first."""
+
+    class Deferred:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def result(self):
+            return self.fn()
+
+    class DeferredExecutor:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return Deferred(lambda: fn(*args))
+
+    return DeferredExecutor
+
+
+@pytest.mark.parametrize("first", ["helper", "caller"])
+def test_first_unit_in_scratch_row_zero(monkeypatch, first):
+    # whichever worker claims unit 0, the largest, runs it in scratch row 0
+    layout = small_layout()
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=len(layout)) + 1j * rng.normal(size=len(layout))
+    grid = np.stack([np.linspace(-0.3, 0.3, 64), np.zeros(64), np.zeros(64)], axis=1)
+    monkeypatch.setattr(fields, "_CHUNK_BUDGET", len(layout))
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    ref = evaluate_field(layout, w, grid, WL, threads=1).E
+    executor = (inline_executor([], []) if first == "helper" else deferred_executor())
+    monkeypatch.setattr(fields, "ThreadPoolExecutor", executor)
+    rows, kernel = [], fields._dyadic
+
+    def recording(*args, **kw):
+        scratch = args[6]
+        rows.append((scratch.ctypes.data - scratch.base.ctypes.data) // scratch.nbytes)
+        return kernel(*args, **kw)
+
+    monkeypatch.setattr(fields, "_dyadic", recording)
+    fm = evaluate_field(layout, w, grid, WL, threads=2)
+    assert fm.workers == 2
+    # one worker claims every unit, in index order
+    assert len(rows) == len(fields._units(len(grid), len(layout))[0]) > 1
+    assert rows == [0] * len(rows)
+    assert fm.E.tobytes() == ref.tobytes()
 
 
 def test_parts_added_in_source_order_by_many_workers(monkeypatch):

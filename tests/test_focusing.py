@@ -523,6 +523,13 @@ def test_solve_peak_and_channel_kept(drive, regime):
 
 # ------------------------------------------------------------------ oracle
 
+@pytest.mark.parametrize("w_max, P0, R0", [(0.0, 1.0, 50.0), (1.0, -1.0, 50.0),
+                                           (1.0, 1.0, 0.0), (1.0, math.nan, 50.0)])
+def test_power_constraints_must_be_positive(w_max, P0, R0):
+    with pytest.raises(ValueError, match="strictly positive"):
+        PowerConstraints(w_max=w_max, P0=P0, R0_per_port=R0)
+
+
 def test_oracle_rejects_large_instances():
     g = np.ones(300, dtype=complex)
     pc = PowerConstraints(w_max=1.0, P0=1.0, R0_per_port=1.0)

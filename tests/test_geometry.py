@@ -75,6 +75,12 @@ def test_spec_validation():
         RectCorridorSpec(width_La=2.0, height_Lb=0.0, length_L=1.0)
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan])
+def test_corridor_length_must_be_positive(length):
+    with pytest.raises(ValueError, match="corridor length must be positive"):
+        RectCorridorSpec(width_La=2.0, height_Lb=1.0, length_L=length)
+
+
 # ------------------------------------------------------------- ring arrays
 
 def test_ring_counts_1ghz():
@@ -153,10 +159,11 @@ def test_ring_radius_floor():
     with pytest.raises(ValueError):
         build_ring_array(CylinderSpec(radius_a=0.25 * lam * (1 - 1e-9), length_L=1.0),
                          WL_1GHZ, "axial")
-    # exactly at the floor is allowed and still yields a closed ring
+    # exactly at the floor is allowed and still yields a closed ring: the
+    # circumference of pi/2 wavelengths takes ceil(pi) = 4 half-wavelength slots
     layout = build_ring_array(CylinderSpec(radius_a=0.25 * lam, length_L=1.0),
                               WL_1GHZ, "axial")
-    assert len(layout.strips[0]) >= 3
+    assert len(layout.strips[0]) == 4
 
 
 def test_layout_invariants_enforced():
@@ -190,6 +197,13 @@ def test_cylinder_mesh_small():
     assert np.array_equal(mesh.moments(0, 6), AXIAL[:, None] * areas)
     # perimeter tangents are orthogonal to the axial one
     assert np.all(tangent_rows(mesh, 0, 6)[2] == 0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0, 7), (4, 3), (-1, 2)])
+def test_aperture_rows_out_of_range(a, b):
+    mesh = build_cylinder_mesh(CylinderSpec(radius_a=1.0, length_L=1.0), 2, 3, WL_1GHZ)
+    with pytest.raises(IndexError, match="outside an aperture of 6"):
+        size_rows(mesh, a, b)
 
 
 def test_cylinder_mesh_preconditions():

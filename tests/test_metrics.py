@@ -18,6 +18,7 @@ from nearfocus.metrics import (
     CutMetrics,
     contour_3db,
     cut_metrics,
+    _parabolic_peak,
     main_lobe,
     metrics_flat_dict,
 )
@@ -96,6 +97,13 @@ class TestCutMetrics:
         assert m.peak_value == pytest.approx(1.0, abs=1e-6)
         assert abs(m.peak_offset) < 1e-5 * LAM
 
+    @pytest.mark.parametrize("v", [[1.0, 0.5, 1.0], [0.0, 2.0, 3.0]],
+                             ids=["convex", "vertex-beyond-neighbours"])
+    def test_parabolic_peak_falls_back_to_the_sample(self, v):
+        # a triple that is not strictly concave, or a parabola whose vertex
+        # lies farther than a sample spacing away, gives the sample itself
+        assert _parabolic_peak(np.array([-1.0, 0.0, 1.0]), np.array(v), 1) == (v[1], 0.0)
+
     def test_flat_profile_reports_absent(self):
         x = grid(0.5, 1 / 64)
         m = cut_metrics(x, np.full_like(x, 2.5), LAM)
@@ -171,6 +179,11 @@ class TestCutMetrics:
         bad[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
             cut_metrics(x, bad, LAM)
+
+    def test_unequal_lengths_rejected(self):
+        x, v = sinc_cut()
+        with pytest.raises(ValueError, match="equal length"):
+            cut_metrics(x, v[:-1], LAM)
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="width_3db"):

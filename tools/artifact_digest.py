@@ -11,9 +11,11 @@ seed and thread count, then for every ``--call SUBCOMMAND SCENARIO`` at
 every thread count.  The package and the workloads are loaded from the
 checkout ``--root`` (by default the one holding this script), so the
 same script digests two checkouts.  Prints one JSON document: per run,
-the exit code and the SHA-256 of every file it wrote except
-``manifest.json``, which holds the wall time.  Two checkouts give the
-same artifacts when their documents are equal.
+the exit code, the SHA-256 of every file it wrote except
+``manifest.json``, which holds the wall time, and for a run that exits
+non-zero its stdout line (a refusal's error or a failed validation's
+summary), with the temporary output directory written as ``<out>``.  Two
+checkouts give the same results when their documents are equal.
 """
 
 from __future__ import annotations
@@ -61,9 +63,11 @@ def _load_workloads(root: Path):
 
 
 def _digest(main, subcommand: str, scenario_path: Path, threads: int, outdir: Path) -> dict:
-    """Exit code and artifact digests of one CLI call; the artifacts are removed."""
+    """Exit code, artifact digests and, unless it exits 0, the stdout line of
+    one CLI call; the artifacts are removed."""
     outdir.mkdir()
-    with contextlib.redirect_stdout(io.StringIO()):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = main([subcommand, "--scenario", str(scenario_path), "--out", str(outdir),
                      "--threads", str(threads)])
     sha = {}
@@ -76,7 +80,11 @@ def _digest(main, subcommand: str, scenario_path: Path, threads: int, outdir: Pa
             sha[path.name] = digest.hexdigest()
         path.unlink()
     outdir.rmdir()
-    return {"exit": code, "sha256": sha}
+    if code == 0:
+        return {"exit": code, "sha256": sha}
+    # the directory as the line spells it, JSON-escaped
+    line = stdout.getvalue().strip().replace(json.dumps(str(outdir))[1:-1], "<out>")
+    return {"exit": code, "sha256": sha, "stdout": line}
 
 
 def main(argv=None) -> int:
